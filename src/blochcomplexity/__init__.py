@@ -1,27 +1,22 @@
 """Geometric quality metrics and volume-based complexity of stationary qubit
 evolutions between arbitrary Bloch-sphere states."""
 
-from .complexity import (AnalysisConfig, AngularBox, ComplexityReport,
-                         DEFAULT_AVERAGING_MODE, EvolutionReport, VolumeReport,
-                         accessed_volume, accessible_volume, analyze,
-                         bounding_box, branch_times, complexity,
-                         complexity_length_scale, instantaneous_volume,
-                         segment_averages)
+from .complexity import (AnalysisConfig, AngularBox, DEFAULT_AVERAGING_MODE,
+                         EvolutionReport, VolumeReport, accessed_volume,
+                         analyze, bounding_box, branch_times, complexity,
+                         complexity_length_scale)
 from .errors import (BlochComplexityError, DegenerateGeometry, NonPositiveVolume,
                      NormDrift, ParallelField, QuadratureNotConverged,
                      ScalingViolation, SymmetryViolation, UnwrapAmbiguity)
 from .hamiltonians import (EvolutionProblem, FieldVector, SubOptimalParams,
                            amplitudes, equatorial_problem, evolution_time,
                            optimal_field, propagator, suboptimal_field)
-from .metrics import (CurvatureMetrics, PathMetrics, SpeedMetrics,
-                      curvature_coefficient, curvature_metrics,
-                      geodesic_distance, geodesic_efficiency, path_length,
-                      path_length_numeric, path_metrics, speed_efficiency,
-                      speed_metrics)
-from .qubit import (bloch_from_state, density_from_bloch, pauli_dot,
-                    state_from_bloch)
-from .trajectory import (Trajectory, azimuth_raw, polar_angle,
-                         sample_trajectory, unwrap_azimuth,
+from .metrics import (curvature_coefficient, geodesic_distance,
+                      geodesic_efficiency, path_length, path_length_numeric,
+                      speed_efficiency)
+from .qubit import (bloch_angles, bloch_from_state, density_from_bloch,
+                    pauli_dot, state_from_bloch)
+from .trajectory import (Trajectory, sample_trajectory, unwrap_azimuth,
                          write_trajectory_csv)
 from .verify import (CheckRecord, IntegratorConfig, check_omega_independence,
                      check_propagator_agreement, check_supplementary_symmetry,

@@ -15,14 +15,12 @@ Angles are accepted as decimal radians or as fractions of pi written
 import argparse
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .complexity import AnalysisConfig, DEFAULT_AVERAGING_MODE, analyze
-from .errors import BlochComplexityError, UnwrapAmbiguity
+from .errors import BlochComplexityError
 from .hamiltonians import (SubOptimalParams, equatorial_problem,
                            evolution_time, suboptimal_field)
 from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
@@ -34,28 +32,6 @@ _FRACTION_OF_PI = re.compile(r"^\s*([+-]?\d+)\s*/\s*(\d+)\s*pi\s*$")
 
 SWEEP_COLUMNS = ("alpha", "t_ab", "s", "eta_ge", "eta_se", "kappa2",
                  "v_bar", "v_max", "complexity", "l_c", "degenerate")
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    alpha_start: float = 0.0
-    alpha_end: float = np.pi
-    steps: int = 16
-    theta_ab: float = np.pi / 2.0
-    omega: float = 1.0
-    samples: int = DEFAULT_SAMPLES
-    averaging_mode: str = DEFAULT_AVERAGING_MODE
-    output_path: str = None
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-
-    @property
-    def alphas(self):
-        if self.alpha_start == self.alpha_end:
-            return np.array([self.alpha_start])
-        return np.linspace(self.alpha_start, self.alpha_end, self.steps + 1)
 
 
 def parse_angle(text):
@@ -74,31 +50,35 @@ def fmt(value):
     return f"{value:.12g}"
 
 
-def cmd_sweep(cfg):
-    problem = equatorial_problem(cfg.theta_ab, energy=cfg.omega)
-    config = AnalysisConfig(samples=cfg.samples,
-                            averaging_mode=cfg.averaging_mode)
-
-    def row(alpha):
-        rep = analyze(problem, SubOptimalParams(alpha), config)
-        return ",".join([fmt(rep.alpha), fmt(rep.t_ab), fmt(rep.s),
-                         fmt(rep.eta_ge), fmt(rep.eta_se), fmt(rep.kappa2),
-                         fmt(rep.volume.v_bar), fmt(rep.volume.v_max),
-                         fmt(rep.complexity), fmt(rep.length_scale),
-                         rep.degeneracy_label])
+def cmd_sweep(args):
+    """One CSV row per alpha; a row whose analysis raises a typed error is
+    reported on stderr and skipped, and the exit code is then 1."""
+    if args.steps < 1:
+        raise ValueError("steps must be >= 1")
+    problem = equatorial_problem(args.theta_ab, energy=args.omega)
+    config = AnalysisConfig(samples=args.samples,
+                            averaging_mode=args.averaging.replace("-", "_"))
+    if args.alpha_start == args.alpha_end:
+        alphas = np.array([args.alpha_start])
+    else:
+        alphas = np.linspace(args.alpha_start, args.alpha_end, args.steps + 1)
 
     failures = 0
     lines = [",".join(SWEEP_COLUMNS)]
-    with ThreadPoolExecutor() as pool:
-        futures = [(alpha, pool.submit(row, alpha)) for alpha in cfg.alphas]
-        for alpha, future in futures:
-            try:
-                lines.append(future.result())
-            except UnwrapAmbiguity as err:
-                print(f"sweep: alpha={alpha:.12g} aborted: {err}",
-                      file=sys.stderr)
-                failures += 1
-    status = _write_lines(lines, cfg.output_path)
+    for alpha in alphas:
+        try:
+            rep = analyze(problem, SubOptimalParams(alpha), config)
+        except BlochComplexityError as err:
+            print(f"sweep: alpha={alpha:.12g} aborted: {err}",
+                  file=sys.stderr)
+            failures += 1
+            continue
+        lines.append(",".join([fmt(rep.alpha), fmt(rep.t_ab), fmt(rep.s),
+                               fmt(rep.eta_ge), fmt(rep.eta_se),
+                               fmt(rep.kappa2), fmt(rep.volume.v_bar),
+                               fmt(rep.volume.v_max), fmt(rep.complexity),
+                               fmt(rep.length_scale), rep.degeneracy_label]))
+    status = _write_lines(lines, args.out)
     return status if status else (1 if failures else 0)
 
 
@@ -260,15 +240,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
-            cfg = SweepConfig(alpha_start=args.alpha_start,
-                              alpha_end=args.alpha_end,
-                              steps=args.steps,
-                              theta_ab=args.theta_ab,
-                              omega=args.omega,
-                              samples=args.samples,
-                              averaging_mode=args.averaging.replace("-", "_"),
-                              output_path=args.out)
-            return cmd_sweep(cfg)
+            return cmd_sweep(args)
         if args.command == "evolve":
             return cmd_evolve(args)
         if args.command == "tables":

@@ -21,9 +21,9 @@ Two time-averaging modes exist. ``uniform`` averages V(t) over the full
 duration. ``appendix_piecewise`` splits the duration at the instants where
 the period-pi principal-arctangent representation of the azimuth changes
 branch (a sign crossing of Re c0 or Re c1) and sums the per-segment
-averages. The piecewise mode is the one that reproduces the reference
-volume table and is the default; the README records the per-alpha deltas of
-the uniform mode.
+averages, which `analyze` keeps in ``VolumeReport.segments``. The
+piecewise mode is the one that reproduces the reference volume table and is
+the default; the README records the per-alpha deltas of the uniform mode.
 """
 
 from dataclasses import dataclass
@@ -36,9 +36,10 @@ from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
                       speed_efficiency)
 from .numerics import (bisect_root, golden_section_max, golden_section_min,
                        simpson_uniform)
+from .qubit import bloch_angles
 from .trajectory import (AZIMUTH_POLE_EPS, DEFAULT_SAMPLES,
-                         angles_from_states, sample_trajectory,
-                         state_evaluator)
+                         angles_from_states, nearest_branch,
+                         sample_trajectory, state_evaluator)
 
 # angular extent below which an axis of the bounding box counts as degenerate
 EPS_DEGENERATE = 1e-9
@@ -53,12 +54,6 @@ UNIFORM = "uniform"
 APPENDIX_PIECEWISE = "appendix_piecewise"
 DEFAULT_AVERAGING_MODE = APPENDIX_PIECEWISE
 AVERAGING_MODES = (UNIFORM, APPENDIX_PIECEWISE)
-
-
-def fubini_study_density(theta):
-    """Square root of the metric determinant, sin(theta)/4. Integrates to 1/2
-    over theta in [0, pi]; the full sphere has area pi."""
-    return np.sin(theta) / 4.0
 
 
 @dataclass(frozen=True)
@@ -81,6 +76,12 @@ class AngularBox:
 
 @dataclass(frozen=True)
 class VolumeReport:
+    """Accessed and accessible volumes with the refined box they come from.
+
+    ``segments`` holds one ``(t0, t1, average)`` per averaging segment; the
+    averages sum to ``v_bar``.
+    """
+
     v_bar: float
     v_max: float
     theta_min: float
@@ -90,16 +91,7 @@ class VolumeReport:
     degenerate_theta: bool
     degenerate_phi: bool
     averaging_mode: str
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    s: float
-    complexity: float
-    length_scale: float
-    eta_ge: float
-    eta_se: float
-    kappa2: float
+    segments: tuple
 
 
 @dataclass(frozen=True)
@@ -130,13 +122,6 @@ class EvolutionReport:
     volume: VolumeReport
 
     @property
-    def complexity_report(self):
-        return ComplexityReport(s=self.s, complexity=self.complexity,
-                                length_scale=self.length_scale,
-                                eta_ge=self.eta_ge, eta_se=self.eta_se,
-                                kappa2=self.kappa2)
-
-    @property
     def degeneracy_label(self):
         parts = []
         if self.volume.degenerate_theta:
@@ -146,53 +131,11 @@ class EvolutionReport:
         return "+".join(parts) if parts else "none"
 
 
-def instantaneous_volume(theta_a, phi_a, theta_t, phi_t):
-    """Rectangle volume between the start point and the current point.
-
-    When one angular extent is below the degeneracy threshold, the vanishing
-    factor is replaced by the dedicated convention (|other extent|/2); when
-    both vanish the volume is 0.
-    """
-    d_theta = abs(theta_t - theta_a)
-    d_phi = abs(phi_t - phi_a)
-    theta_deg = d_theta < EPS_DEGENERATE
-    phi_deg = d_phi < EPS_DEGENERATE
-    if theta_deg and phi_deg:
-        return 0.0
-    if theta_deg:
-        return 0.5 * d_phi
-    if phi_deg:
-        return 0.5 * d_theta
-    return 0.25 * abs((np.cos(theta_a) - np.cos(theta_t)) * (phi_t - phi_a))
-
-
 def accessed_volume(traj, mode=DEFAULT_AVERAGING_MODE):
     """Time-averaged instantaneous volume of the trajectory."""
     box = bounding_box(traj)
     v_bar, _ = _accessed_volume(traj, mode, _degeneracy_kind(box))
     return v_bar
-
-
-def segment_averages(traj):
-    """Per-branch-segment time averages of V(t) in the piecewise mode.
-
-    Returns a list of (t_start, t_end, average); their sum is the
-    appendix_piecewise accessed volume.
-    """
-    box = bounding_box(traj)
-    _, segments = _accessed_volume(traj, APPENDIX_PIECEWISE,
-                                   _degeneracy_kind(box))
-    return segments
-
-
-def accessible_volume(traj):
-    """Volume of the bounding box swept by the trajectory, with the box.
-
-    Extrema are located by a scan over the sample grid plus golden-section
-    refinement of every local bracket to a time tolerance of 1e-10.
-    """
-    box = bounding_box(traj)
-    return _box_volume(box, _degeneracy_kind(box)), box
 
 
 def complexity(v_bar, v_max):
@@ -223,7 +166,7 @@ def analyze(problem, params, config=None):
     box = bounding_box(traj)
     kind = _degeneracy_kind(box)
     v_max = _box_volume(box, kind)
-    v_bar, _ = _accessed_volume(traj, config.averaging_mode, kind)
+    v_bar, segments = _accessed_volume(traj, config.averaging_mode, kind)
     c = complexity(v_bar, v_max)
     s = path_length(problem, params)
     f = suboptimal_field(problem, params)
@@ -231,9 +174,10 @@ def analyze(problem, params, config=None):
         v_bar=v_bar, v_max=v_max,
         theta_min=box.theta_min, theta_max=box.theta_max,
         phi_min=box.phi_min, phi_max=box.phi_max,
-        degenerate_theta=box.theta_extent < EPS_DEGENERATE,
-        degenerate_phi=box.phi_extent < EPS_DEGENERATE,
-        averaging_mode=config.averaging_mode)
+        degenerate_theta=kind == _PARALLEL,
+        degenerate_phi=kind == _MERIDIAN,
+        averaging_mode=config.averaging_mode,
+        segments=segments)
     return EvolutionReport(
         alpha=params.alpha,
         t_ab=evolution_time(problem, params),
@@ -247,12 +191,16 @@ def analyze(problem, params, config=None):
 
 
 def bounding_box(traj):
-    """Refined (theta, phi) bounding box of a trajectory."""
+    """Refined (theta, phi) bounding box of a trajectory.
+
+    Extrema are located by a scan over the sample grid plus golden-section
+    refinement of every local bracket to a time tolerance of 1e-10.
+    """
     ev = state_evaluator(traj.problem, traj.params)
-    theta_lo, theta_hi = _refined_extrema(traj.t, traj.theta,
-                                          lambda ts, ks: _theta_at(ev, ts))
+    theta_lo, theta_hi = _refined_extrema(
+        traj.t, traj.theta, lambda ts, ks: bloch_angles(ev(ts))[0])
     phi_lo, phi_hi = _refined_extrema(
-        traj.t, traj.phi, lambda ts, ks: _phi_at(ev, ts, traj.phi[ks]))
+        traj.t, traj.phi, lambda ts, ks: _angles_near(ev, ts, traj.phi[ks])[1])
     return AngularBox(theta_min=theta_lo, theta_max=theta_hi,
                       phi_min=phi_lo, phi_max=phi_hi)
 
@@ -317,6 +265,9 @@ def _box_volume(box, kind):
 
 
 def _volume_samples(theta_a, phi_a, theta, phi, kind):
+    """V(t) at the given angles, the one formula for the instantaneous
+    volume. ``kind`` is decided once per trajectory, so every sample of one
+    trajectory uses the same convention."""
     if kind == _PARALLEL:
         return 0.5 * np.abs(phi - phi_a)
     if kind == _MERIDIAN:
@@ -345,8 +296,7 @@ def _accessed_volume(traj, mode, kind):
         span = t1 - t0
         if span < 1e-12:
             # vanishing segment: its average is just the local value
-            theta_m = _theta_at(ev, 0.5 * (t0 + t1))
-            phi_m = _phi_at(ev, 0.5 * (t0 + t1), phi_anchor)
+            theta_m, phi_m = _angles_near(ev, 0.5 * (t0 + t1), phi_anchor)
             averages.append((t0, t1, float(_volume_samples(
                 theta_a, phi_a, theta_m, phi_m, kind))))
             continue
@@ -369,23 +319,17 @@ def _accessed_volume(traj, mode, kind):
             f"step-doubling changed the accessed volume by {richardson:.3g} "
             f"(limit {RICHARDSON_TOL:g}); refine the sampling")
     v_bar = float(sum(avg for _, _, avg in averages))
-    return v_bar, averages
+    return v_bar, tuple(averages)
 
 
-def _theta_at(ev, ts):
-    states = ev(np.asarray(ts, dtype=float))
-    return 2.0 * np.arctan2(np.abs(states[..., 1]), np.abs(states[..., 0]))
-
-
-def _phi_at(ev, ts, ref):
-    """Continuous azimuth at arbitrary times, resolved to the 2*pi branch
-    nearest a per-point reference value (pole samples return the reference)."""
-    states = ev(np.asarray(ts, dtype=float))
-    theta = 2.0 * np.arctan2(np.abs(states[..., 1]), np.abs(states[..., 0]))
-    raw = np.angle(states[..., 1] * np.conj(states[..., 0]))
-    two_pi = 2.0 * np.pi
-    shifted = raw + two_pi * np.round((ref - raw) / two_pi)
-    return np.where(np.sin(theta) < AZIMUTH_POLE_EPS, ref, shifted)
+def _angles_near(ev, ts, ref):
+    """Polar angle and continuous azimuth at arbitrary times, the azimuth
+    resolved to the 2*pi branch nearest a (per-point) reference value; pole
+    samples return the reference."""
+    theta, raw = bloch_angles(ev(ts))
+    phi = np.where(np.sin(theta) < AZIMUTH_POLE_EPS, ref,
+                   nearest_branch(raw, ref))
+    return theta, phi
 
 
 def _refined_extrema(t, y, feval):

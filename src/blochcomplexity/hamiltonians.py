@@ -113,9 +113,6 @@ class FieldVector:
         """(a.h)^2, the squared component along a Bloch vector."""
         return float(np.dot(self.h, a_hat)) ** 2
 
-    def perpendicular_squared(self, a_hat):
-        return float(np.dot(self.h, self.h)) - self.parallel_squared(a_hat)
-
 
 def optimal_field(problem):
     """Field along the normalized a x b axis, magnitude E, orthogonal to both

@@ -8,34 +8,11 @@ curvature coefficient 4*(a.h)^2 / (h^2 - (a.h)^2) vanishes exactly for the
 rotation-axis (time-optimal) field.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParallelField
 from .hamiltonians import evolution_time
 from .numerics import simpson_uniform
-
-
-@dataclass(frozen=True)
-class PathMetrics:
-    s: float        # traversed arc length
-    s0: float       # geodesic distance
-    eta_ge: float   # s0 / s
-
-
-@dataclass(frozen=True)
-class SpeedMetrics:
-    delta_e: float        # energy uncertainty at the source state
-    spectral_norm: float  # |h| (largest eigenvalue magnitude of h.sigma)
-    eta_se: float         # delta_e / spectral_norm
-
-
-@dataclass(frozen=True)
-class CurvatureMetrics:
-    h_par_sq: float   # (a.h)^2
-    h_perp_sq: float  # h^2 - (a.h)^2
-    kappa2: float     # 4 * h_par_sq / h_perp_sq
 
 
 def geodesic_distance(problem):
@@ -98,21 +75,3 @@ def curvature_coefficient(f, a_hat):
         raise ParallelField("field is parallel to the Bloch vector")
     return 4.0 * par_sq / perp_sq
 
-
-def path_metrics(problem, params):
-    s = path_length(problem, params)
-    s0 = geodesic_distance(problem)
-    return PathMetrics(s=s, s0=s0, eta_ge=s0 / s)
-
-
-def speed_metrics(f, a_hat):
-    eta = speed_efficiency(f, a_hat)
-    return SpeedMetrics(delta_e=eta * f.magnitude, spectral_norm=f.magnitude,
-                        eta_se=eta)
-
-
-def curvature_metrics(f, a_hat):
-    par_sq = f.parallel_squared(a_hat)
-    perp_sq = f.perpendicular_squared(a_hat)
-    return CurvatureMetrics(h_par_sq=par_sq, h_perp_sq=perp_sq,
-                            kappa2=curvature_coefficient(f, a_hat))

@@ -27,10 +27,12 @@ def golden_section_min(f, a, b, xtol=1e-10):
     """Elementwise golden-section minimization of ``f`` over brackets [a, b].
 
     ``a`` and ``b`` may be arrays of equal shape; ``f`` must broadcast over
-    arrays of abscissae. Returns the bracket midpoints after shrinking every
-    bracket below ``xtol``. Two evaluations per iteration, no carried state:
-    simpler than the classic single-evaluation variant and still cheap because
-    all brackets shrink in lockstep.
+    arrays of abscissae, including a leading axis of length 2 that holds the
+    two probes of every bracket. Returns the bracket midpoints after shrinking
+    every bracket below ``xtol``. Both probes are evaluated in one call per
+    iteration, with no carried state: simpler than the classic
+    single-evaluation variant and still cheap because all brackets shrink in
+    lockstep.
     """
     a = np.asarray(a, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
@@ -42,7 +44,8 @@ def golden_section_min(f, a, b, xtol=1e-10):
         h = b - a
         c = a + INV_PHI2 * h
         d = a + INV_PHI * h
-        take_left = f(c) < f(d)
+        f_c, f_d = f(np.stack([c, d]))
+        take_left = f_c < f_d
         b = np.where(take_left, d, b)
         a = np.where(take_left, a, c)
     return (a + b) / 2.0

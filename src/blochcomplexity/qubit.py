@@ -37,18 +37,25 @@ def state_from_bloch(v):
                      np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex)
 
 
-def bloch_from_state(state):
-    """Unit Bloch vector of a normalized state.
+def bloch_angles(states):
+    """Polar angles 2*arctan(|c1|/|c0|) in [0, pi] and raw azimuths
+    arg(c1) - arg(c0) in (-pi, pi] of states with shape (..., 2).
 
-    theta = 2*arctan(|c1|/|c0|); phi is the atan2-based phase difference
-    arg(c1) - arg(c0), set to 0 at the poles where it is undefined.
+    The azimuth is returned as computed even at the poles, where it carries no
+    information; each caller applies its own pole convention.
     """
-    c0, c1 = complex(state[0]), complex(state[1])
-    theta = 2.0 * np.arctan2(abs(c1), abs(c0))
+    states = np.asarray(states)
+    c0 = states[..., 0]
+    c1 = states[..., 1]
+    return 2.0 * np.arctan2(np.abs(c1), np.abs(c0)), np.angle(c1 * np.conj(c0))
+
+
+def bloch_from_state(state):
+    """Unit Bloch vector of a normalized state, with the azimuth set to 0 at
+    the poles where it is undefined."""
+    theta, phi = bloch_angles(state)
     if np.sin(theta) < POLE_EPS:
         phi = 0.0
-    else:
-        phi = np.angle(c1 * np.conj(c0))
     return np.array([np.sin(theta) * np.cos(phi),
                      np.sin(theta) * np.sin(phi),
                      np.cos(theta)])

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import UnwrapAmbiguity
 from .hamiltonians import evolution_time, suboptimal_field
-from .qubit import POLE_EPS, pauli_dot, state_from_bloch
+from .qubit import POLE_EPS, bloch_angles, pauli_dot, state_from_bloch
 
 MIN_SAMPLES = 2049
 DEFAULT_SAMPLES = 4097  # 4096 panels + 1: feeds composite Simpson directly
@@ -30,15 +30,11 @@ MAX_AZIMUTH_JUMP = np.pi / 2.0
 AZIMUTH_POLE_EPS = 1e-5
 
 
-def polar_angle(state):
-    """2*arctan(|c1|/|c0|) in [0, pi]; |c0| = 0 maps to pi."""
-    return 2.0 * float(np.arctan2(abs(complex(state[1])), abs(complex(state[0]))))
-
-
-def azimuth_raw(state):
-    """arg(c1) - arg(c0) reduced to (-pi, pi] via the 2-argument arctangent."""
-    z = complex(state[1]) * complex(state[0]).conjugate()
-    return float(np.angle(z))
+def nearest_branch(angle, ref):
+    """``angle`` shifted by the 2*pi multiple that brings it closest to
+    ``ref`` (elementwise)."""
+    two_pi = 2.0 * np.pi
+    return angle + two_pi * np.round((ref - angle) / two_pi)
 
 
 def unwrap_azimuth(raw, anchor):
@@ -53,12 +49,10 @@ def unwrap_azimuth(raw, anchor):
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("expected a non-empty 1-d sequence of angles")
-    two_pi = 2.0 * np.pi
-    first = raw[0] + two_pi * np.round((anchor - raw[0]) / two_pi)
+    first = nearest_branch(raw[0], anchor)
     if raw.size == 1:
         return np.array([first])
-    steps = np.diff(raw)
-    steps -= two_pi * np.round(steps / two_pi)
+    steps = nearest_branch(np.diff(raw), 0.0)
     worst = float(np.max(np.abs(steps)))
     if worst > MAX_AZIMUTH_JUMP:
         raise UnwrapAmbiguity(
@@ -117,22 +111,17 @@ def state_evaluator(problem, params):
     return states_at
 
 
-def angles_from_states(states, anchor, pole_fallback=None):
+def angles_from_states(states, anchor):
     """Polar angles and unwrapped azimuths for an array of states.
 
     Pole samples (sin(theta) below the pole threshold) have no azimuth of
-    their own; they inherit the previous non-pole raw azimuth, or
-    ``pole_fallback`` (default: the anchor) if the trajectory starts at a
-    pole.
+    their own; they inherit the previous non-pole raw azimuth, or the anchor
+    if the trajectory starts at a pole.
     """
-    c0 = states[..., 0]
-    c1 = states[..., 1]
-    theta = 2.0 * np.arctan2(np.abs(c1), np.abs(c0))
-    raw = np.angle(c1 * np.conj(c0))
+    theta, raw = bloch_angles(states)
     pole = np.sin(theta) < AZIMUTH_POLE_EPS
     if pole.any():
-        raw = _carry_forward(raw, pole,
-                             anchor if pole_fallback is None else pole_fallback)
+        raw = _carry_forward(raw, pole, anchor)
     phi = unwrap_azimuth(raw, anchor)
     return theta, phi
 

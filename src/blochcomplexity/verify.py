@@ -22,7 +22,6 @@ DEFAULT_STEPS = 8192
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float = None          # None: T / 8192
-    order: int = 4            # classical Runge-Kutta; fixed
     max_norm_drift: float = 1e-10
 
 

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from blochcomplexity import (AnalysisConfig, EvolutionProblem,
-                             SubOptimalParams, accessible_volume, amplitudes,
-                             analyze, check_omega_independence,
+                             SubOptimalParams, amplitudes, analyze,
+                             bloch_angles, check_omega_independence,
                              check_propagator_agreement,
                              check_supplementary_symmetry, curvature_coefficient,
                              equatorial_problem, evolution_time,
                              geodesic_efficiency, path_length,
-                             path_length_numeric, polar_angle, propagator,
-                             sample_trajectory, segment_averages,
-                             speed_efficiency, suboptimal_field)
+                             path_length_numeric, propagator,
+                             sample_trajectory, speed_efficiency,
+                             suboptimal_field)
 from blochcomplexity.cli import main as cli_main
 from blochcomplexity.complexity import DEFAULT_AVERAGING_MODE
 from reference_values import (EFFICIENCY_TABLE, SEGMENT_AVERAGES_PI16,
@@ -69,25 +69,22 @@ def test_criterion_3_time_length_table(canonical):
 
 
 def test_criterion_4_worked_case_replication(canonical, oracle_gate):
-    traj = sample_trajectory(canonical, SubOptimalParams(PI / 16))
-    segments = segment_averages(traj)
+    rep = analyze(canonical, SubOptimalParams(PI / 16))
+    segments = rep.volume.segments
     ok = len(segments) == 2
     (_, t1, avg1), (_, _, avg2) = segments
     ok &= abs(avg1 - SEGMENT_AVERAGES_PI16[0]) <= 2e-4
     ok &= abs(avg2 - SEGMENT_AVERAGES_PI16[1]) <= 2e-4
     ok &= abs(t1 - 0.9644) <= 1e-3
-    theta_mid = polar_angle(amplitudes(canonical, SubOptimalParams(PI / 16),
-                                       traj.t_b / 2.0))
+    theta_mid, _ = bloch_angles(amplitudes(canonical, SubOptimalParams(PI / 16),
+                                           rep.t_ab / 2.0))
     ok &= abs(theta_mid - 2.1789) <= 1e-3
-    v_max, _ = accessible_volume(traj)
-    ok &= abs(v_max - 0.2243) <= 5e-4
+    ok &= abs(rep.volume.v_max - 0.2243) <= 5e-4
 
     sup = SubOptimalParams(15 * PI / 16)
-    traj_sup = sample_trajectory(canonical, sup)
-    theta_min = polar_angle(amplitudes(canonical, sup, traj_sup.t_b / 2.0))
-    ok &= abs(theta_min - 0.9627) <= 1e-3
-    rep = analyze(canonical, SubOptimalParams(PI / 16))
     rep_sup = analyze(canonical, sup)
+    theta_min, _ = bloch_angles(amplitudes(canonical, sup, rep_sup.t_ab / 2.0))
+    ok &= abs(theta_min - 0.9627) <= 1e-3
     for got, expect in ((rep_sup.volume.v_bar, rep.volume.v_bar),
                         (rep_sup.volume.v_max, rep.volume.v_max),
                         (rep_sup.complexity, rep.complexity),

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blochcomplexity import QuadratureNotConverged, UnwrapAmbiguity
 from blochcomplexity.cli import main, parse_angle
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -120,14 +121,15 @@ def test_sweep_bad_path_reports_error(capsys):
     assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
 
 
-def test_sweep_aborts_row_on_unwrap_ambiguity(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error", [UnwrapAmbiguity, QuadratureNotConverged],
+                         ids=lambda error: error.__name__)
+def test_sweep_aborts_row_on_typed_error(error, tmp_path, capsys, monkeypatch):
     import blochcomplexity.cli as cli_mod
-    from blochcomplexity import UnwrapAmbiguity
     real_analyze = cli_mod.analyze
 
     def flaky(problem, params, config):
         if params.alpha > 2.0:
-            raise UnwrapAmbiguity("synthetic undersampling")
+            raise error("synthetic undersampling")
         return real_analyze(problem, params, config)
 
     monkeypatch.setattr(cli_mod, "analyze", flaky)

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blochcomplexity import (AnalysisConfig, EvolutionProblem,
+from blochcomplexity import (AnalysisConfig, AngularBox, EvolutionProblem,
                              NonPositiveVolume, QuadratureNotConverged,
-                             SubOptimalParams, accessed_volume,
-                             accessible_volume, analyze, bounding_box,
-                             branch_times, complexity,
+                             SubOptimalParams, accessed_volume, analyze,
+                             bounding_box, branch_times, complexity,
                              complexity_length_scale, equatorial_problem,
-                             instantaneous_volume, sample_trajectory,
-                             segment_averages)
-from blochcomplexity.complexity import fubini_study_density
+                             sample_trajectory)
+from blochcomplexity.complexity import (_MERIDIAN, _PARALLEL, _RECTANGLE,
+                                        _box_volume, _volume_samples)
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
                               SEGMENT_AVERAGES_PI16_PRECISE, THETA_MAX_PI16,
                               UNIFORM_VBAR, VBAR_PI16, VMAX_PI16, VOLUME_TABLE)
@@ -20,20 +19,30 @@ from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
 PI = np.pi
 
 
+def fubini_study_density(theta):
+    """Square root of the metric determinant, the oracle for the volumes."""
+    return np.sin(theta) / 4.0
+
+
 def test_density_normalization():
     total, _ = quad(fubini_study_density, 0.0, PI)
     assert total == pytest.approx(0.5, abs=1e-12)
     sphere_area = 2.0 * PI * total  # times the full azimuthal range
     assert sphere_area == pytest.approx(PI, abs=1e-12)
+    # the box-volume kernel gives the same area for the whole sphere
+    sphere = AngularBox(theta_min=0.0, theta_max=PI, phi_min=0.0,
+                        phi_max=2.0 * PI)
+    assert _box_volume(sphere, _RECTANGLE) == pytest.approx(sphere_area,
+                                                            abs=1e-12)
 
 
 def test_instantaneous_volume_zero_at_start():
-    assert instantaneous_volume(1.2, 0.4, 1.2, 0.4) == 0.0
+    assert _volume_samples(1.2, 0.4, 1.2, 0.4, _RECTANGLE) == 0.0
 
 
 def test_instantaneous_volume_rectangle():
     # quarter-turn azimuth strip from the equator down to THETA_MAX_PI16
-    value = instantaneous_volume(PI / 2, 0.0, THETA_MAX_PI16, PI / 2)
+    value = _volume_samples(PI / 2, 0.0, THETA_MAX_PI16, PI / 2, _RECTANGLE)
     assert value == pytest.approx(0.2243, abs=5e-4)
     # independent route: double integral of the density over the rectangle
     strip, _ = quad(fubini_study_density, PI / 2, THETA_MAX_PI16)
@@ -42,9 +51,10 @@ def test_instantaneous_volume_rectangle():
 
 def test_instantaneous_volume_degenerate_conventions():
     # parallel: theta frozen -> |d phi| / 2
-    assert instantaneous_volume(PI / 2, 0.0, PI / 2, 0.8) == pytest.approx(0.4)
+    assert _volume_samples(PI / 2, 0.0, PI / 2, 0.8, _PARALLEL) == \
+        pytest.approx(0.4)
     # meridian: phi frozen -> |d theta| / 2
-    assert instantaneous_volume(PI / 2, 1.0, PI / 2 - 0.6, 1.0) == \
+    assert _volume_samples(PI / 2, 1.0, PI / 2 - 0.6, 1.0, _MERIDIAN) == \
         pytest.approx(0.3)
 
 
@@ -56,8 +66,8 @@ def test_parallel_time_average_oracle(canonical):
     v = accessed_volume(traj)
     assert v == pytest.approx(PI / 8, abs=1e-12)
     # sanity: V at the final sample is w*t_B = pi/4
-    assert instantaneous_volume(traj.theta[0], traj.phi[0],
-                                traj.theta[-1], traj.phi[-1]) == \
+    assert _volume_samples(traj.theta[0], traj.phi[0], traj.theta[-1],
+                           traj.phi[-1], _PARALLEL) == \
         pytest.approx(PI / 4, abs=1e-10)
 
 
@@ -76,8 +86,7 @@ def test_branch_times_none_beyond_transition(canonical):
 
 
 def test_segment_averages_pi16(canonical, oracle_gate):
-    traj = sample_trajectory(canonical, SubOptimalParams(PI / 16))
-    segments = segment_averages(traj)
+    segments = analyze(canonical, SubOptimalParams(PI / 16)).volume.segments
     assert len(segments) == 2
     (t0, t1, avg1), (t1b, t2, avg2) = segments
     assert t0 == 0.0
@@ -113,26 +122,23 @@ def test_accessed_volume_rejects_unknown_mode(canonical):
 
 
 def test_accessible_volume_pi16(canonical, oracle_gate):
-    traj = sample_trajectory(canonical, SubOptimalParams(PI / 16))
-    v_max, box = accessible_volume(traj)
-    assert v_max == pytest.approx(VMAX_PI16, abs=1e-8)
-    assert box.theta_min == pytest.approx(PI / 2, abs=1e-10)
-    assert box.theta_max == pytest.approx(THETA_MAX_PI16, abs=1e-9)
-    assert box.phi_min == pytest.approx(0.0, abs=1e-10)
-    assert box.phi_max == pytest.approx(PI / 2, abs=1e-10)
+    volume = analyze(canonical, SubOptimalParams(PI / 16)).volume
+    assert volume.v_max == pytest.approx(VMAX_PI16, abs=1e-8)
+    assert volume.theta_min == pytest.approx(PI / 2, abs=1e-10)
+    assert volume.theta_max == pytest.approx(THETA_MAX_PI16, abs=1e-9)
+    assert volume.phi_min == pytest.approx(0.0, abs=1e-10)
+    assert volume.phi_max == pytest.approx(PI / 2, abs=1e-10)
 
 
 def test_accessible_volume_degenerate_parallel(canonical):
-    traj = sample_trajectory(canonical, SubOptimalParams(PI / 2))
-    v_max, box = accessible_volume(traj)
-    assert v_max == pytest.approx(PI / 4, abs=1e-12)
-    assert box.theta_extent < 1e-9
+    volume = analyze(canonical, SubOptimalParams(PI / 2)).volume
+    assert volume.v_max == pytest.approx(PI / 4, abs=1e-12)
+    assert volume.theta_max - volume.theta_min < 1e-9
 
 
 def test_accessible_volume_7pi16(canonical):
-    traj = sample_trajectory(canonical, SubOptimalParams(7 * PI / 16))
-    v_max, _ = accessible_volume(traj)
-    assert v_max == pytest.approx(0.0228, abs=2e-4)
+    rep = analyze(canonical, SubOptimalParams(7 * PI / 16))
+    assert rep.volume.v_max == pytest.approx(0.0228, abs=2e-4)
 
 
 def test_complexity_values():
@@ -213,7 +219,7 @@ def test_analyze_volume_bounds(canonical):
 def test_accessed_rectangle_inside_accessible_box(canonical):
     for alpha in (PI / 16, PI / 3, 0.9 * PI):
         traj = sample_trajectory(canonical, SubOptimalParams(alpha))
-        _, box = accessible_volume(traj)
+        box = bounding_box(traj)
         assert np.all(traj.theta >= box.theta_min - 1e-12)
         assert np.all(traj.theta <= box.theta_max + 1e-12)
         assert np.all(traj.phi >= box.phi_min - 1e-12)
@@ -224,8 +230,7 @@ def test_polar_reflection_identity(canonical):
     # integral of sin from pi/2 to xi equals integral from pi-xi to pi/2,
     # with xi the refined maximal polar angle
     traj = sample_trajectory(canonical, SubOptimalParams(PI / 16))
-    _, box = accessible_volume(traj)
-    xi = box.theta_max
+    xi = bounding_box(traj).theta_max
     left, _ = quad(np.sin, PI / 2, xi)
     right, _ = quad(np.sin, PI - xi, PI / 2)
     assert left == pytest.approx(right, abs=1e-10)
@@ -288,8 +293,9 @@ def test_analysis_config_validation():
 def test_bounding_box_matches_accessible(canonical):
     traj = sample_trajectory(canonical, SubOptimalParams(PI / 8))
     box = bounding_box(traj)
-    _, box2 = accessible_volume(traj)
-    assert box == box2
+    volume = analyze(canonical, SubOptimalParams(PI / 8)).volume
+    assert (box.theta_min, box.theta_max, box.phi_min, box.phi_max) == \
+        (volume.theta_min, volume.theta_max, volume.phi_min, volume.phi_max)
 
 
 def test_invariants_across_separation_angles():

@@ -3,11 +3,11 @@ import pytest
 
 from blochcomplexity import (EvolutionProblem, FieldVector, ParallelField,
                              SubOptimalParams, curvature_coefficient,
-                             curvature_metrics, equatorial_problem,
-                             geodesic_distance, geodesic_efficiency,
-                             optimal_field, path_length, path_length_numeric,
-                             path_metrics, sample_trajectory, speed_efficiency,
-                             speed_metrics, suboptimal_field)
+                             equatorial_problem, geodesic_distance,
+                             geodesic_efficiency, optimal_field, path_length,
+                             path_length_numeric, pauli_dot,
+                             sample_trajectory, speed_efficiency,
+                             suboptimal_field)
 from reference_values import (ARC_LENGTH_PI4, EFFICIENCY_TABLE,
                               TIME_LENGTH_TABLE)
 
@@ -136,23 +136,35 @@ def test_curvature_identity(canonical):
     # kappa^2 * h_perp^2 = 4 * h_par^2 exactly as evaluated
     for alpha in np.linspace(0.01, np.pi - 0.01, 16):
         f = suboptimal_field(canonical, SubOptimalParams(alpha))
-        cm = curvature_metrics(f, canonical.a_hat)
-        assert abs(cm.kappa2 * cm.h_perp_sq - 4.0 * cm.h_par_sq) < 1e-10
-        assert cm.h_par_sq + cm.h_perp_sq == pytest.approx(
+        kappa2 = curvature_coefficient(f, canonical.a_hat)
+        h_par_sq = f.parallel_squared(canonical.a_hat)
+        h_perp_sq = float(np.sum(np.cross(f.h, canonical.a_hat) ** 2))
+        assert abs(kappa2 * h_perp_sq - 4.0 * h_par_sq) < 1e-10
+        assert h_par_sq + h_perp_sq == pytest.approx(
             f.magnitude ** 2, abs=1e-10)
 
 
 def test_path_never_shorter_than_geodesic(canonical):
     for alpha in np.linspace(0.0, np.pi, 33):
-        pm = path_metrics(canonical, SubOptimalParams(alpha))
-        assert pm.s >= pm.s0 - 1e-10
-        assert pm.eta_ge == pytest.approx(pm.s0 / pm.s, abs=1e-15)
+        params = SubOptimalParams(alpha)
+        s = path_length(canonical, params)
+        s0 = geodesic_distance(canonical)
+        assert s >= s0 - 1e-10
+        assert geodesic_efficiency(canonical, params) == pytest.approx(
+            s0 / s, abs=1e-15)
         if abs(alpha - np.pi / 2) > 1e-9:
-            assert pm.s > pm.s0 + 1e-10
+            assert s > s0 + 1e-10
 
 
 def test_speed_metrics_consistency(canonical):
+    # eta_se = DeltaE / |h|, with the energy uncertainty DeltaE taken from
+    # the Hamiltonian matrix at the source state
     f = suboptimal_field(canonical, SubOptimalParams(0.4))
-    sm = speed_metrics(f, canonical.a_hat)
-    assert sm.delta_e <= sm.spectral_norm
-    assert sm.eta_se == pytest.approx(sm.delta_e / sm.spectral_norm, abs=1e-12)
+    h = pauli_dot(f.h)
+    psi = canonical.source_state
+    mean = np.vdot(psi, h @ psi).real
+    delta_e = np.sqrt(np.vdot(psi, h @ h @ psi).real - mean ** 2)
+    spectral_norm = np.max(np.abs(np.linalg.eigvalsh(h)))
+    assert delta_e <= spectral_norm
+    assert speed_efficiency(f, canonical.a_hat) == pytest.approx(
+        delta_e / spectral_norm, abs=1e-12)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from blochcomplexity import (bloch_from_state, density_from_bloch, pauli_dot,
                              state_from_bloch)
@@ -46,11 +46,14 @@ finite_components = st.floats(min_value=-10.0, max_value=10.0,
 
 
 @given(finite_components, finite_components, finite_components)
+@example(0.0, 2.225073858507e-311, 0.0)
 def test_pauli_dot_eigenvalues_are_plus_minus_norm(x, y, z):
     v = np.array([x, y, z])
     m = pauli_dot(v)
-    # characteristic polynomial of a traceless 2x2: lambda^2 - |v|^2
-    det = np.linalg.det(m)
+    # characteristic polynomial of a traceless 2x2: lambda^2 - |v|^2.
+    # The determinant is written out: LAPACK's np.linalg.det returns nan for
+    # subnormal entries such as the example above.
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     assert det.imag == pytest.approx(0.0, abs=1e-9)
     assert det.real == pytest.approx(-float(v @ v), rel=1e-9, abs=1e-9)
 
