@@ -10,11 +10,12 @@ from blochcomplexity.cli import main
 
 out = sys.argv[1] if len(sys.argv) > 1 else "sweep.csv"
 
+status = 0
 for which in ("I", "II", "III"):
     print(f"--- table {which} ---")
-    main(["tables", which])
+    status |= main(["tables", which])
     print()
 
-status = main(["sweep", "--out", out])
+status |= main(["sweep", "--out", out])
 print(f"sweep written to {out}")
 sys.exit(status)

@@ -5,9 +5,10 @@ from .complexity import (AnalysisConfig, AngularBox, DEFAULT_AVERAGING_MODE,
                          EvolutionReport, VolumeReport, accessed_volume,
                          analyze, bounding_box, branch_times, complexity,
                          complexity_length_scale)
-from .errors import (BlochComplexityError, DegenerateGeometry, NonPositiveVolume,
-                     NormDrift, ParallelField, QuadratureNotConverged,
-                     ScalingViolation, SymmetryViolation, UnwrapAmbiguity)
+from .errors import (AveragingDomainError, BlochComplexityError,
+                     DegenerateGeometry, NonPositiveVolume, NormDrift,
+                     ParallelField, QuadratureNotConverged, ScalingViolation,
+                     SymmetryViolation, UnwrapAmbiguity)
 from .hamiltonians import (EvolutionProblem, FieldVector, SubOptimalParams,
                            amplitudes, equatorial_problem, evolution_time,
                            optimal_field, propagator, suboptimal_field)

@@ -30,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveVolume, QuadratureNotConverged
+from .errors import (AveragingDomainError, NonPositiveVolume,
+                     QuadratureNotConverged)
 from .hamiltonians import evolution_time, suboptimal_field
 from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
                       speed_efficiency)
-from .numerics import (bisect_root, golden_section_max, golden_section_min,
-                       simpson_uniform)
-from .qubit import bloch_angles
+from .numerics import simpson_uniform
+from .qubit import bloch_angles, pauli_dot, state_from_bloch
 from .trajectory import (AZIMUTH_POLE_EPS, DEFAULT_SAMPLES,
                          angles_from_states, nearest_branch,
                          sample_trajectory, state_evaluator)
@@ -46,9 +46,6 @@ EPS_DEGENERATE = 1e-9
 
 # step-doubling must move the accessed volume by less than this
 RICHARDSON_TOL = 1e-7
-
-# refinement tolerance (in t) for extrema and branch times
-TIME_TOL = 1e-10
 
 UNIFORM = "uniform"
 APPENDIX_PIECEWISE = "appendix_piecewise"
@@ -76,7 +73,7 @@ class AngularBox:
 
 @dataclass(frozen=True)
 class VolumeReport:
-    """Accessed and accessible volumes with the refined box they come from.
+    """Accessed and accessible volumes with the box they come from.
 
     ``segments`` holds one ``(t0, t1, average)`` per averaging segment; the
     averages sum to ``v_bar``.
@@ -145,8 +142,9 @@ def complexity(v_bar, v_max):
             f"volumes must be positive, got v_bar={v_bar}, v_max={v_max}")
     ratio = v_bar / v_max
     if ratio > 1.0 + 1e-12:
-        raise ValueError(
-            f"accessed volume {v_bar} exceeds accessible volume {v_max}")
+        raise AveragingDomainError(
+            f"accessed volume {v_bar} exceeds accessible volume {v_max}; "
+            f"the averaging mode is not defined for this evolution")
     return max(1.0 - ratio, 0.0)
 
 
@@ -191,42 +189,63 @@ def analyze(problem, params, config=None):
 
 
 def bounding_box(traj):
-    """Refined (theta, phi) bounding box of a trajectory.
+    """Exact (theta, phi) bounding box of a trajectory.
 
-    Extrema are located by a scan over the sample grid plus golden-section
-    refinement of every local bracket to a time tolerance of 1e-10.
+    The Bloch vector turns rigidly about the field axis (see `_rotation`), so
+    every interior extremum of theta and phi sits at a closed-form root of a
+    first-degree trig polynomial in 2wt. The box spans the angles there and
+    at both ends. The sampled azimuth is frozen where sin(theta) <
+    AZIMUTH_POLE_EPS, so its values where the trajectory crosses that circle
+    count as well.
     """
+    n, a, w = _rotation(traj)
+    na = float(n @ a)
+    u = a - na * n
+    v = np.cross(n, a)
+    span = 2.0 * w * traj.t[[0, -1]]
+
+    def roots(p, q, c):
+        return _cos_roots(p, q, c, span) / (2.0 * w)
+
+    def ref(ts):
+        return traj.phi[np.minimum(np.searchsorted(traj.t, ts),
+                                   traj.n_samples - 1)]
+
+    # z = n_z (n.a) + u_z cos + v_z sin is stationary where v_z cos = u_z sin
+    t_theta = roots(v[2], -u[2], 0.0)
+    # (r x r')_z / 2w = |u|^2 n_z - (n.a)(u_z cos + v_z sin) vanishes
+    t_phi = roots(na * u[2], na * v[2], float(u @ u) * n[2])
+    t_rim = _rim_crossings(n, na, u, v, span) / (2.0 * w)
     ev = state_evaluator(traj.problem, traj.params)
-    theta_lo, theta_hi = _refined_extrema(
-        traj.t, traj.theta, lambda ts, ks: bloch_angles(ev(ts))[0])
-    phi_lo, phi_hi = _refined_extrema(
-        traj.t, traj.phi, lambda ts, ks: _angles_near(ev, ts, traj.phi[ks])[1])
-    return AngularBox(theta_min=theta_lo, theta_max=theta_hi,
-                      phi_min=phi_lo, phi_max=phi_hi)
+    theta = np.concatenate([traj.theta[[0, -1]],
+                            bloch_angles(ev(t_theta))[0]])
+    phi = np.concatenate([traj.phi[[0, -1]],
+                          _angles_near(ev, t_phi, ref(t_phi))[1],
+                          nearest_branch(bloch_angles(ev(t_rim))[1],
+                                         ref(t_rim))])
+    return AngularBox(theta_min=float(theta.min()),
+                      theta_max=float(theta.max()),
+                      phi_min=float(phi.min()), phi_max=float(phi.max()))
 
 
 def branch_times(traj):
     """Interior instants where Re c0 or Re c1 crosses zero, i.e. where the
     period-pi arctangent representation of the azimuth changes branch.
 
-    Refined by bisection to 1e-10 in t. Crossings through (numerical) zeros
-    of the whole amplitude, i.e. poles, are not branch flips and are skipped.
+    ``Re c_k(t) = cos(wt) Re psi0_k + sin(wt) Im(n.sigma psi0)_k``, so the
+    instants are closed-form roots. Crossings through (numerical) zeros of
+    the whole amplitude, i.e. poles, are not branch flips and are skipped.
     """
+    n, a, w = _rotation(traj)
+    psi0 = state_from_bloch(a)
+    rotated = pauli_dot(n) @ psi0
     ev = state_evaluator(traj.problem, traj.params)
     t = traj.t
     roots = []
     for comp in range(2):
-        re = traj.states[:, comp].real
-
-        def re_at(x, comp=comp):
-            return float(np.real(ev(x)[..., comp]))
-
-        crossing = (re[:-1] < 0.0) != (re[1:] < 0.0)
-        for k in np.nonzero(crossing)[0]:
-            root = bisect_root(re_at, float(t[k]), float(t[k + 1]),
-                               xtol=TIME_TOL)
-            if abs(complex(ev(root)[..., comp])) > 1e-9:
-                roots.append(root)
+        ts = _cos_roots(psi0[comp].real, rotated[comp].imag, 0.0,
+                        w * t[[0, -1]]) / w
+        roots.extend(ts[np.abs(ev(ts)[:, comp]) > 1e-9].tolist())
     roots = [r for r in sorted(roots) if t[0] + 1e-12 < r < t[-1] - 1e-12]
     merged = []
     for r in roots:
@@ -237,7 +256,7 @@ def branch_times(traj):
 
 # -- internals ---------------------------------------------------------------
 
-# degeneracy kinds decided once per trajectory from the refined box
+# degeneracy kinds decided once per trajectory from the exact box
 _RECTANGLE = "rectangle"
 _PARALLEL = "parallel"   # theta extent degenerate: V = |d phi| / 2
 _MERIDIAN = "meridian"   # phi extent degenerate:   V = |d theta| / 2
@@ -332,29 +351,53 @@ def _angles_near(ev, ts, ref):
     return theta, phi
 
 
-def _refined_extrema(t, y, feval):
-    """Global extrema of a sampled smooth function, refined by golden-section
-    search on every interior local bracket.
+def _rotation(traj):
+    """Field axis n, source Bloch vector a and amplitude rate w: the Bloch
+    vector is r(t) = n(n.a) + cos(2wt) u + sin(2wt) n x a, u = a - n(n.a)."""
+    f = suboptimal_field(traj.problem, traj.params)
+    return f.direction, traj.problem.a_hat, f.magnitude / traj.problem.hbar
 
-    ``feval(ts, ks)`` evaluates the function at times ``ts`` using the sample
-    indices ``ks`` as per-point references (needed for azimuth continuity).
+
+def _cos_roots(p, q, c, span):
+    """Every x in the closed interval ``span`` with p cos(x) + q sin(x) = c;
+    none when p = q = 0."""
+    r = np.hypot(p, q)
+    if r == 0.0 or abs(c) > r:
+        return np.empty(0)
+    return _arc_ends(np.arctan2(q, p), np.arccos(c / r), span)
+
+
+def _rim_crossings(n, na, u, v, span):
+    """Rotation angles x = 2wt in ``span`` where the Bloch vector crosses
+    sin(theta) = AZIMUTH_POLE_EPS, the rim of a pole cap in which the
+    sampled azimuth is frozen.
+
+    Solved in haversine form on the triangle (field axis, pole, r): with
+    gamma = angle(n, pole) and beta = angle(n, a), the distance d to the
+    pole obeys hav d = hav(gamma - beta) + sin(gamma) sin(beta) hav(x - x_p),
+    x_p being the angle closest to the pole. Solving z(x) = cos d instead
+    loses the rim's position to rounding next to the pole.
     """
-    candidates = [float(y[0]), float(y[-1])]
-    if y.size >= 3:
-        inner = y[1:-1]
-        left = y[:-2]
-        right = y[2:]
-        is_max = (inner >= left) & (inner >= right) & ((inner > left) | (inner > right))
-        is_min = (inner <= left) & (inner <= right) & ((inner < left) | (inner < right))
-        for mask, refine in ((is_max, golden_section_max),
-                             (is_min, golden_section_min)):
-            ks = np.nonzero(mask)[0] + 1
-            if ks.size == 0:
-                continue
+    beta = np.arctan2(np.linalg.norm(v), na)
+    rim = np.sin(0.5 * np.arcsin(AZIMUTH_POLE_EPS)) ** 2
+    out = [np.empty(0)]
+    for pole in (1.0, -1.0):
+        gamma = np.arctan2(np.hypot(n[0], n[1]), pole * n[2])
+        scale = np.sin(gamma) * np.sin(beta)
+        hav = rim - np.sin(0.5 * (gamma - beta)) ** 2
+        if scale > 0.0 and 0.0 <= hav <= scale:
+            out.append(_arc_ends(np.arctan2(pole * v[2], pole * u[2]),
+                                 2.0 * np.arcsin(np.sqrt(hav / scale)),
+                                 span))
+    return np.concatenate(out)
 
-            def f(ts, ks=ks):
-                return feval(ts, ks)
 
-            t_star = refine(f, t[ks - 1], t[ks + 1], xtol=TIME_TOL)
-            candidates.extend(np.atleast_1d(f(t_star)).tolist())
-    return min(candidates), max(candidates)
+def _arc_ends(centre, half, span):
+    """Every centre +- half + 2 pi k in the closed interval ``span``."""
+    lo, hi = span
+    roots = []
+    for base in (centre - half, centre + half):
+        k = np.arange(np.ceil((lo - base) / (2.0 * np.pi)),
+                      np.floor((hi - base) / (2.0 * np.pi)) + 1.0)
+        roots.append(base + 2.0 * np.pi * k)
+    return np.concatenate(roots)

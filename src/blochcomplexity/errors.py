@@ -33,6 +33,12 @@ class QuadratureNotConverged(BlochComplexityError):
     threshold; the run is rejected rather than silently accepted."""
 
 
+class AveragingDomainError(BlochComplexityError):
+    """The averaging mode gives an accessed volume above the accessible one,
+    so V_bar <= V_max fails and the complexity is undefined; the piecewise
+    mode does this on some general (off-canonical) evolutions."""
+
+
 class SymmetryViolation(BlochComplexityError):
     """Supplementary-angle reports disagree beyond tolerance."""
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import UnwrapAmbiguity
 from .hamiltonians import evolution_time, suboptimal_field
-from .qubit import POLE_EPS, bloch_angles, pauli_dot, state_from_bloch
+from .qubit import bloch_angles, pauli_dot, state_from_bloch
 
 MIN_SAMPLES = 2049
 DEFAULT_SAMPLES = 4097  # 4096 panels + 1: feeds composite Simpson directly
@@ -94,8 +94,8 @@ def state_evaluator(problem, params):
     """Closed-form state at arbitrary times for one (problem, alpha) pair.
 
     Returns a callable mapping a time array of shape (...) to states of shape
-    (..., 2). Precomputes the rotation-axis action once, so repeated scalar
-    evaluations (extremum refinement, segment grids) stay cheap.
+    (..., 2). Precomputes the rotation-axis action once, so repeated
+    evaluations (box candidates, segment grids) stay cheap.
     """
     f = suboptimal_field(problem, params)
     psi0 = state_from_bloch(problem.a_hat)
@@ -137,8 +137,7 @@ def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
     total = evolution_time(problem, params)
     t = np.linspace(0.0, total, int(n))
     states = state_evaluator(problem, params)(t)
-    a = problem.a_hat
-    anchor = 0.0 if np.hypot(a[0], a[1]) < POLE_EPS else float(np.arctan2(a[1], a[0]))
+    anchor = float(bloch_angles(state_from_bloch(problem.a_hat))[1])
     theta, phi = angles_from_states(states, anchor)
     return Trajectory(problem=problem, params=params, t=t,
                       theta=theta, phi=phi, states=states)

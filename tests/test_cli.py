@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochcomplexity import QuadratureNotConverged, UnwrapAmbiguity
+from blochcomplexity import (AveragingDomainError, QuadratureNotConverged,
+                             UnwrapAmbiguity)
 from blochcomplexity.cli import main, parse_angle
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -121,7 +122,8 @@ def test_sweep_bad_path_reports_error(capsys):
     assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [UnwrapAmbiguity, QuadratureNotConverged],
+@pytest.mark.parametrize("error", [UnwrapAmbiguity, QuadratureNotConverged,
+                                   AveragingDomainError],
                          ids=lambda error: error.__name__)
 def test_sweep_aborts_row_on_typed_error(error, tmp_path, capsys, monkeypatch):
     import blochcomplexity.cli as cli_mod

@@ -2,16 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq, minimize_scalar
 
-from blochcomplexity import (AnalysisConfig, AngularBox, EvolutionProblem,
+from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
+                             BlochComplexityError, EvolutionProblem,
                              NonPositiveVolume, QuadratureNotConverged,
                              SubOptimalParams, accessed_volume, analyze,
-                             bounding_box, branch_times, complexity,
-                             complexity_length_scale, equatorial_problem,
-                             sample_trajectory)
+                             bloch_angles, bounding_box, branch_times,
+                             complexity, complexity_length_scale,
+                             equatorial_problem, sample_trajectory)
 from blochcomplexity.complexity import (_MERIDIAN, _PARALLEL, _RECTANGLE,
                                         _box_volume, _volume_samples)
+from blochcomplexity.trajectory import (AZIMUTH_POLE_EPS, angles_from_states,
+                                        nearest_branch, state_evaluator)
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
                               SEGMENT_AVERAGES_PI16_PRECISE, THETA_MAX_PI16,
                               UNIFORM_VBAR, VBAR_PI16, VMAX_PI16, VOLUME_TABLE)
@@ -152,7 +157,7 @@ def test_complexity_rejects_bad_volumes():
         complexity(0.0, 1.0)
     with pytest.raises(NonPositiveVolume):
         complexity(1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(AveragingDomainError):
         complexity(2.0, 1.0)
 
 
@@ -314,3 +319,146 @@ def test_invariants_across_separation_angles():
             numeric = path_length_numeric(traj,
                                           suboptimal_field(problem, params))
             assert numeric == pytest.approx(rep.s, abs=1e-6)
+
+
+def test_piecewise_outside_its_domain_raises_typed_error():
+    # a general problem whose piecewise sum of segment averages exceeds the
+    # box volume; uniform averaging stays inside the contract
+    problem = EvolutionProblem(
+        np.array([0.032807050312592505, -0.8991911881825332,
+                  -0.43632431120059234]),
+        np.array([-0.00309099437953687, 0.9715686122235768,
+                  0.23673799335066326]),
+        energy=4.805686989940074)
+    params = SubOptimalParams(2.8580521543806428)
+    with pytest.raises(AveragingDomainError):
+        analyze(problem, params)
+    rep = analyze(problem, params, AnalysisConfig(averaging_mode="uniform"))
+    assert 0.0 < rep.volume.v_bar <= rep.volume.v_max
+    assert 0.0 <= rep.complexity < 1.0
+
+
+def test_bounding_box_finds_extremum_inside_last_interval():
+    # the theta maximum lies between the last two samples, where a scan over
+    # the sample grid brackets nothing
+    problem = EvolutionProblem(
+        np.array([-0.6881756923821589, 0.2805924557488438,
+                  0.6690904947697056]),
+        np.array([0.012159279202548327, 0.08242226114636786,
+                  -0.9965233177386239]),
+        energy=0.7342144100281651)
+    params = SubOptimalParams(1.9129557205149939)
+    traj = sample_trajectory(problem, params)
+    dense = np.linspace(traj.t_a, traj.t_b, 2_000_001)
+    theta, _ = bloch_angles(state_evaluator(problem, params)(dense))
+    assert bounding_box(traj).theta_max == pytest.approx(theta.max(),
+                                                         abs=1e-10)
+
+
+# -- closed form against a dense search on general problems -------------------
+
+_unit_vectors = (st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+                 .filter(lambda v: np.linalg.norm(v) > 0.1)
+                 .map(lambda v: np.array(v) / np.linalg.norm(v)))
+
+
+def _dense_extrema(t, y, f):
+    """Min and max of f over [t[0], t[-1]]: every local extremum of the
+    samples y = f(t), the two ends included, refined by a bounded scalar
+    search over its neighbouring intervals. The search runs on the offset
+    from the bracket start, since its tolerance grows with |x|."""
+    found = [y.min(), y.max()]
+    for sign in (1.0, -1.0):
+        s = sign * y
+        peak = np.ones(y.size, dtype=bool)
+        peak[1:] &= s[1:] >= s[:-1]
+        peak[:-1] &= s[:-1] >= s[1:]
+        for k in np.nonzero(peak)[0]:
+            lo, hi = t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]
+            res = minimize_scalar(lambda dx: -sign * f(lo + dx, k),
+                                  bounds=(0.0, hi - lo), method="bounded",
+                                  options={"xatol": 1e-15})
+            found.append(-sign * res.fun)
+    return min(found), max(found)
+
+
+def _dense_box(traj, n=100_001):
+    ev = state_evaluator(traj.problem, traj.params)
+    t = np.linspace(traj.t_a, traj.t_b, n)
+    theta, phi = angles_from_states(ev(t), float(traj.phi[0]))
+
+    def theta_at(x, k):
+        return float(bloch_angles(ev(x))[0])
+
+    def phi_at(x, k):
+        # the sampler's pole convention: no azimuth of its own near a pole
+        polar, raw = bloch_angles(ev(x))
+        if np.sin(polar) < AZIMUTH_POLE_EPS:
+            return phi[k]
+        return float(nearest_branch(raw, phi[k]))
+
+    def sin_theta_off_rim(x):
+        return np.sin(bloch_angles(ev(x))[0]) - AZIMUTH_POLE_EPS
+
+    phi_lo, phi_hi = _dense_extrema(t, phi, phi_at)
+    # the azimuth where the trajectory crosses the rim of a pole cap
+    frozen = np.sin(theta) < AZIMUTH_POLE_EPS
+    for k in np.nonzero(frozen[:-1] != frozen[1:])[0]:
+        rim = brentq(sin_theta_off_rim, t[k], t[k + 1], xtol=1e-15)
+        outside = k if frozen[k + 1] else k + 1
+        rim_phi = float(nearest_branch(bloch_angles(ev(rim))[1],
+                                       phi[outside]))
+        phi_lo, phi_hi = min(phi_lo, rim_phi), max(phi_hi, rim_phi)
+    return _dense_extrema(t, theta, theta_at) + (phi_lo, phi_hi)
+
+
+def _dense_branch_times(traj, n=100_001):
+    ev = state_evaluator(traj.problem, traj.params)
+    t = np.linspace(traj.t_a, traj.t_b, n)
+    roots = []
+    for comp in range(2):
+        re = ev(t)[:, comp].real
+        for k in np.nonzero(np.sign(re[:-1]) * np.sign(re[1:]) < 0)[0]:
+            root = brentq(lambda x: ev(x)[comp].real, t[k], t[k + 1],
+                          xtol=1e-14)
+            if abs(ev(root)[comp]) > 1e-9:  # a pole, not a branch flip
+                roots.append(root)
+    # the same end and merge rules as branch_times
+    merged = []
+    for r in sorted(roots):
+        if (traj.t_a + 1e-12 < r < traj.t_b - 1e-12
+                and (not merged or r - merged[-1] > 1e-9)):
+            merged.append(r)
+    return merged
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_unit_vectors, b=_unit_vectors, alpha=st.floats(0.0, PI),
+       omega=st.floats(0.5, 5.0))
+# a source or target at a pole, or inside the cap where phi is frozen
+@example(a=np.array([0.0, 0.0, 1.0]), b=np.array([1.0, 0.0, 0.0]),
+         alpha=0.0, omega=1.0)
+@example(a=np.array([0.0, 1.0, 0.0]), b=np.array([0.0, 0.0, 1.0]),
+         alpha=0.0, omega=1.0)
+@example(a=np.array([0.0, 2.0, -1.0]) / np.sqrt(5.0),
+         b=np.array([0.0, 0.0, -1.0]), alpha=1.0, omega=1.0)
+@example(a=np.array([0.0, -1.0, 0.0]),
+         b=np.array([0.0, 1e-6, 1.0]) / np.hypot(1e-6, 1.0),
+         alpha=0.0, omega=1.0)
+# Re c1 vanishes at the start: no branch time there
+@example(a=np.array([0.0, -1.0, 0.0]), b=np.array([1.0, 0.0, 0.0]),
+         alpha=0.0, omega=1.0)
+def test_closed_form_matches_dense_search(a, b, alpha, omega):
+    assume(abs(a @ b) <= 0.98)
+    problem = EvolutionProblem(a, b, energy=omega)
+    try:
+        traj = sample_trajectory(problem, SubOptimalParams(alpha))
+        box = bounding_box(traj)
+        times = branch_times(traj)
+    except BlochComplexityError:
+        assume(False)
+    got = (box.theta_min, box.theta_max, box.phi_min, box.phi_max)
+    assert got == pytest.approx(_dense_box(traj), abs=1e-9)
+    dense = _dense_branch_times(traj)
+    assert len(times) == len(dense)
+    assert times == pytest.approx(dense, abs=1e-9)
