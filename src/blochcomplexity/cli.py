@@ -38,7 +38,11 @@ def parse_angle(text):
     """Decimal radians, or an exact fraction of pi like ``3/16pi``."""
     match = _FRACTION_OF_PI.match(text)
     if match:
-        return int(match.group(1)) / int(match.group(2)) * np.pi
+        num, den = int(match.group(1)), int(match.group(2))
+        if den == 0:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse angle {text!r}: zero denominator")
+        return num / den * np.pi
     try:
         return float(text)
     except ValueError:

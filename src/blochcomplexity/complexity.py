@@ -17,11 +17,12 @@ phi) have a degenerate rectangle; a dedicated convention replaces the
 vanishing factor so that both degenerate cases give V(t) = |moving extent|/2
 and V_max = (total extent)/2. Reports flag when this convention is active.
 
-Two time-averaging modes exist. ``uniform`` averages V(t) over the full
-duration. ``appendix_piecewise`` splits the duration at the instants where
-the period-pi principal-arctangent representation of the azimuth changes
-branch (a sign crossing of Re c0 or Re c1) and sums the per-segment
-averages, which `analyze` keeps in ``VolumeReport.segments``. The
+Two time-averaging modes exist; both sum the averages of V(t) over
+segments of the duration. ``uniform`` is the single-segment case: one
+average over the full duration. ``appendix_piecewise`` cuts the duration at
+the instants where the period-pi principal-arctangent representation of the
+azimuth changes branch (a sign crossing of Re c0 or Re c1) and sums the
+per-segment averages, which `analyze` keeps in ``VolumeReport.segments``. The
 piecewise mode is the one that reproduces the reference volume table and is
 the default; the README records the per-alpha deltas of the uniform mode.
 """
@@ -32,14 +33,13 @@ import numpy as np
 
 from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
-from .hamiltonians import evolution_time, suboptimal_field
 from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
                       speed_efficiency)
 from .numerics import simpson_uniform
-from .qubit import bloch_angles, pauli_dot, state_from_bloch
+from .qubit import bloch_angles
 from .trajectory import (AZIMUTH_POLE_EPS, DEFAULT_SAMPLES,
                          angles_from_states, nearest_branch,
-                         sample_trajectory, state_evaluator)
+                         sample_trajectory)
 
 # angular extent below which an axis of the bounding box counts as degenerate
 EPS_DEGENERATE = 1e-9
@@ -167,7 +167,7 @@ def analyze(problem, params, config=None):
     v_bar, segments = _accessed_volume(traj, config.averaging_mode, kind)
     c = complexity(v_bar, v_max)
     s = path_length(problem, params)
-    f = suboptimal_field(problem, params)
+    f = traj.field
     volume = VolumeReport(
         v_bar=v_bar, v_max=v_max,
         theta_min=box.theta_min, theta_max=box.theta_max,
@@ -178,7 +178,7 @@ def analyze(problem, params, config=None):
         segments=segments)
     return EvolutionReport(
         alpha=params.alpha,
-        t_ab=evolution_time(problem, params),
+        t_ab=traj.t_b,
         s=s,
         eta_ge=geodesic_efficiency(problem, params),
         eta_se=speed_efficiency(f, problem.a_hat),
@@ -191,14 +191,15 @@ def analyze(problem, params, config=None):
 def bounding_box(traj):
     """Exact (theta, phi) bounding box of a trajectory.
 
-    The Bloch vector turns rigidly about the field axis (see `_rotation`), so
+    The Bloch vector turns rigidly about the field axis n:
+    r(t) = n(n.a) + cos(2wt) u + sin(2wt) n x a with u = a - n(n.a), so
     every interior extremum of theta and phi sits at a closed-form root of a
     first-degree trig polynomial in 2wt. The box spans the angles there and
     at both ends. The sampled azimuth is frozen where sin(theta) <
     AZIMUTH_POLE_EPS, so its values where the trajectory crosses that circle
     count as well.
     """
-    n, a, w = _rotation(traj)
+    n, a, w = traj.field.direction, traj.problem.a_hat, traj.rate
     na = float(n @ a)
     u = a - na * n
     v = np.cross(n, a)
@@ -216,13 +217,12 @@ def bounding_box(traj):
     # (r x r')_z / 2w = |u|^2 n_z - (n.a)(u_z cos + v_z sin) vanishes
     t_phi = roots(na * u[2], na * v[2], float(u @ u) * n[2])
     t_rim = _rim_crossings(n, na, u, v, span) / (2.0 * w)
-    ev = state_evaluator(traj.problem, traj.params)
+    rim_phi = bloch_angles(traj.states_at(t_rim))[1]
     theta = np.concatenate([traj.theta[[0, -1]],
-                            bloch_angles(ev(t_theta))[0]])
+                            bloch_angles(traj.states_at(t_theta))[0]])
     phi = np.concatenate([traj.phi[[0, -1]],
-                          _angles_near(ev, t_phi, ref(t_phi))[1],
-                          nearest_branch(bloch_angles(ev(t_rim))[1],
-                                         ref(t_rim))])
+                          _angles_near(traj, t_phi, ref(t_phi))[1],
+                          nearest_branch(rim_phi, ref(t_rim))])
     return AngularBox(theta_min=float(theta.min()),
                       theta_max=float(theta.max()),
                       phi_min=float(phi.min()), phi_max=float(phi.max()))
@@ -236,16 +236,13 @@ def branch_times(traj):
     instants are closed-form roots. Crossings through (numerical) zeros of
     the whole amplitude, i.e. poles, are not branch flips and are skipped.
     """
-    n, a, w = _rotation(traj)
-    psi0 = state_from_bloch(a)
-    rotated = pauli_dot(n) @ psi0
-    ev = state_evaluator(traj.problem, traj.params)
+    w = traj.rate
     t = traj.t
     roots = []
     for comp in range(2):
-        ts = _cos_roots(psi0[comp].real, rotated[comp].imag, 0.0,
+        ts = _cos_roots(traj.source[comp].real, traj.turned[comp].imag, 0.0,
                         w * t[[0, -1]]) / w
-        roots.extend(ts[np.abs(ev(ts)[:, comp]) > 1e-9].tolist())
+        roots.extend(ts[np.abs(traj.states_at(ts)[:, comp]) > 1e-9].tolist())
     roots = [r for r in sorted(roots) if t[0] + 1e-12 < r < t[-1] - 1e-12]
     merged = []
     for r in roots:
@@ -300,14 +297,9 @@ def _accessed_volume(traj, mode, kind):
         raise ValueError(f"unknown averaging mode {mode!r}")
     theta_a = float(traj.theta[0])
     phi_a = float(traj.phi[0])
+    cuts = branch_times(traj) if mode == APPENDIX_PIECEWISE else []
+    boundaries = [traj.t_a] + cuts + [traj.t_b]
 
-    if mode == UNIFORM:
-        boundaries = [traj.t_a, traj.t_b]
-    else:
-        boundaries = [traj.t_a] + branch_times(traj) + [traj.t_b]
-
-    ev = state_evaluator(traj.problem, traj.params)
-    n = traj.n_samples
     averages = []
     richardson = 0.0
     phi_anchor = phi_a
@@ -315,17 +307,17 @@ def _accessed_volume(traj, mode, kind):
         span = t1 - t0
         if span < 1e-12:
             # vanishing segment: its average is just the local value
-            theta_m, phi_m = _angles_near(ev, 0.5 * (t0 + t1), phi_anchor)
+            theta_m, phi_m = _angles_near(traj, 0.5 * (t0 + t1), phi_anchor)
             averages.append((t0, t1, float(_volume_samples(
                 theta_a, phi_a, theta_m, phi_m, kind))))
             continue
-        if mode == UNIFORM:
-            theta, phi = traj.theta, traj.phi
-            dt = float(traj.t[1] - traj.t[0])
+        if not cuts:
+            # the one segment is the whole trajectory, already sampled
+            ts, theta, phi = traj.t, traj.theta, traj.phi
         else:
-            ts = np.linspace(t0, t1, n)
-            theta, phi = angles_from_states(ev(ts), phi_anchor)
-            dt = float(ts[1] - ts[0])
+            ts = np.linspace(t0, t1, traj.n_samples)
+            theta, phi = angles_from_states(traj.states_at(ts), phi_anchor)
+        dt = float(ts[1] - ts[0])
         v = _volume_samples(theta_a, phi_a, theta, phi, kind)
         full = float(simpson_uniform(v, dt)) / span
         half = float(simpson_uniform(v[::2], 2.0 * dt)) / span
@@ -341,21 +333,14 @@ def _accessed_volume(traj, mode, kind):
     return v_bar, tuple(averages)
 
 
-def _angles_near(ev, ts, ref):
+def _angles_near(traj, ts, ref):
     """Polar angle and continuous azimuth at arbitrary times, the azimuth
     resolved to the 2*pi branch nearest a (per-point) reference value; pole
     samples return the reference."""
-    theta, raw = bloch_angles(ev(ts))
+    theta, raw = bloch_angles(traj.states_at(ts))
     phi = np.where(np.sin(theta) < AZIMUTH_POLE_EPS, ref,
                    nearest_branch(raw, ref))
     return theta, phi
-
-
-def _rotation(traj):
-    """Field axis n, source Bloch vector a and amplitude rate w: the Bloch
-    vector is r(t) = n(n.a) + cos(2wt) u + sin(2wt) n x a, u = a - n(n.a)."""
-    f = suboptimal_field(traj.problem, traj.params)
-    return f.direction, traj.problem.a_hat, f.magnitude / traj.problem.hbar
 
 
 def _cos_roots(p, q, c, span):

@@ -33,12 +33,14 @@ def path_length(problem, params):
     return 2.0 * root * problem.omega * evolution_time(problem, params)
 
 
-def path_length_numeric(traj, f):
+def path_length_numeric(traj):
     """Arc length by Simpson quadrature of 2*DeltaE(t)/hbar over the samples.
 
-    DeltaE is evaluated in Bloch form sqrt(h^2 - (r(t).h)^2) with r(t) the
-    sampled Bloch vector, avoiding per-sample matrix traces.
+    DeltaE is evaluated in Bloch form sqrt(h^2 - (r(t).h)^2) with h the
+    trajectory's field and r(t) the sampled Bloch vector, avoiding
+    per-sample matrix traces.
     """
+    f = traj.field
     c0 = traj.states[:, 0]
     c1 = traj.states[:, 1]
     r = np.stack([2.0 * (np.conj(c0) * c1).real,

@@ -4,7 +4,9 @@ angles from the amplitudes.
 The polar angle is always well-defined; the azimuth is only defined modulo
 2*pi (and not at all at the poles), so a sampled trajectory carries an
 unwrapped azimuth: 2*pi jumps between neighbouring samples are removed and
-pole samples inherit the azimuth of the last non-pole sample.
+pole samples inherit the azimuth of the last non-pole sample; pole samples
+at the start take the azimuth of the first non-pole sample, the direction
+in which the trajectory leaves the pole.
 """
 
 from dataclasses import dataclass
@@ -68,7 +70,9 @@ def unwrap_azimuth(raw, anchor):
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled evolution: strictly increasing times on [t_a, t_b], per-sample
-    states, polar angles and unwrapped azimuths."""
+    states, polar angles and unwrapped azimuths, plus the evolution they
+    sample: the stationary ``field`` h, the ``source`` state psi0 and the
+    ``turned`` state (n.sigma) psi0 along the field axis n."""
 
     problem: object
     params: object
@@ -76,6 +80,9 @@ class Trajectory:
     theta: np.ndarray
     phi: np.ndarray
     states: np.ndarray
+    field: object
+    source: np.ndarray
+    turned: np.ndarray
 
     @property
     def t_a(self):
@@ -89,34 +96,32 @@ class Trajectory:
     def n_samples(self):
         return int(self.t.size)
 
+    @property
+    def rate(self):
+        """Amplitude rate w = |h|/hbar; the Bloch vector turns at 2w."""
+        return self.field.magnitude / self.problem.hbar
 
-def state_evaluator(problem, params):
-    """Closed-form state at arbitrary times for one (problem, alpha) pair.
+    def states_at(self, t):
+        """Closed-form states cos(wt) psi0 - i sin(wt) (n.sigma) psi0 at a
+        time array of shape (...), as an array of shape (..., 2)."""
+        return _evolve(self.source, self.turned, self.rate, t)
 
-    Returns a callable mapping a time array of shape (...) to states of shape
-    (..., 2). Precomputes the rotation-axis action once, so repeated
-    evaluations (box candidates, segment grids) stay cheap.
-    """
-    f = suboptimal_field(problem, params)
-    psi0 = state_from_bloch(problem.a_hat)
-    rotated = pauli_dot(f.direction) @ psi0
-    rate = f.magnitude / problem.hbar
 
-    def states_at(t):
-        t = np.asarray(t, dtype=float)
-        ang = rate * t
-        return (np.cos(ang)[..., None] * psi0
-                - 1j * np.sin(ang)[..., None] * rotated)
-
-    return states_at
+def _evolve(source, turned, rate, t):
+    ang = rate * np.asarray(t, dtype=float)
+    return (np.cos(ang)[..., None] * source
+            - 1j * np.sin(ang)[..., None] * turned)
 
 
 def angles_from_states(states, anchor):
     """Polar angles and unwrapped azimuths for an array of states.
 
     Pole samples (sin(theta) below the pole threshold) have no azimuth of
-    their own; they inherit the previous non-pole raw azimuth, or the anchor
-    if the trajectory starts at a pole.
+    their own; they inherit the previous non-pole raw azimuth. Those before
+    the first non-pole sample take its raw azimuth, the direction of
+    departure, so the result does not depend on the azimuth conventionally
+    given to a pole. The anchor stands in only when every sample is a pole
+    sample.
     """
     theta, raw = bloch_angles(states)
     pole = np.sin(theta) < AZIMUTH_POLE_EPS
@@ -129,18 +134,22 @@ def angles_from_states(states, anchor):
 def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
     """Uniform sampling of the evolution on [0, evolution_time].
 
-    The azimuth is anchored so the source state carries the azimuth of the
-    source Bloch vector.
+    Builds the field, psi0 and (n.sigma) psi0 once; every later stage reads
+    them from the returned Trajectory. The first azimuth lies on the 2*pi
+    branch nearest the azimuth of the source Bloch vector.
     """
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     total = evolution_time(problem, params)
+    f = suboptimal_field(problem, params)
+    source = state_from_bloch(problem.a_hat)
+    turned = pauli_dot(f.direction) @ source
     t = np.linspace(0.0, total, int(n))
-    states = state_evaluator(problem, params)(t)
-    anchor = float(bloch_angles(state_from_bloch(problem.a_hat))[1])
-    theta, phi = angles_from_states(states, anchor)
-    return Trajectory(problem=problem, params=params, t=t,
-                      theta=theta, phi=phi, states=states)
+    states = _evolve(source, turned, f.magnitude / problem.hbar, t)
+    theta, phi = angles_from_states(states, float(bloch_angles(source)[1]))
+    return Trajectory(problem=problem, params=params, t=t, theta=theta,
+                      phi=phi, states=states, field=f, source=source,
+                      turned=turned)
 
 
 def write_trajectory_csv(traj, stream):
@@ -156,11 +165,8 @@ def write_trajectory_csv(traj, stream):
 
 
 def _carry_forward(raw, pole, fallback):
-    filled = raw.copy()
-    idx = np.arange(raw.size)
-    last_good = np.maximum.accumulate(np.where(~pole, idx, -1))
-    have_prev = last_good >= 0
-    take = pole & have_prev
-    filled[take] = raw[last_good[take]]
-    filled[pole & ~have_prev] = fallback
-    return filled
+    good = np.flatnonzero(~pole)
+    if good.size == 0:
+        return np.full_like(raw, fallback)
+    idx = np.where(pole, good[0], np.arange(raw.size))
+    return raw[np.maximum.accumulate(idx)]

@@ -157,7 +157,7 @@ def test_criterion_6_property_suite(canonical):
         ok &= rep.length_scale >= rep.s - 1e-12
         ok &= 0.0 <= rep.complexity < 1.0
         traj = sample_trajectory(canonical, params)
-        numeric = path_length_numeric(traj, suboptimal_field(canonical, params))
+        numeric = path_length_numeric(traj)
         ok &= abs(numeric - rep.s) <= 1e-6
 
     # monotonic efficiencies / curvature on [0, pi/2], 64 points

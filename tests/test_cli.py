@@ -1,3 +1,5 @@
+import argparse
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,18 @@ def test_parse_angle_forms():
     assert parse_angle("-1/4pi") == pytest.approx(-np.pi / 4)
     with pytest.raises(Exception):
         parse_angle("threepi")
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_angle("1/0pi")
+
+
+def test_sweep_rejects_zero_denominator(capsys):
+    # an argument error (usage message, status 2), not a ZeroDivisionError
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("sweep", "--alpha-start", "1/0pi")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alpha-start" in err and "zero denominator" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_default_matches_reference_tables(tmp_path, oracle_gate):
@@ -253,10 +267,14 @@ def test_verify_command(capsys):
 
 
 def test_cli_entry_point_subprocess(tmp_path):
+    # the child process runs the package under test, from src/
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "blochcomplexity.cli", "sweep",
          "--alpha-start", "1/8pi", "--alpha-end", "1/8pi", "--steps", "1",
          "--out", str(tmp_path / "s.csv")],
-        cwd=REPO_ROOT, capture_output=True, text=True)
+        cwd=REPO_ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert (tmp_path / "s.csv").exists()

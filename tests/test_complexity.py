@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              bloch_angles, bounding_box, branch_times,
                              complexity, complexity_length_scale,
                              equatorial_problem, sample_trajectory)
-from blochcomplexity.complexity import (_MERIDIAN, _PARALLEL, _RECTANGLE,
-                                        _box_volume, _volume_samples)
+from blochcomplexity import hamiltonians
+from blochcomplexity.complexity import (AVERAGING_MODES, _MERIDIAN, _PARALLEL,
+                                        _RECTANGLE, _box_volume,
+                                        _volume_samples)
 from blochcomplexity.trajectory import (AZIMUTH_POLE_EPS, angles_from_states,
-                                        nearest_branch, state_evaluator)
+                                        nearest_branch)
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
                               SEGMENT_AVERAGES_PI16_PRECISE, THETA_MAX_PI16,
                               UNIFORM_VBAR, VBAR_PI16, VMAX_PI16, VOLUME_TABLE)
@@ -305,7 +308,7 @@ def test_bounding_box_matches_accessible(canonical):
 
 def test_invariants_across_separation_angles():
     # geometry beyond the canonical pi/2 pair, up to a nearly antipodal one
-    from blochcomplexity import path_length_numeric, suboptimal_field
+    from blochcomplexity import path_length_numeric
     for theta_ab in (PI / 6, PI / 3, 2 * PI / 3, 0.97 * PI):
         problem = equatorial_problem(theta_ab)
         for alpha in np.linspace(0.0, PI, 9):
@@ -316,8 +319,7 @@ def test_invariants_across_separation_angles():
             assert rep.length_scale >= rep.s - 1e-12
             traj = sample_trajectory(problem, params)
             assert traj.phi[-1] == pytest.approx(theta_ab, abs=1e-7)
-            numeric = path_length_numeric(traj,
-                                          suboptimal_field(problem, params))
+            numeric = path_length_numeric(traj)
             assert numeric == pytest.approx(rep.s, abs=1e-6)
 
 
@@ -338,6 +340,46 @@ def test_piecewise_outside_its_domain_raises_typed_error():
     assert 0.0 <= rep.complexity < 1.0
 
 
+@pytest.mark.parametrize("pole", (1.0, -1.0))
+@pytest.mark.parametrize("alpha", (PI / 2, PI / 4, 0.3, 2.5))
+def test_pole_source_invariant_under_rotation_about_z(pole, alpha):
+    # a source at a pole has no azimuth of its own: turning the target about
+    # z turns the whole evolution with it and must change no result
+    config = AnalysisConfig(averaging_mode="uniform")
+    reports = []
+    for r in np.linspace(0.0, 2.0 * PI, 7, endpoint=False):
+        b = np.array([np.cos(r), np.sin(r), 0.3])
+        problem = EvolutionProblem(np.array([0.0, 0.0, pole]),
+                                   b / np.linalg.norm(b))
+        reports.append(analyze(problem, SubOptimalParams(alpha), config))
+    first = reports[0]
+    for rep in reports[1:]:
+        assert rep.complexity == pytest.approx(first.complexity, abs=1e-9)
+        assert rep.volume.v_bar == pytest.approx(first.volume.v_bar, abs=1e-9)
+        assert rep.volume.v_max == pytest.approx(first.volume.v_max, abs=1e-9)
+        assert rep.degeneracy_label == first.degeneracy_label
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
+    # pi/16 has an interior branch time, so piecewise mode cuts a segment
+    calls = []
+    original = hamiltonians.suboptimal_field
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "blochcomplexity"
+                and getattr(module, "suboptimal_field", None) is original):
+            monkeypatch.setattr(module, "suboptimal_field", counted)
+    rep = analyze(canonical, SubOptimalParams(PI / 16),
+                  AnalysisConfig(averaging_mode=mode))
+    assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
+    assert len(calls) == 1
+
+
 def test_bounding_box_finds_extremum_inside_last_interval():
     # the theta maximum lies between the last two samples, where a scan over
     # the sample grid brackets nothing
@@ -350,7 +392,7 @@ def test_bounding_box_finds_extremum_inside_last_interval():
     params = SubOptimalParams(1.9129557205149939)
     traj = sample_trajectory(problem, params)
     dense = np.linspace(traj.t_a, traj.t_b, 2_000_001)
-    theta, _ = bloch_angles(state_evaluator(problem, params)(dense))
+    theta, _ = bloch_angles(traj.states_at(dense))
     assert bounding_box(traj).theta_max == pytest.approx(theta.max(),
                                                          abs=1e-10)
 
@@ -383,7 +425,7 @@ def _dense_extrema(t, y, f):
 
 
 def _dense_box(traj, n=100_001):
-    ev = state_evaluator(traj.problem, traj.params)
+    ev = traj.states_at
     t = np.linspace(traj.t_a, traj.t_b, n)
     theta, phi = angles_from_states(ev(t), float(traj.phi[0]))
 
@@ -413,7 +455,7 @@ def _dense_box(traj, n=100_001):
 
 
 def _dense_branch_times(traj, n=100_001):
-    ev = state_evaluator(traj.problem, traj.params)
+    ev = traj.states_at
     t = np.linspace(traj.t_a, traj.t_b, n)
     roots = []
     for comp in range(2):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blochcomplexity import (SubOptimalParams, UnwrapAmbiguity, bloch_angles,
+from blochcomplexity import (EvolutionProblem, SubOptimalParams,
+                             UnwrapAmbiguity, bloch_angles, propagator,
                              sample_trajectory, suboptimal_field,
                              unwrap_azimuth, write_trajectory_csv)
 from reference_values import (ARRIVAL_TIME_PI16, THETA_MAX_PI16,
@@ -195,3 +196,38 @@ def test_trajectory_time_grid(canonical):
     assert traj.n_samples == 2049
     assert traj.t_a == 0.0
     assert np.all(np.diff(traj.t) > 0)
+
+
+def test_states_at_sample_times_is_the_samples(canonical):
+    for alpha in (0.0, np.pi / 16, np.pi / 2, 0.8 * np.pi):
+        traj = sample_trajectory(canonical, SubOptimalParams(alpha), n=2049)
+        assert np.array_equal(traj.states_at(traj.t), traj.states)
+
+
+def _random_problem(rng):
+    while True:
+        a, b = rng.normal(size=(2, 3))
+        a /= np.linalg.norm(a)
+        b /= np.linalg.norm(b)
+        if abs(a @ b) < 0.98:
+            return EvolutionProblem(a, b, energy=rng.uniform(0.5, 5.0),
+                                    hbar=rng.uniform(0.5, 2.0))
+
+
+def test_states_at_matches_propagator(canonical):
+    # the vector form cos(wt) psi0 - i sin(wt) (n.sigma) psi0 against the
+    # matrix route, on the field the problem defines
+    rng = np.random.default_rng(11)
+    problems = [canonical] + [_random_problem(rng) for _ in range(6)]
+    for problem in problems:
+        params = SubOptimalParams(rng.uniform(0.0, np.pi))
+        traj = sample_trajectory(problem, params, n=2049)
+        assert np.array_equal(traj.field.h,
+                              suboptimal_field(problem, params).h)
+        times = rng.uniform(0.0, traj.t_b, 16)
+        batch = traj.states_at(times)
+        for k, t in enumerate(times):
+            expected = (propagator(traj.field, t, problem.hbar)
+                        @ problem.source_state)
+            assert np.max(np.abs(traj.states_at(t) - expected)) < 1e-12
+            assert np.max(np.abs(batch[k] - expected)) < 1e-12
