@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
-from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
+from .metrics import (_arc_length, curvature_coefficient, geodesic_distance,
                       speed_efficiency)
 from .numerics import simpson_uniform
 from .qubit import bloch_angles
@@ -166,7 +166,7 @@ def analyze(problem, params, config=None):
     v_max = _box_volume(box, kind)
     v_bar, segments = _accessed_volume(traj, config.averaging_mode, kind)
     c = complexity(v_bar, v_max)
-    s = path_length(problem, params)
+    s = _arc_length(problem, params, traj.t_b)
     f = traj.field
     volume = VolumeReport(
         v_bar=v_bar, v_max=v_max,
@@ -180,7 +180,7 @@ def analyze(problem, params, config=None):
         alpha=params.alpha,
         t_ab=traj.t_b,
         s=s,
-        eta_ge=geodesic_efficiency(problem, params),
+        eta_ge=geodesic_distance(problem) / s,
         eta_se=speed_efficiency(f, problem.a_hat),
         kappa2=curvature_coefficient(f, problem.a_hat),
         complexity=c,
@@ -235,20 +235,23 @@ def branch_times(traj):
     ``Re c_k(t) = cos(wt) Re psi0_k + sin(wt) Im(n.sigma psi0)_k``, so the
     instants are closed-form roots. Crossings through (numerical) zeros of
     the whole amplitude, i.e. poles, are not branch flips and are skipped.
+    Roots within 1e-12 of either end, or within 1e-9 of the previous root,
+    are dropped; both filters act on the rotation angle wt, so the result
+    scales exactly as 1/w.
     """
     w = traj.rate
-    t = traj.t
+    lo, hi = span = w * traj.t[[0, -1]]
     roots = []
     for comp in range(2):
-        ts = _cos_roots(traj.source[comp].real, traj.turned[comp].imag, 0.0,
-                        w * t[[0, -1]]) / w
-        roots.extend(ts[np.abs(traj.states_at(ts)[:, comp]) > 1e-9].tolist())
-    roots = [r for r in sorted(roots) if t[0] + 1e-12 < r < t[-1] - 1e-12]
+        xs = _cos_roots(traj.source[comp].real, traj.turned[comp].imag, 0.0,
+                        span)
+        roots.extend(xs[np.abs(traj.states_at(xs / w)[:, comp]) > 1e-9])
     merged = []
-    for r in roots:
-        if not merged or r - merged[-1] > 1e-9:
-            merged.append(r)
-    return merged
+    for x in sorted(roots):
+        if lo + 1e-12 < x < hi - 1e-12 and (not merged
+                                            or x - merged[-1] > 1e-9):
+            merged.append(x)
+    return [float(x / w) for x in merged]
 
 
 # -- internals ---------------------------------------------------------------
@@ -305,12 +308,6 @@ def _accessed_volume(traj, mode, kind):
     phi_anchor = phi_a
     for t0, t1 in zip(boundaries[:-1], boundaries[1:]):
         span = t1 - t0
-        if span < 1e-12:
-            # vanishing segment: its average is just the local value
-            theta_m, phi_m = _angles_near(traj, 0.5 * (t0 + t1), phi_anchor)
-            averages.append((t0, t1, float(_volume_samples(
-                theta_a, phi_a, theta_m, phi_m, kind))))
-            continue
         if not cuts:
             # the one segment is the whole trajectory, already sampled
             ts, theta, phi = traj.t, traj.theta, traj.phi

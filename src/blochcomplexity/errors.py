@@ -37,19 +37,3 @@ class AveragingDomainError(BlochComplexityError):
     """The averaging mode gives an accessed volume above the accessible one,
     so V_bar <= V_max fails and the complexity is undefined; the piecewise
     mode does this on some general (off-canonical) evolutions."""
-
-
-class SymmetryViolation(BlochComplexityError):
-    """Supplementary-angle reports disagree beyond tolerance."""
-
-    def __init__(self, message, records=None):
-        super().__init__(message)
-        self.records = records or []
-
-
-class ScalingViolation(BlochComplexityError):
-    """Frequency-scaling invariance failed beyond tolerance."""
-
-    def __init__(self, message, records=None):
-        super().__init__(message)
-        self.records = records or []

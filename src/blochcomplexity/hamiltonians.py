@@ -30,29 +30,24 @@ DEGENERACY_EPS = 1e-12
 class EvolutionProblem:
     """Source/target Bloch vectors with the energy scale of the drive.
 
-    ``theta_ab`` is always recomputed from the vectors; a caller-supplied
-    value is only cross-checked (tolerance 1e-9) to reject inconsistent
-    inputs.
+    ``theta_ab`` is computed from the vectors.
     """
 
     a_hat: np.ndarray
     b_hat: np.ndarray
     energy: float = 1.0
     hbar: float = 1.0
-    theta_ab: float = field(default=None)
+    theta_ab: float = field(init=False)
 
     def __post_init__(self):
         a = _unit(np.asarray(self.a_hat, dtype=float), "a_hat")
         b = _unit(np.asarray(self.b_hat, dtype=float), "b_hat")
-        if self.energy <= 0.0:
-            raise ValueError("energy must be positive")
-        if self.hbar <= 0.0:
-            raise ValueError("hbar must be positive")
+        for name in ("energy", "hbar"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:  # also false for NaN
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
         theta = float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
-        if self.theta_ab is not None and abs(theta - self.theta_ab) > 1e-9:
-            raise ValueError(
-                f"supplied theta_ab={self.theta_ab} inconsistent with "
-                f"arccos(a.b)={theta}")
         object.__setattr__(self, "a_hat", a)
         object.__setattr__(self, "b_hat", b)
         object.__setattr__(self, "theta_ab", theta)
@@ -172,7 +167,7 @@ def amplitudes(problem, params, t):
     return u @ problem.source_state
 
 
-def equatorial_problem(theta_ab=np.pi / 2.0, energy=1.0, hbar=1.0):
+def equatorial_problem(theta_ab=np.pi / 2.0, energy=1.0):
     """Problem with source x-hat and target in the xy-plane at angle theta_ab.
 
     theta_ab = pi/2 gives the x-hat -> y-hat pair used throughout the
@@ -182,12 +177,12 @@ def equatorial_problem(theta_ab=np.pi / 2.0, energy=1.0, hbar=1.0):
         raise ValueError("theta_ab must lie strictly inside (0, pi)")
     b = np.array([np.cos(theta_ab), np.sin(theta_ab), 0.0])
     return EvolutionProblem(a_hat=np.array([1.0, 0.0, 0.0]), b_hat=b,
-                            energy=energy, hbar=hbar)
+                            energy=energy)
 
 
 def _unit(v, name):
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector")
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be a finite 3-vector")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"{name} must be a unit vector, got norm {norm}")

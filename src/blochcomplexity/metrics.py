@@ -28,9 +28,15 @@ def path_length(problem, params):
 
     which reduces to theta_AB at alpha = pi/2.
     """
+    return _arc_length(problem, params, evolution_time(problem, params))
+
+
+def _arc_length(problem, params, t):
+    """The closed form of `path_length` at a given evolution time t(alpha),
+    for callers that already hold it."""
     half = np.cos(problem.theta_ab / 2.0)
     root = np.sqrt(1.0 - (np.cos(params.alpha) * half) ** 2)
-    return 2.0 * root * problem.omega * evolution_time(problem, params)
+    return 2.0 * root * problem.omega * t
 
 
 def path_length_numeric(traj):

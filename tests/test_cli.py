@@ -81,16 +81,19 @@ def test_sweep_single_point(tmp_path):
     assert float(row[9]) == pytest.approx(2.2214, abs=1e-3)
 
 
-def test_sweep_omega_scaling(tmp_path):
+@pytest.mark.parametrize("omega", ["2", "1e12"])
+def test_sweep_omega_scaling(tmp_path, omega):
     out1 = tmp_path / "w1.csv"
     out2 = tmp_path / "w2.csv"
     assert run_cli("sweep", "--steps", "4", "--out", str(out1)) == 0
-    assert run_cli("sweep", "--steps", "4", "--omega", "2", "--out",
+    assert run_cli("sweep", "--steps", "4", "--omega", omega, "--out",
                    str(out2)) == 0
     _, rows1 = read_rows(out1)
     _, rows2 = read_rows(out2)
     for r1, r2 in zip(rows1, rows2):
-        assert float(r2[1]) == pytest.approx(float(r1[1]) / 2.0, abs=1e-10)
+        # t_ab scales as 1/omega; compared in units of 1/omega
+        assert float(r2[1]) * float(omega) == pytest.approx(float(r1[1]),
+                                                            abs=1e-10)
         for i in (8, 9):  # complexity and l_c unchanged
             assert float(r2[i]) == pytest.approx(float(r1[i]), abs=1e-8)
 
@@ -128,6 +131,13 @@ def test_sweep_to_stdout(capsys):
     captured = capsys.readouterr().out.splitlines()
     assert captured[0].startswith("alpha,")
     assert len(captured) == 2
+
+
+def test_sweep_rejects_nonfinite_omega(capsys, recwarn):
+    assert run_cli("sweep", "--steps", "1", "--omega", "nan") == 1
+    err = capsys.readouterr().err
+    assert "energy" in err and "Traceback" not in err
+    assert not recwarn.list
 
 
 def test_sweep_bad_path_reports_error(capsys):

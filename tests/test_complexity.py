@@ -362,22 +362,25 @@ def test_pole_source_invariant_under_rotation_about_z(pole, alpha):
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
-    # pi/16 has an interior branch time, so piecewise mode cuts a segment
-    calls = []
-    original = hamiltonians.suboptimal_field
+    # pi/16 has an interior branch time, so piecewise mode cuts a segment;
+    # the field and the evolution time are each computed once per analyze
+    calls = {"suboptimal_field": [], "evolution_time": []}
+    for fn_name, log in calls.items():
+        original = getattr(hamiltonians, fn_name)
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+        def counted(*args, original=original, log=log):
+            log.append(args)
+            return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "blochcomplexity"
-                and getattr(module, "suboptimal_field", None) is original):
-            monkeypatch.setattr(module, "suboptimal_field", counted)
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "blochcomplexity"
+                    and getattr(module, fn_name, None) is original):
+                monkeypatch.setattr(module, fn_name, counted)
     rep = analyze(canonical, SubOptimalParams(PI / 16),
                   AnalysisConfig(averaging_mode=mode))
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
-    assert len(calls) == 1
+    assert {fn_name: len(log) for fn_name, log in calls.items()} == {
+        "suboptimal_field": 1, "evolution_time": 1}
 
 
 def test_bounding_box_finds_extremum_inside_last_interval():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blochcomplexity import (DegenerateGeometry, EvolutionProblem,
-                             IntegratorConfig, SubOptimalParams, amplitudes,
+                             SubOptimalParams, amplitudes,
                              equatorial_problem, evolution_time,
                              integrate_schrodinger, optimal_field, propagator,
                              suboptimal_field)
@@ -16,18 +16,27 @@ THETA_GRID = [k * np.pi / 9 for k in range(1, 9)]
 def test_problem_recomputes_and_validates_theta():
     p = equatorial_problem()
     assert p.theta_ab == pytest.approx(np.pi / 2, abs=1e-15)
-    with pytest.raises(ValueError):
+    # theta_ab is derived, never supplied
+    with pytest.raises(TypeError):
         EvolutionProblem(a_hat=np.array([1.0, 0, 0]),
                          b_hat=np.array([0.0, 1, 0]),
-                         theta_ab=np.pi / 3)
-    # consistent user-supplied value is accepted
-    EvolutionProblem(a_hat=np.array([1.0, 0, 0]), b_hat=np.array([0.0, 1, 0]),
-                     theta_ab=np.pi / 2)
+                         theta_ab=np.pi / 2)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", ["energy", "hbar"])
+def test_problem_rejects_nonpositive_or_nonfinite_scale(name, value):
+    with pytest.raises(ValueError, match=name):
+        EvolutionProblem(a_hat=np.array([1.0, 0, 0]),
+                         b_hat=np.array([0.0, 1, 0]), **{name: value})
 
 
 def test_problem_rejects_nonunit_vectors():
     with pytest.raises(ValueError):
         EvolutionProblem(a_hat=np.array([2.0, 0, 0]),
+                         b_hat=np.array([0.0, 1, 0]))
+    with pytest.raises(ValueError, match="a_hat"):
+        EvolutionProblem(a_hat=np.array([np.nan, 0, 0]),
                          b_hat=np.array([0.0, 1, 0]))
 
 
@@ -188,8 +197,7 @@ def test_amplitudes_against_frozen_rk4_state(canonical, oracle_gate):
 def test_amplitudes_against_live_integrator(canonical):
     params = SubOptimalParams(np.pi / 16)
     f = suboptimal_field(canonical, params)
-    numeric = integrate_schrodinger(f, canonical.source_state, 0.5,
-                                    IntegratorConfig())
+    numeric = integrate_schrodinger(f, canonical.source_state, 0.5)
     exact = amplitudes(canonical, params, 0.5)
     assert np.max(np.abs(numeric - exact)) < 1e-9
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blochcomplexity import (AnalysisConfig, IntegratorConfig, NormDrift,
-                             SubOptimalParams, check_omega_independence,
+from blochcomplexity import (NormDrift, SubOptimalParams,
+                             check_omega_independence,
                              check_propagator_agreement,
                              check_supplementary_symmetry, equatorial_problem,
                              evolution_time, integrate_schrodinger, propagator,
@@ -55,20 +55,13 @@ def test_integrator_norm_drift_is_tiny(canonical):
     assert np.max(np.abs(packaged - psi / np.linalg.norm(psi))) < 1e-12
 
 
-def test_integrator_rejects_coarse_dt(canonical):
-    f = suboptimal_field(canonical, SubOptimalParams(1.0))
-    with pytest.raises(ValueError):
-        integrate_schrodinger(f, canonical.source_state, 1.0,
-                              IntegratorConfig(dt=0.01))
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_integrator_raises_on_norm_drift(canonical):
-    # a huge field magnitude makes the fixed step far too coarse
+    # a huge field magnitude makes the fixed step far too coarse:
+    # |h| dt = 5e5 / 8192 = 61
     f = FieldVector(np.array([0.0, 0.0, 5e5]))
     with pytest.raises(NormDrift):
-        integrate_schrodinger(f, canonical.source_state, 1.0,
-                              IntegratorConfig(dt=1.0 / 1000.0))
+        integrate_schrodinger(f, canonical.source_state, 1.0)
 
 
 def test_propagator_agreement_grid():
@@ -79,9 +72,8 @@ def test_propagator_agreement_grid():
 
 
 def test_supplementary_symmetry_checks():
-    config = AnalysisConfig()
     for alpha in (np.pi / 16, np.pi / 4, np.pi / 2 - 0.01):
-        records = check_supplementary_symmetry(alpha, config)
+        records = check_supplementary_symmetry(alpha)
         assert all(r.passed for r in records)
         names = {r.param.split(":")[1] for r in records}
         assert names == {"v_bar", "v_max", "complexity", "length_scale",
