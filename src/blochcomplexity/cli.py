@@ -2,7 +2,7 @@
 
 Subcommands:
     sweep    mixing-angle sweep to CSV (one row per alpha)
-    evolve   dump one sampled trajectory to CSV
+    evolve   dump one sampled trajectory to CSV (the only sampling command)
     tables   print the reference tables (I: volumes/complexity,
              II: efficiencies/curvature, III: times/lengths)
     figdata  dense alpha grids for external plotting
@@ -60,8 +60,7 @@ def cmd_sweep(args):
     if args.steps < 1:
         raise ValueError("steps must be >= 1")
     problem = equatorial_problem(args.theta_ab, energy=args.omega)
-    config = AnalysisConfig(samples=args.samples,
-                            averaging_mode=args.averaging.replace("-", "_"))
+    config = AnalysisConfig(averaging_mode=args.averaging.replace("-", "_"))
     if args.alpha_start == args.alpha_end:
         alphas = np.array([args.alpha_start])
     else:
@@ -113,9 +112,8 @@ def _pi_label(frac):
     return f"{frac} pi"
 
 
-def cmd_tables(which, samples=DEFAULT_SAMPLES):
+def cmd_tables(which):
     problem = equatorial_problem()
-    config = AnalysisConfig(samples=samples)
     rows = []
     for frac in _TABLE_ALPHAS:
         alpha = float(frac) * np.pi
@@ -126,7 +124,7 @@ def cmd_tables(which, samples=DEFAULT_SAMPLES):
             rows.append((label, evolution_time(problem, params),
                          path_length(problem, params), sup))
         else:
-            rep = analyze(problem, params, config)
+            rep = analyze(problem, params)
             if which == "I":
                 rows.append((label, rep.volume.v_bar, rep.volume.v_max,
                              rep.complexity, rep.length_scale, sup))
@@ -168,9 +166,8 @@ def cmd_figdata(args):
     else:
         column = "complexity" if args.which == "fig4" else "l_c"
         lines.append(f"alpha,{column}")
-        config = AnalysisConfig(samples=args.samples)
         for alpha in alphas:
-            rep = analyze(problem, SubOptimalParams(alpha), config)
+            rep = analyze(problem, SubOptimalParams(alpha))
             value = rep.complexity if args.which == "fig4" else rep.length_scale
             lines.append(f"{fmt(alpha)},{fmt(value)}")
     return _write_lines(lines, args.out)
@@ -218,11 +215,11 @@ def build_parser():
     evolve = sub.add_parser("evolve", help="dump one trajectory to CSV")
     evolve.add_argument("--alpha", type=parse_angle, required=True)
     _common_flags(evolve)
+    evolve.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     evolve.add_argument("--out", default=None)
 
     tables = sub.add_parser("tables", help="print a reference table")
     tables.add_argument("which", choices=("I", "II", "III"))
-    tables.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
     figdata = sub.add_parser("figdata", help="dense alpha-grid CSV")
     figdata.add_argument("which", choices=("fig2", "fig4", "fig5"))
@@ -237,7 +234,6 @@ def build_parser():
 def _common_flags(sub):
     sub.add_argument("--theta-ab", type=parse_angle, default=np.pi / 2.0)
     sub.add_argument("--omega", type=float, default=1.0)
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
 
 def main(argv=None):
@@ -248,7 +244,7 @@ def main(argv=None):
         if args.command == "evolve":
             return cmd_evolve(args)
         if args.command == "tables":
-            return cmd_tables(args.which, args.samples)
+            return cmd_tables(args.which)
         if args.command == "figdata":
             if args.points < 2:
                 print("error: --points must be >= 2", file=sys.stderr)

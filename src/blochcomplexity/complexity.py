@@ -1,4 +1,4 @@
-"""Accessed and accessible parametric volumes of a sampled evolution, the
+"""Accessed and accessible parametric volumes of an evolution, the
 complexity measure built from their ratio, and the complexity length scale.
 
 The instantaneous volume at time t is the area, under the metric density
@@ -25,6 +25,14 @@ azimuth changes branch (a sign crossing of Re c0 or Re c1) and sums the
 per-segment averages, which `analyze` keeps in ``VolumeReport.segments``. The
 piecewise mode is the one that reproduces the reference volume table and is
 the default; the README records the per-alpha deltas of the uniform mode.
+
+Nothing is sampled. The box comes from the closed-form extrema of the
+rotation, and each average is an adaptive Gauss-Legendre quadrature of V in
+the rotation angle x = 2wt (Piessens et al., QUADPACK, 1983) over panels cut
+at every point where V can kink: where cos(theta) returns to cos(theta_A),
+where the azimuth crosses the plane of phi_A, at the polar extrema (where
+the azimuth turns fastest near a pole), at the rims of the pole caps, and at
+the segment boundaries.
 """
 
 from dataclasses import dataclass
@@ -35,17 +43,18 @@ from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
 from .metrics import (_arc_length, curvature_coefficient, geodesic_distance,
                       speed_efficiency)
-from .numerics import simpson_uniform
-from .qubit import bloch_angles
-from .trajectory import (AZIMUTH_POLE_EPS, DEFAULT_SAMPLES,
-                         angles_from_states, nearest_branch,
+from .trajectory import (DEFAULT_SAMPLES, _arc_ends, _cos_roots,
                          sample_trajectory)
 
 # angular extent below which an axis of the bounding box counts as degenerate
 EPS_DEGENERATE = 1e-9
 
-# step-doubling must move the accessed volume by less than this
-RICHARDSON_TOL = 1e-7
+# a panel is accepted once its Gauss-Legendre rule and the sum of the rules
+# on its halves differ by at most PANEL_TOL (an integral over the rotation
+# angle, so the same at every energy); a panel still failing after
+# MAX_BISECTIONS halvings is refused
+PANEL_TOL = 1e-13
+MAX_BISECTIONS = 50
 
 UNIFORM = "uniform"
 APPENDIX_PIECEWISE = "appendix_piecewise"
@@ -93,13 +102,15 @@ class VolumeReport:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """``samples`` is not read by `analyze`, which samples nothing; it is
+    still validated so that callers passing it get the same errors."""
+
     samples: int = DEFAULT_SAMPLES
     averaging_mode: str = DEFAULT_AVERAGING_MODE
 
     def __post_init__(self):
         if self.averaging_mode not in AVERAGING_MODES:
             raise ValueError(f"unknown averaging mode {self.averaging_mode!r}")
-        # Simpson quadrature needs an even panel count
         if self.samples % 2 == 0:
             raise ValueError(f"sample count must be odd, got {self.samples}")
 
@@ -158,9 +169,11 @@ def complexity_length_scale(s, c):
 
 
 def analyze(problem, params, config=None):
-    """Full pipeline: sample, box, volumes, complexity, and path metrics."""
+    """Full pipeline: evolution, box, volumes, complexity, and path
+    metrics, all in closed form or by adaptive quadrature; no sampled grid
+    is built."""
     config = config or AnalysisConfig()
-    traj = sample_trajectory(problem, params, config.samples)
+    traj = sample_trajectory(problem, params)
     box = bounding_box(traj)
     kind = _degeneracy_kind(box)
     v_max = _box_volume(box, kind)
@@ -195,34 +208,21 @@ def bounding_box(traj):
     r(t) = n(n.a) + cos(2wt) u + sin(2wt) n x a with u = a - n(n.a), so
     every interior extremum of theta and phi sits at a closed-form root of a
     first-degree trig polynomial in 2wt. The box spans the angles there and
-    at both ends. The sampled azimuth is frozen where sin(theta) <
+    at both ends. The azimuth is frozen where sin(theta) <
     AZIMUTH_POLE_EPS, so its values where the trajectory crosses that circle
     count as well.
     """
-    n, a, w = traj.field.direction, traj.problem.a_hat, traj.rate
-    na = float(n @ a)
-    u = a - na * n
-    v = np.cross(n, a)
-    span = 2.0 * w * traj.t[[0, -1]]
-
-    def roots(p, q, c):
-        return _cos_roots(p, q, c, span) / (2.0 * w)
-
-    def ref(ts):
-        return traj.phi[np.minimum(np.searchsorted(traj.t, ts),
-                                   traj.n_samples - 1)]
-
-    # z = n_z (n.a) + u_z cos + v_z sin is stationary where v_z cos = u_z sin
-    t_theta = roots(v[2], -u[2], 0.0)
+    n, na, u, v = traj.circle
+    w2 = 2.0 * traj.rate
+    span = (0.0, w2 * traj.t_b)
+    t_theta = _polar_turns(traj.circle, span) / w2
     # (r x r')_z / 2w = |u|^2 n_z - (n.a)(u_z cos + v_z sin) vanishes
-    t_phi = roots(na * u[2], na * v[2], float(u @ u) * n[2])
-    t_rim = _rim_crossings(n, na, u, v, span) / (2.0 * w)
-    rim_phi = bloch_angles(traj.states_at(t_rim))[1]
-    theta = np.concatenate([traj.theta[[0, -1]],
-                            bloch_angles(traj.states_at(t_theta))[0]])
-    phi = np.concatenate([traj.phi[[0, -1]],
-                          _angles_near(traj, t_phi, ref(t_phi))[1],
-                          nearest_branch(rim_phi, ref(t_rim))])
+    t_phi = _cos_roots(na * u[2], na * v[2], float(u @ u) * n[2], span) / w2
+    theta, phi = traj.angles_at(
+        np.concatenate([[traj.t_a, traj.t_b], t_theta, t_phi]))
+    k = 2 + t_theta.size
+    theta = theta[:k]
+    phi = np.concatenate([phi[:2], phi[k:], traj.azimuth.rim_phi])
     return AngularBox(theta_min=float(theta.min()),
                       theta_max=float(theta.max()),
                       phi_min=float(phi.min()), phi_max=float(phi.max()))
@@ -298,88 +298,109 @@ def _accessed_volume(traj, mode, kind):
     """Accessed volume plus the per-segment averages that make it up."""
     if mode not in AVERAGING_MODES:
         raise ValueError(f"unknown averaging mode {mode!r}")
-    theta_a = float(traj.theta[0])
-    phi_a = float(traj.phi[0])
+    w2 = 2.0 * traj.rate
     cuts = branch_times(traj) if mode == APPENDIX_PIECEWISE else []
-    boundaries = [traj.t_a] + cuts + [traj.t_b]
+    bounds = [traj.t_a] + cuts + [traj.t_b]
+    x_bounds = w2 * np.array(bounds)
+    theta_a, phi_a = traj.angles_at(traj.t_a)
 
-    averages = []
-    richardson = 0.0
-    phi_anchor = phi_a
-    for t0, t1 in zip(boundaries[:-1], boundaries[1:]):
-        span = t1 - t0
-        if not cuts:
-            # the one segment is the whole trajectory, already sampled
-            ts, theta, phi = traj.t, traj.theta, traj.phi
-        else:
-            ts = np.linspace(t0, t1, traj.n_samples)
-            theta, phi = angles_from_states(traj.states_at(ts), phi_anchor)
-        dt = float(ts[1] - ts[0])
-        v = _volume_samples(theta_a, phi_a, theta, phi, kind)
-        full = float(simpson_uniform(v, dt)) / span
-        half = float(simpson_uniform(v[::2], 2.0 * dt)) / span
-        richardson += abs(full - half)
-        averages.append((t0, t1, full))
-        phi_anchor = float(phi[-1])
+    def volume(x):
+        theta, phi = traj.angles_at(x / w2)
+        return _volume_samples(theta_a, phi_a, theta, phi, kind)
 
-    if richardson >= RICHARDSON_TOL:
-        raise QuadratureNotConverged(
-            f"step-doubling changed the accessed volume by {richardson:.3g} "
-            f"(limit {RICHARDSON_TOL:g}); refine the sampling")
+    edges = _panel_edges(traj, x_bounds)
+    integrals = _panel_integrals(volume, edges)
+    segment = np.searchsorted(x_bounds, edges[:-1], side="right") - 1
+    sums = np.bincount(segment, weights=integrals, minlength=len(cuts) + 1)
+    averages = tuple((t0, t1, float(total / (x1 - x0)))
+                     for t0, t1, x0, x1, total in zip(
+                         bounds[:-1], bounds[1:], x_bounds[:-1],
+                         x_bounds[1:], sums))
     v_bar = float(sum(avg for _, _, avg in averages))
-    return v_bar, tuple(averages)
+    return v_bar, averages
 
 
-def _angles_near(traj, ts, ref):
-    """Polar angle and continuous azimuth at arbitrary times, the azimuth
-    resolved to the 2*pi branch nearest a (per-point) reference value; pole
-    samples return the reference."""
-    theta, raw = bloch_angles(traj.states_at(ts))
-    phi = np.where(np.sin(theta) < AZIMUTH_POLE_EPS, ref,
-                   nearest_branch(raw, ref))
-    return theta, phi
+def _polar_turns(circle, span):
+    """Rotation angles in ``span`` where theta is stationary: z = n_z (n.a)
+    + u_z cos + v_z sin turns where v_z cos = u_z sin."""
+    return _cos_roots(circle.v[2], -circle.u[2], 0.0, span)
 
 
-def _cos_roots(p, q, c, span):
-    """Every x in the closed interval ``span`` with p cos(x) + q sin(x) = c;
-    none when p = q = 0."""
-    r = np.hypot(p, q)
-    if r == 0.0 or abs(c) > r:
-        return np.empty(0)
-    return _arc_ends(np.arctan2(q, p), np.arccos(c / r), span)
+def _panel_edges(traj, x_bounds):
+    """Sorted panel edges in the rotation angle: the segment bounds and
+    every interior point where V may kink or its azimuth turns fast."""
+    u, v = traj.circle.u, traj.circle.v
+    span = (x_bounds[0], x_bounds[-1])
+    w2 = 2.0 * traj.rate
+    # z(x) - z_A = R_z (cos(x - c) - cos c): zero at x = 0 and at 2c
+    c = np.arctan2(v[2], u[2])
+    kinks = np.concatenate([_arc_ends(c, c, span),
+                            _polar_turns(traj.circle, span),
+                            w2 * traj.azimuth.crossings,
+                            w2 * traj.azimuth.rims])
+    inside = kinks[(kinks > span[0]) & (kinks < span[1])]
+    return np.unique(np.concatenate([x_bounds, inside]))
 
 
-def _rim_crossings(n, na, u, v, span):
-    """Rotation angles x = 2wt in ``span`` where the Bloch vector crosses
-    sin(theta) = AZIMUTH_POLE_EPS, the rim of a pole cap in which the
-    sampled azimuth is frozen.
+def _panel_integrals(f, edges):
+    """Integral of f over each panel between consecutive ``edges``, by
+    adaptive Gauss-Legendre quadrature.
 
-    Solved in haversine form on the triangle (field axis, pole, r): with
-    gamma = angle(n, pole) and beta = angle(n, a), the distance d to the
-    pole obeys hav d = hav(gamma - beta) + sin(gamma) sin(beta) hav(x - x_p),
-    x_p being the angle closest to the pole. Solving z(x) = cos d instead
-    loses the rim's position to rounding next to the pole.
+    A panel's rule is compared with the sum of the rules on its two halves;
+    panels where they differ by more than PANEL_TOL are bisected, the halves'
+    rules becoming their children's, and all open panels are evaluated
+    together at each level. The accepted value is the sum over the halves.
     """
-    beta = np.arctan2(np.linalg.norm(v), na)
-    rim = np.sin(0.5 * np.arcsin(AZIMUTH_POLE_EPS)) ** 2
-    out = [np.empty(0)]
-    for pole in (1.0, -1.0):
-        gamma = np.arctan2(np.hypot(n[0], n[1]), pole * n[2])
-        scale = np.sin(gamma) * np.sin(beta)
-        hav = rim - np.sin(0.5 * (gamma - beta)) ** 2
-        if scale > 0.0 and 0.0 <= hav <= scale:
-            out.append(_arc_ends(np.arctan2(pole * v[2], pole * u[2]),
-                                 2.0 * np.arcsin(np.sqrt(hav / scale)),
-                                 span))
-    return np.concatenate(out)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    owner = np.arange(lo.size)
+    total = np.zeros(lo.size)
+    whole, left, right = np.split(_gauss(f, np.concatenate([lo, lo, mid]),
+                                         np.concatenate([hi, mid, hi])), 3)
+    level = 0
+    while True:
+        finer = left + right
+        error = np.abs(whole - finer)
+        done = error <= PANEL_TOL
+        total += np.bincount(owner[done], weights=finer[done],
+                             minlength=total.size)
+        if done.all():
+            return total
+        keep = ~done
+        if level == MAX_BISECTIONS:
+            worst = np.flatnonzero(keep)[np.argmax(error[keep])]
+            raise QuadratureNotConverged(
+                f"panel [{lo[worst]:.17g}, {hi[worst]:.17g}] of the rotation "
+                f"angle 2wt still has an error estimate of "
+                f"{error[worst]:.3g} after {MAX_BISECTIONS} bisections "
+                f"(tolerance {PANEL_TOL:g})")
+        lo, hi = (np.concatenate([lo[keep], mid[keep]]),
+                  np.concatenate([mid[keep], hi[keep]]))
+        whole = np.concatenate([left[keep], right[keep]])
+        owner = np.concatenate([owner[keep], owner[keep]])
+        mid = 0.5 * (lo + hi)
+        left, right = np.split(_gauss(f, np.concatenate([lo, mid]),
+                                      np.concatenate([mid, hi])), 2)
+        level += 1
 
 
-def _arc_ends(centre, half, span):
-    """Every centre +- half + 2 pi k in the closed interval ``span``."""
-    lo, hi = span
-    roots = []
-    for base in (centre - half, centre + half):
-        k = np.arange(np.ceil((lo - base) / (2.0 * np.pi)),
-                      np.floor((hi - base) / (2.0 * np.pi)) + 1.0)
-        roots.append(base + 2.0 * np.pi * k)
-    return np.concatenate(roots)
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: the
+    eigenvalues of the Jacobi matrix of the Legendre polynomials, and twice
+    the squared first components of its eigenvectors (Golub and Welsch,
+    1969). Equal to numpy.polynomial.legendre.leggauss(n) to 1e-14, without
+    importing numpy.polynomial (1.8 MB of resident memory)."""
+    k = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1),
+                                    UPLO="U")
+    return nodes, 2.0 * vectors[0] ** 2
+
+
+_NODES, _WEIGHTS = _gauss_legendre(16)
+
+
+def _gauss(f, lo, hi):
+    """The 16-node Gauss-Legendre rule for f on each panel [lo, hi]."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    return half * (f(x) @ _WEIGHTS)

@@ -29,8 +29,9 @@ class NormDrift(BlochComplexityError):
 
 
 class QuadratureNotConverged(BlochComplexityError):
-    """Step-doubling changed the accessed volume by more than the allowed
-    threshold; the run is rejected rather than silently accepted."""
+    """A panel of the accessed-volume quadrature still missed its error
+    tolerance after the maximum number of bisections; the run is rejected
+    rather than silently accepted."""
 
 
 class AveragingDomainError(BlochComplexityError):

@@ -15,6 +15,7 @@ the propagator for field h over time t is
 cos(|h| t / hbar) * 1 - i sin(|h| t / hbar) * (h_hat . sigma).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +96,9 @@ class FieldVector:
 
     @property
     def magnitude(self):
-        return float(np.linalg.norm(self.h))
+        """|h| without squaring the components, so that it neither over- nor
+        underflows for any finite field."""
+        return math.hypot(*self.h)
 
     @property
     def direction(self):
@@ -154,9 +157,9 @@ def evolution_time(problem, params):
     alpha -> pi - alpha.
     """
     problem.require_nondegenerate()
-    half = np.cos(problem.theta_ab / 2.0)
-    den = np.sqrt(1.0 - (np.cos(params.alpha) * half) ** 2)
-    arg = np.clip(np.sin(params.alpha) * half / den, -1.0, 1.0)
+    half = problem.theta_ab / 2.0
+    arg = np.clip(np.sin(params.alpha) * np.cos(half)
+                  / _family_root(params.alpha, half), -1.0, 1.0)
     return (problem.hbar / problem.energy) * float(np.arccos(arg))
 
 
@@ -178,6 +181,13 @@ def equatorial_problem(theta_ab=np.pi / 2.0, energy=1.0):
     b = np.array([np.cos(theta_ab), np.sin(theta_ab), 0.0])
     return EvolutionProblem(a_hat=np.array([1.0, 0.0, 0.0]), b_hat=b,
                             energy=energy)
+
+
+def _family_root(alpha, half):
+    """sqrt(1 - cos^2(alpha) cos^2(half)) as hypot(sin(alpha),
+    cos(alpha) sin(half)): the same value, without the cancellation that
+    makes it 0 once cos(half) rounds to 1."""
+    return np.hypot(np.sin(alpha), np.cos(alpha) * np.sin(half))
 
 
 def _unit(v, name):

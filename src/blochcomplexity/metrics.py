@@ -5,13 +5,14 @@ Lengths are measured so that the geodesic joining the source and target
 states has length theta_AB (i.e. ds/dt = 2*DeltaE/hbar, with DeltaE the
 energy uncertainty). Efficiencies are dimensionless ratios in (0, 1]; the
 curvature coefficient 4*(a.h)^2 / (h^2 - (a.h)^2) vanishes exactly for the
-rotation-axis (time-optimal) field.
+rotation-axis (time-optimal) field. Both are computed from the field
+direction alone, so they do not depend on the energy scale.
 """
 
 import numpy as np
 
 from .errors import ParallelField
-from .hamiltonians import evolution_time
+from .hamiltonians import _family_root, evolution_time
 from .numerics import simpson_uniform
 
 
@@ -34,8 +35,7 @@ def path_length(problem, params):
 def _arc_length(problem, params, t):
     """The closed form of `path_length` at a given evolution time t(alpha),
     for callers that already hold it."""
-    half = np.cos(problem.theta_ab / 2.0)
-    root = np.sqrt(1.0 - (np.cos(params.alpha) * half) ** 2)
+    root = _family_root(params.alpha, problem.theta_ab / 2.0)
     return 2.0 * root * problem.omega * t
 
 
@@ -75,11 +75,14 @@ def speed_efficiency(f, a_hat):
 
 def curvature_coefficient(f, a_hat):
     """4*(a.h)^2 / (h^2 - (a.h)^2), the squared bending coefficient of the
-    path generated by field h from Bloch vector a."""
-    h_sq = float(np.dot(f.h, f.h))
-    par_sq = f.parallel_squared(a_hat)
-    perp_sq = h_sq - par_sq
-    if perp_sq < 1e-12 * h_sq:
+    path generated by field h from Bloch vector a, as 4c^2/(1 - c^2) with
+    c = n.a for the field direction n. 1 - c^2 is taken as |a - c n|^2, which
+    keeps its relative precision where c^2 rounds close to 1."""
+    n = f.direction
+    c = float(np.dot(n, a_hat))
+    across = a_hat - c * n
+    perp = float(across @ across)
+    if perp < 1e-12:
         raise ParallelField("field is parallel to the Bloch vector")
-    return 4.0 * par_sq / perp_sq
+    return 4.0 * c * c / perp
 

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import os
 import subprocess
 import sys
@@ -67,6 +68,33 @@ def test_sweep_default_matches_reference_tables(tmp_path, oracle_gate):
     assert row[10] == "none"
 
 
+def test_sweep_matches_frozen_benchmark_output(tmp_path):
+    # the benchmark checks every table_sweep op against this file at 1e-9
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--out", str(out)) == 0
+    with open(out, newline="") as stream:
+        got = list(csv.DictReader(stream))
+    frozen = REPO_ROOT / "perfbench" / "expected" / "table_sweep.csv"
+    with open(frozen, newline="") as stream:
+        want = list(csv.DictReader(stream))
+    assert len(got) == len(want) and got[0].keys() == want[0].keys()
+    for row, ref in zip(got, want):
+        assert row["degenerate"] == ref["degenerate"]
+        for column, value in ref.items():
+            if column != "degenerate":
+                assert float(row[column]) == pytest.approx(float(value),
+                                                           abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [("sweep",), ("tables", "I"),
+                                  ("figdata", "fig4")])
+def test_only_evolve_takes_a_sample_count(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv, "--samples", "4097")
+    assert exit_info.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_sweep_single_point(tmp_path):
     out = tmp_path / "one.csv"
     assert run_cli("sweep", "--alpha-start", "1/2pi", "--alpha-end", "1/2pi",
@@ -81,7 +109,7 @@ def test_sweep_single_point(tmp_path):
     assert float(row[9]) == pytest.approx(2.2214, abs=1e-3)
 
 
-@pytest.mark.parametrize("omega", ["2", "1e12"])
+@pytest.mark.parametrize("omega", ["2", "1e12", "1e-300", "1e300"])
 def test_sweep_omega_scaling(tmp_path, omega):
     out1 = tmp_path / "w1.csv"
     out2 = tmp_path / "w2.csv"

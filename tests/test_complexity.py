@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import numpy as np
@@ -15,9 +14,10 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              complexity, complexity_length_scale,
                              equatorial_problem, sample_trajectory)
 from blochcomplexity import hamiltonians
+from blochcomplexity import trajectory
 from blochcomplexity.complexity import (AVERAGING_MODES, _MERIDIAN, _PARALLEL,
                                         _RECTANGLE, _box_volume,
-                                        _volume_samples)
+                                        _degeneracy_kind, _volume_samples)
 from blochcomplexity.trajectory import (AZIMUTH_POLE_EPS, angles_from_states,
                                         nearest_branch)
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
@@ -25,6 +25,15 @@ from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
                               UNIFORM_VBAR, VBAR_PI16, VMAX_PI16, VOLUME_TABLE)
 
 PI = np.pi
+
+# draw 165 of the benchmark's general pool: a pass close to the south pole,
+# where the azimuth turns fast; sampled Simpson refused it
+DRAW_165 = (EvolutionProblem(
+    np.array([-0.8137139379033355, 0.39103157742910793,
+              -0.43007433394141326]),
+    np.array([-0.03813177170735362, -0.18659953385244862,
+              0.981695768531426]),
+    energy=1.7252040145262153), SubOptimalParams(2.972744480645931))
 
 
 def fubini_study_density(theta):
@@ -282,13 +291,22 @@ def test_meridian_worked_example():
     assert rep.degeneracy_label == "phi"
 
 
-def test_quadrature_gate_rejects_rough_data(canonical):
-    traj = sample_trajectory(canonical, SubOptimalParams(PI / 16), n=2049)
-    rng = np.random.default_rng(0)
-    noisy = dataclasses.replace(traj, phi=traj.phi + rng.normal(0, 2e-4,
-                                                                traj.phi.size))
-    with pytest.raises(QuadratureNotConverged):
-        accessed_volume(noisy, "uniform")
+def test_bisection_cap_raises_naming_the_panel(monkeypatch):
+    # draw 165 needs bisected panels; allowed none, the quadrature refuses
+    # the run and says which panel failed
+    monkeypatch.setattr(sys.modules[analyze.__module__], "MAX_BISECTIONS", 0)
+    with pytest.raises(QuadratureNotConverged,
+                       match=r"panel \[[-+.e0-9]+, [-+.e0-9]+\] .* after 0 "
+                             r"bisections"):
+        analyze(*DRAW_165, AnalysisConfig(averaging_mode="uniform"))
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_pole_passage_draw_returns_valid_report(mode):
+    rep = analyze(*DRAW_165, AnalysisConfig(averaging_mode=mode))
+    assert 0.0 <= rep.complexity < 1.0
+    assert rep.volume.v_bar <= rep.volume.v_max
+    assert rep.length_scale >= rep.s
 
 
 def test_analysis_config_validation():
@@ -360,27 +378,44 @@ def test_pole_source_invariant_under_rotation_about_z(pole, alpha):
         assert rep.degeneracy_label == first.degeneracy_label
 
 
+def _count_calls(monkeypatch, home, fn_name):
+    """Replace ``home.fn_name`` in every package module that holds it by a
+    wrapper that logs each call; returns the log."""
+    original = getattr(home, fn_name)
+    log = []
+
+    def counted(*args):
+        log.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "blochcomplexity"
+                and getattr(module, fn_name, None) is original):
+            monkeypatch.setattr(module, fn_name, counted)
+    return log
+
+
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
     # pi/16 has an interior branch time, so piecewise mode cuts a segment;
     # the field and the evolution time are each computed once per analyze
-    calls = {"suboptimal_field": [], "evolution_time": []}
-    for fn_name, log in calls.items():
-        original = getattr(hamiltonians, fn_name)
-
-        def counted(*args, original=original, log=log):
-            log.append(args)
-            return original(*args)
-
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "blochcomplexity"
-                    and getattr(module, fn_name, None) is original):
-                monkeypatch.setattr(module, fn_name, counted)
+    calls = {fn_name: _count_calls(monkeypatch, hamiltonians, fn_name)
+             for fn_name in ("suboptimal_field", "evolution_time")}
     rep = analyze(canonical, SubOptimalParams(PI / 16),
                   AnalysisConfig(averaging_mode=mode))
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
     assert {fn_name: len(log) for fn_name, log in calls.items()} == {
         "suboptimal_field": 1, "evolution_time": 1}
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_analyze_samples_nothing(canonical, monkeypatch, mode):
+    # the sampled grid's angles come from angles_from_states alone
+    log = _count_calls(monkeypatch, trajectory, "angles_from_states")
+    for problem, params in ((canonical, SubOptimalParams(PI / 16)),
+                            DRAW_165):
+        analyze(problem, params, AnalysisConfig(averaging_mode=mode))
+    assert log == []
 
 
 def test_bounding_box_finds_extremum_inside_last_interval():
@@ -498,6 +533,7 @@ def test_closed_form_matches_dense_search(a, b, alpha, omega):
     problem = EvolutionProblem(a, b, energy=omega)
     try:
         traj = sample_trajectory(problem, SubOptimalParams(alpha))
+        traj.phi  # the dense reference starts from the sampled azimuth
         box = bounding_box(traj)
         times = branch_times(traj)
     except BlochComplexityError:
@@ -507,3 +543,153 @@ def test_closed_form_matches_dense_search(a, b, alpha, omega):
     dense = _dense_branch_times(traj)
     assert len(times) == len(dense)
     assert times == pytest.approx(dense, abs=1e-9)
+
+
+# -- closed-form azimuth and quadrature against independent routes ----------
+
+@settings(max_examples=40, deadline=None)
+@given(a=_unit_vectors, b=_unit_vectors, alpha=st.floats(0.0, PI),
+       omega=st.floats(0.5, 5.0))
+@example(a=DRAW_165[0].a_hat, b=DRAW_165[0].b_hat,
+         alpha=DRAW_165[1].alpha, omega=DRAW_165[0].energy)
+# the target on the far ray of the start azimuth's plane
+@example(a=np.array([1.0, 0.0, 0.0]), b=np.array([-0.6, 0.0, 0.8]),
+         alpha=0.4, omega=1.0)
+def test_angles_at_matches_sampled_unwrap(a, b, alpha, omega):
+    assume(abs(a @ b) <= 0.98)
+    try:
+        traj = sample_trajectory(EvolutionProblem(a, b, energy=omega),
+                                 SubOptimalParams(alpha))
+        sampled = traj.phi
+    except BlochComplexityError:
+        assume(False)
+    theta, phi = traj.angles_at(traj.t)
+    assert np.array_equal(theta, traj.theta)
+    away = np.sin(theta) > 1e-3
+    assert np.abs(phi - sampled)[away].max(initial=0.0) <= 1e-12
+
+
+def test_angles_at_matches_sampled_unwrap_on_canonical_grid(canonical):
+    for k in range(17):
+        traj = sample_trajectory(canonical, SubOptimalParams(k * PI / 16))
+        theta, phi = traj.angles_at(traj.t)
+        assert np.array_equal(theta, traj.theta)
+        assert np.max(np.abs(phi - traj.phi)) <= 1e-12
+
+
+def _oracle_accessed_volume(traj, mode):
+    """Accessed volume by scipy's adaptive quadrature in time. The azimuth
+    is resolved against the sampled unwrap; inside a pole cap it holds its
+    value at the rim crossed last (the first one, for a start inside a
+    cap), each rim found by brentq between the samples that bracket it.
+    Each segment is split at those rims, at the zeros of cos(theta) -
+    cos(theta_A) and of phi - phi_A (brentq again), and next to each polar
+    turning point."""
+    ev = traj.states_at
+
+    def sin_theta_off_rim(t):
+        return np.sin(bloch_angles(ev(t))[0]) - AZIMUTH_POLE_EPS
+
+    def unfrozen(t, raw):
+        return float(nearest_branch(raw, np.interp(t, traj.t, traj.phi)))
+
+    capped = np.sin(traj.theta) < AZIMUTH_POLE_EPS
+    rims = [brentq(sin_theta_off_rim, traj.t[k], traj.t[k + 1], xtol=1e-15)
+            for k in np.flatnonzero(capped[:-1] != capped[1:])]
+    rim_phi = [unfrozen(t, bloch_angles(ev(t))[1]) for t in rims]
+
+    def angles(t):
+        theta, raw = bloch_angles(ev(t))
+        if np.sin(theta) >= AZIMUTH_POLE_EPS:
+            return theta, unfrozen(t, raw)
+        if not rims:
+            return theta, float(traj.phi[0])
+        return theta, rim_phi[max(np.searchsorted(rims, t, "right") - 1, 0)]
+
+    theta_a, phi_a = angles(0.0)
+    kind = _degeneracy_kind(bounding_box(traj))
+
+    def volume(t):
+        theta, phi = angles(t)
+        return float(_volume_samples(theta_a, phi_a, theta, phi, kind))
+
+    def zeros(f, y):
+        return [brentq(f, traj.t[k], traj.t[k + 1], xtol=1e-15)
+                for k in np.flatnonzero(np.sign(y[:-1]) * np.sign(y[1:]) < 0)]
+
+    turns = np.diff(np.sign(np.diff(traj.theta)))
+    points = np.concatenate([
+        rims, traj.t[np.flatnonzero(turns) + 1],
+        zeros(lambda t: np.cos(angles(t)[0]) - np.cos(theta_a),
+              np.cos(traj.theta) - np.cos(theta_a)),
+        zeros(lambda t: angles(t)[1] - phi_a, traj.phi - phi_a)])
+    cuts = branch_times(traj) if mode == "appendix_piecewise" else []
+    bounds = [traj.t_a] + cuts + [traj.t_b]
+    total = 0.0
+    for t0, t1 in zip(bounds[:-1], bounds[1:]):
+        inner = points[(points > t0) & (points < t1)]
+        value, _ = quad(volume, t0, t1, points=inner if inner.size else None,
+                        epsabs=1e-14, epsrel=1e-13, limit=500)
+        total += value / (t1 - t0)
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=_unit_vectors, b=_unit_vectors, alpha=st.floats(0.0, PI),
+       omega=st.floats(0.5, 5.0))
+@example(a=DRAW_165[0].a_hat, b=DRAW_165[0].b_hat,
+         alpha=DRAW_165[1].alpha, omega=DRAW_165[0].energy)
+# a source at a pole: the azimuth is the one at which it leaves the cap
+@example(a=np.array([0.0, 0.0, 1.0]), b=np.array([0.0, 1.0, 0.0]),
+         alpha=0.0, omega=1.0)
+def test_accessed_volume_matches_scipy_quadrature(a, b, alpha, omega):
+    assume(abs(a @ b) <= 0.98)
+    try:
+        traj = sample_trajectory(EvolutionProblem(a, b, energy=omega),
+                                 SubOptimalParams(alpha))
+        traj.phi
+        volumes = {mode: accessed_volume(traj, mode)
+                   for mode in AVERAGING_MODES}
+    except BlochComplexityError:
+        assume(False)
+    for mode, v_bar in volumes.items():
+        assert v_bar == pytest.approx(_oracle_accessed_volume(traj, mode),
+                                      abs=1e-10)
+
+
+# -- the contract at every energy --------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(a=_unit_vectors, b=_unit_vectors, alpha=st.floats(0.0, PI),
+       log_energy=st.floats(-300.0, 300.0))
+# cos(theta_AB / 2) rounds to 1: the family's arrival time and length must
+# not cancel to 0/0
+@example(a=np.array([1.0, 0.0, 0.0]), b=np.array([1.0, 1e-10, 0.0]),
+         alpha=0.0, log_energy=0.0)
+def test_contract_holds_and_is_energy_free(a, b, alpha, log_energy):
+    # every valid input returns a report inside the contract or raises a
+    # typed error, and the energy only scales time: the report at E matches
+    # the one at E = 1 (or both raise the same error). The match is to 1e-9,
+    # relative above 1: kappa2 ~ 1/(1 - (n.a)^2) and L_C ~ 1/sqrt(1 - C)
+    # grow without bound and carry their rounding with them.
+    params = SubOptimalParams(alpha)
+
+    def run(energy, mode):
+        try:
+            return analyze(EvolutionProblem(a, b, energy=energy), params,
+                           AnalysisConfig(averaging_mode=mode))
+        except BlochComplexityError as err:
+            return type(err)
+
+    for mode in AVERAGING_MODES:
+        rep, unit = run(10.0 ** log_energy, mode), run(1.0, mode)
+        if isinstance(rep, type):
+            assert rep is unit
+            continue
+        assert 0.0 <= rep.complexity < 1.0
+        assert rep.volume.v_bar <= rep.volume.v_max
+        assert rep.length_scale >= rep.s
+        assert not isinstance(unit, type), unit
+        for name in ("complexity", "length_scale", "eta_se", "kappa2"):
+            assert getattr(rep, name) == pytest.approx(getattr(unit, name),
+                                                       rel=1e-9, abs=1e-9)

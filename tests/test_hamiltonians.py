@@ -103,6 +103,17 @@ def test_field_magnitude_is_energy_on_grid():
             assert abs(f.magnitude - 2.5) < 1e-12
 
 
+@pytest.mark.parametrize("energy", [1e-300, 1e300])
+def test_field_magnitude_and_direction_at_extreme_energies(energy):
+    # squaring the components would underflow to 0 or overflow to inf
+    p = equatorial_problem(energy=energy)
+    for alpha in ALPHA_GRID:
+        f = suboptimal_field(p, SubOptimalParams(alpha))
+        unit = suboptimal_field(equatorial_problem(), SubOptimalParams(alpha))
+        assert f.magnitude == pytest.approx(energy, rel=1e-12)
+        assert np.allclose(f.direction, unit.direction, rtol=0.0, atol=1e-15)
+
+
 def test_propagator_identity_and_unitarity(canonical):
     f = suboptimal_field(canonical, SubOptimalParams(0.3))
     assert np.allclose(propagator(f, 0.0), np.eye(2), atol=1e-15)
