@@ -26,8 +26,8 @@ from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
 
 PI = np.pi
 
-# draw 165 of the benchmark's general pool: a pass close to the south pole,
-# where the azimuth turns fast; sampled Simpson refused it
+# draw 165 of the benchmark's general pool: a pass 0.019 rad from the north
+# pole, where the azimuth turns fast and panels must be bisected
 DRAW_165 = (EvolutionProblem(
     np.array([-0.8137139379033355, 0.39103157742910793,
               -0.43007433394141326]),
