@@ -218,11 +218,11 @@ def bounding_box(traj):
     t_theta = _polar_turns(traj.circle, span) / w2
     # (r x r')_z / 2w = |u|^2 n_z - (n.a)(u_z cos + v_z sin) vanishes
     t_phi = _cos_roots(na * u[2], na * v[2], float(u @ u) * n[2], span) / w2
-    theta, phi = traj.angles_at(
-        np.concatenate([[traj.t_a, traj.t_b], t_theta, t_phi]))
-    k = 2 + t_theta.size
-    theta = theta[:k]
-    phi = np.concatenate([phi[:2], phi[k:], traj.azimuth.rim_phi])
+    theta_a, phi_a = traj.start
+    theta, phi = traj.angles_at(np.concatenate([[traj.t_b], t_theta, t_phi]))
+    k = 1 + t_theta.size
+    theta = np.append(theta[:k], theta_a)
+    phi = np.concatenate([[phi_a], phi[:1], phi[k:], traj.azimuth.rim_phi])
     return AngularBox(theta_min=float(theta.min()),
                       theta_max=float(theta.max()),
                       phi_min=float(phi.min()), phi_max=float(phi.max()))
@@ -240,7 +240,7 @@ def branch_times(traj):
     scales exactly as 1/w.
     """
     w = traj.rate
-    lo, hi = span = w * traj.t[[0, -1]]
+    lo, hi = span = (0.0, w * traj.t_b)
     roots = []
     for comp in range(2):
         xs = _cos_roots(traj.source[comp].real, traj.turned[comp].imag, 0.0,
@@ -302,7 +302,7 @@ def _accessed_volume(traj, mode, kind):
     cuts = branch_times(traj) if mode == APPENDIX_PIECEWISE else []
     bounds = [traj.t_a] + cuts + [traj.t_b]
     x_bounds = w2 * np.array(bounds)
-    theta_a, phi_a = traj.angles_at(traj.t_a)
+    theta_a, phi_a = traj.start
 
     def volume(x):
         theta, phi = traj.angles_at(x / w2)

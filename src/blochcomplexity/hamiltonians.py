@@ -17,11 +17,12 @@ cos(|h| t / hbar) * 1 - i sin(|h| t / hbar) * (h_hat . sigma).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .qubit import IDENTITY, pauli_dot, state_from_bloch
+from .qubit import IDENTITY, cross, pauli_dot, state_from_bloch
 
 # |a x b| = sin(theta_AB) below this makes the axis construction blow up
 DEGENERACY_EPS = 1e-12
@@ -31,7 +32,8 @@ DEGENERACY_EPS = 1e-12
 class EvolutionProblem:
     """Source/target Bloch vectors with the energy scale of the drive.
 
-    ``theta_ab`` is computed from the vectors.
+    ``theta_ab`` is computed from the vectors; ``source_state`` and
+    ``target_state`` are computed once and read-only.
     """
 
     a_hat: np.ndarray
@@ -48,7 +50,7 @@ class EvolutionProblem:
             if not 0.0 < value < np.inf:  # also false for NaN
                 raise ValueError(
                     f"{name} must be positive and finite, got {value}")
-        theta = float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
+        theta = float(np.arctan2(np.linalg.norm(cross(a, b)), np.dot(a, b)))
         object.__setattr__(self, "a_hat", a)
         object.__setattr__(self, "b_hat", b)
         object.__setattr__(self, "theta_ab", theta)
@@ -57,13 +59,13 @@ class EvolutionProblem:
     def omega(self):
         return self.energy / self.hbar
 
-    @property
+    @cached_property
     def source_state(self):
-        return state_from_bloch(self.a_hat)
+        return _read_only(state_from_bloch(self.a_hat))
 
-    @property
+    @cached_property
     def target_state(self):
-        return state_from_bloch(self.b_hat)
+        return _read_only(state_from_bloch(self.b_hat))
 
     def require_nondegenerate(self):
         if np.sin(self.theta_ab) < DEGENERACY_EPS:
@@ -107,29 +109,25 @@ class FieldVector:
             raise ValueError("zero field has no direction")
         return self.h / m
 
-    def parallel_squared(self, a_hat):
-        """(a.h)^2, the squared component along a Bloch vector."""
-        return float(np.dot(self.h, a_hat)) ** 2
-
 
 def optimal_field(problem):
     """Field along the normalized a x b axis, magnitude E, orthogonal to both
     source and target vectors."""
     problem.require_nondegenerate()
-    cross = np.cross(problem.a_hat, problem.b_hat)
-    return FieldVector(problem.energy * cross / np.linalg.norm(cross))
+    axis = cross(problem.a_hat, problem.b_hat)
+    return FieldVector(problem.energy * axis / np.linalg.norm(axis))
 
 
 def suboptimal_field(problem, params):
     """Member of the field family at mixing angle alpha; magnitude E."""
     problem.require_nondegenerate()
-    cross = np.cross(problem.a_hat, problem.b_hat)
+    axis = cross(problem.a_hat, problem.b_hat)
     plus = problem.a_hat + problem.b_hat
     plus_norm = np.linalg.norm(plus)
     if plus_norm < DEGENERACY_EPS:
         raise DegenerateGeometry("antipodal vectors: bisector undefined")
     h = problem.energy * (np.cos(params.alpha) * plus / plus_norm
-                          + np.sin(params.alpha) * cross / np.linalg.norm(cross))
+                          + np.sin(params.alpha) * axis / np.linalg.norm(axis))
     return FieldVector(h)
 
 
@@ -188,6 +186,11 @@ def _family_root(alpha, half):
     cos(alpha) sin(half)): the same value, without the cancellation that
     makes it 0 once cos(half) rounds to 1."""
     return np.hypot(np.sin(alpha), np.cos(alpha) * np.sin(half))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def _unit(v, name):

@@ -18,6 +18,7 @@ first non-pole sample, the direction in which the trajectory leaves the
 pole.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -26,10 +27,11 @@ import numpy as np
 
 from .errors import UnwrapAmbiguity
 from .hamiltonians import evolution_time, suboptimal_field
-from .qubit import bloch_angles, pauli_dot, state_from_bloch
+from .qubit import bloch_angles, cross, pauli_dot
 
 MIN_SAMPLES = 2049
 DEFAULT_SAMPLES = 4097  # 4096 panels + 1: feeds composite Simpson directly
+TWO_PI = 2.0 * np.pi
 
 # largest tolerated azimuth jump between adjacent samples after unwrapping
 MAX_AZIMUTH_JUMP = np.pi / 2.0
@@ -46,8 +48,7 @@ AZIMUTH_POLE_EPS = 1e-5
 def nearest_branch(angle, ref):
     """``angle`` shifted by the 2*pi multiple that brings it closest to
     ``ref`` (elementwise)."""
-    two_pi = 2.0 * np.pi
-    return angle + two_pi * np.round((ref - angle) / two_pi)
+    return angle + TWO_PI * np.round((ref - angle) / TWO_PI)
 
 
 def unwrap_azimuth(raw, anchor):
@@ -111,7 +112,7 @@ class Trajectory:
     def t_a(self):
         return 0.0
 
-    @property
+    @cached_property
     def rate(self):
         """Amplitude rate w = |h|/hbar; the Bloch vector turns at 2w."""
         return self.field.magnitude / self.problem.hbar
@@ -140,11 +141,17 @@ class Trajectory:
         n = self.field.direction
         a = self.problem.a_hat
         na = float(n @ a)
-        return Circle(n=n, na=na, u=a - na * n, v=np.cross(n, a))
+        return Circle(n=n, na=na, u=a - na * n, v=cross(n, a))
 
     @cached_property
     def azimuth(self):
         return AzimuthLift(self)
+
+    @cached_property
+    def start(self):
+        """(theta_A, phi_A), the angles at ``t_a``: the source's polar angle
+        and the azimuth that anchors the lift, as `angles_at` gives them."""
+        return bloch_angles(self.source)[0], self.azimuth.phi_a
 
     @cached_property
     def t(self):
@@ -193,31 +200,30 @@ class AzimuthLift:
         x_rim = np.sort(_rim_crossings(n, na, u, v, (0.0, x_b)))
         theta0, phi_a = bloch_angles(traj.source)
         x0 = 0.0
-        if np.sin(theta0) < AZIMUTH_POLE_EPS and x_rim.size:
+        if math.sin(theta0) < AZIMUTH_POLE_EPS and x_rim.size:
             x0 = float(x_rim[0])
             phi_a = nearest_branch(bloch_angles(traj.states_at(x0 / w2))[1],
                                    phi_a)
-        self.phi_a = float(phi_a)
-        across = np.array([-np.sin(phi_a), np.cos(phi_a), 0.0])
-        along = np.array([np.cos(phi_a), np.sin(phi_a), 0.0])
+        self.phi_a = phi_a = float(phi_a)
+        cos_a, sin_a = math.cos(phi_a), math.sin(phi_a)
 
         # d: rotation angle from the anchor to the maximum of P. P rises out
         # of the anchor when 0 < d < pi; at d = 0 (P <= 0) or d = pi
         # (P >= 0) it touches the plane there and keeps its sign.
-        two_pi = 2.0 * np.pi
-        p, q = float(across @ u), float(across @ v)
-        d = (np.arctan2(q, p) - x0) % two_pi
-        gap = (2.0 * d) % two_pi
-        first = 0 if 0.0 < d <= np.pi else -1
+        p, q = cos_a * u[1] - sin_a * u[0], cos_a * v[1] - sin_a * v[0]
+        d = (math.atan2(q, p) - x0) % TWO_PI
+        gap = (2.0 * d) % TWO_PI
+        first = 0 if 0.0 < d <= math.pi else -1
         x_cross = np.empty(0)
         steps = np.empty(0)
-        if gap > 0.0 and np.hypot(p, q) > 0.0:
-            rising = 1.0 if d < np.pi else -1.0
-            again = x0 + two_pi * np.arange(
-                1.0, np.floor((x_b - x0) / two_pi) + 1.0)
-            mirror = x0 + gap + two_pi * np.arange(
-                0.0, np.floor((x_b - x0 - gap) / two_pi) + 1.0)
+        if gap > 0.0 and math.hypot(p, q) > 0.0:
+            rising = 1.0 if d < math.pi else -1.0
+            again = x0 + TWO_PI * np.arange(
+                1.0, np.floor((x_b - x0) / TWO_PI) + 1.0)
+            mirror = x0 + gap + TWO_PI * np.arange(
+                0.0, np.floor((x_b - x0 - gap) / TWO_PI) + 1.0)
             # a mirror crossing on the far ray turns the azimuth the other way
+            along = np.array([cos_a, sin_a, 0.0])
             far = np.sign((along @ n) * na + (along @ u) * np.cos(mirror)
                           + (along @ v) * np.sin(mirror))
             x_cross = np.concatenate([again, mirror])
@@ -280,11 +286,10 @@ def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     f = suboptimal_field(problem, params)
-    source = state_from_bloch(problem.a_hat)
     return Trajectory(problem=problem, params=params,
                       t_b=evolution_time(problem, params), n_samples=int(n),
-                      field=f, source=source,
-                      turned=pauli_dot(f.direction) @ source)
+                      field=f, source=problem.source_state,
+                      turned=pauli_dot(f.direction) @ problem.source_state)
 
 
 def write_trajectory_csv(traj, stream):
@@ -310,10 +315,10 @@ def _carry_forward(raw, pole, fallback):
 def _cos_roots(p, q, c, span):
     """Every x in the closed interval ``span`` with p cos(x) + q sin(x) = c;
     none when p = q = 0."""
-    r = np.hypot(p, q)
+    r = math.hypot(p, q)
     if r == 0.0 or abs(c) > r:
         return np.empty(0)
-    return _arc_ends(np.arctan2(q, p), np.arccos(c / r), span)
+    return _arc_ends(math.atan2(q, p), math.acos(c / r), span)
 
 
 def _rim_crossings(n, na, u, v, span):
@@ -327,16 +332,16 @@ def _rim_crossings(n, na, u, v, span):
     x_p being the angle closest to the pole. Solving z(x) = cos d instead
     loses the rim's position to rounding next to the pole.
     """
-    beta = np.arctan2(np.linalg.norm(v), na)
-    rim = np.sin(0.5 * np.arcsin(AZIMUTH_POLE_EPS)) ** 2
+    beta = math.atan2(math.hypot(*v), na)
+    rim = math.sin(0.5 * math.asin(AZIMUTH_POLE_EPS)) ** 2
     out = [np.empty(0)]
     for pole in (1.0, -1.0):
-        gamma = np.arctan2(np.hypot(n[0], n[1]), pole * n[2])
-        scale = np.sin(gamma) * np.sin(beta)
-        hav = rim - np.sin(0.5 * (gamma - beta)) ** 2
+        gamma = math.atan2(math.hypot(n[0], n[1]), pole * n[2])
+        scale = math.sin(gamma) * math.sin(beta)
+        hav = rim - math.sin(0.5 * (gamma - beta)) ** 2
         if scale > 0.0 and 0.0 <= hav <= scale:
-            out.append(_arc_ends(np.arctan2(pole * v[2], pole * u[2]),
-                                 2.0 * np.arcsin(np.sqrt(hav / scale)),
+            out.append(_arc_ends(math.atan2(pole * v[2], pole * u[2]),
+                                 2.0 * math.asin(math.sqrt(hav / scale)),
                                  span))
     return np.concatenate(out)
 
@@ -344,9 +349,9 @@ def _rim_crossings(n, na, u, v, span):
 def _arc_ends(centre, half, span):
     """Every centre +- half + 2 pi k in the closed interval ``span``."""
     lo, hi = span
-    roots = []
-    for base in (centre - half, centre + half):
-        k = np.arange(np.ceil((lo - base) / (2.0 * np.pi)),
-                      np.floor((hi - base) / (2.0 * np.pi)) + 1.0)
-        roots.append(base + 2.0 * np.pi * k)
-    return np.concatenate(roots)
+    if not math.isfinite(hi):  # math.floor(inf) raises OverflowError
+        raise ValueError(f"rotation span {span} is not finite")
+    return np.concatenate([
+        base + TWO_PI * np.arange(math.ceil((lo - base) / TWO_PI),
+                                  math.floor((hi - base) / TWO_PI) + 1)
+        for base in (centre - half, centre + half)])

@@ -297,8 +297,11 @@ def test_figdata_rejects_single_point(capsys):
 def test_verify_command(capsys):
     assert run_cli("verify") == 0
     out = capsys.readouterr().out.splitlines()
+    # the contract is each row's check, param and verdict; the delta is a
+    # rounding residual printed for inspection
     assert out[0] == "check,param,delta,pass"
-    assert all(line.endswith("pass") for line in out[1:])
+    assert len(out) == 1 + 94
+    assert all(line.endswith(",pass") for line in out[1:])
     assert any(line.startswith("propagator_oracle") for line in out)
     assert any(line.startswith("supplementary") for line in out)
     assert any(line.startswith("omega_invariance") for line in out)

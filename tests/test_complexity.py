@@ -408,14 +408,47 @@ def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
         "suboptimal_field": 1, "evolution_time": 1}
 
 
+def _log_builds(monkeypatch, log, name):
+    """Make ``Trajectory.name`` log each build in ``log``."""
+    build = getattr(trajectory.Trajectory, name).func
+
+    def logged(traj):
+        log.append(name)
+        return build(traj)
+
+    monkeypatch.setattr(trajectory.Trajectory, name, property(logged))
+
+
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_analyze_samples_nothing(canonical, monkeypatch, mode):
-    # the sampled grid's angles come from angles_from_states alone
+    # the sampled grid is the times t, the states there, and their angles,
+    # which come from angles_from_states alone
     log = _count_calls(monkeypatch, trajectory, "angles_from_states")
+    for name in ("t", "states"):
+        _log_builds(monkeypatch, log, name)
     for problem, params in ((canonical, SubOptimalParams(PI / 16)),
                             DRAW_165):
         analyze(problem, params, AnalysisConfig(averaging_mode=mode))
     assert log == []
+
+
+def test_analyze_ignores_changes_to_a_copy_of_the_source_state():
+    problem, params = equatorial_problem(), SubOptimalParams(PI / 16)
+    before = analyze(problem, params)
+    psi = problem.source_state.copy()
+    psi[:] = [0.0, 1.0]
+    assert not np.array_equal(problem.source_state, psi)
+    assert analyze(problem, params) == before
+
+
+@pytest.mark.parametrize("energy, hbar", [(1e308, 1.0), (1e10, 1e-300)])
+def test_analyze_rejects_a_rotation_span_that_overflows(energy, hbar):
+    # 2|h|/hbar overflows to inf, and the rotation angle 2wt_b with it
+    problem = EvolutionProblem(np.array([1.0, 0.0, 0.0]),
+                               np.array([0.0, 1.0, 0.0]), energy=energy,
+                               hbar=hbar)
+    with pytest.raises(ValueError, match="not finite"):
+        analyze(problem, SubOptimalParams(0.3))
 
 
 def test_bounding_box_finds_extremum_inside_last_interval():
@@ -575,6 +608,27 @@ def test_angles_at_matches_sampled_unwrap_on_canonical_grid(canonical):
         theta, phi = traj.angles_at(traj.t)
         assert np.array_equal(theta, traj.theta)
         assert np.max(np.abs(phi - traj.phi)) <= 1e-12
+
+
+_cap_sources = st.builds(
+    lambda pole, off, phase: (np.array([off * np.cos(phase),
+                                        off * np.sin(phase), pole])
+                              / np.hypot(off, 1.0)),
+    st.sampled_from([1.0, -1.0]), st.floats(0.0, 2.0 * AZIMUTH_POLE_EPS),
+    st.floats(-PI, PI))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.one_of(_unit_vectors, _cap_sources), b=_unit_vectors,
+       alpha=st.floats(0.0, PI))
+def test_start_is_the_angles_at_t_a(a, b, alpha):
+    # the azimuth at t_a is the lift's anchor azimuth; for a source inside a
+    # pole cap that is the azimuth at which the trajectory leaves the cap
+    assume(abs(a @ b) <= 0.98)
+    traj = sample_trajectory(EvolutionProblem(a, b), SubOptimalParams(alpha))
+    theta, phi = traj.angles_at(traj.t_a)
+    assert traj.start[0] == theta
+    assert traj.start[1] == phi
 
 
 def _oracle_accessed_volume(traj, mode):

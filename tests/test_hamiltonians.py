@@ -31,6 +31,15 @@ def test_problem_rejects_nonpositive_or_nonfinite_scale(name, value):
                          b_hat=np.array([0.0, 1, 0]), **{name: value})
 
 
+def test_problem_states_are_computed_once_and_read_only():
+    problem = equatorial_problem()
+    for name in ("source_state", "target_state"):
+        state = getattr(problem, name)
+        assert getattr(problem, name) is state
+        with pytest.raises(ValueError):
+            state[0] = 0.0
+
+
 def test_problem_rejects_nonunit_vectors():
     with pytest.raises(ValueError):
         EvolutionProblem(a_hat=np.array([2.0, 0, 0]),

@@ -136,7 +136,7 @@ def test_curvature_identity(canonical):
     for alpha in np.linspace(0.01, np.pi - 0.01, 16):
         f = suboptimal_field(canonical, SubOptimalParams(alpha))
         kappa2 = curvature_coefficient(f, canonical.a_hat)
-        h_par_sq = f.parallel_squared(canonical.a_hat)
+        h_par_sq = float(f.h @ canonical.a_hat) ** 2
         h_perp_sq = float(np.sum(np.cross(f.h, canonical.a_hat) ** 2))
         assert abs(kappa2 * h_perp_sq - 4.0 * h_par_sq) < 1e-10
         assert h_par_sq + h_perp_sq == pytest.approx(

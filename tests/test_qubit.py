@@ -4,7 +4,10 @@ from hypothesis import example, given, strategies as st
 
 from blochcomplexity import (bloch_from_state, density_from_bloch, pauli_dot,
                              state_from_bloch)
-from blochcomplexity.qubit import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z
+from blochcomplexity.qubit import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, cross
+
+_finite_vectors = st.tuples(
+    *[st.floats(allow_nan=False, allow_infinity=False)] * 3).map(np.array)
 
 
 def test_pauli_dot_recovers_basis_matrices():
@@ -120,6 +123,15 @@ def test_state_from_bloch_is_normalized_with_real_c0():
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
         assert state[0].imag == 0.0
         assert state[0].real >= 0.0
+
+
+@given(_finite_vectors, _finite_vectors)
+def test_cross_is_numpy_cross_bit_for_bit(a, b):
+    # np.cross is the reference; products of huge components overflow to
+    # inf, and inf - inf to nan, in both
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.cross(a, b)
+    assert cross(a, b).tobytes() == expected.tobytes()
 
 
 def test_identity_constant():

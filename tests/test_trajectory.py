@@ -171,7 +171,7 @@ def test_angular_speed_matches_energy_uncertainty(canonical):
         dphi = np.gradient(traj.phi, dt)
         speed = np.sqrt(dtheta ** 2 + np.sin(traj.theta) ** 2 * dphi ** 2)
         expected = 2.0 * np.sqrt(f.magnitude ** 2
-                                 - f.parallel_squared(canonical.a_hat))
+                                 - float(f.h @ canonical.a_hat) ** 2)
         # central differences are O(dt^2); skip the one-sided end samples
         inner = speed[1:-1]
         assert np.max(np.abs(inner - expected)) / expected < 1e-6
