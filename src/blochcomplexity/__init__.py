@@ -7,7 +7,7 @@ from .complexity import (AnalysisConfig, AngularBox, DEFAULT_AVERAGING_MODE,
                          complexity_length_scale)
 from .errors import (AveragingDomainError, BlochComplexityError,
                      DegenerateGeometry, NonPositiveVolume, NormDrift,
-                     ParallelField, QuadratureNotConverged, UnwrapAmbiguity)
+                     ParallelField, QuadratureNotConverged)
 from .hamiltonians import (EvolutionProblem, FieldVector, SubOptimalParams,
                            amplitudes, equatorial_problem, evolution_time,
                            optimal_field, propagator, suboptimal_field)
@@ -16,8 +16,7 @@ from .metrics import (curvature_coefficient, geodesic_distance,
                       speed_efficiency)
 from .qubit import (bloch_angles, bloch_from_state, density_from_bloch,
                     pauli_dot, state_from_bloch)
-from .trajectory import (Trajectory, sample_trajectory, unwrap_azimuth,
-                         write_trajectory_csv)
+from .trajectory import Trajectory, sample_trajectory, write_trajectory_csv
 from .verify import (CheckRecord, check_omega_independence,
                      check_propagator_agreement, check_supplementary_symmetry,
                      integrate_schrodinger, run_verification)

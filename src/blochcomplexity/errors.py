@@ -10,11 +10,6 @@ class DegenerateGeometry(BlochComplexityError):
     rotation-axis construction (cross product / bisector) is undefined."""
 
 
-class UnwrapAmbiguity(BlochComplexityError):
-    """An azimuth jump between adjacent samples exceeded pi/2 even after
-    removing 2*pi multiples; the trajectory is undersampled."""
-
-
 class NonPositiveVolume(BlochComplexityError):
     """Accessed or accessible volume is not strictly positive."""
 

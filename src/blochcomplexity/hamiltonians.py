@@ -50,6 +50,11 @@ class EvolutionProblem:
             if not 0.0 < value < np.inf:  # also false for NaN
                 raise ValueError(
                     f"{name} must be positive and finite, got {value}")
+        # beyond this range |h|/hbar or t_b, and with it the rotation angle
+        # 2|h| t_b / hbar, can overflow
+        if not 1e-300 <= self.omega <= 1e300:
+            raise ValueError(
+                f"energy/hbar must lie in [1e-300, 1e300], got {self.omega}")
         theta = float(np.arctan2(np.linalg.norm(cross(a, b)), np.dot(a, b)))
         object.__setattr__(self, "a_hat", a)
         object.__setattr__(self, "b_hat", b)

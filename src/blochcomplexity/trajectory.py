@@ -10,12 +10,7 @@ Within sin(theta) < AZIMUTH_POLE_EPS of a pole the azimuth holds its value
 at the rim of that cap; a trajectory that starts inside a cap takes the
 azimuth at which it leaves it.
 
-The sampled grid (`t`, `states`, `theta`, `phi`) is built on first access.
-Its azimuth is unwrapped from the samples instead: 2*pi jumps between
-neighbouring samples are removed and pole samples inherit the azimuth of the
-last non-pole sample; pole samples at the start take the azimuth of the
-first non-pole sample, the direction in which the trajectory leaves the
-pole.
+The sampled grid (`t`, `states`) is built on first access.
 """
 
 import math
@@ -25,16 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnwrapAmbiguity
 from .hamiltonians import evolution_time, suboptimal_field
 from .qubit import bloch_angles, cross, pauli_dot
 
 MIN_SAMPLES = 2049
 DEFAULT_SAMPLES = 4097  # 4096 panels + 1: feeds composite Simpson directly
 TWO_PI = 2.0 * np.pi
-
-# largest tolerated azimuth jump between adjacent samples after unwrapping
-MAX_AZIMUTH_JUMP = np.pi / 2.0
 
 # sin(theta) guard for azimuth extraction along trajectories. Wider than the
 # 1e-12 pole convention: at sin(theta) ~ 1e-12 the rounding noise of the
@@ -49,34 +40,6 @@ def nearest_branch(angle, ref):
     """``angle`` shifted by the 2*pi multiple that brings it closest to
     ``ref`` (elementwise)."""
     return angle + TWO_PI * np.round((ref - angle) / TWO_PI)
-
-
-def unwrap_azimuth(raw, anchor):
-    """Continuous azimuth from samples known only modulo 2*pi.
-
-    The first output is ``raw[0]`` shifted by the 2*pi multiple closest to
-    ``anchor``; every later value is shifted by the multiple that minimizes
-    the jump from its predecessor. A residual jump above pi/2 means the
-    sampling cannot distinguish winding directions and raises
-    UnwrapAmbiguity.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1 or raw.size == 0:
-        raise ValueError("expected a non-empty 1-d sequence of angles")
-    first = nearest_branch(raw[0], anchor)
-    if raw.size == 1:
-        return np.array([first])
-    steps = nearest_branch(np.diff(raw), 0.0)
-    worst = float(np.max(np.abs(steps)))
-    if worst > MAX_AZIMUTH_JUMP:
-        raise UnwrapAmbiguity(
-            f"azimuth jump {worst:.3g} rad between adjacent samples exceeds "
-            f"{MAX_AZIMUTH_JUMP:.3g}; increase the sample count")
-    out = np.empty_like(raw)
-    out[0] = first
-    np.cumsum(steps, out=out[1:])
-    out[1:] += first
-    return out
 
 
 class Circle(NamedTuple):
@@ -96,8 +59,8 @@ class Trajectory:
     state psi0 and the ``turned`` state (n.sigma) psi0 along the field axis
     n, from which every state and angle follows in closed form.
 
-    ``t``, ``states``, ``theta`` and ``phi`` are a uniform sampling with
-    ``n_samples`` points, built on first access.
+    ``t`` and ``states`` are a uniform sampling with ``n_samples`` points,
+    built on first access.
     """
 
     problem: object
@@ -160,19 +123,6 @@ class Trajectory:
     @cached_property
     def states(self):
         return self.states_at(self.t)
-
-    @property
-    def theta(self):
-        return self._sampled_angles[0]
-
-    @property
-    def phi(self):
-        return self._sampled_angles[1]
-
-    @cached_property
-    def _sampled_angles(self):
-        return angles_from_states(self.states,
-                                  float(bloch_angles(self.source)[1]))
 
 
 class AzimuthLift:
@@ -257,31 +207,12 @@ def _evolve(source, turned, rate, t):
             - 1j * np.sin(ang)[..., None] * turned)
 
 
-def angles_from_states(states, anchor):
-    """Polar angles and unwrapped azimuths for an array of states.
-
-    Pole samples (sin(theta) below the pole threshold) have no azimuth of
-    their own; they inherit the previous non-pole raw azimuth. Those before
-    the first non-pole sample take its raw azimuth, the direction of
-    departure, so the result does not depend on the azimuth conventionally
-    given to a pole. The anchor stands in only when every sample is a pole
-    sample.
-    """
-    theta, raw = bloch_angles(states)
-    pole = np.sin(theta) < AZIMUTH_POLE_EPS
-    if pole.any():
-        raw = _carry_forward(raw, pole, anchor)
-    phi = unwrap_azimuth(raw, anchor)
-    return theta, phi
-
-
 def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
     """The evolution on [0, evolution_time], with a uniform sampling of
     ``n`` points built on first access.
 
     Builds the field, psi0 and (n.sigma) psi0 once; every later stage reads
-    them from the returned Trajectory. The first sampled azimuth lies on the
-    2*pi branch nearest the azimuth of the source Bloch vector.
+    them from the returned Trajectory.
     """
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
@@ -293,23 +224,14 @@ def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
 
 
 def write_trajectory_csv(traj, stream):
-    """Dump as CSV: header t,theta,phi,re_c0,im_c0,re_c1,im_c1 with 12
-    significant digits, LF line endings."""
+    """Dump the samples as CSV: header t,theta,phi,re_c0,im_c0,re_c1,im_c1
+    with 12 significant digits, LF line endings; the angles are `angles_at`
+    at the sample times."""
     stream.write("t,theta,phi,re_c0,im_c0,re_c1,im_c1\n")
-    for k in range(traj.n_samples):
-        c0 = traj.states[k, 0]
-        c1 = traj.states[k, 1]
-        row = (traj.t[k], traj.theta[k], traj.phi[k],
-               c0.real, c0.imag, c1.real, c1.imag)
+    theta, phi = traj.angles_at(traj.t)
+    c0, c1 = traj.states.T
+    for row in zip(traj.t, theta, phi, c0.real, c0.imag, c1.real, c1.imag):
         stream.write(",".join(f"{x:.12g}" for x in row) + "\n")
-
-
-def _carry_forward(raw, pole, fallback):
-    good = np.flatnonzero(~pole)
-    if good.size == 0:
-        return np.full_like(raw, fallback)
-    idx = np.where(pole, good[0], np.arange(raw.size))
-    return raw[np.maximum.accumulate(idx)]
 
 
 def _cos_roots(p, q, c, span):
@@ -349,8 +271,6 @@ def _rim_crossings(n, na, u, v, span):
 def _arc_ends(centre, half, span):
     """Every centre +- half + 2 pi k in the closed interval ``span``."""
     lo, hi = span
-    if not math.isfinite(hi):  # math.floor(inf) raises OverflowError
-        raise ValueError(f"rotation span {span} is not finite")
     return np.concatenate([
         base + TWO_PI * np.arange(math.ceil((lo - base) / TWO_PI),
                                   math.floor((hi - base) / TWO_PI) + 1)

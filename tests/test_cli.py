@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochcomplexity import (AveragingDomainError, QuadratureNotConverged,
-                             UnwrapAmbiguity)
+from blochcomplexity import (AveragingDomainError, NonPositiveVolume,
+                             QuadratureNotConverged)
 from blochcomplexity.cli import main, parse_angle
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -168,13 +168,21 @@ def test_sweep_rejects_nonfinite_omega(capsys, recwarn):
     assert not recwarn.list
 
 
+def test_sweep_rejects_omega_beyond_supported_range(capsys, recwarn):
+    assert run_cli("sweep", "--steps", "1", "--omega", "1e308") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "energy" in err
+    assert "Traceback" not in err
+    assert not recwarn.list
+
+
 def test_sweep_bad_path_reports_error(capsys):
     assert run_cli("sweep", "--steps", "1", "--out",
                    "/nonexistent-dir/x.csv") == 1
     assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [UnwrapAmbiguity, QuadratureNotConverged,
+@pytest.mark.parametrize("error", [NonPositiveVolume, QuadratureNotConverged,
                                    AveragingDomainError],
                          ids=lambda error: error.__name__)
 def test_sweep_aborts_row_on_typed_error(error, tmp_path, capsys, monkeypatch):

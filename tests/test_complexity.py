@@ -1,3 +1,4 @@
+import io
 import sys
 
 import numpy as np
@@ -12,14 +13,14 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              SubOptimalParams, accessed_volume, analyze,
                              bloch_angles, bounding_box, branch_times,
                              complexity, complexity_length_scale,
-                             equatorial_problem, sample_trajectory)
+                             equatorial_problem, sample_trajectory,
+                             write_trajectory_csv)
 from blochcomplexity import hamiltonians
 from blochcomplexity import trajectory
 from blochcomplexity.complexity import (AVERAGING_MODES, _MERIDIAN, _PARALLEL,
                                         _RECTANGLE, _box_volume,
                                         _degeneracy_kind, _volume_samples)
-from blochcomplexity.trajectory import (AZIMUTH_POLE_EPS, angles_from_states,
-                                        nearest_branch)
+from blochcomplexity.trajectory import AZIMUTH_POLE_EPS, nearest_branch
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
                               SEGMENT_AVERAGES_PI16_PRECISE, THETA_MAX_PI16,
                               UNIFORM_VBAR, VBAR_PI16, VMAX_PI16, VOLUME_TABLE)
@@ -34,6 +35,31 @@ DRAW_165 = (EvolutionProblem(
     np.array([-0.03813177170735362, -0.18659953385244862,
               0.981695768531426]),
     energy=1.7252040145262153), SubOptimalParams(2.972744480645931))
+
+
+def _unwrapped(states, anchor):
+    """Reference azimuths at a sequence of states, unwrapped sample to
+    sample: a pole sample (sin(theta) < AZIMUTH_POLE_EPS) takes the raw
+    azimuth of the last sample off the poles, or of the first one, the
+    direction of departure, when none precedes it; np.unwrap then removes
+    the 2*pi jumps, and the result moves to the 2*pi branch nearest
+    ``anchor`` at the first sample. Returns the azimuths and the largest
+    step left between neighbours; above pi/2 the sampling cannot tell the
+    winding direction."""
+    theta, raw = bloch_angles(states)
+    pole = np.sin(theta) < AZIMUTH_POLE_EPS
+    off = np.flatnonzero(~pole)
+    if off.size == 0:
+        return np.full_like(raw, anchor), 0.0
+    raw = raw[np.maximum.accumulate(np.where(pole, off[0],
+                                             np.arange(raw.size)))]
+    phi = np.unwrap(raw)
+    phi += 2.0 * PI * np.round((anchor - phi[0]) / (2.0 * PI))
+    return phi, float(np.max(np.abs(np.diff(phi)), initial=0.0))
+
+
+def _source_azimuth(traj):
+    return float(bloch_angles(traj.source)[1])
 
 
 def fubini_study_density(theta):
@@ -83,8 +109,9 @@ def test_parallel_time_average_oracle(canonical):
     v = accessed_volume(traj)
     assert v == pytest.approx(PI / 8, abs=1e-12)
     # sanity: V at the final sample is w*t_B = pi/4
-    assert _volume_samples(traj.theta[0], traj.phi[0], traj.theta[-1],
-                           traj.phi[-1], _PARALLEL) == \
+    theta, phi = traj.angles_at(traj.t)
+    assert _volume_samples(theta[0], phi[0], theta[-1], phi[-1],
+                           _PARALLEL) == \
         pytest.approx(PI / 4, abs=1e-10)
 
 
@@ -237,10 +264,11 @@ def test_accessed_rectangle_inside_accessible_box(canonical):
     for alpha in (PI / 16, PI / 3, 0.9 * PI):
         traj = sample_trajectory(canonical, SubOptimalParams(alpha))
         box = bounding_box(traj)
-        assert np.all(traj.theta >= box.theta_min - 1e-12)
-        assert np.all(traj.theta <= box.theta_max + 1e-12)
-        assert np.all(traj.phi >= box.phi_min - 1e-12)
-        assert np.all(traj.phi <= box.phi_max + 1e-12)
+        theta, phi = traj.angles_at(traj.t)
+        assert np.all(theta >= box.theta_min - 1e-12)
+        assert np.all(theta <= box.theta_max + 1e-12)
+        assert np.all(phi >= box.phi_min - 1e-12)
+        assert np.all(phi <= box.phi_max + 1e-12)
 
 
 def test_polar_reflection_identity(canonical):
@@ -336,7 +364,8 @@ def test_invariants_across_separation_angles():
             assert 0.0 <= rep.complexity < 1.0
             assert rep.length_scale >= rep.s - 1e-12
             traj = sample_trajectory(problem, params)
-            assert traj.phi[-1] == pytest.approx(theta_ab, abs=1e-7)
+            assert traj.angles_at(traj.t_b)[1] == pytest.approx(theta_ab,
+                                                                abs=1e-7)
             numeric = path_length_numeric(traj)
             assert numeric == pytest.approx(rep.s, abs=1e-6)
 
@@ -421,9 +450,9 @@ def _log_builds(monkeypatch, log, name):
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_analyze_samples_nothing(canonical, monkeypatch, mode):
-    # the sampled grid is the times t, the states there, and their angles,
-    # which come from angles_from_states alone
-    log = _count_calls(monkeypatch, trajectory, "angles_from_states")
+    # the sampled grid is the times t and the states there; every sampled
+    # angle is angles_at at those times
+    log = []
     for name in ("t", "states"):
         _log_builds(monkeypatch, log, name)
     for problem, params in ((canonical, SubOptimalParams(PI / 16)),
@@ -441,14 +470,15 @@ def test_analyze_ignores_changes_to_a_copy_of_the_source_state():
     assert analyze(problem, params) == before
 
 
-@pytest.mark.parametrize("energy, hbar", [(1e308, 1.0), (1e10, 1e-300)])
+@pytest.mark.parametrize("energy, hbar", [(1e308, 1.0), (1e10, 1e-300),
+                                          (1e-300, 1e10), (5e-324, 1.0)])
 def test_analyze_rejects_a_rotation_span_that_overflows(energy, hbar):
-    # 2|h|/hbar overflows to inf, and the rotation angle 2wt_b with it
-    problem = EvolutionProblem(np.array([1.0, 0.0, 0.0]),
-                               np.array([0.0, 1.0, 0.0]), energy=energy,
-                               hbar=hbar)
-    with pytest.raises(ValueError, match="not finite"):
-        analyze(problem, SubOptimalParams(0.3))
+    # E/hbar outside [1e-300, 1e300]: 2|h|/hbar or t_b, and the rotation
+    # angle 2wt_b with it, would overflow to inf; the problem is rejected
+    # when it is built, before analyze can run
+    with pytest.raises(ValueError, match="energy/hbar"):
+        EvolutionProblem(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                         energy=energy, hbar=hbar)
 
 
 def test_bounding_box_finds_extremum_inside_last_interval():
@@ -498,7 +528,8 @@ def _dense_extrema(t, y, f):
 def _dense_box(traj, n=100_001):
     ev = traj.states_at
     t = np.linspace(traj.t_a, traj.t_b, n)
-    theta, phi = angles_from_states(ev(t), float(traj.phi[0]))
+    theta = bloch_angles(ev(t))[0]
+    phi, _ = _unwrapped(ev(t), _source_azimuth(traj))
 
     def theta_at(x, k):
         return float(bloch_angles(ev(x))[0])
@@ -566,11 +597,12 @@ def test_closed_form_matches_dense_search(a, b, alpha, omega):
     problem = EvolutionProblem(a, b, energy=omega)
     try:
         traj = sample_trajectory(problem, SubOptimalParams(alpha))
-        traj.phi  # the dense reference starts from the sampled azimuth
         box = bounding_box(traj)
         times = branch_times(traj)
     except BlochComplexityError:
         assume(False)
+    # the dense reference needs a sampling that resolves the winding
+    assume(_unwrapped(traj.states, _source_azimuth(traj))[1] <= PI / 2)
     got = (box.theta_min, box.theta_max, box.phi_min, box.phi_max)
     assert got == pytest.approx(_dense_box(traj), abs=1e-9)
     dense = _dense_branch_times(traj)
@@ -593,11 +625,12 @@ def test_angles_at_matches_sampled_unwrap(a, b, alpha, omega):
     try:
         traj = sample_trajectory(EvolutionProblem(a, b, energy=omega),
                                  SubOptimalParams(alpha))
-        sampled = traj.phi
     except BlochComplexityError:
         assume(False)
+    sampled, worst = _unwrapped(traj.states, _source_azimuth(traj))
+    assume(worst <= PI / 2)
     theta, phi = traj.angles_at(traj.t)
-    assert np.array_equal(theta, traj.theta)
+    assert np.array_equal(theta, bloch_angles(traj.states)[0])
     away = np.sin(theta) > 1e-3
     assert np.abs(phi - sampled)[away].max(initial=0.0) <= 1e-12
 
@@ -606,8 +639,24 @@ def test_angles_at_matches_sampled_unwrap_on_canonical_grid(canonical):
     for k in range(17):
         traj = sample_trajectory(canonical, SubOptimalParams(k * PI / 16))
         theta, phi = traj.angles_at(traj.t)
-        assert np.array_equal(theta, traj.theta)
-        assert np.max(np.abs(phi - traj.phi)) <= 1e-12
+        sampled, _ = _unwrapped(traj.states, _source_azimuth(traj))
+        assert np.array_equal(theta, bloch_angles(traj.states)[0])
+        assert np.max(np.abs(phi - sampled)) <= 1e-12
+
+
+def test_evolve_columns_match_the_unwrapped_samples(canonical):
+    # evolve's theta and phi columns, every row, against the polar angles
+    # and the unwrapped azimuths of the samples, at the CSV's 12 digits
+    for k in range(17):
+        traj = sample_trajectory(canonical, SubOptimalParams(k * PI / 16),
+                                 n=2049)
+        buffer = io.StringIO()
+        write_trajectory_csv(traj, buffer)
+        rows = [line.split(",") for line in buffer.getvalue().splitlines()[1:]]
+        phi, _ = _unwrapped(traj.states, _source_azimuth(traj))
+        assert [row[1] for row in rows] == [
+            f"{x:.12g}" for x in bloch_angles(traj.states)[0]]
+        assert [row[2] for row in rows] == [f"{x:.12g}" for x in phi]
 
 
 _cap_sources = st.builds(
@@ -633,21 +682,23 @@ def test_start_is_the_angles_at_t_a(a, b, alpha):
 
 def _oracle_accessed_volume(traj, mode):
     """Accessed volume by scipy's adaptive quadrature in time. The azimuth
-    is resolved against the sampled unwrap; inside a pole cap it holds its
+    is resolved against the unwrapped samples; inside a pole cap it holds its
     value at the rim crossed last (the first one, for a start inside a
     cap), each rim found by brentq between the samples that bracket it.
     Each segment is split at those rims, at the zeros of cos(theta) -
     cos(theta_A) and of phi - phi_A (brentq again), and next to each polar
     turning point."""
     ev = traj.states_at
+    sampled_theta = bloch_angles(traj.states)[0]
+    sampled_phi, _ = _unwrapped(traj.states, _source_azimuth(traj))
 
     def sin_theta_off_rim(t):
         return np.sin(bloch_angles(ev(t))[0]) - AZIMUTH_POLE_EPS
 
     def unfrozen(t, raw):
-        return float(nearest_branch(raw, np.interp(t, traj.t, traj.phi)))
+        return float(nearest_branch(raw, np.interp(t, traj.t, sampled_phi)))
 
-    capped = np.sin(traj.theta) < AZIMUTH_POLE_EPS
+    capped = np.sin(sampled_theta) < AZIMUTH_POLE_EPS
     rims = [brentq(sin_theta_off_rim, traj.t[k], traj.t[k + 1], xtol=1e-15)
             for k in np.flatnonzero(capped[:-1] != capped[1:])]
     rim_phi = [unfrozen(t, bloch_angles(ev(t))[1]) for t in rims]
@@ -657,7 +708,7 @@ def _oracle_accessed_volume(traj, mode):
         if np.sin(theta) >= AZIMUTH_POLE_EPS:
             return theta, unfrozen(t, raw)
         if not rims:
-            return theta, float(traj.phi[0])
+            return theta, float(sampled_phi[0])
         return theta, rim_phi[max(np.searchsorted(rims, t, "right") - 1, 0)]
 
     theta_a, phi_a = angles(0.0)
@@ -671,12 +722,12 @@ def _oracle_accessed_volume(traj, mode):
         return [brentq(f, traj.t[k], traj.t[k + 1], xtol=1e-15)
                 for k in np.flatnonzero(np.sign(y[:-1]) * np.sign(y[1:]) < 0)]
 
-    turns = np.diff(np.sign(np.diff(traj.theta)))
+    turns = np.diff(np.sign(np.diff(sampled_theta)))
     points = np.concatenate([
         rims, traj.t[np.flatnonzero(turns) + 1],
         zeros(lambda t: np.cos(angles(t)[0]) - np.cos(theta_a),
-              np.cos(traj.theta) - np.cos(theta_a)),
-        zeros(lambda t: angles(t)[1] - phi_a, traj.phi - phi_a)])
+              np.cos(sampled_theta) - np.cos(theta_a)),
+        zeros(lambda t: angles(t)[1] - phi_a, sampled_phi - phi_a)])
     cuts = branch_times(traj) if mode == "appendix_piecewise" else []
     bounds = [traj.t_a] + cuts + [traj.t_b]
     total = 0.0
@@ -701,11 +752,12 @@ def test_accessed_volume_matches_scipy_quadrature(a, b, alpha, omega):
     try:
         traj = sample_trajectory(EvolutionProblem(a, b, energy=omega),
                                  SubOptimalParams(alpha))
-        traj.phi
         volumes = {mode: accessed_volume(traj, mode)
                    for mode in AVERAGING_MODES}
     except BlochComplexityError:
         assume(False)
+    # the oracle resolves the azimuth against the unwrapped samples
+    assume(_unwrapped(traj.states, _source_azimuth(traj))[1] <= PI / 2)
     for mode, v_bar in volumes.items():
         assert v_bar == pytest.approx(_oracle_accessed_volume(traj, mode),
                                       abs=1e-10)

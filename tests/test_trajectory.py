@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochcomplexity import (EvolutionProblem, SubOptimalParams,
-                             UnwrapAmbiguity, bloch_angles, propagator,
-                             sample_trajectory, suboptimal_field,
-                             unwrap_azimuth, write_trajectory_csv)
+                             bloch_angles, propagator, sample_trajectory,
+                             suboptimal_field, write_trajectory_csv)
 from reference_values import (ARRIVAL_TIME_PI16, THETA_MAX_PI16,
                               THETA_MIN_15PI16)
 
@@ -63,43 +62,6 @@ def test_azimuth_raw_reduces_to_arctan_difference():
         assert azimuth_raw(state) == pytest.approx(expected, abs=1e-12)
 
 
-def test_unwrap_constant_sequence():
-    raw = np.full(10, 0.3)
-    out = unwrap_azimuth(raw, 0.3)
-    assert np.array_equal(out, raw)
-
-
-def test_unwrap_linear_growth_through_wraps():
-    true = np.linspace(0.0, 13.0, 400)
-    raw = np.angle(np.exp(1j * true))
-    out = unwrap_azimuth(raw, 0.0)
-    assert np.allclose(out, true, atol=1e-12)
-
-
-def test_unwrap_anchor_shifts_by_two_pi():
-    raw = np.array([0.1, 0.2, 0.3])
-    out = unwrap_azimuth(raw, 0.1 + 6 * np.pi)
-    assert np.allclose(out, raw + 6 * np.pi)
-
-
-def test_unwrap_ambiguity_raised_on_undersampling():
-    raw = np.array([0.0, 2.0, 4.0])  # jumps of 2 rad > pi/2
-    with pytest.raises(UnwrapAmbiguity):
-        unwrap_azimuth(raw, 0.0)
-
-
-@settings(max_examples=50)
-@given(st.floats(min_value=-20.0, max_value=20.0),
-       st.floats(min_value=0.2, max_value=15.0),
-       st.integers(min_value=50, max_value=400))
-def test_unwrap_recovers_smooth_curves(start, span, n):
-    true = start + np.linspace(0.0, span, n) ** 1.3 / span ** 0.3
-    if np.max(np.abs(np.diff(true))) > np.pi / 2:
-        return
-    out = unwrap_azimuth(np.angle(np.exp(1j * true)), true[0])
-    assert np.allclose(out, true, atol=1e-9)
-
-
 def test_sample_trajectory_rejects_small_n(canonical):
     with pytest.raises(ValueError):
         sample_trajectory(canonical, SubOptimalParams(0.5), n=10)
@@ -107,33 +69,37 @@ def test_sample_trajectory_rejects_small_n(canonical):
 
 def test_optimal_trajectory_is_equatorial(canonical):
     traj = sample_trajectory(canonical, SubOptimalParams(np.pi / 2), n=4097)
-    assert np.max(np.abs(traj.theta - np.pi / 2)) < 1e-10
+    theta, phi = traj.angles_at(traj.t)
+    assert np.max(np.abs(theta - np.pi / 2)) < 1e-10
     # phi grows as 2 w t along the parallel
-    assert np.allclose(traj.phi, 2.0 * traj.t, atol=1e-10)
+    assert np.allclose(phi, 2.0 * traj.t, atol=1e-10)
 
 
 def test_trajectory_angles_pi16(canonical):
     traj = sample_trajectory(canonical, SubOptimalParams(np.pi / 16), n=4097)
-    assert traj.theta[0] == pytest.approx(np.pi / 2, abs=1e-10)
-    assert traj.theta[-1] == pytest.approx(np.pi / 2, abs=1e-10)
-    assert np.max(traj.theta) == pytest.approx(THETA_MAX_PI16, abs=1e-6)
+    theta, _ = traj.angles_at(traj.t)
+    assert theta[0] == pytest.approx(np.pi / 2, abs=1e-10)
+    assert theta[-1] == pytest.approx(np.pi / 2, abs=1e-10)
+    assert np.max(theta) == pytest.approx(THETA_MAX_PI16, abs=1e-6)
     assert traj.t[-1] == pytest.approx(ARRIVAL_TIME_PI16, abs=1e-12)
 
 
 def test_trajectory_angles_15pi16(canonical):
     traj = sample_trajectory(canonical, SubOptimalParams(15 * np.pi / 16),
                              n=4097)
-    assert np.min(traj.theta) == pytest.approx(THETA_MIN_15PI16, abs=1e-6)
-    assert np.max(traj.theta) == pytest.approx(np.pi / 2, abs=1e-10)
+    theta, _ = traj.angles_at(traj.t)
+    assert np.min(theta) == pytest.approx(THETA_MIN_15PI16, abs=1e-6)
+    assert np.max(theta) == pytest.approx(np.pi / 2, abs=1e-10)
 
 
 def test_trajectory_endpoints_for_all_alpha(canonical):
     for k in range(0, 17):
         traj = sample_trajectory(canonical, SubOptimalParams(k * np.pi / 16),
                                  n=2049)
-        assert traj.theta[0] == pytest.approx(np.pi / 2, abs=1e-10)
-        assert abs(traj.phi[0]) < 1e-10
-        assert traj.phi[-1] == pytest.approx(np.pi / 2, abs=1e-8)
+        theta, phi = traj.angles_at(traj.t)
+        assert theta[0] == pytest.approx(np.pi / 2, abs=1e-10)
+        assert abs(phi[0]) < 1e-10
+        assert phi[-1] == pytest.approx(np.pi / 2, abs=1e-8)
 
 
 def test_unwrapped_azimuth_matches_piecewise_arctan_construction(canonical):
@@ -147,7 +113,7 @@ def test_unwrapped_azimuth_matches_piecewise_arctan_construction(canonical):
                     - np.arctan(c0.imag / c0.real))
     from reference_values import BRANCH_TIME_PI16
     expected = arctan_based + np.where(traj.t >= BRANCH_TIME_PI16, np.pi, 0.0)
-    assert np.max(np.abs(traj.phi - expected)) < 1e-9
+    assert np.max(np.abs(traj.angles_at(traj.t)[1] - expected)) < 1e-9
 
 
 def test_mirror_symmetry_of_polar_angle(canonical):
@@ -156,7 +122,8 @@ def test_mirror_symmetry_of_polar_angle(canonical):
         t1 = sample_trajectory(canonical, SubOptimalParams(alpha), n=2049)
         t2 = sample_trajectory(canonical, SubOptimalParams(np.pi - alpha),
                                n=2049)
-        assert np.allclose(t1.theta + t2.theta, np.pi, atol=1e-8)
+        assert np.allclose(t1.angles_at(t1.t)[0] + t2.angles_at(t2.t)[0],
+                           np.pi, atol=1e-8)
 
 
 def test_angular_speed_matches_energy_uncertainty(canonical):
@@ -167,9 +134,10 @@ def test_angular_speed_matches_energy_uncertainty(canonical):
         traj = sample_trajectory(canonical, params, n=4097)
         f = suboptimal_field(canonical, params)
         dt = traj.t[1] - traj.t[0]
-        dtheta = np.gradient(traj.theta, dt)
-        dphi = np.gradient(traj.phi, dt)
-        speed = np.sqrt(dtheta ** 2 + np.sin(traj.theta) ** 2 * dphi ** 2)
+        theta, phi = traj.angles_at(traj.t)
+        dtheta = np.gradient(theta, dt)
+        dphi = np.gradient(phi, dt)
+        speed = np.sqrt(dtheta ** 2 + np.sin(theta) ** 2 * dphi ** 2)
         expected = 2.0 * np.sqrt(f.magnitude ** 2
                                  - float(f.h @ canonical.a_hat) ** 2)
         # central differences are O(dt^2); skip the one-sided end samples
@@ -189,6 +157,20 @@ def test_csv_dump_format(canonical):
     assert float(first[3]) == pytest.approx(1 / SQ2, abs=1e-12)
     # 12 significant digits
     assert first[1] == f"{np.pi / 2:.12g}"
+
+
+@pytest.mark.parametrize("b", ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                               [0.0, -1.0, 0.0]), ids=("y", "x", "-y"))
+@pytest.mark.parametrize("alpha", (0.3, 1.2, 2.0))
+def test_csv_rows_inside_a_pole_cap_hold_the_rim_azimuth(b, alpha):
+    # a source at the north pole: the first row lies inside the cap, where
+    # the azimuth is the one at which the trajectory leaves it
+    problem = EvolutionProblem(np.array([0.0, 0.0, 1.0]), np.array(b))
+    traj = sample_trajectory(problem, SubOptimalParams(alpha), n=2049)
+    buffer = io.StringIO()
+    write_trajectory_csv(traj, buffer)
+    first = buffer.getvalue().splitlines()[1].split(",")
+    assert first[2] == f"{traj.azimuth.rim_phi[0]:.12g}"
 
 
 def test_trajectory_time_grid(canonical):
