@@ -11,9 +11,8 @@ from .errors import (AveragingDomainError, BlochComplexityError,
 from .hamiltonians import (EvolutionProblem, FieldVector, SubOptimalParams,
                            amplitudes, equatorial_problem, evolution_time,
                            optimal_field, propagator, suboptimal_field)
-from .metrics import (curvature_coefficient, geodesic_distance,
-                      geodesic_efficiency, path_length, path_length_numeric,
-                      speed_efficiency)
+from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
+                      path_length_numeric, speed_efficiency)
 from .qubit import (bloch_angles, bloch_from_state, density_from_bloch,
                     pauli_dot, state_from_bloch)
 from .trajectory import Trajectory, sample_trajectory, write_trajectory_csv

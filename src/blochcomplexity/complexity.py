@@ -15,7 +15,8 @@ C = (V_max - V̄)/V_max, and the length scale is L_C = s/sqrt(1 - C).
 Evolutions confined to a parallel (constant theta) or a meridian (constant
 phi) have a degenerate rectangle; a dedicated convention replaces the
 vanishing factor so that both degenerate cases give V(t) = |moving extent|/2
-and V_max = (total extent)/2. Reports flag when this convention is active.
+and V_max = (total extent)/2. A report's ``degeneracy_label`` names the
+degenerate axis: "theta" (a parallel), "phi" (a meridian) or "none".
 
 Two time-averaging modes exist; both sum the averages of V(t) over
 segments of the duration. ``uniform`` is the single-segment case: one
@@ -35,14 +36,14 @@ the azimuth turns fastest near a pole), at the rims of the pole caps, and at
 the segment boundaries.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
-from .metrics import (_arc_length, curvature_coefficient, geodesic_distance,
-                      speed_efficiency)
+from .metrics import _arc_length, curvature_coefficient, speed_efficiency
 from .trajectory import (DEFAULT_SAMPLES, _arc_ends, _cos_roots,
                          sample_trajectory)
 
@@ -82,7 +83,7 @@ class AngularBox:
 
 @dataclass(frozen=True)
 class VolumeReport:
-    """Accessed and accessible volumes with the box they come from.
+    """Accessed and accessible volumes with the ``box`` they come from.
 
     ``segments`` holds one ``(t0, t1, average)`` per averaging segment; the
     averages sum to ``v_bar``.
@@ -90,12 +91,7 @@ class VolumeReport:
 
     v_bar: float
     v_max: float
-    theta_min: float
-    theta_max: float
-    phi_min: float
-    phi_max: float
-    degenerate_theta: bool
-    degenerate_phi: bool
+    box: AngularBox
     averaging_mode: str
     segments: tuple
 
@@ -128,15 +124,7 @@ class EvolutionReport:
     complexity: float
     length_scale: float
     volume: VolumeReport
-
-    @property
-    def degeneracy_label(self):
-        parts = []
-        if self.volume.degenerate_theta:
-            parts.append("theta")
-        if self.volume.degenerate_phi:
-            parts.append("phi")
-        return "+".join(parts) if parts else "none"
+    degeneracy_label: str
 
 
 def accessed_volume(traj, mode=DEFAULT_AVERAGING_MODE):
@@ -181,24 +169,20 @@ def analyze(problem, params, config=None):
     c = complexity(v_bar, v_max)
     s = _arc_length(problem, params, traj.t_b)
     f = traj.field
-    volume = VolumeReport(
-        v_bar=v_bar, v_max=v_max,
-        theta_min=box.theta_min, theta_max=box.theta_max,
-        phi_min=box.phi_min, phi_max=box.phi_max,
-        degenerate_theta=kind == _PARALLEL,
-        degenerate_phi=kind == _MERIDIAN,
-        averaging_mode=config.averaging_mode,
-        segments=segments)
+    volume = VolumeReport(v_bar=v_bar, v_max=v_max, box=box,
+                          averaging_mode=config.averaging_mode,
+                          segments=segments)
     return EvolutionReport(
         alpha=params.alpha,
         t_ab=traj.t_b,
         s=s,
-        eta_ge=geodesic_distance(problem) / s,
+        eta_ge=problem.theta_ab / s,
         eta_se=speed_efficiency(f, problem.a_hat),
         kappa2=curvature_coefficient(f, problem.a_hat),
         complexity=c,
         length_scale=complexity_length_scale(s, c),
-        volume=volume)
+        volume=volume,
+        degeneracy_label=kind)
 
 
 def bounding_box(traj):
@@ -213,7 +197,7 @@ def bounding_box(traj):
     count as well.
     """
     n, na, u, v = traj.circle
-    w2 = 2.0 * traj.rate
+    w2 = 2.0 * traj.problem.omega
     span = (0.0, w2 * traj.t_b)
     t_theta = _polar_turns(traj.circle, span) / w2
     # (r x r')_z / 2w = |u|^2 n_z - (n.a)(u_z cos + v_z sin) vanishes
@@ -234,17 +218,21 @@ def branch_times(traj):
 
     ``Re c_k(t) = cos(wt) Re psi0_k + sin(wt) Im(n.sigma psi0)_k``, so the
     instants are closed-form roots. Crossings through (numerical) zeros of
-    the whole amplitude, i.e. poles, are not branch flips and are skipped.
-    Roots within 1e-12 of either end, or within 1e-9 of the previous root,
+    the whole amplitude, i.e. poles, are not branch flips and are skipped,
+    and so is a component whose Re c_k vanishes identically (both
+    coefficients at rounding level), where any root would be noise. Roots
+    within 1e-12 of either end, or within 1e-9 of the previous root,
     are dropped; both filters act on the rotation angle wt, so the result
     scales exactly as 1/w.
     """
-    w = traj.rate
+    w = traj.problem.omega
     lo, hi = span = (0.0, w * traj.t_b)
     roots = []
     for comp in range(2):
-        xs = _cos_roots(traj.source[comp].real, traj.turned[comp].imag, 0.0,
-                        span)
+        p, q = traj.source[comp].real, traj.turned[comp].imag
+        if math.hypot(p, q) <= 1e-12:
+            continue
+        xs = _cos_roots(p, q, 0.0, span)
         roots.extend(xs[np.abs(traj.states_at(xs / w)[:, comp]) > 1e-9])
     merged = []
     for x in sorted(roots):
@@ -256,28 +244,26 @@ def branch_times(traj):
 
 # -- internals ---------------------------------------------------------------
 
-# degeneracy kinds decided once per trajectory from the exact box
-_RECTANGLE = "rectangle"
-_PARALLEL = "parallel"   # theta extent degenerate: V = |d phi| / 2
-_MERIDIAN = "meridian"   # phi extent degenerate:   V = |d theta| / 2
-
-
 def _degeneracy_kind(box):
+    """The degeneracy label, decided once per trajectory from the exact box:
+    "theta" when the theta extent is degenerate (a parallel, V = |d phi|/2),
+    "phi" when the phi extent is (a meridian, V = |d theta|/2), else
+    "none"."""
     theta_deg = box.theta_extent < EPS_DEGENERATE
     phi_deg = box.phi_extent < EPS_DEGENERATE
     if theta_deg and phi_deg:
         raise NonPositiveVolume("trajectory does not move in (theta, phi)")
     if theta_deg:
-        return _PARALLEL
+        return "theta"
     if phi_deg:
-        return _MERIDIAN
-    return _RECTANGLE
+        return "phi"
+    return "none"
 
 
 def _box_volume(box, kind):
-    if kind == _PARALLEL:
+    if kind == "theta":
         return 0.5 * box.phi_extent
-    if kind == _MERIDIAN:
+    if kind == "phi":
         return 0.5 * box.theta_extent
     return 0.25 * ((np.cos(box.theta_min) - np.cos(box.theta_max))
                    * box.phi_extent)
@@ -287,9 +273,9 @@ def _volume_samples(theta_a, phi_a, theta, phi, kind):
     """V(t) at the given angles, the one formula for the instantaneous
     volume. ``kind`` is decided once per trajectory, so every sample of one
     trajectory uses the same convention."""
-    if kind == _PARALLEL:
+    if kind == "theta":
         return 0.5 * np.abs(phi - phi_a)
-    if kind == _MERIDIAN:
+    if kind == "phi":
         return 0.5 * np.abs(theta - theta_a)
     return 0.25 * np.abs((np.cos(theta_a) - np.cos(theta)) * (phi - phi_a))
 
@@ -298,9 +284,9 @@ def _accessed_volume(traj, mode, kind):
     """Accessed volume plus the per-segment averages that make it up."""
     if mode not in AVERAGING_MODES:
         raise ValueError(f"unknown averaging mode {mode!r}")
-    w2 = 2.0 * traj.rate
+    w2 = 2.0 * traj.problem.omega
     cuts = branch_times(traj) if mode == APPENDIX_PIECEWISE else []
-    bounds = [traj.t_a] + cuts + [traj.t_b]
+    bounds = [0.0] + cuts + [traj.t_b]
     x_bounds = w2 * np.array(bounds)
     theta_a, phi_a = traj.start
 
@@ -331,7 +317,7 @@ def _panel_edges(traj, x_bounds):
     every interior point where V may kink or its azimuth turns fast."""
     u, v = traj.circle.u, traj.circle.v
     span = (x_bounds[0], x_bounds[-1])
-    w2 = 2.0 * traj.rate
+    w2 = 2.0 * traj.problem.omega
     # z(x) - z_A = R_z (cos(x - c) - cos c): zero at x = 0 and at 2c
     c = np.arctan2(v[2], u[2])
     kinks = np.concatenate([_arc_ends(c, c, span),

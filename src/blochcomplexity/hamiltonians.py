@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .qubit import IDENTITY, cross, pauli_dot, state_from_bloch
+from .qubit import IDENTITY, _require_unit, cross, pauli_dot, state_from_bloch
 
 # |a x b| = sin(theta_AB) below this makes the axis construction blow up
 DEGENERACY_EPS = 1e-12
@@ -43,8 +43,8 @@ class EvolutionProblem:
     theta_ab: float = field(init=False)
 
     def __post_init__(self):
-        a = _unit(np.asarray(self.a_hat, dtype=float), "a_hat")
-        b = _unit(np.asarray(self.b_hat, dtype=float), "b_hat")
+        a = _require_unit(self.a_hat, "a_hat")
+        b = _require_unit(self.b_hat, "b_hat")
         for name in ("energy", "hbar"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:  # also false for NaN
@@ -55,6 +55,13 @@ class EvolutionProblem:
         if not 1e-300 <= self.omega <= 1e300:
             raise ValueError(
                 f"energy/hbar must lie in [1e-300, 1e300], got {self.omega}")
+        # each bounded too: a subnormal E leaves the field h = E n without a
+        # reliable direction
+        for name in ("energy", "hbar"):
+            value = getattr(self, name)
+            if not 1e-300 <= value <= 1e300:
+                raise ValueError(
+                    f"{name} must lie in [1e-300, 1e300], got {value}")
         theta = float(np.arctan2(np.linalg.norm(cross(a, b)), np.dot(a, b)))
         object.__setattr__(self, "a_hat", a)
         object.__setattr__(self, "b_hat", b)
@@ -153,17 +160,16 @@ def propagator(f, t, hbar=1.0):
 def evolution_time(problem, params):
     """Arrival time of the family member at the target state:
 
-        t(alpha) = (hbar/E) * arccos[ sin(alpha) cos(theta_AB/2)
-                                      / sqrt(1 - cos^2(alpha) cos^2(theta_AB/2)) ]
+        t(alpha) = (hbar/E) atan2(sin(theta_AB/2), sin(alpha) cos(theta_AB/2))
 
     Equals hbar*theta_AB/(2E) at alpha = pi/2 and is symmetric under
-    alpha -> pi - alpha.
+    alpha -> pi - alpha. The atan2 keeps the angle's relative precision at
+    every separation, where its cosine rounds to 1 once theta_AB is small.
     """
     problem.require_nondegenerate()
     half = problem.theta_ab / 2.0
-    arg = np.clip(np.sin(params.alpha) * np.cos(half)
-                  / _family_root(params.alpha, half), -1.0, 1.0)
-    return (problem.hbar / problem.energy) * float(np.arccos(arg))
+    return (problem.hbar / problem.energy) * math.atan2(
+        math.sin(half), math.sin(params.alpha) * math.cos(half))
 
 
 def amplitudes(problem, params, t):
@@ -186,22 +192,6 @@ def equatorial_problem(theta_ab=np.pi / 2.0, energy=1.0):
                             energy=energy)
 
 
-def _family_root(alpha, half):
-    """sqrt(1 - cos^2(alpha) cos^2(half)) as hypot(sin(alpha),
-    cos(alpha) sin(half)): the same value, without the cancellation that
-    makes it 0 once cos(half) rounds to 1."""
-    return np.hypot(np.sin(alpha), np.cos(alpha) * np.sin(half))
-
-
 def _read_only(a):
     a.flags.writeable = False
     return a
-
-
-def _unit(v, name):
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be a finite 3-vector")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a unit vector, got norm {norm}")
-    return v / norm

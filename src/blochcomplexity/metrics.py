@@ -9,17 +9,13 @@ rotation-axis (time-optimal) field. Both are computed from the field
 direction alone, so they do not depend on the energy scale.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ParallelField
-from .hamiltonians import _family_root, evolution_time
+from .hamiltonians import evolution_time
 from .numerics import simpson_uniform
-
-
-def geodesic_distance(problem):
-    """2*arccos|<A|B>|, which equals the separation angle theta_AB."""
-    overlap = abs(np.vdot(problem.source_state, problem.target_state))
-    return 2.0 * float(np.arccos(np.clip(overlap, 0.0, 1.0)))
 
 
 def path_length(problem, params):
@@ -34,8 +30,11 @@ def path_length(problem, params):
 
 def _arc_length(problem, params, t):
     """The closed form of `path_length` at a given evolution time t(alpha),
-    for callers that already hold it."""
-    root = _family_root(params.alpha, problem.theta_ab / 2.0)
+    for callers that already hold it. The root is taken as hypot(sin(alpha),
+    cos(alpha) sin(theta_AB/2)): the same value, without the cancellation
+    that makes it 0 once cos(theta_AB/2) rounds to 1."""
+    half = problem.theta_ab / 2.0
+    root = np.hypot(np.sin(params.alpha), np.cos(params.alpha) * np.sin(half))
     return 2.0 * root * problem.omega * t
 
 
@@ -59,30 +58,30 @@ def path_length_numeric(traj):
 
 
 def geodesic_efficiency(problem, params):
-    """s0/s; equals 1 exactly when the path is the geodesic (alpha = pi/2)."""
-    return geodesic_distance(problem) / path_length(problem, params)
+    """theta_AB/s; equals 1 exactly when the path is the geodesic
+    (alpha = pi/2)."""
+    return problem.theta_ab / path_length(problem, params)
 
 
 def speed_efficiency(f, a_hat):
     """sqrt(h_perp^2) / |h|: the fraction of the drive that actually moves the
     state instead of spinning it about its own axis."""
-    m = f.magnitude
-    if m == 0.0:
-        raise ValueError("zero field has no speed efficiency")
-    cos_angle = float(np.dot(f.direction, a_hat))
-    return float(np.sqrt(max(1.0 - cos_angle ** 2, 0.0)))
+    return math.sqrt(_split(f, a_hat)[1])
 
 
 def curvature_coefficient(f, a_hat):
     """4*(a.h)^2 / (h^2 - (a.h)^2), the squared bending coefficient of the
-    path generated by field h from Bloch vector a, as 4c^2/(1 - c^2) with
-    c = n.a for the field direction n. 1 - c^2 is taken as |a - c n|^2, which
-    keeps its relative precision where c^2 rounds close to 1."""
-    n = f.direction
-    c = float(np.dot(n, a_hat))
-    across = a_hat - c * n
-    perp = float(across @ across)
+    path generated by field h from Bloch vector a, as 4c^2/(1 - c^2)."""
+    c, perp = _split(f, a_hat)
     if perp < 1e-12:
         raise ParallelField("field is parallel to the Bloch vector")
     return 4.0 * c * c / perp
 
+
+def _split(f, a_hat):
+    """c = n.a for the field direction n, and 1 - c^2 taken as |a - c n|^2,
+    which keeps its relative precision where c^2 rounds close to 1."""
+    n = f.direction
+    c = float(np.dot(n, a_hat))
+    across = a_hat - c * n
+    return c, float(across @ across)

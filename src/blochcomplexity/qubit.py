@@ -37,7 +37,7 @@ def cross(a, b):
 def state_from_bloch(v):
     """State vector (cos(theta/2), exp(i*phi) sin(theta/2)) for a unit Bloch
     vector, with the global phase fixed so the |0> amplitude is real >= 0."""
-    v = _require_unit(v)
+    v = _require_unit(v, "v")
     theta = np.arctan2(np.hypot(v[0], v[1]), v[2])
     phi = 0.0 if np.hypot(v[0], v[1]) < POLE_EPS else np.arctan2(v[1], v[0])
     return np.array([np.cos(theta / 2.0),
@@ -70,15 +70,17 @@ def bloch_from_state(state):
 
 def density_from_bloch(v):
     """Pure-state density matrix (1 + v.sigma)/2; rejects non-unit input."""
-    v = _require_unit(v)
+    v = _require_unit(v, "v")
     return 0.5 * (IDENTITY + pauli_dot(v))
 
 
-def _require_unit(v, tol=1e-9):
+def _require_unit(v, name):
+    """``v`` as a float array scaled to norm 1; rejects anything but a
+    finite 3-vector within 1e-9 of unit norm, naming the argument."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("expected a 3-vector")
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be a finite 3-vector")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"expected a unit vector, got |v| = {norm}")
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"{name} must be a unit vector, got norm {norm}")
     return v / norm

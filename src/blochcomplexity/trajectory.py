@@ -71,19 +71,13 @@ class Trajectory:
     source: np.ndarray
     turned: np.ndarray
 
-    @property
-    def t_a(self):
-        return 0.0
-
-    @cached_property
-    def rate(self):
-        """Amplitude rate w = |h|/hbar; the Bloch vector turns at 2w."""
-        return self.field.magnitude / self.problem.hbar
-
     def states_at(self, t):
-        """Closed-form states cos(wt) psi0 - i sin(wt) (n.sigma) psi0 at a
-        time array of shape (...), as an array of shape (..., 2)."""
-        return _evolve(self.source, self.turned, self.rate, t)
+        """Closed-form states cos(wt) psi0 - i sin(wt) (n.sigma) psi0, with
+        w = E/hbar (the Bloch vector turns at 2w), at a time array of shape
+        (...), as an array of shape (..., 2)."""
+        ang = self.problem.omega * np.asarray(t, dtype=float)
+        return (np.cos(ang)[..., None] * self.source
+                - 1j * np.sin(ang)[..., None] * self.turned)
 
     def angles_at(self, t):
         """Polar angles and continuous azimuths at a time array of shape
@@ -112,7 +106,7 @@ class Trajectory:
 
     @cached_property
     def start(self):
-        """(theta_A, phi_A), the angles at ``t_a``: the source's polar angle
+        """(theta_A, phi_A), the angles at t = 0: the source's polar angle
         and the azimuth that anchors the lift, as `angles_at` gives them."""
         return bloch_angles(self.source)[0], self.azimuth.phi_a
 
@@ -145,7 +139,7 @@ class AzimuthLift:
 
     def __init__(self, traj):
         n, na, u, v = traj.circle
-        w2 = 2.0 * traj.rate
+        w2 = 2.0 * traj.problem.omega
         x_b = w2 * traj.t_b
         x_rim = np.sort(_rim_crossings(n, na, u, v, (0.0, x_b)))
         theta0, phi_a = bloch_angles(traj.source)
@@ -199,12 +193,6 @@ class AzimuthLift:
             return np.full(np.shape(t), self.phi_a)
         k = np.searchsorted(self.rims, t, side="right") - 1
         return self.rim_phi[np.maximum(k, 0)]
-
-
-def _evolve(source, turned, rate, t):
-    ang = rate * np.asarray(t, dtype=float)
-    return (np.cos(ang)[..., None] * source
-            - 1j * np.sin(ang)[..., None] * turned)
 
 
 def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):

@@ -104,8 +104,8 @@ def test_criterion_5_degenerate_worked_examples(canonical):
         ok &= abs(rep.volume.v_bar - PI / 8) <= 1e-9
         ok &= abs(rep.volume.v_max - PI / 4) <= 1e-9
         ok &= abs(rep.complexity - 0.5) <= 1e-9
-    ok &= rep_parallel.volume.degenerate_theta
-    ok &= rep_meridian.volume.degenerate_phi
+    ok &= rep_parallel.degeneracy_label == "theta"
+    ok &= rep_meridian.degeneracy_label == "phi"
     _verdict(5, "parallel and meridian degenerate evolutions", ok)
 
 

@@ -17,8 +17,7 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              write_trajectory_csv)
 from blochcomplexity import hamiltonians
 from blochcomplexity import trajectory
-from blochcomplexity.complexity import (AVERAGING_MODES, _MERIDIAN, _PARALLEL,
-                                        _RECTANGLE, _box_volume,
+from blochcomplexity.complexity import (AVERAGING_MODES, _box_volume,
                                         _degeneracy_kind, _volume_samples)
 from blochcomplexity.trajectory import AZIMUTH_POLE_EPS, nearest_branch
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
@@ -75,17 +74,17 @@ def test_density_normalization():
     # the box-volume kernel gives the same area for the whole sphere
     sphere = AngularBox(theta_min=0.0, theta_max=PI, phi_min=0.0,
                         phi_max=2.0 * PI)
-    assert _box_volume(sphere, _RECTANGLE) == pytest.approx(sphere_area,
+    assert _box_volume(sphere, "none") == pytest.approx(sphere_area,
                                                             abs=1e-12)
 
 
 def test_instantaneous_volume_zero_at_start():
-    assert _volume_samples(1.2, 0.4, 1.2, 0.4, _RECTANGLE) == 0.0
+    assert _volume_samples(1.2, 0.4, 1.2, 0.4, "none") == 0.0
 
 
 def test_instantaneous_volume_rectangle():
     # quarter-turn azimuth strip from the equator down to THETA_MAX_PI16
-    value = _volume_samples(PI / 2, 0.0, THETA_MAX_PI16, PI / 2, _RECTANGLE)
+    value = _volume_samples(PI / 2, 0.0, THETA_MAX_PI16, PI / 2, "none")
     assert value == pytest.approx(0.2243, abs=5e-4)
     # independent route: double integral of the density over the rectangle
     strip, _ = quad(fubini_study_density, PI / 2, THETA_MAX_PI16)
@@ -94,10 +93,10 @@ def test_instantaneous_volume_rectangle():
 
 def test_instantaneous_volume_degenerate_conventions():
     # parallel: theta frozen -> |d phi| / 2
-    assert _volume_samples(PI / 2, 0.0, PI / 2, 0.8, _PARALLEL) == \
+    assert _volume_samples(PI / 2, 0.0, PI / 2, 0.8, "theta") == \
         pytest.approx(0.4)
     # meridian: phi frozen -> |d theta| / 2
-    assert _volume_samples(PI / 2, 1.0, PI / 2 - 0.6, 1.0, _MERIDIAN) == \
+    assert _volume_samples(PI / 2, 1.0, PI / 2 - 0.6, 1.0, "phi") == \
         pytest.approx(0.3)
 
 
@@ -111,7 +110,7 @@ def test_parallel_time_average_oracle(canonical):
     # sanity: V at the final sample is w*t_B = pi/4
     theta, phi = traj.angles_at(traj.t)
     assert _volume_samples(theta[0], phi[0], theta[-1], phi[-1],
-                           _PARALLEL) == \
+                           "theta") == \
         pytest.approx(PI / 4, abs=1e-10)
 
 
@@ -168,16 +167,16 @@ def test_accessed_volume_rejects_unknown_mode(canonical):
 def test_accessible_volume_pi16(canonical, oracle_gate):
     volume = analyze(canonical, SubOptimalParams(PI / 16)).volume
     assert volume.v_max == pytest.approx(VMAX_PI16, abs=1e-8)
-    assert volume.theta_min == pytest.approx(PI / 2, abs=1e-10)
-    assert volume.theta_max == pytest.approx(THETA_MAX_PI16, abs=1e-9)
-    assert volume.phi_min == pytest.approx(0.0, abs=1e-10)
-    assert volume.phi_max == pytest.approx(PI / 2, abs=1e-10)
+    assert volume.box.theta_min == pytest.approx(PI / 2, abs=1e-10)
+    assert volume.box.theta_max == pytest.approx(THETA_MAX_PI16, abs=1e-9)
+    assert volume.box.phi_min == pytest.approx(0.0, abs=1e-10)
+    assert volume.box.phi_max == pytest.approx(PI / 2, abs=1e-10)
 
 
 def test_accessible_volume_degenerate_parallel(canonical):
     volume = analyze(canonical, SubOptimalParams(PI / 2)).volume
     assert volume.v_max == pytest.approx(PI / 4, abs=1e-12)
-    assert volume.theta_max - volume.theta_min < 1e-9
+    assert volume.box.theta_max - volume.box.theta_min < 1e-9
 
 
 def test_accessible_volume_7pi16(canonical):
@@ -301,8 +300,6 @@ def test_parallel_worked_example(canonical):
     assert rep.volume.v_bar == pytest.approx(PI / 8, abs=1e-9)
     assert rep.volume.v_max == pytest.approx(PI / 4, abs=1e-9)
     assert rep.complexity == pytest.approx(0.5, abs=1e-9)
-    assert rep.volume.degenerate_theta
-    assert not rep.volume.degenerate_phi
     assert rep.degeneracy_label == "theta"
 
 
@@ -315,7 +312,6 @@ def test_meridian_worked_example():
     assert rep.volume.v_bar == pytest.approx(PI / 8, abs=1e-9)
     assert rep.volume.v_max == pytest.approx(PI / 4, abs=1e-9)
     assert rep.complexity == pytest.approx(0.5, abs=1e-9)
-    assert rep.volume.degenerate_phi
     assert rep.degeneracy_label == "phi"
 
 
@@ -348,8 +344,7 @@ def test_bounding_box_matches_accessible(canonical):
     traj = sample_trajectory(canonical, SubOptimalParams(PI / 8))
     box = bounding_box(traj)
     volume = analyze(canonical, SubOptimalParams(PI / 8)).volume
-    assert (box.theta_min, box.theta_max, box.phi_min, box.phi_max) == \
-        (volume.theta_min, volume.theta_max, volume.phi_min, volume.phi_max)
+    assert box == volume.box
 
 
 def test_invariants_across_separation_angles():
@@ -481,6 +476,45 @@ def test_analyze_rejects_a_rotation_span_that_overflows(energy, hbar):
                          energy=energy, hbar=hbar)
 
 
+@pytest.mark.parametrize("energy, hbar, name", [(5e-324, 5e-324, "energy"),
+                                                (1e-310, 1e-310, "energy"),
+                                                (1e300, 1e301, "hbar")])
+def test_problem_rejects_energy_or_hbar_outside_the_supported_range(
+        energy, hbar, name):
+    # E/hbar is in range, but a subnormal E leaves the field h = E n with
+    # subnormal components and no reliable direction
+    with pytest.raises(ValueError, match=f"^{name} must lie in"):
+        EvolutionProblem(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                         energy=energy, hbar=hbar)
+
+
+@pytest.mark.parametrize("alpha", [1.0, PI / 2])
+def test_analyze_resolves_a_tiny_separation(alpha):
+    # cos of the arrival angle rounds to 1 at theta_AB = 1e-8; the arrival
+    # time and the volumes must not collapse to 0
+    problem = equatorial_problem(1e-8)
+    rep = analyze(problem, SubOptimalParams(alpha))
+    assert rep.t_ab > 0.0
+    assert 0.0 <= rep.complexity < 1.0
+    assert rep.volume.v_bar <= rep.volume.v_max
+
+
+@pytest.mark.parametrize("beta", [k * PI / 16 for k in range(-7, 8)])
+def test_vanishing_real_part_gives_no_branch_time(beta):
+    # a source in the yz-plane with target z-hat: Re c1 vanishes identically,
+    # so its rounding noise must not cut segments that depend on the energy
+    a = np.array([0.0, np.cos(beta), np.sin(beta)])
+    for alpha in np.linspace(0.0, PI, 9):
+        params = SubOptimalParams(alpha)
+        reps = [analyze(EvolutionProblem(a, np.array([0.0, 0.0, 1.0]),
+                                         energy=energy), params)
+                for energy in (1e-3, 1.0, 3.0, 10.0 ** 1.75, 1e5)]
+        for rep in reps:
+            assert len(rep.volume.segments) == len(reps[1].volume.segments)
+            assert rep.complexity == pytest.approx(reps[1].complexity,
+                                                   abs=1e-9)
+
+
 def test_bounding_box_finds_extremum_inside_last_interval():
     # the theta maximum lies between the last two samples, where a scan over
     # the sample grid brackets nothing
@@ -492,7 +526,7 @@ def test_bounding_box_finds_extremum_inside_last_interval():
         energy=0.7342144100281651)
     params = SubOptimalParams(1.9129557205149939)
     traj = sample_trajectory(problem, params)
-    dense = np.linspace(traj.t_a, traj.t_b, 2_000_001)
+    dense = np.linspace(0.0, traj.t_b, 2_000_001)
     theta, _ = bloch_angles(traj.states_at(dense))
     assert bounding_box(traj).theta_max == pytest.approx(theta.max(),
                                                          abs=1e-10)
@@ -527,7 +561,7 @@ def _dense_extrema(t, y, f):
 
 def _dense_box(traj, n=100_001):
     ev = traj.states_at
-    t = np.linspace(traj.t_a, traj.t_b, n)
+    t = np.linspace(0.0, traj.t_b, n)
     theta = bloch_angles(ev(t))[0]
     phi, _ = _unwrapped(ev(t), _source_azimuth(traj))
 
@@ -558,10 +592,12 @@ def _dense_box(traj, n=100_001):
 
 def _dense_branch_times(traj, n=100_001):
     ev = traj.states_at
-    t = np.linspace(traj.t_a, traj.t_b, n)
+    t = np.linspace(0.0, traj.t_b, n)
     roots = []
     for comp in range(2):
         re = ev(t)[:, comp].real
+        if np.abs(re).max() <= 1e-12:  # Re c_k vanishes identically
+            continue
         for k in np.nonzero(np.sign(re[:-1]) * np.sign(re[1:]) < 0)[0]:
             root = brentq(lambda x: ev(x)[comp].real, t[k], t[k + 1],
                           xtol=1e-14)
@@ -570,7 +606,7 @@ def _dense_branch_times(traj, n=100_001):
     # the same end and merge rules as branch_times
     merged = []
     for r in sorted(roots):
-        if (traj.t_a + 1e-12 < r < traj.t_b - 1e-12
+        if (1e-12 < r < traj.t_b - 1e-12
                 and (not merged or r - merged[-1] > 1e-9)):
             merged.append(r)
     return merged
@@ -591,6 +627,9 @@ def _dense_branch_times(traj, n=100_001):
          alpha=0.0, omega=1.0)
 # Re c1 vanishes at the start: no branch time there
 @example(a=np.array([0.0, -1.0, 0.0]), b=np.array([1.0, 0.0, 0.0]),
+         alpha=0.0, omega=1.0)
+# Re c1 vanishes identically: its rounding noise has no branch times
+@example(a=np.array([0.0, -1.0, 0.0]), b=np.array([0.0, 0.0, 1.0]),
          alpha=0.0, omega=1.0)
 def test_closed_form_matches_dense_search(a, b, alpha, omega):
     assume(abs(a @ b) <= 0.98)
@@ -675,7 +714,7 @@ def test_start_is_the_angles_at_t_a(a, b, alpha):
     # pole cap that is the azimuth at which the trajectory leaves the cap
     assume(abs(a @ b) <= 0.98)
     traj = sample_trajectory(EvolutionProblem(a, b), SubOptimalParams(alpha))
-    theta, phi = traj.angles_at(traj.t_a)
+    theta, phi = traj.angles_at(0.0)
     assert traj.start[0] == theta
     assert traj.start[1] == phi
 
@@ -729,7 +768,7 @@ def _oracle_accessed_volume(traj, mode):
               np.cos(sampled_theta) - np.cos(theta_a)),
         zeros(lambda t: angles(t)[1] - phi_a, sampled_phi - phi_a)])
     cuts = branch_times(traj) if mode == "appendix_piecewise" else []
-    bounds = [traj.t_a] + cuts + [traj.t_b]
+    bounds = [0.0] + cuts + [traj.t_b]
     total = 0.0
     for t0, t1 in zip(bounds[:-1], bounds[1:]):
         inner = points[(points > t0) & (points < t1)]
@@ -772,6 +811,9 @@ def test_accessed_volume_matches_scipy_quadrature(a, b, alpha, omega):
 # not cancel to 0/0
 @example(a=np.array([1.0, 0.0, 0.0]), b=np.array([1.0, 1e-10, 0.0]),
          alpha=0.0, log_energy=0.0)
+# Re c1 vanishes identically: its rounding noise must not cut a segment
+@example(a=np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0),
+         b=np.array([0.0, 0.0, 1.0]), alpha=0.0, log_energy=1.75)
 def test_contract_holds_and_is_energy_free(a, b, alpha, log_energy):
     # every valid input returns a report inside the contract or raises a
     # typed error, and the energy only scales time: the report at E matches

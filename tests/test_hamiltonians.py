@@ -4,8 +4,8 @@ import pytest
 from blochcomplexity import (DegenerateGeometry, EvolutionProblem,
                              SubOptimalParams, amplitudes,
                              equatorial_problem, evolution_time,
-                             integrate_schrodinger, optimal_field, propagator,
-                             suboptimal_field)
+                             integrate_schrodinger, optimal_field,
+                             path_length, propagator, suboptimal_field)
 from reference_values import (RK4_C0_PI16_T05, RK4_C1_PI16_T05,
                               TIME_LENGTH_TABLE)
 
@@ -183,6 +183,19 @@ def test_evolution_time_supplementary_symmetry(canonical):
         t1 = evolution_time(canonical, SubOptimalParams(alpha))
         t2 = evolution_time(canonical, SubOptimalParams(np.pi - alpha))
         assert t1 == pytest.approx(t2, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta_ab", [1e-8, 1e-7, 1e-6, 1e-4, 1e-2, 0.5, 1.5,
+                                      2.5, np.pi - 1e-3])
+@pytest.mark.parametrize("energy", [1.0, 37.0])
+def test_geodesic_time_and_length_at_every_separation(theta_ab, energy):
+    # alpha = pi/2: t_ab = hbar theta_AB / (2E) and s = theta_AB, to rounding
+    problem = equatorial_problem(theta_ab, energy=energy)
+    params = SubOptimalParams(np.pi / 2)
+    assert evolution_time(problem, params) == pytest.approx(
+        problem.theta_ab / (2.0 * energy), rel=1e-15, abs=0.0)
+    assert path_length(problem, params) == pytest.approx(
+        problem.theta_ab, rel=1e-15, abs=0.0)
 
 
 def test_propagator_arrives_for_all_alpha(canonical):

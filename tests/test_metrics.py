@@ -3,7 +3,6 @@ import pytest
 
 from blochcomplexity import (EvolutionProblem, FieldVector, ParallelField,
                              SubOptimalParams, curvature_coefficient,
-                             equatorial_problem, geodesic_distance,
                              geodesic_efficiency, optimal_field, path_length,
                              path_length_numeric, pauli_dot,
                              sample_trajectory, speed_efficiency,
@@ -12,16 +11,26 @@ from reference_values import (ARC_LENGTH_PI4, EFFICIENCY_TABLE,
                               TIME_LENGTH_TABLE)
 
 
+def _overlap_distance(problem):
+    """2*arccos|<A|B>|, the geodesic distance from the states' overlap."""
+    overlap = abs(np.vdot(problem.source_state, problem.target_state))
+    return 2.0 * float(np.arccos(np.clip(overlap, 0.0, 1.0)))
+
+
 def test_geodesic_distance_canonical(canonical):
-    assert geodesic_distance(canonical) == pytest.approx(np.pi / 2, abs=1e-12)
+    assert canonical.theta_ab == pytest.approx(np.pi / 2, abs=1e-12)
+    assert _overlap_distance(canonical) == pytest.approx(canonical.theta_ab,
+                                                         abs=1e-12)
 
 
 def test_geodesic_distance_degenerate_pairs():
     a = np.array([0.0, 1.0, 0.0])
     same = EvolutionProblem(a_hat=a, b_hat=a.copy())
-    assert geodesic_distance(same) == pytest.approx(0.0, abs=1e-7)
+    assert same.theta_ab == pytest.approx(0.0, abs=1e-7)
+    assert _overlap_distance(same) == pytest.approx(same.theta_ab, abs=1e-7)
     anti = EvolutionProblem(a_hat=a, b_hat=-a)
-    assert geodesic_distance(anti) == pytest.approx(np.pi, abs=1e-7)
+    assert anti.theta_ab == pytest.approx(np.pi, abs=1e-7)
+    assert _overlap_distance(anti) == pytest.approx(anti.theta_ab, abs=1e-7)
 
 
 def test_geodesic_distance_equals_separation_angle():
@@ -31,7 +40,7 @@ def test_geodesic_distance_equals_separation_angle():
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
         p = EvolutionProblem(a_hat=a, b_hat=b)
-        assert geodesic_distance(p) == pytest.approx(p.theta_ab, abs=1e-9)
+        assert _overlap_distance(p) == pytest.approx(p.theta_ab, abs=1e-9)
 
 
 def test_path_length_reference_values(canonical):
@@ -105,6 +114,16 @@ def test_speed_efficiency_rejects_zero_field(canonical):
         speed_efficiency(FieldVector(np.zeros(3)), canonical.a_hat)
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 3e-6])
+def test_speed_efficiency_near_a_parallel_field(eps):
+    # a field eps from a: eta_se = sin(eps), although (n.a)^2 rounds close
+    # to 1
+    a = np.array([1.0, 0.0, 0.0])
+    f = FieldVector(np.array([np.cos(eps), np.sin(eps), 0.0]))
+    assert speed_efficiency(f, a) == pytest.approx(np.sin(eps), rel=1e-15,
+                                                   abs=0.0)
+
+
 def test_supplementary_symmetry_of_closed_forms(canonical):
     for alpha in np.linspace(0.05, np.pi / 2, 16):
         pa, pb = SubOptimalParams(alpha), SubOptimalParams(np.pi - alpha)
@@ -147,7 +166,7 @@ def test_path_never_shorter_than_geodesic(canonical):
     for alpha in np.linspace(0.0, np.pi, 33):
         params = SubOptimalParams(alpha)
         s = path_length(canonical, params)
-        s0 = geodesic_distance(canonical)
+        s0 = canonical.theta_ab
         assert s >= s0 - 1e-10
         assert geodesic_efficiency(canonical, params) == pytest.approx(
             s0 / s, abs=1e-15)

@@ -114,6 +114,13 @@ def test_density_from_bloch_rejects_nonunit():
         density_from_bloch([0.5, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("convert", [state_from_bloch, density_from_bloch])
+def test_bloch_conversions_reject_nonfinite_input(convert, bad):
+    with pytest.raises(ValueError, match="finite"):
+        convert(np.array([bad, 0.0, 0.0]))
+
+
 def test_state_from_bloch_is_normalized_with_real_c0():
     rng = np.random.default_rng(11)
     for _ in range(25):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochcomplexity import (EvolutionProblem, SubOptimalParams,
-                             bloch_angles, propagator, sample_trajectory,
-                             suboptimal_field, write_trajectory_csv)
+                             bloch_angles, equatorial_problem, propagator,
+                             sample_trajectory, suboptimal_field,
+                             write_trajectory_csv)
 from reference_values import (ARRIVAL_TIME_PI16, THETA_MAX_PI16,
                               THETA_MIN_15PI16)
 
@@ -176,8 +177,25 @@ def test_csv_rows_inside_a_pole_cap_hold_the_rim_azimuth(b, alpha):
 def test_trajectory_time_grid(canonical):
     traj = sample_trajectory(canonical, SubOptimalParams(0.9), n=2049)
     assert traj.n_samples == 2049
-    assert traj.t_a == 0.0
+    assert traj.t[0] == 0.0
     assert np.all(np.diff(traj.t) > 0)
+
+
+@pytest.mark.parametrize("theta_ab", [1e-8, 1e-7, 1e-6, 1e-4, 1e-2, 0.5, 1.5,
+                                      2.5, np.pi - 1e-3])
+@pytest.mark.parametrize("energy", [1.0, 37.0])
+def test_final_state_is_the_target(theta_ab, energy):
+    # the arrival time is exact at every separation: the Bloch vector
+    # (2 Re c0* c1, 2 Im c0* c1, |c0|^2 - |c1|^2) at t_b is b
+    problem = equatorial_problem(theta_ab, energy=energy)
+    for k in range(17):
+        traj = sample_trajectory(problem, SubOptimalParams(k * np.pi / 16),
+                                 n=2049)
+        c0, c1 = traj.states_at(traj.t_b)
+        r = np.array([2.0 * (np.conj(c0) * c1).real,
+                      2.0 * (np.conj(c0) * c1).imag,
+                      abs(c0) ** 2 - abs(c1) ** 2])
+        assert np.abs(r - problem.b_hat).max() <= 1e-13
 
 
 def test_states_at_sample_times_is_the_samples(canonical):
