@@ -9,12 +9,11 @@ from .errors import (AveragingDomainError, BlochComplexityError,
                      DegenerateGeometry, NonPositiveVolume, NormDrift,
                      ParallelField, QuadratureNotConverged)
 from .hamiltonians import (EvolutionProblem, FieldVector, SubOptimalParams,
-                           amplitudes, equatorial_problem, evolution_time,
-                           optimal_field, propagator, suboptimal_field)
+                           equatorial_problem, evolution_time, propagator,
+                           suboptimal_field)
 from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
-                      path_length_numeric, speed_efficiency)
-from .qubit import (bloch_angles, bloch_from_state, density_from_bloch,
-                    pauli_dot, state_from_bloch)
+                      speed_efficiency)
+from .qubit import bloch_angles, pauli_dot, state_from_bloch
 from .trajectory import Trajectory, sample_trajectory, write_trajectory_csv
 from .verify import (CheckRecord, check_omega_independence,
                      check_propagator_agreement, check_supplementary_symmetry,

@@ -21,10 +21,8 @@ import numpy as np
 
 from .complexity import AnalysisConfig, DEFAULT_AVERAGING_MODE, analyze
 from .errors import BlochComplexityError
-from .hamiltonians import (SubOptimalParams, equatorial_problem,
-                           evolution_time, suboptimal_field)
-from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
-                      speed_efficiency)
+from .hamiltonians import SubOptimalParams, equatorial_problem, suboptimal_field
+from .metrics import curvature_coefficient, geodesic_efficiency, speed_efficiency
 from .trajectory import DEFAULT_SAMPLES, sample_trajectory, write_trajectory_csv
 from .verify import run_verification
 
@@ -81,7 +79,8 @@ def cmd_sweep(args):
                                fmt(rep.kappa2), fmt(rep.volume.v_bar),
                                fmt(rep.volume.v_max), fmt(rep.complexity),
                                fmt(rep.length_scale), rep.degeneracy_label]))
-    status = _write_lines(lines, args.out)
+    text = "\n".join(lines) + "\n"
+    status = _write(args.out, lambda stream: stream.write(text))
     return status if status else (1 if failures else 0)
 
 
@@ -89,16 +88,7 @@ def cmd_evolve(args):
     problem = equatorial_problem(args.theta_ab, energy=args.omega)
     traj = sample_trajectory(problem, SubOptimalParams(args.alpha),
                              args.samples)
-    if args.out is None:
-        write_trajectory_csv(traj, sys.stdout)
-        return 0
-    try:
-        with open(args.out, "w", newline="") as stream:
-            write_trajectory_csv(traj, stream)
-    except OSError as err:
-        print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
-        return 1
-    return 0
+    return _write(args.out, lambda stream: write_trajectory_csv(traj, stream))
 
 
 _TABLE_ALPHAS = [Fraction(k, 16) for k in range(0, 9)]
@@ -116,21 +106,13 @@ def cmd_tables(which):
     problem = equatorial_problem()
     rows = []
     for frac in _TABLE_ALPHAS:
-        alpha = float(frac) * np.pi
-        params = SubOptimalParams(alpha)
-        label = _pi_label(frac)
-        sup = _pi_label(1 - frac)
-        if which == "III":
-            rows.append((label, evolution_time(problem, params),
-                         path_length(problem, params), sup))
-        else:
-            rep = analyze(problem, params)
-            if which == "I":
-                rows.append((label, rep.volume.v_bar, rep.volume.v_max,
-                             rep.complexity, rep.length_scale, sup))
-            else:
-                rows.append((label, rep.eta_ge, rep.eta_se, rep.kappa2,
-                             rep.complexity, rep.length_scale, sup))
+        rep = analyze(problem, SubOptimalParams(float(frac) * np.pi))
+        cells = {"I": (rep.volume.v_bar, rep.volume.v_max, rep.complexity,
+                       rep.length_scale),
+                 "II": (rep.eta_ge, rep.eta_se, rep.kappa2, rep.complexity,
+                        rep.length_scale),
+                 "III": (rep.t_ab, rep.s)}[which]
+        rows.append((_pi_label(frac), *cells, _pi_label(1 - frac)))
     headers = {
         "I": ("alpha", "v_bar", "v_max", "C", "L_C", "pi-alpha"),
         "II": ("alpha", "eta_ge", "eta_se", "kappa2", "C", "L_C", "pi-alpha"),
@@ -170,7 +152,8 @@ def cmd_figdata(args):
             rep = analyze(problem, SubOptimalParams(alpha))
             value = rep.complexity if args.which == "fig4" else rep.length_scale
             lines.append(f"{fmt(alpha)},{fmt(value)}")
-    return _write_lines(lines, args.out)
+    text = "\n".join(lines) + "\n"
+    return _write(args.out, lambda stream: stream.write(text))
 
 
 def cmd_verify():
@@ -181,14 +164,15 @@ def cmd_verify():
     return 0 if all(r.passed for r in records) else 1
 
 
-def _write_lines(lines, path):
-    text = "\n".join(lines) + "\n"
+def _write(path, emit):
+    """``emit(stream)`` on stdout, or on the file at ``path``; a file that
+    cannot be written is reported on stderr with exit code 1."""
     if path is None:
-        sys.stdout.write(text)
+        emit(sys.stdout)
         return 0
     try:
         with open(path, "w", newline="") as stream:
-            stream.write(text)
+            emit(stream)
     except OSError as err:
         print(f"error: cannot write {path}: {err}", file=sys.stderr)
         return 1

@@ -164,7 +164,9 @@ def analyze(problem, params, config=None):
     traj = sample_trajectory(problem, params)
     box = bounding_box(traj)
     kind = _degeneracy_kind(box)
-    v_max = _box_volume(box, kind)
+    # V_max is V at the box's far corner
+    v_max = float(_volume_samples(box.theta_min, box.phi_min, box.theta_max,
+                                  box.phi_max, kind))
     v_bar, segments = _accessed_volume(traj, config.averaging_mode, kind)
     c = complexity(v_bar, v_max)
     s = _arc_length(problem, params, traj.t_b)
@@ -258,15 +260,6 @@ def _degeneracy_kind(box):
     if phi_deg:
         return "phi"
     return "none"
-
-
-def _box_volume(box, kind):
-    if kind == "theta":
-        return 0.5 * box.phi_extent
-    if kind == "phi":
-        return 0.5 * box.theta_extent
-    return 0.25 * ((np.cos(box.theta_min) - np.cos(box.theta_max))
-                   * box.phi_extent)
 
 
 def _volume_samples(theta_a, phi_a, theta, phi, kind):

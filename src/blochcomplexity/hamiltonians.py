@@ -1,17 +1,15 @@
 """Stationary-field constructions for driving a qubit from a source to a
 target Bloch vector, and the closed-form propagator they generate.
 
-Two field families are provided for a problem with source a, target b and
-separation angle theta_AB = arccos(a.b):
+For a problem with source a, target b and separation angle
+theta_AB = atan2(|a x b|, a.b), the field family is
 
-* the rotation-axis field E*(a x b)/|a x b|, which generates the time-optimal
-  (geodesic) transfer, and
-* a one-parameter family E*[cos(alpha)*(a+b)/|a+b| + sin(alpha)*(a x b)/|a x b|]
-  with 0 <= alpha <= pi, which reaches the target along a non-geodesic path
-  and reduces to the optimal field at alpha = pi/2.
+    E*[cos(alpha)*(a+b)/|a+b| + sin(alpha)*(a x b)/|a x b|],  0 <= alpha <= pi,
 
-Both have magnitude E exactly (the two basis directions are orthonormal), so
-the propagator for field h over time t is
+which reaches the target along a non-geodesic path, except at alpha = pi/2,
+the rotation-axis field E*(a x b)/|a x b| that generates the time-optimal
+(geodesic) transfer. Every member has magnitude E exactly (the two basis
+directions are orthonormal), so the propagator for field h over time t is
 cos(|h| t / hbar) * 1 - i sin(|h| t / hbar) * (h_hat . sigma).
 """
 
@@ -98,36 +96,30 @@ class SubOptimalParams:
 
 @dataclass(frozen=True)
 class FieldVector:
-    """A stationary field h (energy units) defining H = h . sigma."""
+    """A stationary field h (energy units) defining H = h . sigma. ``h`` is
+    a read-only copy of the input, so its cached magnitude and direction
+    cannot go stale."""
 
     h: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
+        h = np.array(self.h, dtype=float)
         if h.shape != (3,) or not np.all(np.isfinite(h)):
             raise ValueError("field must be a finite 3-vector")
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", _read_only(h))
 
-    @property
+    @cached_property
     def magnitude(self):
         """|h| without squaring the components, so that it neither over- nor
         underflows for any finite field."""
         return math.hypot(*self.h)
 
-    @property
+    @cached_property
     def direction(self):
         m = self.magnitude
         if m == 0.0:
             raise ValueError("zero field has no direction")
-        return self.h / m
-
-
-def optimal_field(problem):
-    """Field along the normalized a x b axis, magnitude E, orthogonal to both
-    source and target vectors."""
-    problem.require_nondegenerate()
-    axis = cross(problem.a_hat, problem.b_hat)
-    return FieldVector(problem.energy * axis / np.linalg.norm(axis))
+        return _read_only(self.h / m)
 
 
 def suboptimal_field(problem, params):
@@ -170,13 +162,6 @@ def evolution_time(problem, params):
     half = problem.theta_ab / 2.0
     return (problem.hbar / problem.energy) * math.atan2(
         math.sin(half), math.sin(params.alpha) * math.cos(half))
-
-
-def amplitudes(problem, params, t):
-    """State amplitudes at time t, from the closed-form propagator applied to
-    the source state."""
-    u = propagator(suboptimal_field(problem, params), t, problem.hbar)
-    return u @ problem.source_state
 
 
 def equatorial_problem(theta_ab=np.pi / 2.0, energy=1.0):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ParallelField
 from .hamiltonians import evolution_time
-from .numerics import simpson_uniform
 
 
 def path_length(problem, params):
@@ -36,25 +35,6 @@ def _arc_length(problem, params, t):
     half = problem.theta_ab / 2.0
     root = np.hypot(np.sin(params.alpha), np.cos(params.alpha) * np.sin(half))
     return 2.0 * root * problem.omega * t
-
-
-def path_length_numeric(traj):
-    """Arc length by Simpson quadrature of 2*DeltaE(t)/hbar over the samples.
-
-    DeltaE is evaluated in Bloch form sqrt(h^2 - (r(t).h)^2) with h the
-    trajectory's field and r(t) the sampled Bloch vector, avoiding
-    per-sample matrix traces.
-    """
-    f = traj.field
-    c0 = traj.states[:, 0]
-    c1 = traj.states[:, 1]
-    r = np.stack([2.0 * (np.conj(c0) * c1).real,
-                  2.0 * (np.conj(c0) * c1).imag,
-                  np.abs(c0) ** 2 - np.abs(c1) ** 2], axis=1)
-    h_sq = float(np.dot(f.h, f.h))
-    delta_e = np.sqrt(np.clip(h_sq - (r @ f.h) ** 2, 0.0, None))
-    dt = traj.t[1] - traj.t[0]
-    return float(simpson_uniform(2.0 * delta_e / traj.problem.hbar, dt))
 
 
 def geodesic_efficiency(problem, params):

@@ -1,5 +1,5 @@
-"""Pauli algebra and conversions between two-level state vectors, density
-matrices, and Bloch vectors.
+"""Pauli algebra and conversions between two-level state vectors and Bloch
+vectors.
 
 States are length-2 complex ndarrays (amplitudes of |0> and |1>), operators
 are 2x2 complex ndarrays, Bloch vectors are length-3 float ndarrays.
@@ -55,23 +55,6 @@ def bloch_angles(states):
     c0 = states[..., 0]
     c1 = states[..., 1]
     return 2.0 * np.arctan2(np.abs(c1), np.abs(c0)), np.angle(c1 * np.conj(c0))
-
-
-def bloch_from_state(state):
-    """Unit Bloch vector of a normalized state, with the azimuth set to 0 at
-    the poles where it is undefined."""
-    theta, phi = bloch_angles(state)
-    if np.sin(theta) < POLE_EPS:
-        phi = 0.0
-    return np.array([np.sin(theta) * np.cos(phi),
-                     np.sin(theta) * np.sin(phi),
-                     np.cos(theta)])
-
-
-def density_from_bloch(v):
-    """Pure-state density matrix (1 + v.sigma)/2; rejects non-unit input."""
-    v = _require_unit(v, "v")
-    return 0.5 * (IDENTITY + pauli_dot(v))
 
 
 def _require_unit(v, name):

@@ -24,7 +24,7 @@ from .hamiltonians import evolution_time, suboptimal_field
 from .qubit import bloch_angles, cross, pauli_dot
 
 MIN_SAMPLES = 2049
-DEFAULT_SAMPLES = 4097  # 4096 panels + 1: feeds composite Simpson directly
+DEFAULT_SAMPLES = 4097  # the sample count `evolve` writes by default
 TWO_PI = 2.0 * np.pi
 
 # sin(theta) guard for azimuth extraction along trajectories. Wider than the

@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from blochcomplexity import (AnalysisConfig, EvolutionProblem,
-                             SubOptimalParams, amplitudes, analyze,
-                             bloch_angles, check_omega_independence,
+                             SubOptimalParams, analyze, bloch_angles,
+                             check_omega_independence,
                              check_propagator_agreement,
                              check_supplementary_symmetry, curvature_coefficient,
-                             equatorial_problem, evolution_time,
-                             geodesic_efficiency, path_length,
-                             path_length_numeric, propagator,
-                             sample_trajectory, speed_efficiency,
+                             evolution_time, geodesic_efficiency, path_length,
+                             propagator, sample_trajectory, speed_efficiency,
                              suboptimal_field)
 from blochcomplexity.cli import main as cli_main
 from blochcomplexity.complexity import DEFAULT_AVERAGING_MODE
+from oracles import amplitudes, path_length_numeric
 from reference_values import (EFFICIENCY_TABLE, SEGMENT_AVERAGES_PI16,
                               TIME_LENGTH_TABLE, VOLUME_TABLE)
 

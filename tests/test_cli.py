@@ -182,6 +182,11 @@ def test_sweep_bad_path_reports_error(capsys):
     assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
 
 
+def test_sweep_rejects_zero_steps(capsys):
+    assert run_cli("sweep", "--steps", "0") == 1
+    assert "steps must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error", [NonPositiveVolume, QuadratureNotConverged,
                                    AveragingDomainError],
                          ids=lambda error: error.__name__)
@@ -220,6 +225,21 @@ def test_evolve_final_row_pi16(tmp_path):
     last = rows[-1]
     assert round(float(last[0]), 4) == 1.3781
     assert round(float(last[2]), 4) == 1.5708
+
+
+def test_evolve_to_stdout(capsys):
+    assert run_cli("evolve", "--alpha", "1/4pi", "--samples", "2049") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,theta,phi,re_c0,im_c0,re_c1,im_c1"
+    assert len(lines) == 2050
+
+
+def test_evolve_bad_path_reports_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "traj.csv"
+    assert run_cli("evolve", "--alpha", "1/4pi", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}")
+    assert not out.exists()
 
 
 def test_evolve_rejects_tiny_sample_count(capsys):

@@ -17,9 +17,10 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              write_trajectory_csv)
 from blochcomplexity import hamiltonians
 from blochcomplexity import trajectory
-from blochcomplexity.complexity import (AVERAGING_MODES, _box_volume,
-                                        _degeneracy_kind, _volume_samples)
+from blochcomplexity.complexity import (AVERAGING_MODES, _degeneracy_kind,
+                                        _volume_samples)
 from blochcomplexity.trajectory import AZIMUTH_POLE_EPS, nearest_branch
+from oracles import path_length_numeric
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
                               SEGMENT_AVERAGES_PI16_PRECISE, THETA_MAX_PI16,
                               UNIFORM_VBAR, VBAR_PI16, VMAX_PI16, VOLUME_TABLE)
@@ -71,11 +72,13 @@ def test_density_normalization():
     assert total == pytest.approx(0.5, abs=1e-12)
     sphere_area = 2.0 * PI * total  # times the full azimuthal range
     assert sphere_area == pytest.approx(PI, abs=1e-12)
-    # the box-volume kernel gives the same area for the whole sphere
+    # V at the far corner of a box, which is how V_max is computed, gives
+    # the same area for the whole sphere
     sphere = AngularBox(theta_min=0.0, theta_max=PI, phi_min=0.0,
                         phi_max=2.0 * PI)
-    assert _box_volume(sphere, "none") == pytest.approx(sphere_area,
-                                                            abs=1e-12)
+    v_max = _volume_samples(sphere.theta_min, sphere.phi_min,
+                            sphere.theta_max, sphere.phi_max, "none")
+    assert v_max == pytest.approx(sphere_area, abs=1e-12)
 
 
 def test_instantaneous_volume_zero_at_start():
@@ -349,7 +352,6 @@ def test_bounding_box_matches_accessible(canonical):
 
 def test_invariants_across_separation_angles():
     # geometry beyond the canonical pi/2 pair, up to a nearly antipodal one
-    from blochcomplexity import path_length_numeric
     for theta_ab in (PI / 6, PI / 3, 2 * PI / 3, 0.97 * PI):
         problem = equatorial_problem(theta_ab)
         for alpha in np.linspace(0.0, PI, 9):

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from blochcomplexity import (DegenerateGeometry, EvolutionProblem,
-                             SubOptimalParams, amplitudes,
-                             equatorial_problem, evolution_time,
-                             integrate_schrodinger, optimal_field,
+                             FieldVector, SubOptimalParams, equatorial_problem,
+                             evolution_time, integrate_schrodinger,
                              path_length, propagator, suboptimal_field)
+from oracles import amplitudes
 from reference_values import (RK4_C0_PI16_T05, RK4_C1_PI16_T05,
                               TIME_LENGTH_TABLE)
 
 ALPHA_GRID = [k * np.pi / 16 for k in range(0, 17)]
 THETA_GRID = [k * np.pi / 9 for k in range(1, 9)]
+# the family member at alpha = pi/2 is the time-optimal rotation-axis field
+OPTIMAL = SubOptimalParams(np.pi / 2)
 
 
 def test_problem_recomputes_and_validates_theta():
@@ -49,6 +51,12 @@ def test_problem_rejects_nonunit_vectors():
                          b_hat=np.array([0.0, 1, 0]))
 
 
+@pytest.mark.parametrize("theta_ab", [0.0, -0.5, np.pi, 4.0])
+def test_equatorial_problem_rejects_separation_outside_open_interval(theta_ab):
+    with pytest.raises(ValueError, match="strictly inside"):
+        equatorial_problem(theta_ab)
+
+
 def test_suboptimal_params_range():
     SubOptimalParams(0.0)
     SubOptimalParams(np.pi)
@@ -59,21 +67,21 @@ def test_suboptimal_params_range():
 
 
 def test_optimal_field_canonical(canonical):
-    f = optimal_field(canonical)
+    f = suboptimal_field(canonical, OPTIMAL)
     assert np.allclose(f.h, [0, 0, 1], atol=1e-15)
 
 
 def test_optimal_field_degenerate_raises():
     a = np.array([1.0, 0, 0])
     with pytest.raises(DegenerateGeometry):
-        optimal_field(EvolutionProblem(a_hat=a, b_hat=a))
+        suboptimal_field(EvolutionProblem(a_hat=a, b_hat=a), OPTIMAL)
 
 
 def test_optimal_field_oblique_pair():
     # cross product checked by hand: x-hat x (x+y)/sqrt2 = z/sqrt2, sin = 1/sqrt2
     p = EvolutionProblem(a_hat=np.array([1.0, 0, 0]),
                          b_hat=np.array([1.0, 1.0, 0]) / np.sqrt(2), energy=2.0)
-    assert np.allclose(optimal_field(p).h, [0, 0, 2.0], atol=1e-15)
+    assert np.allclose(suboptimal_field(p, OPTIMAL).h, [0, 0, 2.0], atol=1e-15)
 
 
 def test_optimal_field_orthogonal_to_endpoints():
@@ -83,16 +91,18 @@ def test_optimal_field_orthogonal_to_endpoints():
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
         p = EvolutionProblem(a_hat=a, b_hat=b, energy=1.7)
-        f = optimal_field(p)
+        f = suboptimal_field(p, OPTIMAL)
         assert abs(f.h @ a) < 1e-12
         assert abs(f.h @ b) < 1e-12
         assert f.magnitude == pytest.approx(1.7, abs=1e-12)
 
 
 def test_suboptimal_field_reduces_to_optimal(canonical):
-    f_opt = optimal_field(canonical)
-    f_sub = suboptimal_field(canonical, SubOptimalParams(np.pi / 2))
-    assert np.allclose(f_sub.h, f_opt.h, atol=1e-12)
+    # E (a x b)/|a x b|, the rotation-axis field
+    axis = np.cross(canonical.a_hat, canonical.b_hat)
+    f_opt = canonical.energy * axis / np.linalg.norm(axis)
+    f_sub = suboptimal_field(canonical, OPTIMAL)
+    assert np.allclose(f_sub.h, f_opt, atol=1e-12)
 
 
 def test_suboptimal_field_examples(canonical):
@@ -123,6 +133,28 @@ def test_field_magnitude_and_direction_at_extreme_energies(energy):
         assert np.allclose(f.direction, unit.direction, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("h", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                               [1.0, 0.0], [[1.0, 0.0, 0.0]]],
+                         ids=["nan", "inf", "short", "nested"])
+def test_field_rejects_nonfinite_or_misshapen_input(h):
+    with pytest.raises(ValueError, match="finite 3-vector"):
+        FieldVector(np.array(h))
+
+
+def test_field_keeps_its_own_read_only_copy():
+    h = np.array([0.0, 3.0, 4.0])
+    f = FieldVector(h)
+    direction = f.direction
+    assert f.direction is direction and f.magnitude == 5.0
+    h[:] = [1.0, 0.0, 0.0]  # the caller's array, written after construction
+    assert np.array_equal(f.h, [0.0, 3.0, 4.0])
+    assert np.array_equal(f.direction, [0.0, 0.6, 0.8])
+    assert f.magnitude == 5.0
+    for frozen in (f.h, f.direction):
+        with pytest.raises(ValueError):
+            frozen[0] = 1.0
+
+
 def test_propagator_identity_and_unitarity(canonical):
     f = suboptimal_field(canonical, SubOptimalParams(0.3))
     assert np.allclose(propagator(f, 0.0), np.eye(2), atol=1e-15)
@@ -134,6 +166,12 @@ def test_propagator_identity_and_unitarity(canonical):
             assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_propagator_rejects_negative_time(canonical):
+    f = suboptimal_field(canonical, SubOptimalParams(0.3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        propagator(f, -0.1)
+
+
 def test_propagator_semigroup(canonical):
     f = suboptimal_field(canonical, SubOptimalParams(1.1))
     u1 = propagator(f, 0.4)
@@ -142,7 +180,7 @@ def test_propagator_semigroup(canonical):
 
 
 def test_propagator_reaches_target_at_optimal_time(canonical):
-    f = optimal_field(canonical)
+    f = suboptimal_field(canonical, OPTIMAL)
     u = propagator(f, np.pi / 4)
     final = u @ canonical.source_state
     overlap = abs(np.vdot(canonical.target_state, final))
@@ -167,7 +205,6 @@ def test_propagator_entries_match_canonical_closed_form(canonical):
 
 
 def test_propagator_rejects_zero_field():
-    from blochcomplexity import FieldVector
     with pytest.raises(ValueError):
         propagator(FieldVector(np.zeros(3)), 1.0)
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from blochcomplexity import (bloch_from_state, density_from_bloch, pauli_dot,
-                             state_from_bloch)
+from blochcomplexity import bloch_angles, pauli_dot, state_from_bloch
 from blochcomplexity.qubit import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, cross
 
 _finite_vectors = st.tuples(
@@ -61,18 +60,20 @@ def test_pauli_dot_eigenvalues_are_plus_minus_norm(x, y, z):
     assert det.real == pytest.approx(-float(v @ v), rel=1e-9, abs=1e-9)
 
 
+def _bloch_vector(state):
+    """Unit Bloch vector of a normalized state, from its `bloch_angles`."""
+    theta, phi = bloch_angles(state)
+    return np.array([np.sin(theta) * np.cos(phi),
+                     np.sin(theta) * np.sin(phi),
+                     np.cos(theta)])
+
+
 def test_bloch_from_state_poles_and_equator():
-    assert np.allclose(bloch_from_state(np.array([1.0, 0.0])), [0, 0, 1])
+    assert np.allclose(_bloch_vector(np.array([1.0, 0.0])), [0, 0, 1])
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert np.allclose(bloch_from_state(plus), [1, 0, 0], atol=1e-15)
+    assert np.allclose(_bloch_vector(plus), [1, 0, 0], atol=1e-15)
     circ = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    assert np.allclose(bloch_from_state(circ), [0, 1, 0], atol=1e-15)
-
-
-def test_bloch_from_state_pole_azimuth_convention():
-    # global phase on |1> changes nothing; at the pole phi is fixed to 0
-    state = np.array([0.0, np.exp(0.7j)])
-    assert np.allclose(bloch_from_state(state), [0, 0, -1], atol=1e-15)
+    assert np.allclose(_bloch_vector(circ), [0, 1, 0], atol=1e-15)
 
 
 angles = st.tuples(st.floats(min_value=0.05, max_value=np.pi - 0.05),
@@ -85,37 +86,11 @@ def test_state_bloch_round_trip(ang):
     v = np.array([np.sin(theta) * np.cos(phi),
                   np.sin(theta) * np.sin(phi),
                   np.cos(theta)])
-    assert np.allclose(bloch_from_state(state_from_bloch(v)), v, atol=1e-10)
-
-
-def test_density_from_bloch_examples():
-    assert np.allclose(density_from_bloch([0, 0, 1]), np.diag([1.0, 0.0]))
-    assert np.allclose(density_from_bloch([1, 0, 0]),
-                       np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert np.allclose(density_from_bloch([0, 1, 0]),
-                       np.array([[0.5, -0.5j], [0.5j, 0.5]]))
-
-
-def test_density_from_bloch_properties():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        rho = density_from_bloch(v)
-        assert np.allclose(rho, rho.conj().T, atol=1e-15)
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-        # purity: tr(rho^2) = 1 and idempotence for pure states
-        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(rho @ rho, rho, atol=1e-12)
-
-
-def test_density_from_bloch_rejects_nonunit():
-    with pytest.raises(ValueError):
-        density_from_bloch([0.5, 0.0, 0.0])
+    assert np.allclose(_bloch_vector(state_from_bloch(v)), v, atol=1e-10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("convert", [state_from_bloch, density_from_bloch])
+@pytest.mark.parametrize("convert", [state_from_bloch])
 def test_bloch_conversions_reject_nonfinite_input(convert, bad):
     with pytest.raises(ValueError, match="finite"):
         convert(np.array([bad, 0.0, 0.0]))

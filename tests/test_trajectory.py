@@ -8,6 +8,7 @@ from blochcomplexity import (EvolutionProblem, SubOptimalParams,
                              bloch_angles, equatorial_problem, propagator,
                              sample_trajectory, suboptimal_field,
                              write_trajectory_csv)
+from oracles import amplitudes
 from reference_values import (ARRIVAL_TIME_PI16, THETA_MAX_PI16,
                               THETA_MIN_15PI16)
 
@@ -30,7 +31,6 @@ def test_polar_angle_basics():
 
 
 def test_polar_angle_midtime_value(canonical, oracle_gate):
-    from blochcomplexity import amplitudes
     state = amplitudes(canonical, SubOptimalParams(np.pi / 16),
                        ARRIVAL_TIME_PI16 / 2)
     assert polar_angle(state) == pytest.approx(THETA_MAX_PI16, abs=1e-10)

@@ -17,6 +17,12 @@ def test_zero_time_returns_initial_state(canonical):
     assert np.array_equal(psi, canonical.source_state)
 
 
+def test_integrator_rejects_negative_time(canonical):
+    f = suboptimal_field(canonical, SubOptimalParams(0.3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        integrate_schrodinger(f, canonical.source_state, -0.1)
+
+
 def test_integrator_matches_propagator_componentwise(canonical):
     f = suboptimal_field(canonical, SubOptimalParams(np.pi / 2))
     numeric = integrate_schrodinger(f, canonical.source_state, np.pi / 4)
