@@ -32,8 +32,8 @@ rotation, and each average is an adaptive Gauss-Legendre quadrature of V in
 the rotation angle x = 2wt (Piessens et al., QUADPACK, 1983) over panels cut
 at every point where V can kink: where cos(theta) returns to cos(theta_A),
 where the azimuth crosses the plane of phi_A, at the polar extrema (where
-the azimuth turns fastest near a pole), at the rims of the pole caps, and at
-the segment boundaries.
+the azimuth turns fastest near a pole, and where a path through a pole
+meets it), and at the segment boundaries.
 """
 
 import math
@@ -144,6 +144,9 @@ def complexity(v_bar, v_max):
         raise AveragingDomainError(
             f"accessed volume {v_bar} exceeds accessible volume {v_max}; "
             f"the averaging mode is not defined for this evolution")
+    if 1.0 - ratio == 1.0:
+        raise NonPositiveVolume(f"accessed volume {v_bar} vanishes against "
+                                f"{v_max}: the complexity rounds to 1")
     return max(1.0 - ratio, 0.0)
 
 
@@ -193,22 +196,24 @@ def bounding_box(traj):
     The Bloch vector turns rigidly about the field axis n:
     r(t) = n(n.a) + cos(2wt) u + sin(2wt) n x a with u = a - n(n.a), so
     every interior extremum of theta and phi sits at a closed-form root of a
-    first-degree trig polynomial in 2wt. The box spans the angles there and
-    at both ends. The azimuth is frozen where sin(theta) <
-    AZIMUTH_POLE_EPS, so its values where the trajectory crosses that circle
-    count as well.
+    first-degree trig polynomial in 2wt. The box spans the angles there, at
+    the ends (the source's and target's own) and, where the path meets an
+    exact pole, the azimuth's one-sided limits on both sides of it.
     """
     n, na, u, v = traj.circle
     w2 = 2.0 * traj.problem.omega
     span = (0.0, w2 * traj.t_b)
     t_theta = _polar_turns(traj.circle, span) / w2
-    # (r x r')_z / 2w = |u|^2 n_z - (n.a)(u_z cos + v_z sin) vanishes
-    t_phi = _cos_roots(na * u[2], na * v[2], float(u @ u) * n[2], span) / w2
-    theta_a, phi_a = traj.start
-    theta, phi = traj.angles_at(np.concatenate([[traj.t_b], t_theta, t_phi]))
-    k = 1 + t_theta.size
-    theta = np.append(theta[:k], theta_a)
-    phi = np.concatenate([[phi_a], phi[:1], phi[k:], traj.azimuth.rim_phi])
+    # (r x r')_z / 2w = |u|^2 n_z - (n.a)(u_z cos + v_z sin) vanishes; on a
+    # path through an exact pole that is a double root there, which rounding
+    # moves off the pole, and the limits stand in for it
+    lift = traj.azimuth
+    t_phi = np.empty(0) if lift.limits else _cos_roots(
+        na * u[2], na * v[2], float(u @ u) * n[2], span) / w2
+    theta, phi = traj.angles_at(np.concatenate([t_theta, t_phi]))
+    ends = np.array([traj.start, traj.end])
+    theta = np.concatenate([theta[:t_theta.size], ends[:, 0]])
+    phi = np.concatenate([phi[t_theta.size:], ends[:, 1], lift.limits])
     return AngularBox(theta_min=float(theta.min()),
                       theta_max=float(theta.max()),
                       phi_min=float(phi.min()), phi_max=float(phi.max()))
@@ -265,12 +270,14 @@ def _degeneracy_kind(box):
 def _volume_samples(theta_a, phi_a, theta, phi, kind):
     """V(t) at the given angles, the one formula for the instantaneous
     volume. ``kind`` is decided once per trajectory, so every sample of one
-    trajectory uses the same convention."""
+    trajectory uses the same convention. cos(theta_A) - cos(theta) is taken
+    as a product of sines, which keeps its digits next to a pole."""
     if kind == "theta":
         return 0.5 * np.abs(phi - phi_a)
     if kind == "phi":
         return 0.5 * np.abs(theta - theta_a)
-    return 0.25 * np.abs((np.cos(theta_a) - np.cos(theta)) * (phi - phi_a))
+    return 0.5 * np.abs(np.sin(0.5 * (theta + theta_a))
+                        * np.sin(0.5 * (theta - theta_a)) * (phi - phi_a))
 
 
 def _accessed_volume(traj, mode, kind):
@@ -315,8 +322,7 @@ def _panel_edges(traj, x_bounds):
     c = np.arctan2(v[2], u[2])
     kinks = np.concatenate([_arc_ends(c, c, span),
                             _polar_turns(traj.circle, span),
-                            w2 * traj.azimuth.crossings,
-                            w2 * traj.azimuth.rims])
+                            w2 * traj.azimuth.crossings])
     inside = kinks[(kinks > span[0]) & (kinks < span[1])]
     return np.unique(np.concatenate([x_bounds, inside]))
 

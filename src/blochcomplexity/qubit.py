@@ -12,7 +12,8 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
-# sin(theta) below this is treated as a pole: the azimuth is conventionally 0
+# sin(theta) below this is an exact pole: `state_from_bloch` puts the azimuth
+# at 0 there, and along a trajectory it is a one-sided limit
 POLE_EPS = 1e-12
 
 
@@ -49,7 +50,7 @@ def bloch_angles(states):
     arg(c1) - arg(c0) in (-pi, pi] of states with shape (..., 2).
 
     The azimuth is returned as computed even at the poles, where it carries no
-    information; each caller applies its own pole convention.
+    information; callers treat sin(theta) < POLE_EPS as a pole.
     """
     states = np.asarray(states)
     c0 = states[..., 0]

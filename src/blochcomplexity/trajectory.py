@@ -5,10 +5,9 @@ The polar angle is always well-defined; the azimuth is only defined modulo
 2*pi (and not at all at the poles). `Trajectory.angles_at` gives the
 continuous azimuth in closed form: the Bloch vector turns rigidly about the
 field axis, so the instants where it crosses the plane of the start azimuth
-are known exactly, and counting them fixes the 2*pi branch at any time.
-Within sin(theta) < AZIMUTH_POLE_EPS of a pole the azimuth holds its value
-at the rim of that cap; a trajectory that starts inside a cap takes the
-azimuth at which it leaves it.
+are known exactly, and counting them fixes the 2*pi branch at any time. At
+an exact pole (sin(theta) < qubit.POLE_EPS) it is the one-sided limit along
+the path.
 
 The sampled grid (`t`, `states`) is built on first access.
 """
@@ -21,19 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonians import evolution_time, suboptimal_field
-from .qubit import bloch_angles, cross, pauli_dot
+from .qubit import POLE_EPS, bloch_angles, cross, pauli_dot
 
 MIN_SAMPLES = 2049
 DEFAULT_SAMPLES = 4097  # the sample count `evolve` writes by default
 TWO_PI = 2.0 * np.pi
-
-# sin(theta) guard for azimuth extraction along trajectories. Wider than the
-# 1e-12 pole convention: at sin(theta) ~ 1e-12 the rounding noise of the
-# amplitudes (~1e-16) turns into ~1e-4 rad of azimuth noise, which would leak
-# into bounding boxes; freezing the azimuth once sin(theta) < 1e-5 keeps that
-# noise below 1e-10 rad while only affecting points that carry no azimuth
-# information anyway.
-AZIMUTH_POLE_EPS = 1e-5
 
 
 def nearest_branch(angle, ref):
@@ -83,14 +74,16 @@ class Trajectory:
         """Polar angles and continuous azimuths at a time array of shape
         (...), in closed form: the raw azimuth of each state, moved to the
         2*pi branch that the crossings of the start azimuth's plane before
-        t select, and held at the rim value inside a pole cap."""
+        t select; at an exact pole, the lift's limit on t's side of it."""
         t = np.asarray(t, dtype=float)
         theta, raw = bloch_angles(self.states_at(t))
         lift = self.azimuth
         phi = lift.resolve(t, raw)
-        pole = np.sin(theta) < AZIMUTH_POLE_EPS
-        if np.any(pole):
-            phi = np.where(pole, lift.frozen(t), phi)
+        pole = np.sin(theta) < POLE_EPS
+        if lift.limits and np.any(pole):
+            arrival, departure = lift.limits
+            past = t > lift.pole
+            phi = np.where(pole, np.where(past, departure, arrival), phi)
         return theta, phi
 
     @cached_property
@@ -111,6 +104,17 @@ class Trajectory:
         return bloch_angles(self.source)[0], self.azimuth.phi_a
 
     @cached_property
+    def end(self):
+        """(theta_B, phi_B): the target's own angles (at an exact pole, the
+        arrival limit), not those of the computed state at t_b, whose
+        rounding swamps the azimuth near a pole."""
+        theta, raw = bloch_angles(self.problem.target_state)
+        lift = self.azimuth
+        if lift.limits and lift.pole == self.t_b:
+            return theta, lift.limits[0]
+        return theta, float(lift.resolve(self.t_b, raw))
+
+    @cached_property
     def t(self):
         return np.linspace(0.0, self.t_b, self.n_samples)
 
@@ -122,77 +126,89 @@ class Trajectory:
 class AzimuthLift:
     """The 2*pi branch of a trajectory's azimuth at any time.
 
-    The anchor is t = 0, or for a source inside a pole cap the first rim
-    crossing; ``phi_a`` is the raw azimuth there, on the 2*pi branch
-    nearest the source's own raw azimuth. With P(x) the component
-    of r(x) across the plane of azimuth ``phi_a``, P = R cos(x - c) + const
-    vanishes at the anchor and at its mirror about c, so the plane's
-    crossings are exact. Each crossing moves the azimuth into the next
-    half-turn (k pi, (k + 1) pi) relative to ``phi_a``; a raw azimuth is
-    resolved to the branch nearest the centre of its half-turn. A point
-    that rounding puts on the wrong side of a crossing sits on the plane,
-    pi/2 from either centre, so it still resolves to the right branch.
+    The anchor is t = 0; ``phi_a`` is the source's raw azimuth, or for a
+    source at an exact pole the azimuth of its direction of departure
+    r'(0) = n x a. With P(x) the component of r(x) across the plane of
+    azimuth ``phi_a``, P = R cos(x - c) + const vanishes at the anchor and
+    at its mirror about c, so the plane's crossings are exact. Each
+    crossing moves the azimuth into the next half-turn (k pi, (k + 1) pi)
+    relative to ``phi_a``; a raw azimuth is resolved to the branch nearest
+    the centre of its half-turn. A point that rounding puts on the wrong
+    side of a crossing sits on the plane, pi/2 from either centre, so it
+    still resolves to the right branch.
 
-    ``crossings`` and ``rims`` (the pole-cap rim crossings) are sorted times;
-    ``rim_phi`` is the continuous azimuth at each rim.
+    The path turns by at most pi, so it meets at most one exact pole, at
+    time ``pole``. ``limits`` are the azimuth's one-sided limits there, of
+    -r' (arrival) and r' (departure), each on the half-turn of its side; at
+    the source or the target both are its one limit, and with no pole on
+    the path ``limits`` is empty. ``crossings`` are sorted times.
     """
 
     def __init__(self, traj):
         n, na, u, v = traj.circle
         w2 = 2.0 * traj.problem.omega
         x_b = w2 * traj.t_b
-        x_rim = np.sort(_rim_crossings(n, na, u, v, (0.0, x_b)))
         theta0, phi_a = bloch_angles(traj.source)
-        x0 = 0.0
-        if math.sin(theta0) < AZIMUTH_POLE_EPS and x_rim.size:
-            x0 = float(x_rim[0])
-            phi_a = nearest_branch(bloch_angles(traj.states_at(x0 / w2))[1],
-                                   phi_a)
+        departs = math.sin(theta0) < POLE_EPS
+        if departs:
+            phi_a = math.atan2(v[1], v[0])
         self.phi_a = phi_a = float(phi_a)
         cos_a, sin_a = math.cos(phi_a), math.sin(phi_a)
 
         # d: rotation angle from the anchor to the maximum of P. P rises out
         # of the anchor when 0 < d < pi; at d = 0 (P <= 0) or d = pi
-        # (P >= 0) it touches the plane there and keeps its sign.
-        p, q = cos_a * u[1] - sin_a * u[0], cos_a * v[1] - sin_a * v[0]
-        d = (math.atan2(q, p) - x0) % TWO_PI
+        # (P >= 0) it touches the plane there and keeps its sign, as it does
+        # at a source on the pole, whose departure lies in the plane. The
+        # path turns by at most pi, so P's mirror zero is its one crossing.
+        p = cos_a * u[1] - sin_a * u[0]
+        q = 0.0 if departs else cos_a * v[1] - sin_a * v[0]
+        d = math.atan2(q, p) % TWO_PI
         gap = (2.0 * d) % TWO_PI
-        first = 0 if 0.0 < d <= math.pi else -1
-        x_cross = np.empty(0)
-        steps = np.empty(0)
-        if gap > 0.0 and math.hypot(p, q) > 0.0:
+        first = 0.0 if 0.0 < d <= math.pi else -1.0
+        self.crossings, self.half_turns = np.empty(0), np.array([first])
+        if 0.0 < gap <= x_b and math.hypot(p, q) > 0.0:
             rising = 1.0 if d < math.pi else -1.0
-            again = x0 + TWO_PI * np.arange(
-                1.0, np.floor((x_b - x0) / TWO_PI) + 1.0)
-            mirror = x0 + gap + TWO_PI * np.arange(
-                0.0, np.floor((x_b - x0 - gap) / TWO_PI) + 1.0)
-            # a mirror crossing on the far ray turns the azimuth the other way
-            along = np.array([cos_a, sin_a, 0.0])
-            far = np.sign((along @ n) * na + (along @ u) * np.cos(mirror)
-                          + (along @ v) * np.sin(mirror))
-            x_cross = np.concatenate([again, mirror])
-            steps = np.concatenate([np.full(again.size, rising),
-                                    -rising * far])
-        order = np.argsort(x_cross)
-        self.crossings = x_cross[order] / w2
-        self.half_turns = first + np.concatenate(
-            [[0.0], np.cumsum(steps[order])])
-        self.rims = x_rim / w2
-        self.rim_phi = self.resolve(
-            self.rims, bloch_angles(traj.states_at(self.rims))[1])
+            # a crossing on the far ray turns the azimuth the other way
+            far = np.sign((cos_a * n[0] + sin_a * n[1]) * na
+                          + (cos_a * u[0] + sin_a * u[1]) * math.cos(gap)
+                          + (cos_a * v[0] + sin_a * v[1]) * math.sin(gap))
+            self.crossings = np.array([gap / w2])
+            self.half_turns = np.array([first, first - rising * far])
+
+        self.pole, self.limits = 0.0, (phi_a, phi_a) if departs else ()
+        if departs:
+            return
+        # a pole lies on the plane of phi_a: the target there is P's mirror
+        # zero, so the path reaches it before any crossing; a pole mid-path
+        # is the crossing, or else the anchor's own zero, where the path
+        # touches the plane and stays in the first half-turn
+        sides = [0, 0]
+        if math.sin(bloch_angles(traj.problem.target_state)[0]) < POLE_EPS:
+            self.pole = traj.t_b
+        else:
+            near = np.array([math.atan2(v[2], u[2]),
+                             math.atan2(-v[2], -u[2])]) % TWO_PI / w2
+            near = near[(near > 0.0) & (near < traj.t_b)]
+            on = np.sin(bloch_angles(traj.states_at(near))[0]) < POLE_EPS
+            if not on.any():
+                return
+            self.pole = float(near[np.argmax(on)])
+            if self.crossings.size and (abs(self.crossings[0] - self.pole)
+                                        < self.pole):
+                self.pole, sides = float(self.crossings[0]), [0, 1]
+        x_p = w2 * self.pole
+        tangent = math.cos(x_p) * v - math.sin(x_p) * u
+        away = math.atan2(tangent[1], tangent[0])
+        centre = phi_a + np.pi * (self.half_turns[sides] + 0.5)
+        arrival = float(nearest_branch(away + np.pi, centre[0]))
+        departure = (arrival if self.pole == traj.t_b
+                     else float(nearest_branch(away, centre[1])))
+        self.limits = (arrival, departure)
 
     def resolve(self, t, raw):
         """Continuous azimuth at times ``t`` from raw azimuths there."""
         k = self.half_turns[np.searchsorted(self.crossings, t)]
         return nearest_branch(raw, self.phi_a + np.pi * (k + 0.5))
-
-    def frozen(self, t):
-        """The azimuth held inside a pole cap at times ``t``: its value at
-        the last rim crossing, or at the first one before any."""
-        if self.rims.size == 0:
-            return np.full(np.shape(t), self.phi_a)
-        k = np.searchsorted(self.rims, t, side="right") - 1
-        return self.rim_phi[np.maximum(k, 0)]
 
 
 def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
@@ -229,31 +245,6 @@ def _cos_roots(p, q, c, span):
     if r == 0.0 or abs(c) > r:
         return np.empty(0)
     return _arc_ends(math.atan2(q, p), math.acos(c / r), span)
-
-
-def _rim_crossings(n, na, u, v, span):
-    """Rotation angles x = 2wt in ``span`` where the Bloch vector crosses
-    sin(theta) = AZIMUTH_POLE_EPS, the rim of a pole cap in which the
-    azimuth is frozen.
-
-    Solved in haversine form on the triangle (field axis, pole, r): with
-    gamma = angle(n, pole) and beta = angle(n, a), the distance d to the
-    pole obeys hav d = hav(gamma - beta) + sin(gamma) sin(beta) hav(x - x_p),
-    x_p being the angle closest to the pole. Solving z(x) = cos d instead
-    loses the rim's position to rounding next to the pole.
-    """
-    beta = math.atan2(math.hypot(*v), na)
-    rim = math.sin(0.5 * math.asin(AZIMUTH_POLE_EPS)) ** 2
-    out = [np.empty(0)]
-    for pole in (1.0, -1.0):
-        gamma = math.atan2(math.hypot(n[0], n[1]), pole * n[2])
-        scale = math.sin(gamma) * math.sin(beta)
-        hav = rim - math.sin(0.5 * (gamma - beta)) ** 2
-        if scale > 0.0 and 0.0 <= hav <= scale:
-            out.append(_arc_ends(math.atan2(pole * v[2], pole * u[2]),
-                                 2.0 * math.asin(math.sqrt(hav / scale)),
-                                 span))
-    return np.concatenate(out)
 
 
 def _arc_ends(centre, half, span):

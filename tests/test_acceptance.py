@@ -4,7 +4,6 @@ one pass/fail line per criterion (run with ``pytest -s`` to see the lines)."""
 import time
 
 import numpy as np
-import pytest
 
 from blochcomplexity import (AnalysisConfig, EvolutionProblem,
                              SubOptimalParams, analyze, bloch_angles,

@@ -4,8 +4,8 @@ import pytest
 from blochcomplexity import (NormDrift, SubOptimalParams,
                              check_omega_independence,
                              check_propagator_agreement,
-                             check_supplementary_symmetry, equatorial_problem,
-                             evolution_time, integrate_schrodinger, propagator,
+                             check_supplementary_symmetry, evolution_time,
+                             integrate_schrodinger, propagator,
                              run_verification, suboptimal_field)
 from blochcomplexity.hamiltonians import FieldVector
 from reference_values import ARRIVAL_TIME_PI16
