@@ -33,7 +33,8 @@ the rotation angle x = 2wt (Piessens et al., QUADPACK, 1983) over panels cut
 at every point where V can kink: where cos(theta) returns to cos(theta_A),
 where the azimuth crosses the plane of phi_A, at the polar extrema (where
 the azimuth turns fastest near a pole, and where a path through a pole
-meets it), and at the segment boundaries.
+meets it), at the segment boundaries, and at the midpoint, past which the
+panels are measured back from the target.
 """
 
 import math
@@ -44,6 +45,7 @@ import numpy as np
 from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
 from .metrics import _arc_length, curvature_coefficient, speed_efficiency
+from .qubit import cross
 from .trajectory import (DEFAULT_SAMPLES, _arc_ends, _cos_roots,
                          sample_trajectory)
 
@@ -195,25 +197,27 @@ def bounding_box(traj):
 
     The Bloch vector turns rigidly about the field axis n:
     r(t) = n(n.a) + cos(2wt) u + sin(2wt) n x a with u = a - n(n.a), so
-    every interior extremum of theta and phi sits at a closed-form root of a
-    first-degree trig polynomial in 2wt. The box spans the angles there, at
-    the ends (the source's and target's own) and, where the path meets an
-    exact pole, the azimuth's one-sided limits on both sides of it.
+    every interior extremum of theta sits at a closed-form root of a
+    first-degree trig polynomial in 2wt, and of phi at a root of a quadratic
+    in tan(y/2), y measured from the nearer end (`_azimuth_turns`). The box
+    spans the angles there, at both ends and, where the path meets an exact
+    pole, the azimuth's one-sided limits on both sides of it.
     """
-    n, na, u, v = traj.circle
-    w2 = 2.0 * traj.problem.omega
-    span = (0.0, w2 * traj.t_b)
-    t_theta = _polar_turns(traj.circle, span) / w2
-    # (r x r')_z / 2w = |u|^2 n_z - (n.a)(u_z cos + v_z sin) vanishes; on a
-    # path through an exact pole that is a double root there, which rounding
-    # moves off the pole, and the limits stand in for it
+    x_b, n = traj.x_b, traj.circle.n
+    x_theta = _polar_turns(traj.circle, (0.0, x_b))
+    # on a path through an exact pole the azimuth's stationary points are a
+    # double root there, which rounding moves off the pole, and the limits
+    # stand in for them
     lift = traj.azimuth
-    t_phi = np.empty(0) if lift.limits else _cos_roots(
-        na * u[2], na * v[2], float(u @ u) * n[2], span) / w2
-    theta, phi = traj.angles_at(np.concatenate([t_theta, t_phi]))
-    ends = np.array([traj.start, traj.end])
-    theta = np.concatenate([theta[:t_theta.size], ends[:, 0]])
-    phi = np.concatenate([phi[t_theta.size:], ends[:, 1], lift.limits])
+    x_phi = np.empty(0) if lift.limits else np.concatenate([
+        _azimuth_turns(traj.problem.a_hat, n, 0.5 * x_b),
+        x_b - _azimuth_turns(traj.problem.b_hat, -n, 0.5 * x_b)])
+    theta, phi = traj.angles_along(
+        np.concatenate([[traj.x_b], x_theta, x_phi]))
+    theta_a, phi_a = traj.start
+    k = 1 + x_theta.size
+    theta = np.append(theta[:k], theta_a)
+    phi = np.concatenate([[phi_a], phi[:1], phi[k:], lift.limits])
     return AngularBox(theta_min=float(theta.min()),
                       theta_max=float(theta.max()),
                       phi_min=float(phi.min()), phi_max=float(phi.max()))
@@ -229,24 +233,30 @@ def branch_times(traj):
     and so is a component whose Re c_k vanishes identically (both
     coefficients at rounding level), where any root would be noise. Roots
     within 1e-12 of either end, or within 1e-9 of the previous root,
-    are dropped; both filters act on the rotation angle wt, so the result
+    are dropped; both filters act on the phase angle wt, so the result
     scales exactly as 1/w.
     """
-    w = traj.problem.omega
-    lo, hi = span = (0.0, w * traj.t_b)
+    w2 = 2.0 * traj.problem.omega
+    return [float(x / w2) for x in _branch_angles(traj)]
+
+
+def _branch_angles(traj):
+    """`branch_times` as rotation angles 2wt, which no energy scale
+    enters."""
+    lo, hi = span = (0.0, 0.5 * traj.x_b)
     roots = []
     for comp in range(2):
         p, q = traj.source[comp].real, traj.turned[comp].imag
         if math.hypot(p, q) <= 1e-12:
             continue
         xs = _cos_roots(p, q, 0.0, span)
-        roots.extend(xs[np.abs(traj.states_at(xs / w)[:, comp]) > 1e-9])
+        roots.extend(xs[np.abs(traj.states_along(2.0 * xs)[:, comp]) > 1e-9])
     merged = []
     for x in sorted(roots):
         if lo + 1e-12 < x < hi - 1e-12 and (not merged
                                             or x - merged[-1] > 1e-9):
             merged.append(x)
-    return [float(x / w) for x in merged]
+    return [2.0 * x for x in merged]
 
 
 # -- internals ---------------------------------------------------------------
@@ -285,17 +295,21 @@ def _accessed_volume(traj, mode, kind):
     if mode not in AVERAGING_MODES:
         raise ValueError(f"unknown averaging mode {mode!r}")
     w2 = 2.0 * traj.problem.omega
-    cuts = branch_times(traj) if mode == APPENDIX_PIECEWISE else []
-    bounds = [0.0] + cuts + [traj.t_b]
-    x_bounds = w2 * np.array(bounds)
+    cuts = _branch_angles(traj) if mode == APPENDIX_PIECEWISE else []
+    x_bounds = np.array([0.0] + cuts + [traj.x_b])
+    bounds = [0.0] + [float(x / w2) for x in cuts] + [traj.t_b]
     theta_a, phi_a = traj.start
 
+    # panels past the midpoint are measured back from x_b, where the states
+    # there start (see `Trajectory.states_along`): their x is negative
     def volume(x):
-        theta, phi = traj.angles_at(x / w2)
+        theta, phi = traj.angles_along(x, np.where(x < 0.0, traj.x_b, 0.0))
         return _volume_samples(theta_a, phi_a, theta, phi, kind)
 
     edges = _panel_edges(traj, x_bounds)
-    integrals = _panel_integrals(volume, edges)
+    origin = np.where(edges[:-1] < 0.5 * traj.x_b, 0.0, traj.x_b)
+    integrals = _panel_integrals(volume, edges[:-1] - origin,
+                                 edges[1:] - origin)
     segment = np.searchsorted(x_bounds, edges[:-1], side="right") - 1
     sums = np.bincount(segment, weights=integrals, minlength=len(cuts) + 1)
     averages = tuple((t0, t1, float(total / (x1 - x0)))
@@ -306,6 +320,33 @@ def _accessed_volume(traj, mode, kind):
     return v_bar, averages
 
 
+def _azimuth_turns(end, n, reach):
+    """Rotation angles y in [0, reach] about ``n`` from the point ``end``
+    where the azimuth is stationary, measured from that end so that they
+    keep their precision next to it.
+
+    On the circle r(y) = n (n.e) + cos(y) u + sin(y) v through e = ``end``,
+    (r x r')_z = f + A (1 - cos y) - B sin y with f = (e x v)_z, A = (n.e) u_z
+    and B = (n.e) v_z, and f is written out so that it stays exact when e
+    is next to a pole and f is small. With t = tan(y/2) its zeros solve
+    (f + 2A) t^2 - 2B t + f = 0, whose roots are taken as f/q and
+    q/(f + 2A), q = B + sign(B) sqrt(B^2 - f (f + 2A)), so the small one
+    keeps its relative precision; each is turned into y by an atan2, which
+    neither overflows nor divides by zero.
+    """
+    ne = float(n @ end)
+    u, v = end - ne * n, cross(n, end)
+    f = float(end[0] * v[1] - end[1] * v[0])
+    a, b = ne * float(u[2]), ne * float(v[2])
+    disc = b * b - f * (f + 2.0 * a)
+    if disc < 0.0:
+        return np.empty(0)
+    q = b + math.copysign(math.sqrt(disc), b)
+    y = np.array([2.0 * math.atan2(math.copysign(1.0, den) * num, abs(den))
+                  for num, den in ((f, q), (q, f + 2.0 * a))])
+    return y[(y >= 0.0) & (y <= reach)]
+
+
 def _polar_turns(circle, span):
     """Rotation angles in ``span`` where theta is stationary: z = n_z (n.a)
     + u_z cos + v_z sin turns where v_z cos = u_z sin."""
@@ -313,30 +354,29 @@ def _polar_turns(circle, span):
 
 
 def _panel_edges(traj, x_bounds):
-    """Sorted panel edges in the rotation angle: the segment bounds and
-    every interior point where V may kink or its azimuth turns fast."""
+    """Sorted panel edges in the rotation angle: the segment bounds, the
+    midpoint, where the states switch ends, and every interior point where
+    V may kink or its azimuth turns fast."""
     u, v = traj.circle.u, traj.circle.v
     span = (x_bounds[0], x_bounds[-1])
-    w2 = 2.0 * traj.problem.omega
     # z(x) - z_A = R_z (cos(x - c) - cos c): zero at x = 0 and at 2c
     c = np.arctan2(v[2], u[2])
     kinks = np.concatenate([_arc_ends(c, c, span),
                             _polar_turns(traj.circle, span),
-                            w2 * traj.azimuth.crossings])
+                            traj.azimuth.crossings, [0.5 * traj.x_b]])
     inside = kinks[(kinks > span[0]) & (kinks < span[1])]
     return np.unique(np.concatenate([x_bounds, inside]))
 
 
-def _panel_integrals(f, edges):
-    """Integral of f over each panel between consecutive ``edges``, by
-    adaptive Gauss-Legendre quadrature.
+def _panel_integrals(f, lo, hi):
+    """Integral of f over each panel [lo, hi], by adaptive Gauss-Legendre
+    quadrature.
 
     A panel's rule is compared with the sum of the rules on its two halves;
     panels where they differ by more than PANEL_TOL are bisected, the halves'
     rules becoming their children's, and all open panels are evaluated
     together at each level. The accepted value is the sum over the halves.
     """
-    lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     owner = np.arange(lo.size)
     total = np.zeros(lo.size)
@@ -356,7 +396,8 @@ def _panel_integrals(f, edges):
             worst = np.flatnonzero(keep)[np.argmax(error[keep])]
             raise QuadratureNotConverged(
                 f"panel [{lo[worst]:.17g}, {hi[worst]:.17g}] of the rotation "
-                f"angle 2wt still has an error estimate of "
+                f"angle 2wt (back from the target where negative) still has "
+                f"an error estimate of "
                 f"{error[worst]:.3g} after {MAX_BISECTIONS} bisections "
                 f"(tolerance {PANEL_TOL:g})")
         lo, hi = (np.concatenate([lo[keep], mid[keep]]),

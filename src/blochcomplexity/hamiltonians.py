@@ -130,9 +130,13 @@ def suboptimal_field(problem, params):
     plus_norm = np.linalg.norm(plus)
     if plus_norm < DEGENERACY_EPS:
         raise DegenerateGeometry("antipodal vectors: bisector undefined")
-    h = problem.energy * (np.cos(params.alpha) * plus / plus_norm
-                          + np.sin(params.alpha) * axis / np.linalg.norm(axis))
-    return FieldVector(h)
+    unit = (np.cos(params.alpha) * plus / plus_norm
+            + np.sin(params.alpha) * axis / np.linalg.norm(axis))
+    f = FieldVector(problem.energy * unit)
+    # the direction is the unit combination's own, the same at every energy
+    # scale; h/|h| would round E into it
+    f.__dict__["direction"] = _read_only(unit / math.hypot(*unit))
+    return f
 
 
 def propagator(f, t, hbar=1.0):
@@ -158,10 +162,15 @@ def evolution_time(problem, params):
     alpha -> pi - alpha. The atan2 keeps the angle's relative precision at
     every separation, where its cosine rounds to 1 once theta_AB is small.
     """
+    return (problem.hbar / problem.energy) * arrival_angle(problem, params)
+
+
+def arrival_angle(problem, params):
+    """E t(alpha)/hbar, the amplitudes' phase angle at arrival: the atan2 of
+    `evolution_time`, which no energy scale enters."""
     problem.require_nondegenerate()
     half = problem.theta_ab / 2.0
-    return (problem.hbar / problem.energy) * math.atan2(
-        math.sin(half), math.sin(params.alpha) * math.cos(half))
+    return math.atan2(math.sin(half), math.sin(params.alpha) * math.cos(half))
 
 
 def equatorial_problem(theta_ab=np.pi / 2.0, energy=1.0):

@@ -37,12 +37,20 @@ def cross(a, b):
 
 def state_from_bloch(v):
     """State vector (cos(theta/2), exp(i*phi) sin(theta/2)) for a unit Bloch
-    vector, with the global phase fixed so the |0> amplitude is real >= 0."""
+    vector, with the global phase fixed so the |0> amplitude is real >= 0.
+    In the southern hemisphere the half-angle is measured from the south
+    pole, pi/2 - theta/2, so that cos(theta/2) keeps its relative precision
+    there and is exactly 0 at v = -z."""
     v = _require_unit(v, "v")
-    theta = np.arctan2(np.hypot(v[0], v[1]), v[2])
-    phi = 0.0 if np.hypot(v[0], v[1]) < POLE_EPS else np.arctan2(v[1], v[0])
-    return np.array([np.cos(theta / 2.0),
-                     np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex)
+    across = np.hypot(v[0], v[1])
+    phi = 0.0 if across < POLE_EPS else np.arctan2(v[1], v[0])
+    if v[2] >= 0.0:
+        half = np.arctan2(across, v[2]) / 2.0
+        c0, c1 = np.cos(half), np.sin(half)
+    else:
+        half = np.arctan2(across, -v[2]) / 2.0
+        c0, c1 = np.sin(half), np.cos(half)
+    return np.array([c0, np.exp(1j * phi) * c1], dtype=complex)
 
 
 def bloch_angles(states):

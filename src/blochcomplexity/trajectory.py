@@ -7,7 +7,8 @@ continuous azimuth in closed form: the Bloch vector turns rigidly about the
 field axis, so the instants where it crosses the plane of the start azimuth
 are known exactly, and counting them fixes the 2*pi branch at any time. At
 an exact pole (sin(theta) < qubit.POLE_EPS) it is the one-sided limit along
-the path.
+the path. The states are built from the nearer end of the path, so that
+next to the source or the target a small amplitude keeps its precision.
 
 The sampled grid (`t`, `states`) is built on first access.
 """
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonians import evolution_time, suboptimal_field
+from .hamiltonians import arrival_angle, evolution_time, suboptimal_field
 from .qubit import POLE_EPS, bloch_angles, cross, pauli_dot
 
 MIN_SAMPLES = 2049
@@ -50,6 +51,10 @@ class Trajectory:
     state psi0 and the ``turned`` state (n.sigma) psi0 along the field axis
     n, from which every state and angle follows in closed form.
 
+    Internally the path is parametrised by the rotation angle x = 2wt
+    (w = E/hbar), which runs from 0 to ``x_b`` at every energy scale; only
+    `states_at`, `angles_at` and the reported times convert from t.
+
     ``t`` and ``states`` are a uniform sampling with ``n_samples`` points,
     built on first access.
     """
@@ -57,33 +62,58 @@ class Trajectory:
     problem: object
     params: object
     t_b: float
+    x_b: float
     n_samples: int
     field: object
     source: np.ndarray
     turned: np.ndarray
 
     def states_at(self, t):
-        """Closed-form states cos(wt) psi0 - i sin(wt) (n.sigma) psi0, with
-        w = E/hbar (the Bloch vector turns at 2w), at a time array of shape
-        (...), as an array of shape (..., 2)."""
-        ang = self.problem.omega * np.asarray(t, dtype=float)
-        return (np.cos(ang)[..., None] * self.source
-                - 1j * np.sin(ang)[..., None] * self.turned)
+        """Closed-form states at a time array of shape (...), as an array
+        of shape (..., 2): `states_along` at x = 2wt."""
+        return self.states_along(
+            2.0 * self.problem.omega * np.asarray(t, dtype=float))
+
+    def states_along(self, x, origin=0.0):
+        """States cos(y) psi - i sin(y) (n.sigma) psi at rotation angles
+        origin + x, for an ``origin`` of 0 or x_b (or an array of them that
+        broadcasts with x). On the first half of the path psi is psi0 and
+        y = (origin + x)/2; on the second it is the target's own state, in
+        the phase of the evolved one, and y = (origin + x - x_b)/2, which is
+        x/2 for an origin at x_b. Each half is thus exact at its own end: a
+        small amplitude next to a pole keeps its relative precision there,
+        and so does a rotation angle measured from x_b."""
+        x = np.asarray(x, dtype=float)
+        back = origin + x > 0.5 * self.x_b
+        ang = 0.5 * np.where(back, x + (origin - self.x_b), x + origin)
+        psi, turned = self.arrival
+        back = back[..., None]
+        return (np.cos(ang)[..., None] * np.where(back, psi, self.source)
+                - 1j * np.sin(ang)[..., None]
+                * np.where(back, turned, self.turned))
 
     def angles_at(self, t):
         """Polar angles and continuous azimuths at a time array of shape
-        (...), in closed form: the raw azimuth of each state, moved to the
-        2*pi branch that the crossings of the start azimuth's plane before
-        t select; at an exact pole, the lift's limit on t's side of it."""
-        t = np.asarray(t, dtype=float)
-        theta, raw = bloch_angles(self.states_at(t))
+        (...): `angles_along` at x = 2wt."""
+        return self.angles_along(
+            2.0 * self.problem.omega * np.asarray(t, dtype=float))
+
+    def angles_along(self, x, origin=0.0):
+        """Polar angles and continuous azimuths at rotation angles
+        origin + x (see `states_along`), in closed form: the raw azimuth of
+        each state, moved to the 2*pi branch that the crossings of the start
+        azimuth's plane before it select; at an exact pole, the lift's limit
+        on its side of the pole."""
+        x = np.asarray(x, dtype=float)
+        theta, raw = bloch_angles(self.states_along(x, origin))
+        at = origin + x
         lift = self.azimuth
-        phi = lift.resolve(t, raw)
+        phi = lift.resolve(at, raw)
         pole = np.sin(theta) < POLE_EPS
         if lift.limits and np.any(pole):
             arrival, departure = lift.limits
-            past = t > lift.pole
-            phi = np.where(pole, np.where(past, departure, arrival), phi)
+            phi = np.where(pole, np.where(at > lift.pole, departure, arrival),
+                           phi)
         return theta, phi
 
     @cached_property
@@ -92,6 +122,17 @@ class Trajectory:
         a = self.problem.a_hat
         na = float(n @ a)
         return Circle(n=n, na=na, u=a - na * n, v=cross(n, a))
+
+    @cached_property
+    def arrival(self):
+        """The target's own state in the phase of psi0's evolved state at
+        x_b, and (n.sigma) of it: the second half's psi."""
+        half = 0.5 * self.x_b
+        reached = (math.cos(half) * self.source
+                   - 1j * math.sin(half) * self.turned)
+        overlap = np.vdot(self.problem.target_state, reached)
+        psi = self.problem.target_state * (overlap / abs(overlap))
+        return psi, pauli_dot(self.field.direction) @ psi
 
     @cached_property
     def azimuth(self):
@@ -104,17 +145,6 @@ class Trajectory:
         return bloch_angles(self.source)[0], self.azimuth.phi_a
 
     @cached_property
-    def end(self):
-        """(theta_B, phi_B): the target's own angles (at an exact pole, the
-        arrival limit), not those of the computed state at t_b, whose
-        rounding swamps the azimuth near a pole."""
-        theta, raw = bloch_angles(self.problem.target_state)
-        lift = self.azimuth
-        if lift.limits and lift.pole == self.t_b:
-            return theta, lift.limits[0]
-        return theta, float(lift.resolve(self.t_b, raw))
-
-    @cached_property
     def t(self):
         return np.linspace(0.0, self.t_b, self.n_samples)
 
@@ -124,9 +154,9 @@ class Trajectory:
 
 
 class AzimuthLift:
-    """The 2*pi branch of a trajectory's azimuth at any time.
+    """The 2*pi branch of a trajectory's azimuth at any rotation angle.
 
-    The anchor is t = 0; ``phi_a`` is the source's raw azimuth, or for a
+    The anchor is x = 0; ``phi_a`` is the source's raw azimuth, or for a
     source at an exact pole the azimuth of its direction of departure
     r'(0) = n x a. With P(x) the component of r(x) across the plane of
     azimuth ``phi_a``, P = R cos(x - c) + const vanishes at the anchor and
@@ -138,16 +168,16 @@ class AzimuthLift:
     still resolves to the right branch.
 
     The path turns by at most pi, so it meets at most one exact pole, at
-    time ``pole``. ``limits`` are the azimuth's one-sided limits there, of
-    -r' (arrival) and r' (departure), each on the half-turn of its side; at
-    the source or the target both are its one limit, and with no pole on
-    the path ``limits`` is empty. ``crossings`` are sorted times.
+    rotation angle ``pole``. ``limits`` are the azimuth's one-sided limits
+    there, of -r' (arrival) and r' (departure), each on the half-turn of its
+    side; at the source or the target both are its one limit, and with no
+    pole on the path ``limits`` is empty. ``crossings`` are sorted rotation
+    angles.
     """
 
     def __init__(self, traj):
         n, na, u, v = traj.circle
-        w2 = 2.0 * traj.problem.omega
-        x_b = w2 * traj.t_b
+        x_b = traj.x_b
         theta0, phi_a = bloch_angles(traj.source)
         departs = math.sin(theta0) < POLE_EPS
         if departs:
@@ -172,7 +202,7 @@ class AzimuthLift:
             far = np.sign((cos_a * n[0] + sin_a * n[1]) * na
                           + (cos_a * u[0] + sin_a * u[1]) * math.cos(gap)
                           + (cos_a * v[0] + sin_a * v[1]) * math.sin(gap))
-            self.crossings = np.array([gap / w2])
+            self.crossings = np.array([gap])
             self.half_turns = np.array([first, first - rising * far])
 
         self.pole, self.limits = 0.0, (phi_a, phi_a) if departs else ()
@@ -184,30 +214,30 @@ class AzimuthLift:
         # touches the plane and stays in the first half-turn
         sides = [0, 0]
         if math.sin(bloch_angles(traj.problem.target_state)[0]) < POLE_EPS:
-            self.pole = traj.t_b
+            self.pole = x_b
         else:
             near = np.array([math.atan2(v[2], u[2]),
-                             math.atan2(-v[2], -u[2])]) % TWO_PI / w2
-            near = near[(near > 0.0) & (near < traj.t_b)]
-            on = np.sin(bloch_angles(traj.states_at(near))[0]) < POLE_EPS
+                             math.atan2(-v[2], -u[2])]) % TWO_PI
+            near = near[(near > 0.0) & (near < x_b)]
+            on = np.sin(bloch_angles(traj.states_along(near))[0]) < POLE_EPS
             if not on.any():
                 return
             self.pole = float(near[np.argmax(on)])
             if self.crossings.size and (abs(self.crossings[0] - self.pole)
                                         < self.pole):
                 self.pole, sides = float(self.crossings[0]), [0, 1]
-        x_p = w2 * self.pole
-        tangent = math.cos(x_p) * v - math.sin(x_p) * u
+        tangent = math.cos(self.pole) * v - math.sin(self.pole) * u
         away = math.atan2(tangent[1], tangent[0])
         centre = phi_a + np.pi * (self.half_turns[sides] + 0.5)
         arrival = float(nearest_branch(away + np.pi, centre[0]))
-        departure = (arrival if self.pole == traj.t_b
+        departure = (arrival if self.pole == x_b
                      else float(nearest_branch(away, centre[1])))
         self.limits = (arrival, departure)
 
-    def resolve(self, t, raw):
-        """Continuous azimuth at times ``t`` from raw azimuths there."""
-        k = self.half_turns[np.searchsorted(self.crossings, t)]
+    def resolve(self, x, raw):
+        """Continuous azimuth at rotation angles ``x`` from raw azimuths
+        there."""
+        k = self.half_turns[np.searchsorted(self.crossings, x)]
         return nearest_branch(raw, self.phi_a + np.pi * (k + 0.5))
 
 
@@ -222,8 +252,9 @@ def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     f = suboptimal_field(problem, params)
     return Trajectory(problem=problem, params=params,
-                      t_b=evolution_time(problem, params), n_samples=int(n),
-                      field=f, source=problem.source_state,
+                      t_b=evolution_time(problem, params),
+                      x_b=2.0 * arrival_angle(problem, params),
+                      n_samples=int(n), field=f, source=problem.source_state,
                       turned=pauli_dot(f.direction) @ problem.source_state)
 
 
