@@ -14,7 +14,7 @@ from .hamiltonians import (EvolutionProblem, FieldVector, SubOptimalParams,
 from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
                       speed_efficiency)
 from .qubit import bloch_angles, pauli_dot, state_from_bloch
-from .trajectory import Trajectory, sample_trajectory, write_trajectory_csv
+from .trajectory import Trajectory, sample_trajectory
 from .verify import (CheckRecord, check_omega_independence,
                      check_propagator_agreement, check_supplementary_symmetry,
                      integrate_schrodinger, run_verification)

@@ -2,7 +2,7 @@
 
 Subcommands:
     sweep    mixing-angle sweep to CSV (one row per alpha)
-    evolve   dump one sampled trajectory to CSV (the only sampling command)
+    evolve   dump one sampled trajectory to CSV (the only code that samples)
     tables   print the reference tables (I: volumes/complexity,
              II: efficiencies/curvature, III: times/lengths)
     figdata  dense alpha grids for external plotting
@@ -23,7 +23,7 @@ from .complexity import AnalysisConfig, DEFAULT_AVERAGING_MODE, analyze
 from .errors import BlochComplexityError
 from .hamiltonians import SubOptimalParams, equatorial_problem, suboptimal_field
 from .metrics import curvature_coefficient, geodesic_efficiency, speed_efficiency
-from .trajectory import DEFAULT_SAMPLES, sample_trajectory, write_trajectory_csv
+from .trajectory import DEFAULT_SAMPLES, sample_trajectory
 from .verify import run_verification
 
 _FRACTION_OF_PI = re.compile(r"^\s*([+-]?\d+)\s*/\s*(\d+)\s*pi\s*$")
@@ -85,10 +85,19 @@ def cmd_sweep(args):
 
 
 def cmd_evolve(args):
+    """The trajectory at ``--samples`` uniform times from 0 to t_b, one CSV
+    row each: t, the angles `angles_at` gives and the closed-form state."""
     problem = equatorial_problem(args.theta_ab, energy=args.omega)
     traj = sample_trajectory(problem, SubOptimalParams(args.alpha),
                              args.samples)
-    return _write(args.out, lambda stream: write_trajectory_csv(traj, stream))
+    t = np.linspace(0.0, traj.t_b, args.samples)
+    theta, phi = traj.angles_at(t)
+    c0, c1 = traj.states_at(t).T
+    lines = ["t,theta,phi,re_c0,im_c0,re_c1,im_c1"]
+    for row in zip(t, theta, phi, c0.real, c0.imag, c1.real, c1.imag):
+        lines.append(",".join(fmt(x) for x in row))
+    text = "\n".join(lines) + "\n"
+    return _write(args.out, lambda stream: stream.write(text))
 
 
 _TABLE_ALPHAS = [Fraction(k, 16) for k in range(0, 9)]

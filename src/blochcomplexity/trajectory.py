@@ -1,5 +1,5 @@
 """One evolution under a stationary field: its closed-form states and
-spherical angles at any time, and a dense sampling of it built on demand.
+spherical angles at any time.
 
 The polar angle is always well-defined; the azimuth is only defined modulo
 2*pi (and not at all at the poles). `Trajectory.angles_at` gives the
@@ -9,8 +9,6 @@ are known exactly, and counting them fixes the 2*pi branch at any time. At
 an exact pole (sin(theta) < qubit.POLE_EPS) it is the one-sided limit along
 the path. The states are built from the nearer end of the path, so that
 next to the source or the target a small amplitude keeps its precision.
-
-The sampled grid (`t`, `states`) is built on first access.
 """
 
 import math
@@ -54,16 +52,11 @@ class Trajectory:
     Internally the path is parametrised by the rotation angle x = 2wt
     (w = E/hbar), which runs from 0 to ``x_b`` at every energy scale; only
     `states_at`, `angles_at` and the reported times convert from t.
-
-    ``t`` and ``states`` are a uniform sampling with ``n_samples`` points,
-    built on first access.
     """
 
     problem: object
-    params: object
     t_b: float
     x_b: float
-    n_samples: int
     field: object
     source: np.ndarray
     turned: np.ndarray
@@ -143,14 +136,6 @@ class Trajectory:
         """(theta_A, phi_A), the angles at t = 0: the source's polar angle
         and the azimuth that anchors the lift, as `angles_at` gives them."""
         return bloch_angles(self.source)[0], self.azimuth.phi_a
-
-    @cached_property
-    def t(self):
-        return np.linspace(0.0, self.t_b, self.n_samples)
-
-    @cached_property
-    def states(self):
-        return self.states_at(self.t)
 
 
 class AzimuthLift:
@@ -242,8 +227,9 @@ class AzimuthLift:
 
 
 def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
-    """The evolution on [0, evolution_time], with a uniform sampling of
-    ``n`` points built on first access.
+    """The evolution on [0, evolution_time]. ``n`` is not read, as nothing
+    here samples; it is still validated, so that `evolve`, which samples
+    ``n`` points itself, and other callers passing it get the same errors.
 
     Builds the field, psi0 and (n.sigma) psi0 once; every later stage reads
     them from the returned Trajectory.
@@ -251,22 +237,10 @@ def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     f = suboptimal_field(problem, params)
-    return Trajectory(problem=problem, params=params,
-                      t_b=evolution_time(problem, params),
-                      x_b=2.0 * arrival_angle(problem, params),
-                      n_samples=int(n), field=f, source=problem.source_state,
+    return Trajectory(problem=problem, t_b=evolution_time(problem, params),
+                      x_b=2.0 * arrival_angle(problem, params), field=f,
+                      source=problem.source_state,
                       turned=pauli_dot(f.direction) @ problem.source_state)
-
-
-def write_trajectory_csv(traj, stream):
-    """Dump the samples as CSV: header t,theta,phi,re_c0,im_c0,re_c1,im_c1
-    with 12 significant digits, LF line endings; the angles are `angles_at`
-    at the sample times."""
-    stream.write("t,theta,phi,re_c0,im_c0,re_c1,im_c1\n")
-    theta, phi = traj.angles_at(traj.t)
-    c0, c1 = traj.states.T
-    for row in zip(traj.t, theta, phi, c0.real, c0.imag, c1.real, c1.imag):
-        stream.write(",".join(f"{x:.12g}" for x in row) + "\n")
 
 
 def _cos_roots(p, q, c, span):

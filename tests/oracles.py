@@ -1,7 +1,12 @@
 """Reference routes the tests compare the library against: the matrix
 propagator applied to the source state, and the arc length by composite
 Simpson quadrature over a trajectory's samples. Neither is a production
-path; the library computes both quantities in closed form."""
+path; the library computes both quantities in closed form, and samples
+nothing.
+
+`sample` builds the uniform grid that `evolve` writes."""
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,6 +18,20 @@ def amplitudes(problem, params, t):
     the source state."""
     u = propagator(suboptimal_field(problem, params), t, problem.hbar)
     return u @ problem.source_state
+
+
+class Samples(NamedTuple):
+    t: np.ndarray
+    states: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+
+
+def sample(traj, n=4097):
+    """The trajectory at ``n`` uniform times from 0 to t_b, as `evolve`
+    writes it: the times, `states_at` and `angles_at` there."""
+    t = np.linspace(0.0, traj.t_b, n)
+    return Samples(t, traj.states_at(t), *traj.angles_at(t))
 
 
 def simpson_uniform(y, dx):
@@ -30,19 +49,21 @@ def simpson_uniform(y, dx):
 
 
 def path_length_numeric(traj):
-    """Arc length by Simpson quadrature of 2*DeltaE(t)/hbar over the samples.
+    """Arc length by Simpson quadrature of 2*DeltaE(t)/hbar over the
+    samples.
 
     DeltaE is evaluated in Bloch form sqrt(h^2 - (r(t).h)^2) with h the
     trajectory's field and r(t) the sampled Bloch vector, avoiding
     per-sample matrix traces.
     """
     f = traj.field
-    c0 = traj.states[:, 0]
-    c1 = traj.states[:, 1]
+    grid = sample(traj)
+    c0 = grid.states[:, 0]
+    c1 = grid.states[:, 1]
     r = np.stack([2.0 * (np.conj(c0) * c1).real,
                   2.0 * (np.conj(c0) * c1).imag,
                   np.abs(c0) ** 2 - np.abs(c1) ** 2], axis=1)
     h_sq = float(np.dot(f.h, f.h))
     delta_e = np.sqrt(np.clip(h_sq - (r @ f.h) ** 2, 0.0, None))
-    dt = traj.t[1] - traj.t[0]
+    dt = grid.t[1] - grid.t[0]
     return float(simpson_uniform(2.0 * delta_e / traj.problem.hbar, dt))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from blochcomplexity import (AveragingDomainError, NonPositiveVolume,
-                             QuadratureNotConverged)
+                             QuadratureNotConverged, SubOptimalParams,
+                             equatorial_problem, sample_trajectory)
 from blochcomplexity.cli import main, parse_angle
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -227,11 +228,27 @@ def test_evolve_final_row_pi16(tmp_path):
     assert round(float(last[2]), 4) == 1.5708
 
 
+def test_evolve_time_grid(capsys):
+    # n rows from 0 to t_b, strictly increasing
+    assert run_cli("evolve", "--alpha", "0.9", "--samples", "2049") == 0
+    t = [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]]
+    t_b = sample_trajectory(equatorial_problem(), SubOptimalParams(0.9)).t_b
+    assert len(t) == 2049
+    assert t[0] == "0"
+    assert np.all(np.diff(np.array(t, dtype=float)) > 0)
+    assert t[-1] == f"{t_b:.12g}"
+
+
 def test_evolve_to_stdout(capsys):
     assert run_cli("evolve", "--alpha", "1/4pi", "--samples", "2049") == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "t,theta,phi,re_c0,im_c0,re_c1,im_c1"
     assert len(lines) == 2050
+    # the first row is the source x-hat, at 12 significant digits
+    first = lines[1].split(",")
+    assert float(first[0]) == 0.0
+    assert float(first[3]) == pytest.approx(1 / np.sqrt(2.0), abs=1e-12)
+    assert first[1] == f"{np.pi / 2:.12g}"
 
 
 def test_evolve_bad_path_reports_error(tmp_path, capsys):
@@ -294,7 +311,7 @@ def test_figdata_fig2(tmp_path):
 
 
 def test_figdata_fig4_matches_table(tmp_path, canonical, oracle_gate):
-    from blochcomplexity import SubOptimalParams, analyze
+    from blochcomplexity import analyze
     out = tmp_path / "fig4.csv"
     assert run_cli("figdata", "fig4", "--points", "17", "--out", str(out)) == 0
     _, rows = read_rows(out)
@@ -335,15 +352,37 @@ def test_verify_command(capsys):
     assert any(line.startswith("omega_invariance") for line in out)
 
 
-def test_cli_entry_point_subprocess(tmp_path):
-    # the child process runs the package under test, from src/
+def _child_env():
+    """The environment of a child process that runs the package under test,
+    from src/."""
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_entry_point_subprocess(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "blochcomplexity.cli", "sweep",
          "--alpha-start", "1/8pi", "--alpha-end", "1/8pi", "--steps", "1",
          "--out", str(tmp_path / "s.csv")],
-        cwd=REPO_ROOT, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path})
+        cwd=REPO_ROOT, capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0
     assert (tmp_path / "s.csv").exists()
+
+
+def test_runtime_imports_nothing_beyond_numpy():
+    # the package depends on numpy alone, and the quadrature's nodes avoid
+    # numpy.polynomial, whose import costs resident memory
+    code = ("import sys\n"
+            "import blochcomplexity.cli as cli\n"
+            "cli.analyze(cli.equatorial_problem(),"
+            " cli.SubOptimalParams(0.3))\n"
+            "print('\\n'.join(sys.modules))\n")
+    result = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
+                            capture_output=True, text=True, check=True,
+                            env=_child_env())
+    loaded = result.stdout.split()
+    assert "blochcomplexity.complexity" in loaded
+    for banned in ("scipy", "hypothesis", "pytest", "numpy.polynomial"):
+        assert not [name for name in loaded
+                    if name == banned or name.startswith(banned + ".")]

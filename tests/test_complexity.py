@@ -1,4 +1,3 @@
-import io
 import sys
 
 import numpy as np
@@ -13,15 +12,14 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              SubOptimalParams, accessed_volume, analyze,
                              bloch_angles, bounding_box, branch_times,
                              complexity, complexity_length_scale,
-                             equatorial_problem, sample_trajectory,
-                             write_trajectory_csv)
+                             equatorial_problem, sample_trajectory)
 from blochcomplexity import hamiltonians
-from blochcomplexity import trajectory
+from blochcomplexity.cli import main
 from blochcomplexity.complexity import (AVERAGING_MODES, _branch_angles,
                                         _degeneracy_kind, _volume_samples)
 from blochcomplexity.qubit import POLE_EPS
 from blochcomplexity.trajectory import nearest_branch
-from oracles import path_length_numeric
+from oracles import path_length_numeric, sample
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
                               SEGMENT_AVERAGES_PI16_PRECISE, THETA_MAX_PI16,
                               UNIFORM_VBAR, VBAR_PI16, VMAX_PI16, VOLUME_TABLE)
@@ -178,7 +176,7 @@ def test_parallel_time_average_oracle(canonical):
     v = accessed_volume(traj)
     assert v == pytest.approx(PI / 8, abs=1e-12)
     # sanity: V at the final sample is w*t_B = pi/4
-    theta, phi = traj.angles_at(traj.t)
+    _, _, theta, phi = sample(traj)
     assert _volume_samples(theta[0], phi[0], theta[-1], phi[-1],
                            "theta") == \
         pytest.approx(PI / 4, abs=1e-10)
@@ -336,7 +334,7 @@ def test_accessed_rectangle_inside_accessible_box(canonical):
     for alpha in (PI / 16, PI / 3, 0.9 * PI):
         traj = sample_trajectory(canonical, SubOptimalParams(alpha))
         box = bounding_box(traj)
-        theta, phi = traj.angles_at(traj.t)
+        _, _, theta, phi = sample(traj)
         assert np.all(theta >= box.theta_min - 1e-12)
         assert np.all(theta <= box.theta_max + 1e-12)
         assert np.all(phi >= box.phi_min - 1e-12)
@@ -537,30 +535,6 @@ def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
     assert {fn_name: len(log) for fn_name, log in calls.items()} == {
         "suboptimal_field": 1, "evolution_time": 1}
-
-
-def _log_builds(monkeypatch, log, name):
-    """Make ``Trajectory.name`` log each build in ``log``."""
-    build = getattr(trajectory.Trajectory, name).func
-
-    def logged(traj):
-        log.append(name)
-        return build(traj)
-
-    monkeypatch.setattr(trajectory.Trajectory, name, property(logged))
-
-
-@pytest.mark.parametrize("mode", AVERAGING_MODES)
-def test_analyze_samples_nothing(canonical, monkeypatch, mode):
-    # the sampled grid is the times t and the states there; every sampled
-    # angle is angles_at at those times
-    log = []
-    for name in ("t", "states"):
-        _log_builds(monkeypatch, log, name)
-    for problem, params in ((canonical, SubOptimalParams(PI / 16)),
-                            DRAW_165):
-        analyze(problem, params, AnalysisConfig(averaging_mode=mode))
-    assert log == []
 
 
 def test_analyze_ignores_changes_to_a_copy_of_the_source_state():
@@ -833,7 +807,8 @@ def test_closed_form_matches_dense_search(a, b, alpha, omega):
     except BlochComplexityError:
         assume(False)
     # the dense reference needs a sampling that resolves the winding
-    assume(_unwrapped(traj, _reference_times(traj, traj.t))[1] <= PI / 2)
+    ts = _reference_times(traj, sample(traj).t)
+    assume(_unwrapped(traj, ts)[1] <= PI / 2)
     got = (box.theta_min, box.theta_max, box.phi_min, box.phi_max)
     assert got == pytest.approx(_dense_box(traj), abs=1e-9)
     dense = _dense_branch_times(traj)
@@ -858,10 +833,10 @@ def test_angles_at_matches_sampled_unwrap(a, b, alpha, omega):
                                  SubOptimalParams(alpha))
     except BlochComplexityError:
         assume(False)
-    sampled, worst = _unwrapped(traj, traj.t)
+    t, states, theta, phi = sample(traj)
+    sampled, worst = _unwrapped(traj, t)
     assume(worst <= PI / 2)
-    theta, phi = traj.angles_at(traj.t)
-    assert np.array_equal(theta, bloch_angles(traj.states)[0])
+    assert np.array_equal(theta, bloch_angles(states)[0])
     away = np.sin(theta) > 1e-3
     assert np.abs(phi - sampled)[away].max(initial=0.0) <= 1e-12
 
@@ -869,24 +844,25 @@ def test_angles_at_matches_sampled_unwrap(a, b, alpha, omega):
 def test_angles_at_matches_sampled_unwrap_on_canonical_grid(canonical):
     for k in range(17):
         traj = sample_trajectory(canonical, SubOptimalParams(k * PI / 16))
-        theta, phi = traj.angles_at(traj.t)
-        sampled, _ = _unwrapped(traj, traj.t)
-        assert np.array_equal(theta, bloch_angles(traj.states)[0])
+        t, states, theta, phi = sample(traj)
+        sampled, _ = _unwrapped(traj, t)
+        assert np.array_equal(theta, bloch_angles(states)[0])
         assert np.max(np.abs(phi - sampled)) <= 1e-12
 
 
-def test_evolve_columns_match_the_unwrapped_samples(canonical):
+def test_evolve_columns_match_the_unwrapped_samples(canonical, capsys):
     # evolve's theta and phi columns, every row, against the polar angles
     # and the unwrapped azimuths of the samples, at the CSV's 12 digits
     for k in range(17):
-        traj = sample_trajectory(canonical, SubOptimalParams(k * PI / 16),
-                                 n=2049)
-        buffer = io.StringIO()
-        write_trajectory_csv(traj, buffer)
-        rows = [line.split(",") for line in buffer.getvalue().splitlines()[1:]]
-        phi, _ = _unwrapped(traj, traj.t)
+        traj = sample_trajectory(canonical, SubOptimalParams(k * PI / 16))
+        assert main(["evolve", "--alpha", f"{k}/16pi", "--samples",
+                     "2049"]) == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        t, states, _, _ = sample(traj, 2049)
+        phi, _ = _unwrapped(traj, t)
         assert [row[1] for row in rows] == [
-            f"{x:.12g}" for x in bloch_angles(traj.states)[0]]
+            f"{x:.12g}" for x in bloch_angles(states)[0]]
         assert [row[2] for row in rows] == [f"{x:.12g}" for x in phi]
 
 
@@ -931,7 +907,7 @@ def _oracle_accessed_volume(traj, mode):
     and of phi - phi_A (brentq), next to each polar turning point and next
     to an end near a pole, and at x_b/2: the second half is integrated in
     x - x_b, back from the target, from whose state its states are built."""
-    ts = _reference_times(traj, traj.t)
+    ts = _reference_times(traj, sample(traj).t)
     xs = 2.0 * traj.problem.omega * ts
     sampled_theta = bloch_angles(traj.states_at(ts))[0]
     sampled_theta[[0, -1]] = bloch_angles(
@@ -1033,7 +1009,8 @@ def test_accessed_volume_matches_scipy_quadrature(a, b, alpha, omega):
     except BlochComplexityError:
         assume(False)
     # the oracle resolves the azimuth against the unwrapped samples
-    assume(_unwrapped(traj, _reference_times(traj, traj.t))[1] <= PI / 2)
+    ts = _reference_times(traj, sample(traj).t)
+    assume(_unwrapped(traj, ts)[1] <= PI / 2)
     for mode, v_bar in volumes.items():
         assert v_bar == pytest.approx(_oracle_accessed_volume(traj, mode),
                                       abs=1e-10)
@@ -1058,7 +1035,8 @@ def test_near_pole_source_matches_the_literal_definition(a, b, alpha):
     assume(not traj.azimuth.limits)
     # the references need a sampling that resolves the winding: a path that
     # passes a pole 1e-11 away turns its azimuth by pi between samples
-    assume(_unwrapped(traj, _reference_times(traj, traj.t))[1] <= PI / 2)
+    ts = _reference_times(traj, sample(traj).t)
+    assume(_unwrapped(traj, ts)[1] <= PI / 2)
     theta_lo, theta_hi, phi_lo, phi_hi = _dense_box(traj)
     kind = _degeneracy_kind(bounding_box(traj))
     v_max = float(_volume_samples(theta_lo, phi_lo, theta_hi, phi_hi, kind))

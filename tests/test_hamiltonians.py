@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from blochcomplexity import (DegenerateGeometry, EvolutionProblem,
-                             FieldVector, SubOptimalParams, equatorial_problem,
-                             evolution_time, integrate_schrodinger,
-                             path_length, propagator, suboptimal_field)
+                             FieldVector, SubOptimalParams, analyze,
+                             equatorial_problem, evolution_time,
+                             integrate_schrodinger, path_length, propagator,
+                             suboptimal_field)
 from oracles import amplitudes
 from reference_values import (RK4_C0_PI16_T05, RK4_C1_PI16_T05,
                               TIME_LENGTH_TABLE)
@@ -75,6 +76,20 @@ def test_optimal_field_degenerate_raises():
     a = np.array([1.0, 0, 0])
     with pytest.raises(DegenerateGeometry):
         suboptimal_field(EvolutionProblem(a_hat=a, b_hat=a), OPTIMAL)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, np.pi / 2, np.pi])
+def test_near_antipodal_pair_without_a_bisector_raises(alpha):
+    # sin(theta_AB) = 1.0002e-12 passes the (anti)parallel check, but the
+    # rounded |a + b| = 9.99998e-13 leaves no bisector to mix the axis with
+    a = np.array([-0.40499928034712485, 0.19483031443833962,
+                  -0.8933178222190402])
+    b = np.array([0.40499928034621474, -0.19483031443851911,
+                  0.8933178222194137])
+    problem = EvolutionProblem(a, b)
+    problem.require_nondegenerate()
+    with pytest.raises(DegenerateGeometry, match="bisector undefined"):
+        analyze(problem, SubOptimalParams(alpha))
 
 
 def test_optimal_field_oblique_pair():

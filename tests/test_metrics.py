@@ -62,19 +62,19 @@ def test_path_length_geodesic_at_pi_half(canonical):
 def test_path_length_numeric_matches_closed_form(canonical):
     for alpha in (0.0, np.pi / 16, np.pi / 4, np.pi / 2, 0.7 * np.pi):
         params = SubOptimalParams(alpha)
-        traj = sample_trajectory(canonical, params, n=4097)
+        traj = sample_trajectory(canonical, params)
         numeric = path_length_numeric(traj)
         assert abs(numeric - path_length(canonical, params)) < 1e-6
 
 
 def test_path_length_numeric_examples(canonical):
     params = SubOptimalParams(np.pi / 2)
-    traj = sample_trajectory(canonical, params, n=4097)
+    traj = sample_trajectory(canonical, params)
     numeric = path_length_numeric(traj)
     assert numeric == pytest.approx(np.pi / 2, abs=1e-8)
 
     params = SubOptimalParams(np.pi / 4)
-    traj = sample_trajectory(canonical, params, n=4097)
+    traj = sample_trajectory(canonical, params)
     numeric = path_length_numeric(traj)
     assert numeric == pytest.approx(1.6547, abs=1e-4)
     assert numeric == pytest.approx(ARC_LENGTH_PI4, abs=1e-7)

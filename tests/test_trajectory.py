@@ -1,13 +1,10 @@
-import io
-
 import numpy as np
 import pytest
 
 from blochcomplexity import (EvolutionProblem, SubOptimalParams,
                              bloch_angles, equatorial_problem, propagator,
-                             sample_trajectory, suboptimal_field,
-                             write_trajectory_csv)
-from oracles import amplitudes
+                             sample_trajectory, suboptimal_field)
+from oracles import amplitudes, sample
 from reference_values import (ARRIVAL_TIME_PI16, THETA_MAX_PI16,
                               THETA_MIN_15PI16)
 
@@ -68,35 +65,33 @@ def test_sample_trajectory_rejects_small_n(canonical):
 
 
 def test_optimal_trajectory_is_equatorial(canonical):
-    traj = sample_trajectory(canonical, SubOptimalParams(np.pi / 2), n=4097)
-    theta, phi = traj.angles_at(traj.t)
-    assert np.max(np.abs(theta - np.pi / 2)) < 1e-10
+    traj = sample_trajectory(canonical, SubOptimalParams(np.pi / 2))
+    grid = sample(traj)
+    assert np.max(np.abs(grid.theta - np.pi / 2)) < 1e-10
     # phi grows as 2 w t along the parallel
-    assert np.allclose(phi, 2.0 * traj.t, atol=1e-10)
+    assert np.allclose(grid.phi, 2.0 * grid.t, atol=1e-10)
 
 
 def test_trajectory_angles_pi16(canonical):
-    traj = sample_trajectory(canonical, SubOptimalParams(np.pi / 16), n=4097)
-    theta, _ = traj.angles_at(traj.t)
+    grid = sample(sample_trajectory(canonical, SubOptimalParams(np.pi / 16)))
+    theta = grid.theta
     assert theta[0] == pytest.approx(np.pi / 2, abs=1e-10)
     assert theta[-1] == pytest.approx(np.pi / 2, abs=1e-10)
     assert np.max(theta) == pytest.approx(THETA_MAX_PI16, abs=1e-6)
-    assert traj.t[-1] == pytest.approx(ARRIVAL_TIME_PI16, abs=1e-12)
+    assert grid.t[-1] == pytest.approx(ARRIVAL_TIME_PI16, abs=1e-12)
 
 
 def test_trajectory_angles_15pi16(canonical):
-    traj = sample_trajectory(canonical, SubOptimalParams(15 * np.pi / 16),
-                             n=4097)
-    theta, _ = traj.angles_at(traj.t)
+    traj = sample_trajectory(canonical, SubOptimalParams(15 * np.pi / 16))
+    theta = sample(traj).theta
     assert np.min(theta) == pytest.approx(THETA_MIN_15PI16, abs=1e-6)
     assert np.max(theta) == pytest.approx(np.pi / 2, abs=1e-10)
 
 
 def test_trajectory_endpoints_for_all_alpha(canonical):
     for k in range(0, 17):
-        traj = sample_trajectory(canonical, SubOptimalParams(k * np.pi / 16),
-                                 n=2049)
-        theta, phi = traj.angles_at(traj.t)
+        traj = sample_trajectory(canonical, SubOptimalParams(k * np.pi / 16))
+        _, _, theta, phi = sample(traj, 2049)
         assert theta[0] == pytest.approx(np.pi / 2, abs=1e-10)
         assert abs(phi[0]) < 1e-10
         assert phi[-1] == pytest.approx(np.pi / 2, abs=1e-8)
@@ -106,23 +101,22 @@ def test_unwrapped_azimuth_matches_piecewise_arctan_construction(canonical):
     # independent construction of the continuous azimuth: principal-arctangent
     # difference of the amplitude component ratios, plus pi on the segment
     # beyond the branch instant where Re c0 changes sign
-    traj = sample_trajectory(canonical, SubOptimalParams(np.pi / 16), n=4097)
-    c0 = traj.states[:, 0]
-    c1 = traj.states[:, 1]
+    grid = sample(sample_trajectory(canonical, SubOptimalParams(np.pi / 16)))
+    c0 = grid.states[:, 0]
+    c1 = grid.states[:, 1]
     arctan_based = (np.arctan(c1.imag / c1.real)
                     - np.arctan(c0.imag / c0.real))
     from reference_values import BRANCH_TIME_PI16
-    expected = arctan_based + np.where(traj.t >= BRANCH_TIME_PI16, np.pi, 0.0)
-    assert np.max(np.abs(traj.angles_at(traj.t)[1] - expected)) < 1e-9
+    expected = arctan_based + np.where(grid.t >= BRANCH_TIME_PI16, np.pi, 0.0)
+    assert np.max(np.abs(grid.phi - expected)) < 1e-9
 
 
 def test_mirror_symmetry_of_polar_angle(canonical):
     # theta_alpha(t) + theta_{pi-alpha}(t) = pi on matched grids
     for alpha in (np.pi / 16, np.pi / 5, 0.45 * np.pi):
-        t1 = sample_trajectory(canonical, SubOptimalParams(alpha), n=2049)
-        t2 = sample_trajectory(canonical, SubOptimalParams(np.pi - alpha),
-                               n=2049)
-        assert np.allclose(t1.angles_at(t1.t)[0] + t2.angles_at(t2.t)[0],
+        t1 = sample_trajectory(canonical, SubOptimalParams(alpha))
+        t2 = sample_trajectory(canonical, SubOptimalParams(np.pi - alpha))
+        assert np.allclose(sample(t1, 2049).theta + sample(t2, 2049).theta,
                            np.pi, atol=1e-8)
 
 
@@ -131,10 +125,9 @@ def test_angular_speed_matches_energy_uncertainty(canonical):
     # is constant and equals 2*DeltaE/hbar for a stationary drive
     for alpha in (np.pi / 16, np.pi / 3, np.pi / 2, 0.8 * np.pi):
         params = SubOptimalParams(alpha)
-        traj = sample_trajectory(canonical, params, n=4097)
+        t, _, theta, phi = sample(sample_trajectory(canonical, params))
         f = suboptimal_field(canonical, params)
-        dt = traj.t[1] - traj.t[0]
-        theta, phi = traj.angles_at(traj.t)
+        dt = t[1] - t[0]
         dtheta = np.gradient(theta, dt)
         dphi = np.gradient(phi, dt)
         speed = np.sqrt(dtheta ** 2 + np.sin(theta) ** 2 * dphi ** 2)
@@ -145,43 +138,20 @@ def test_angular_speed_matches_energy_uncertainty(canonical):
         assert np.max(np.abs(inner - expected)) / expected < 1e-6
 
 
-def test_csv_dump_format(canonical):
-    traj = sample_trajectory(canonical, SubOptimalParams(np.pi / 2), n=2049)
-    buffer = io.StringIO()
-    write_trajectory_csv(traj, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "t,theta,phi,re_c0,im_c0,re_c1,im_c1"
-    assert len(lines) == 2050
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[3]) == pytest.approx(1 / SQ2, abs=1e-12)
-    # 12 significant digits
-    assert first[1] == f"{np.pi / 2:.12g}"
-
-
 @pytest.mark.parametrize("b", ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
                                [0.0, -1.0, 0.0]), ids=("y", "x", "-y"))
 @pytest.mark.parametrize("alpha", (0.3, 1.2, 2.0))
-def test_csv_rows_inside_a_pole_cap_hold_the_rim_azimuth(b, alpha):
-    # a source at the north pole has no azimuth of its own: the first row
-    # carries the azimuth of the direction n x a that the trajectory departs
+def test_source_at_a_pole_takes_the_departure_azimuth(b, alpha):
+    # a source at the north pole has no azimuth of its own: at t = 0 the
+    # trajectory carries the azimuth of the direction n x a that it departs
     # along
     a = np.array([0.0, 0.0, 1.0])
     problem = EvolutionProblem(a, np.array(b))
-    traj = sample_trajectory(problem, SubOptimalParams(alpha), n=2049)
-    buffer = io.StringIO()
-    write_trajectory_csv(traj, buffer)
-    first = buffer.getvalue().splitlines()[1].split(",")
+    traj = sample_trajectory(problem, SubOptimalParams(alpha))
     departure = np.cross(suboptimal_field(problem, SubOptimalParams(alpha))
                          .direction, a)
-    assert first[2] == f"{np.arctan2(departure[1], departure[0]):.12g}"
-
-
-def test_trajectory_time_grid(canonical):
-    traj = sample_trajectory(canonical, SubOptimalParams(0.9), n=2049)
-    assert traj.n_samples == 2049
-    assert traj.t[0] == 0.0
-    assert np.all(np.diff(traj.t) > 0)
+    assert (f"{traj.angles_at(0.0)[1]:.12g}"
+            == f"{np.arctan2(departure[1], departure[0]):.12g}")
 
 
 @pytest.mark.parametrize("theta_ab", [1e-8, 1e-7, 1e-6, 1e-4, 1e-2, 0.5, 1.5,
@@ -192,19 +162,12 @@ def test_final_state_is_the_target(theta_ab, energy):
     # (2 Re c0* c1, 2 Im c0* c1, |c0|^2 - |c1|^2) at t_b is b
     problem = equatorial_problem(theta_ab, energy=energy)
     for k in range(17):
-        traj = sample_trajectory(problem, SubOptimalParams(k * np.pi / 16),
-                                 n=2049)
+        traj = sample_trajectory(problem, SubOptimalParams(k * np.pi / 16))
         c0, c1 = traj.states_at(traj.t_b)
         r = np.array([2.0 * (np.conj(c0) * c1).real,
                       2.0 * (np.conj(c0) * c1).imag,
                       abs(c0) ** 2 - abs(c1) ** 2])
         assert np.abs(r - problem.b_hat).max() <= 1e-13
-
-
-def test_states_at_sample_times_is_the_samples(canonical):
-    for alpha in (0.0, np.pi / 16, np.pi / 2, 0.8 * np.pi):
-        traj = sample_trajectory(canonical, SubOptimalParams(alpha), n=2049)
-        assert np.array_equal(traj.states_at(traj.t), traj.states)
 
 
 def _random_problem(rng):
@@ -224,7 +187,7 @@ def test_states_at_matches_propagator(canonical):
     problems = [canonical] + [_random_problem(rng) for _ in range(6)]
     for problem in problems:
         params = SubOptimalParams(rng.uniform(0.0, np.pi))
-        traj = sample_trajectory(problem, params, n=2049)
+        traj = sample_trajectory(problem, params)
         assert np.array_equal(traj.field.h,
                               suboptimal_field(problem, params).h)
         times = rng.uniform(0.0, traj.t_b, 16)
