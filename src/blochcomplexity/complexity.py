@@ -131,9 +131,7 @@ class EvolutionReport:
 
 def accessed_volume(traj, mode=DEFAULT_AVERAGING_MODE):
     """Time-averaged instantaneous volume of the trajectory."""
-    box = bounding_box(traj)
-    v_bar, _ = _accessed_volume(traj, mode, _degeneracy_kind(box))
-    return v_bar
+    return _volumes(traj, mode)[3]
 
 
 def complexity(v_bar, v_max):
@@ -167,12 +165,7 @@ def analyze(problem, params, config=None):
     is built."""
     config = config or AnalysisConfig()
     traj = sample_trajectory(problem, params)
-    box = bounding_box(traj)
-    kind = _degeneracy_kind(box)
-    # V_max is V at the box's far corner
-    v_max = float(_volume_samples(box.theta_min, box.phi_min, box.theta_max,
-                                  box.phi_max, kind))
-    v_bar, segments = _accessed_volume(traj, config.averaging_mode, kind)
+    box, kind, v_max, v_bar, segments = _volumes(traj, config.averaging_mode)
     c = complexity(v_bar, v_max)
     s = _arc_length(problem, params, traj.t_b)
     f = traj.field
@@ -203,24 +196,9 @@ def bounding_box(traj):
     spans the angles there, at both ends and, where the path meets an exact
     pole, the azimuth's one-sided limits on both sides of it.
     """
-    x_b, n = traj.x_b, traj.circle.n
-    x_theta = _polar_turns(traj.circle, (0.0, x_b))
-    # on a path through an exact pole the azimuth's stationary points are a
-    # double root there, which rounding moves off the pole, and the limits
-    # stand in for them
-    lift = traj.azimuth
-    x_phi = np.empty(0) if lift.limits else np.concatenate([
-        _azimuth_turns(traj.problem.a_hat, n, 0.5 * x_b),
-        x_b - _azimuth_turns(traj.problem.b_hat, -n, 0.5 * x_b)])
-    theta, phi = traj.angles_along(
-        np.concatenate([[traj.x_b], x_theta, x_phi]))
-    theta_a, phi_a = traj.start
-    k = 1 + x_theta.size
-    theta = np.append(theta[:k], theta_a)
-    phi = np.concatenate([[phi_a], phi[:1], phi[k:], lift.limits])
-    return AngularBox(theta_min=float(theta.min()),
-                      theta_max=float(theta.max()),
-                      phi_min=float(phi.min()), phi_max=float(phi.max()))
+    x_theta = _polar_turns(traj.circle, (0.0, traj.x_b))
+    return _box(traj, x_theta,
+                *traj.angles_along(_box_candidates(traj, x_theta)))
 
 
 def branch_times(traj):
@@ -244,15 +222,14 @@ def _branch_angles(traj):
     """`branch_times` as rotation angles 2wt, which no energy scale
     enters."""
     lo, hi = span = (0.0, 0.5 * traj.x_b)
-    roots = []
-    for comp in range(2):
-        p, q = traj.source[comp].real, traj.turned[comp].imag
-        if math.hypot(p, q) <= 1e-12:
-            continue
-        xs = _cos_roots(p, q, 0.0, span)
-        roots.extend(xs[np.abs(traj.states_along(2.0 * xs)[:, comp]) > 1e-9])
+    xs = [_cos_roots(p, q, 0.0, span) if math.hypot(p, q) > 1e-12
+          else np.empty(0)
+          for p, q in zip(traj.source.real, traj.turned.imag)]
+    comp = np.repeat([0, 1], [xs[0].size, xs[1].size])
+    xs = np.concatenate(xs)
+    amplitude = np.abs(traj.states_along(2.0 * xs)[np.arange(xs.size), comp])
     merged = []
-    for x in sorted(roots):
+    for x in sorted(xs[amplitude > 1e-9]):
         if lo + 1e-12 < x < hi - 1e-12 and (not merged
                                             or x - merged[-1] > 1e-9):
             merged.append(x)
@@ -290,26 +267,46 @@ def _volume_samples(theta_a, phi_a, theta, phi, kind):
                         * np.sin(0.5 * (theta - theta_a)) * (phi - phi_a))
 
 
-def _accessed_volume(traj, mode, kind):
-    """Accessed volume plus the per-segment averages that make it up."""
+def _volumes(traj, mode):
+    """The box, its degeneracy kind, V_max, the accessed volume and its
+    per-segment averages, from one `Trajectory.angles_along` call at the
+    box candidates and the quadrature's first-level nodes."""
     if mode not in AVERAGING_MODES:
         raise ValueError(f"unknown averaging mode {mode!r}")
-    w2 = 2.0 * traj.problem.omega
+    x_b, w2 = traj.x_b, 2.0 * traj.problem.omega
+    x_theta = _polar_turns(traj.circle, (0.0, x_b))
+    candidates = _box_candidates(traj, x_theta)
     cuts = _branch_angles(traj) if mode == APPENDIX_PIECEWISE else []
-    x_bounds = np.array([0.0] + cuts + [traj.x_b])
+    x_bounds = np.array([0.0] + cuts + [x_b])
     bounds = [0.0] + [float(x / w2) for x in cuts] + [traj.t_b]
-    theta_a, phi_a = traj.start
-
+    edges = _panel_edges(traj, x_bounds, x_theta)
     # panels past the midpoint are measured back from x_b, where the states
     # there start (see `Trajectory.states_along`): their x is negative
-    def volume(x):
-        theta, phi = traj.angles_along(x, np.where(x < 0.0, traj.x_b, 0.0))
-        return _volume_samples(theta_a, phi_a, theta, phi, kind)
+    origin = np.where(edges[:-1] < 0.5 * x_b, 0.0, x_b)
+    lo, hi = edges[:-1] - origin, edges[1:] - origin
+    mid = 0.5 * (lo + hi)
+    half, nodes = _nodes(np.concatenate([lo, lo, mid]),
+                         np.concatenate([hi, mid, hi]))
 
-    edges = _panel_edges(traj, x_bounds)
-    origin = np.where(edges[:-1] < 0.5 * traj.x_b, 0.0, traj.x_b)
-    integrals = _panel_integrals(volume, edges[:-1] - origin,
-                                 edges[1:] - origin)
+    def angles(x):
+        return traj.angles_along(x, np.where(x < 0.0, x_b, 0.0))
+
+    theta, phi = angles(np.concatenate([candidates, nodes.ravel()]))
+    k = candidates.size
+    box = _box(traj, x_theta, theta[:k], phi[:k])
+    kind = _degeneracy_kind(box)
+    # V_max is V at the box's far corner
+    v_max = float(_volume_samples(box.theta_min, box.phi_min, box.theta_max,
+                                  box.phi_max, kind))
+    theta_a, phi_a = traj.start
+
+    def volume(x):
+        return _volume_samples(theta_a, phi_a, *angles(x), kind)
+
+    first = _gauss(half, _volume_samples(theta_a, phi_a,
+                                         theta[k:].reshape(nodes.shape),
+                                         phi[k:].reshape(nodes.shape), kind))
+    integrals = _panel_integrals(volume, lo, hi, first)
     segment = np.searchsorted(x_bounds, edges[:-1], side="right") - 1
     sums = np.bincount(segment, weights=integrals, minlength=len(cuts) + 1)
     averages = tuple((t0, t1, float(total / (x1 - x0)))
@@ -317,7 +314,32 @@ def _accessed_volume(traj, mode, kind):
                          bounds[:-1], bounds[1:], x_bounds[:-1],
                          x_bounds[1:], sums))
     v_bar = float(sum(avg for _, _, avg in averages))
-    return v_bar, averages
+    return box, kind, v_max, v_bar, averages
+
+
+def _box_candidates(traj, x_theta):
+    """Where `bounding_box` takes the angles: x_b, the polar turns
+    ``x_theta`` and, with no exact pole on the path, the azimuth's turns."""
+    x_b, n = traj.x_b, traj.circle.n
+    # on a path through an exact pole the azimuth's stationary points are a
+    # double root there, which rounding moves off the pole, and the limits
+    # stand in for them
+    x_phi = np.empty(0) if traj.azimuth.limits else np.concatenate([
+        _azimuth_turns(traj.problem.a_hat, n, 0.5 * x_b),
+        x_b - _azimuth_turns(traj.problem.b_hat, -n, 0.5 * x_b)])
+    return np.concatenate([[x_b], x_theta, x_phi])
+
+
+def _box(traj, x_theta, theta, phi):
+    """The box spanned by the start angles, the angles at the
+    `_box_candidates` and the azimuth's limits at an exact pole."""
+    theta_a, phi_a = traj.start
+    k = 1 + x_theta.size
+    theta = np.append(theta[:k], theta_a)
+    phi = np.concatenate([[phi_a], phi[:1], phi[k:], traj.azimuth.limits])
+    return AngularBox(theta_min=float(theta.min()),
+                      theta_max=float(theta.max()),
+                      phi_min=float(phi.min()), phi_max=float(phi.max()))
 
 
 def _azimuth_turns(end, n, reach):
@@ -353,24 +375,26 @@ def _polar_turns(circle, span):
     return _cos_roots(circle.v[2], -circle.u[2], 0.0, span)
 
 
-def _panel_edges(traj, x_bounds):
+def _panel_edges(traj, x_bounds, x_theta):
     """Sorted panel edges in the rotation angle: the segment bounds, the
     midpoint, where the states switch ends, and every interior point where
-    V may kink or its azimuth turns fast."""
+    V may kink or its azimuth turns fast (``x_theta``, the polar turns,
+    among them)."""
     u, v = traj.circle.u, traj.circle.v
     span = (x_bounds[0], x_bounds[-1])
     # z(x) - z_A = R_z (cos(x - c) - cos c): zero at x = 0 and at 2c
     c = np.arctan2(v[2], u[2])
     kinks = np.concatenate([_arc_ends(c, c, span),
-                            _polar_turns(traj.circle, span),
+                            x_theta,
                             traj.azimuth.crossings, [0.5 * traj.x_b]])
     inside = kinks[(kinks > span[0]) & (kinks < span[1])]
     return np.unique(np.concatenate([x_bounds, inside]))
 
 
-def _panel_integrals(f, lo, hi):
+def _panel_integrals(f, lo, hi, first):
     """Integral of f over each panel [lo, hi], by adaptive Gauss-Legendre
-    quadrature.
+    quadrature, from the ``first`` level: the rules on the panels, then on
+    their left and on their right halves, concatenated.
 
     A panel's rule is compared with the sum of the rules on its two halves;
     panels where they differ by more than PANEL_TOL are bisected, the halves'
@@ -380,8 +404,7 @@ def _panel_integrals(f, lo, hi):
     mid = 0.5 * (lo + hi)
     owner = np.arange(lo.size)
     total = np.zeros(lo.size)
-    whole, left, right = np.split(_gauss(f, np.concatenate([lo, lo, mid]),
-                                         np.concatenate([hi, mid, hi])), 3)
+    whole, left, right = np.split(first, 3)
     level = 0
     while True:
         finer = left + right
@@ -405,8 +428,8 @@ def _panel_integrals(f, lo, hi):
         whole = np.concatenate([left[keep], right[keep]])
         owner = np.concatenate([owner[keep], owner[keep]])
         mid = 0.5 * (lo + hi)
-        left, right = np.split(_gauss(f, np.concatenate([lo, mid]),
-                                      np.concatenate([mid, hi])), 2)
+        half, x = _nodes(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = np.split(_gauss(half, f(x)), 2)
         level += 1
 
 
@@ -425,8 +448,13 @@ def _gauss_legendre(n):
 _NODES, _WEIGHTS = _gauss_legendre(16)
 
 
-def _gauss(f, lo, hi):
-    """The 16-node Gauss-Legendre rule for f on each panel [lo, hi]."""
+def _nodes(lo, hi):
+    """Half-widths of the panels [lo, hi] and their Gauss-Legendre nodes."""
     half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    return half * (f(x) @ _WEIGHTS)
+    return half, (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+
+
+def _gauss(half, values):
+    """The 16-node Gauss-Legendre rule on panels of half-widths ``half``
+    from the integrand's ``values`` at their `_nodes`."""
+    return half * (values @ _WEIGHTS)

@@ -133,9 +133,14 @@ class Trajectory:
 
     @cached_property
     def start(self):
-        """(theta_A, phi_A), the angles at t = 0: the source's polar angle
-        and the azimuth that anchors the lift, as `angles_at` gives them."""
-        return bloch_angles(self.source)[0], self.azimuth.phi_a
+        """(theta_A, phi_A), the angles at t = 0 as `angles_at` gives them:
+        the source's, but at an exact pole the azimuth of its direction of
+        departure r'(0) = n x a. phi_A anchors the lift."""
+        theta, phi = bloch_angles(self.source)
+        if math.sin(theta) < POLE_EPS:
+            v = self.circle.v
+            phi = math.atan2(v[1], v[0])
+        return theta, float(phi)
 
 
 class AzimuthLift:
@@ -163,11 +168,8 @@ class AzimuthLift:
     def __init__(self, traj):
         n, na, u, v = traj.circle
         x_b = traj.x_b
-        theta0, phi_a = bloch_angles(traj.source)
-        departs = math.sin(theta0) < POLE_EPS
-        if departs:
-            phi_a = math.atan2(v[1], v[0])
-        self.phi_a = phi_a = float(phi_a)
+        self.phi_a = phi_a = traj.start[1]
+        departs = math.sin(traj.start[0]) < POLE_EPS
         cos_a, sin_a = math.cos(phi_a), math.sin(phi_a)
 
         # d: rotation angle from the anchor to the maximum of P. P rises out
@@ -196,14 +198,22 @@ class AzimuthLift:
         # a pole lies on the plane of phi_a: the target there is P's mirror
         # zero, so the path reaches it before any crossing; a pole mid-path
         # is the crossing, or else the anchor's own zero, where the path
-        # touches the plane and stays in the first half-turn
+        # touches the plane and stays in the first half-turn. The path's
+        # closest approaches to the poles are at z = n_z (n.a) +- hypot(u_z,
+        # v_z); where 1 - |z| >= 1e-9 there, sin(theta) >= 4e-5 along the
+        # whole path, the target included, and nothing is evaluated
+        reach = math.hypot(u[2], v[2])
+        close = np.array([1.0 - abs(n[2] * na + side * reach) < 1e-9
+                          for side in (1.0, -1.0)])
+        if not close.any():
+            return
         sides = [0, 0]
         if math.sin(bloch_angles(traj.problem.target_state)[0]) < POLE_EPS:
             self.pole = x_b
         else:
             near = np.array([math.atan2(v[2], u[2]),
                              math.atan2(-v[2], -u[2])]) % TWO_PI
-            near = near[(near > 0.0) & (near < x_b)]
+            near = near[close & (near > 0.0) & (near < x_b)]
             on = np.sin(bloch_angles(traj.states_along(near))[0]) < POLE_EPS
             if not on.any():
                 return

@@ -18,7 +18,7 @@ from blochcomplexity.cli import main
 from blochcomplexity.complexity import (AVERAGING_MODES, _branch_angles,
                                         _degeneracy_kind, _volume_samples)
 from blochcomplexity.qubit import POLE_EPS
-from blochcomplexity.trajectory import nearest_branch
+from blochcomplexity.trajectory import Trajectory, nearest_branch
 from oracles import path_length_numeric, sample
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
                               SEGMENT_AVERAGES_PI16_PRECISE, THETA_MAX_PI16,
@@ -508,8 +508,9 @@ def test_pole_source_is_the_limit_along_its_departure_azimuth(pole, b, alpha):
 
 
 def _count_calls(monkeypatch, home, fn_name):
-    """Replace ``home.fn_name`` in every package module that holds it by a
-    wrapper that logs each call; returns the log."""
+    """Replace ``home.fn_name`` by a wrapper that logs each call: in the
+    class ``home`` itself, or in every package module that holds it;
+    returns the log."""
     original = getattr(home, fn_name)
     log = []
 
@@ -517,6 +518,8 @@ def _count_calls(monkeypatch, home, fn_name):
         log.append(args)
         return original(*args)
 
+    if isinstance(home, type):
+        monkeypatch.setattr(home, fn_name, counted)
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "blochcomplexity"
                 and getattr(module, fn_name, None) is original):
@@ -535,6 +538,23 @@ def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
     assert {fn_name: len(log) for fn_name, log in calls.items()} == {
         "suboptimal_field": 1, "evolution_time": 1}
+
+
+@pytest.mark.parametrize("mode, states", [("uniform", 1),
+                                          ("appendix_piecewise", 2)])
+def test_analyze_evaluates_the_path_in_one_pass(canonical, monkeypatch, mode,
+                                                states):
+    # the box, the degeneracy, V_max and the first quadrature level read one
+    # angles_along call; piecewise mode adds one states_along call for the
+    # branch roots of both components, and the lift, whose path keeps far
+    # from the poles, evaluates nothing
+    calls = {fn_name: _count_calls(monkeypatch, Trajectory, fn_name)
+             for fn_name in ("angles_along", "states_along")}
+    rep = analyze(canonical, SubOptimalParams(PI / 16),
+                  AnalysisConfig(averaging_mode=mode))
+    assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
+    assert {fn_name: len(log) for fn_name, log in calls.items()} == {
+        "angles_along": 1, "states_along": states}
 
 
 def test_analyze_ignores_changes_to_a_copy_of_the_source_state():
@@ -1104,3 +1124,102 @@ def test_contract_holds_and_is_energy_free(a, b, alpha, log_energy):
         for name in ("complexity", "length_scale", "eta_se", "kappa2"):
             assert getattr(rep, name) == pytest.approx(getattr(unit, name),
                                                        rel=1e-9, abs=1e-9)
+
+
+# -- analyze against its stages, and the lift's pole check -------------------
+
+def _tilted_passage(passage, delta):
+    """An exact-pole passage (a and b in the plane x = 0, the geodesic over
+    the north pole at alpha = pi/2) turned about the y axis by ``delta``,
+    so that the path's closest approach has sin(theta) = sin(delta)."""
+    def turn(r):
+        return np.array([r[2] * np.sin(delta), r[1], r[2] * np.cos(delta)])
+    a, b = passage
+    return EvolutionProblem(turn(np.array(a)), turn(np.array(b)))
+
+
+_PASSAGES = {"0.6": ([0.0, 0.6, 0.8], [0.0, -0.6, 0.8]),
+             "0.8": ([0.0, 0.8, 0.6], [0.0, -0.28, 0.96])}
+
+# alpha = 0 and 15pi/16 give one segment, pi/16 two, and pi/2 a parallel;
+# a source at an exact pole; a path over an exact pole mid-way
+_STAGE_CASES = {
+    **{f"{k}pi/16": (equatorial_problem(), SubOptimalParams(k * PI / 16))
+       for k in (0, 1, 8, 15)},
+    "pole source": (EvolutionProblem(np.array([0.0, 0.0, 1.0]),
+                                     np.array([1.0, 0.0, 0.0])),
+                    SubOptimalParams(0.3)),
+    "pole passage": (_tilted_passage(_PASSAGES["0.6"], 0.0),
+                     SubOptimalParams(PI / 2)),
+}
+
+
+def _assert_stages_agree(problem, params, mode):
+    """analyze's box, accessed volume and segment bounds equal, bit for bit,
+    what the public stage functions give on their own."""
+    traj = sample_trajectory(problem, params)
+    volume = analyze(problem, params,
+                     AnalysisConfig(averaging_mode=mode)).volume
+    assert volume.box == bounding_box(traj)
+    assert volume.v_bar == accessed_volume(traj, mode)
+    cuts = branch_times(traj) if mode == "appendix_piecewise" else []
+    bounds = [t0 for t0, _, _ in volume.segments] + [volume.segments[-1][1]]
+    assert bounds == [0.0] + cuts + [traj.t_b]
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+@pytest.mark.parametrize("case", _STAGE_CASES)
+def test_analyze_agrees_with_its_stages(case, mode):
+    _assert_stages_agree(*_STAGE_CASES[case], mode)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=_unit_vectors, b=_unit_vectors, alpha=st.floats(0.0, PI),
+       omega=st.floats(0.5, 5.0))
+def test_analyze_agrees_with_its_stages_on_general_problems(a, b, alpha,
+                                                            omega):
+    assume(abs(a @ b) <= 0.98)
+    problem = EvolutionProblem(a, b, energy=omega)
+    for mode in AVERAGING_MODES:
+        try:
+            _assert_stages_agree(problem, SubOptimalParams(alpha), mode)
+        except BlochComplexityError:
+            continue
+
+
+@pytest.mark.parametrize("passage", _PASSAGES)
+@pytest.mark.parametrize("delta", (0.0, 1e-13, 1e-11, 1e-7))
+def test_pole_check_margin_skips_no_pole(passage, delta):
+    # the lift evaluates the path only where a closest approach is within
+    # 1e-9 of a pole in z; its pole and limits are those found by
+    # evaluating both closest approaches with no margin
+    traj = sample_trajectory(_tilted_passage(_PASSAGES[passage], delta),
+                             SubOptimalParams(PI / 2))
+    _, _, u, v = traj.circle
+    near = np.array([np.arctan2(v[2], u[2]),
+                     np.arctan2(-v[2], -u[2])]) % (2.0 * PI)
+    near = near[(near > 0.0) & (near < traj.x_b)]
+    on = near[np.sin(bloch_angles(traj.states_along(near))[0]) < POLE_EPS]
+    lift = traj.azimuth
+    assert on.size == (delta < POLE_EPS)
+    if not on.size:
+        assert (lift.pole, lift.limits) == (0.0, ())
+        return
+    assert lift.crossings.size == 0
+    assert lift.pole == on[0]
+    t_pole = on[0] / (2.0 * traj.problem.omega)
+    assert lift.limits == pytest.approx(
+        (_tangent_azimuth(traj, t_pole, arriving=True),
+         _tangent_azimuth(traj, t_pole, arriving=False)), abs=1e-9)
+
+
+@pytest.mark.parametrize("delta, calls", [(1e-5, 1), (1e-4, 0)])
+def test_pole_check_evaluates_only_inside_its_margin(monkeypatch, delta,
+                                                     calls):
+    # 1 - |z| at the closest approach is 5e-11 at delta = 1e-5 and 5e-9 at
+    # 1e-4, outside the 1e-9 margin, where the lift evaluates no state
+    traj = sample_trajectory(_tilted_passage(_PASSAGES["0.6"], delta),
+                             SubOptimalParams(PI / 2))
+    log = _count_calls(monkeypatch, Trajectory, "states_along")
+    assert traj.azimuth.limits == ()
+    assert len(log) == calls
