@@ -142,6 +142,8 @@ def _print_table(headers, rows):
 
 
 def cmd_figdata(args):
+    if args.points < 2:
+        raise ValueError("--points must be >= 2")
     alphas = np.linspace(0.0, np.pi, args.points)
     problem = equatorial_problem(theta_ab=args.theta_ab, energy=args.omega)
     lines = []
@@ -239,9 +241,6 @@ def main(argv=None):
         if args.command == "tables":
             return cmd_tables(args.which)
         if args.command == "figdata":
-            if args.points < 2:
-                print("error: --points must be >= 2", file=sys.stderr)
-                return 2
             return cmd_figdata(args)
         return cmd_verify()
     except (BlochComplexityError, ValueError) as err:

@@ -29,7 +29,7 @@ the default; the README records the per-alpha deltas of the uniform mode.
 
 Nothing is sampled. The box comes from the closed-form extrema of the
 rotation, and each average is an adaptive Gauss-Legendre quadrature of V in
-the rotation angle x = 2wt (Piessens et al., QUADPACK, 1983) over panels cut
+the rotation angle x = 2Et (Piessens et al., QUADPACK, 1983) over panels cut
 at every point where V can kink: where cos(theta) returns to cos(theta_A),
 where the azimuth crosses the plane of phi_A, at the polar extrema (where
 the azimuth turns fastest near a pole, and where a path through a pole
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
-from .metrics import _arc_length, curvature_coefficient, speed_efficiency
+from .metrics import curvature_coefficient, path_length, speed_efficiency
 from .qubit import cross
 from .trajectory import (DEFAULT_SAMPLES, _arc_ends, _cos_roots,
                          sample_trajectory)
@@ -167,7 +167,7 @@ def analyze(problem, params, config=None):
     traj = sample_trajectory(problem, params)
     box, kind, v_max, v_bar, segments = _volumes(traj, config.averaging_mode)
     c = complexity(v_bar, v_max)
-    s = _arc_length(problem, params, traj.t_b)
+    s = path_length(problem, params)
     f = traj.field
     volume = VolumeReport(v_bar=v_bar, v_max=v_max, box=box,
                           averaging_mode=config.averaging_mode,
@@ -189,9 +189,9 @@ def bounding_box(traj):
     """Exact (theta, phi) bounding box of a trajectory.
 
     The Bloch vector turns rigidly about the field axis n:
-    r(t) = n(n.a) + cos(2wt) u + sin(2wt) n x a with u = a - n(n.a), so
+    r(t) = n(n.a) + cos(2Et) u + sin(2Et) n x a with u = a - n(n.a), so
     every interior extremum of theta sits at a closed-form root of a
-    first-degree trig polynomial in 2wt, and of phi at a root of a quadratic
+    first-degree trig polynomial in 2Et, and of phi at a root of a quadratic
     in tan(y/2), y measured from the nearer end (`_azimuth_turns`). The box
     spans the angles there, at both ends and, where the path meets an exact
     pole, the azimuth's one-sided limits on both sides of it.
@@ -205,21 +205,20 @@ def branch_times(traj):
     """Interior instants where Re c0 or Re c1 crosses zero, i.e. where the
     period-pi arctangent representation of the azimuth changes branch.
 
-    ``Re c_k(t) = cos(wt) Re psi0_k + sin(wt) Im(n.sigma psi0)_k``, so the
+    ``Re c_k(t) = cos(Et) Re psi0_k + sin(Et) Im(n.sigma psi0)_k``, so the
     instants are closed-form roots. Crossings through (numerical) zeros of
     the whole amplitude, i.e. poles, are not branch flips and are skipped,
     and so is a component whose Re c_k vanishes identically (both
     coefficients at rounding level), where any root would be noise. Roots
     within 1e-12 of either end, or within 1e-9 of the previous root,
-    are dropped; both filters act on the phase angle wt, so the result
-    scales exactly as 1/w.
+    are dropped; both filters act on the phase angle Et, so the result
+    scales exactly as 1/E.
     """
-    w2 = 2.0 * traj.problem.omega
-    return [float(x / w2) for x in _branch_angles(traj)]
+    return [traj.time_of(x) for x in _branch_angles(traj)]
 
 
 def _branch_angles(traj):
-    """`branch_times` as rotation angles 2wt, which no energy scale
+    """`branch_times` as rotation angles 2Et, which no energy scale
     enters."""
     lo, hi = span = (0.0, 0.5 * traj.x_b)
     xs = [_cos_roots(p, q, 0.0, span) if math.hypot(p, q) > 1e-12
@@ -273,12 +272,12 @@ def _volumes(traj, mode):
     box candidates and the quadrature's first-level nodes."""
     if mode not in AVERAGING_MODES:
         raise ValueError(f"unknown averaging mode {mode!r}")
-    x_b, w2 = traj.x_b, 2.0 * traj.problem.omega
+    x_b = traj.x_b
     x_theta = _polar_turns(traj.circle, (0.0, x_b))
     candidates = _box_candidates(traj, x_theta)
     cuts = _branch_angles(traj) if mode == APPENDIX_PIECEWISE else []
     x_bounds = np.array([0.0] + cuts + [x_b])
-    bounds = [0.0] + [float(x / w2) for x in cuts] + [traj.t_b]
+    bounds = [traj.time_of(x) for x in x_bounds]
     edges = _panel_edges(traj, x_bounds, x_theta)
     # panels past the midpoint are measured back from x_b, where the states
     # there start (see `Trajectory.states_along`): their x is negative
@@ -419,7 +418,7 @@ def _panel_integrals(f, lo, hi, first):
             worst = np.flatnonzero(keep)[np.argmax(error[keep])]
             raise QuadratureNotConverged(
                 f"panel [{lo[worst]:.17g}, {hi[worst]:.17g}] of the rotation "
-                f"angle 2wt (back from the target where negative) still has "
+                f"angle 2Et (back from the target where negative) still has "
                 f"an error estimate of "
                 f"{error[worst]:.3g} after {MAX_BISECTIONS} bisections "
                 f"(tolerance {PANEL_TOL:g})")

@@ -10,7 +10,9 @@ which reaches the target along a non-geodesic path, except at alpha = pi/2,
 the rotation-axis field E*(a x b)/|a x b| that generates the time-optimal
 (geodesic) transfer. Every member has magnitude E exactly (the two basis
 directions are orthonormal), so the propagator for field h over time t is
-cos(|h| t / hbar) * 1 - i sin(|h| t / hbar) * (h_hat . sigma).
+cos(|h| t) * 1 - i sin(|h| t) * (h_hat . sigma), in units with hbar = 1:
+the energy E only sets how fast the path is run, and every geometric
+quantity of it is the same at every E.
 """
 
 import math
@@ -37,37 +39,21 @@ class EvolutionProblem:
     a_hat: np.ndarray
     b_hat: np.ndarray
     energy: float = 1.0
-    hbar: float = 1.0
     theta_ab: float = field(init=False)
 
     def __post_init__(self):
         a = _require_unit(self.a_hat, "a_hat")
         b = _require_unit(self.b_hat, "b_hat")
-        for name in ("energy", "hbar"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:  # also false for NaN
-                raise ValueError(
-                    f"{name} must be positive and finite, got {value}")
-        # beyond this range |h|/hbar or t_b, and with it the rotation angle
-        # 2|h| t_b / hbar, can overflow
-        if not 1e-300 <= self.omega <= 1e300:
+        # also false for 0, negative values and NaN; beyond this range the
+        # arrival time x_b / (2E) can overflow, and a subnormal E leaves the
+        # field h = E n without a reliable direction
+        if not 1e-300 <= self.energy <= 1e300:
             raise ValueError(
-                f"energy/hbar must lie in [1e-300, 1e300], got {self.omega}")
-        # each bounded too: a subnormal E leaves the field h = E n without a
-        # reliable direction
-        for name in ("energy", "hbar"):
-            value = getattr(self, name)
-            if not 1e-300 <= value <= 1e300:
-                raise ValueError(
-                    f"{name} must lie in [1e-300, 1e300], got {value}")
+                f"energy must lie in [1e-300, 1e300], got {self.energy}")
         theta = float(np.arctan2(np.linalg.norm(cross(a, b)), np.dot(a, b)))
         object.__setattr__(self, "a_hat", a)
         object.__setattr__(self, "b_hat", b)
         object.__setattr__(self, "theta_ab", theta)
-
-    @property
-    def omega(self):
-        return self.energy / self.hbar
 
     @cached_property
     def source_state(self):
@@ -139,34 +125,35 @@ def suboptimal_field(problem, params):
     return f
 
 
-def propagator(f, t, hbar=1.0):
-    """Unitary exp(-i (h.sigma) t / hbar) in closed form.
+def propagator(f, t):
+    """Unitary exp(-i (h.sigma) t) in closed form.
 
     Unitary with determinant 1 by construction.
     """
-    if t < 0.0:
-        raise ValueError("propagation time must be nonnegative")
+    if not 0.0 <= t < math.inf:  # also false for NaN
+        raise ValueError(
+            f"propagation time must be nonnegative and finite, got {t}")
     m = f.magnitude
     if m == 0.0:
         raise ValueError("zero field: propagator is trivially the identity")
-    angle = m * t / hbar
+    angle = m * t
     return np.cos(angle) * IDENTITY - 1j * np.sin(angle) * pauli_dot(f.direction)
 
 
 def evolution_time(problem, params):
     """Arrival time of the family member at the target state:
 
-        t(alpha) = (hbar/E) atan2(sin(theta_AB/2), sin(alpha) cos(theta_AB/2))
+        t(alpha) = atan2(sin(theta_AB/2), sin(alpha) cos(theta_AB/2)) / E
 
-    Equals hbar*theta_AB/(2E) at alpha = pi/2 and is symmetric under
+    Equals theta_AB/(2E) at alpha = pi/2 and is symmetric under
     alpha -> pi - alpha. The atan2 keeps the angle's relative precision at
     every separation, where its cosine rounds to 1 once theta_AB is small.
     """
-    return (problem.hbar / problem.energy) * arrival_angle(problem, params)
+    return arrival_angle(problem, params) / problem.energy
 
 
 def arrival_angle(problem, params):
-    """E t(alpha)/hbar, the amplitudes' phase angle at arrival: the atan2 of
+    """E t(alpha), the amplitudes' phase angle at arrival: the atan2 of
     `evolution_time`, which no energy scale enters."""
     problem.require_nondegenerate()
     half = problem.theta_ab / 2.0

@@ -2,11 +2,12 @@
 coefficient of a stationary evolution.
 
 Lengths are measured so that the geodesic joining the source and target
-states has length theta_AB (i.e. ds/dt = 2*DeltaE/hbar, with DeltaE the
-energy uncertainty). Efficiencies are dimensionless ratios in (0, 1]; the
-curvature coefficient 4*(a.h)^2 / (h^2 - (a.h)^2) vanishes exactly for the
-rotation-axis (time-optimal) field. Both are computed from the field
-direction alone, so they do not depend on the energy scale.
+states has length theta_AB (i.e. ds/dt = 2*DeltaE with hbar = 1, DeltaE
+being the energy uncertainty). Efficiencies are dimensionless ratios in
+(0, 1]; the curvature coefficient 4*(a.h)^2 / (h^2 - (a.h)^2) vanishes
+exactly for the rotation-axis (time-optimal) field. All of them come from
+the geometry alone, the length from the arrival angle and the rest from the
+field direction, so none depends on the energy scale.
 """
 
 import math
@@ -14,27 +15,22 @@ import math
 import numpy as np
 
 from .errors import ParallelField
-from .hamiltonians import evolution_time
+from .hamiltonians import arrival_angle
 
 
 def path_length(problem, params):
     """Closed-form arc length of the family member at mixing angle alpha:
 
-        s(alpha) = 2*sqrt(1 - cos^2(alpha) cos^2(theta_AB/2)) * E*t(alpha)/hbar
+        s(alpha) = 2*sqrt(1 - cos^2(alpha) cos^2(theta_AB/2)) * E t(alpha)
 
-    which reduces to theta_AB at alpha = pi/2.
+    which reduces to theta_AB at alpha = pi/2. E t(alpha) is the
+    `arrival_angle`, so no energy scale enters. The root is taken as
+    hypot(sin(alpha), cos(alpha) sin(theta_AB/2)): the same value, without
+    the cancellation that makes it 0 once cos(theta_AB/2) rounds to 1.
     """
-    return _arc_length(problem, params, evolution_time(problem, params))
-
-
-def _arc_length(problem, params, t):
-    """The closed form of `path_length` at a given evolution time t(alpha),
-    for callers that already hold it. The root is taken as hypot(sin(alpha),
-    cos(alpha) sin(theta_AB/2)): the same value, without the cancellation
-    that makes it 0 once cos(theta_AB/2) rounds to 1."""
     half = problem.theta_ab / 2.0
     root = np.hypot(np.sin(params.alpha), np.cos(params.alpha) * np.sin(half))
-    return 2.0 * root * problem.omega * t
+    return 2.0 * root * arrival_angle(problem, params)
 
 
 def geodesic_efficiency(problem, params):

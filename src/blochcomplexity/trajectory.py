@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonians import arrival_angle, evolution_time, suboptimal_field
+from .hamiltonians import arrival_angle, suboptimal_field
 from .qubit import POLE_EPS, bloch_angles, cross, pauli_dot
 
 MIN_SAMPLES = 2049
@@ -34,7 +34,7 @@ def nearest_branch(angle, ref):
 
 class Circle(NamedTuple):
     """The Bloch vector's rigid turn about the field axis ``n``:
-    r(x) = n (n.a) + cos(x) u + sin(x) v at rotation angle x = 2wt, with
+    r(x) = n (n.a) + cos(x) u + sin(x) v at rotation angle x = 2Et, with
     ``na`` = n.a, ``u`` = a - n (n.a) and ``v`` = n x a."""
 
     n: np.ndarray
@@ -49,23 +49,31 @@ class Trajectory:
     state psi0 and the ``turned`` state (n.sigma) psi0 along the field axis
     n, from which every state and angle follows in closed form.
 
-    Internally the path is parametrised by the rotation angle x = 2wt
-    (w = E/hbar), which runs from 0 to ``x_b`` at every energy scale; only
-    `states_at`, `angles_at` and the reported times convert from t.
+    The path is parametrised by the rotation angle x = 2Et, which runs
+    from 0 to ``x_b`` at every energy E; only `states_at`, `angles_at` and
+    the reported times convert, by t = x / (2E).
     """
 
     problem: object
-    t_b: float
     x_b: float
     field: object
     source: np.ndarray
     turned: np.ndarray
 
+    @property
+    def t_b(self):
+        """The arrival time."""
+        return self.time_of(self.x_b)
+
+    def time_of(self, x):
+        """The time x / (2E) at rotation angle ``x``."""
+        return float(x / (2.0 * self.problem.energy))
+
     def states_at(self, t):
         """Closed-form states at a time array of shape (...), as an array
-        of shape (..., 2): `states_along` at x = 2wt."""
+        of shape (..., 2): `states_along` at x = 2Et."""
         return self.states_along(
-            2.0 * self.problem.omega * np.asarray(t, dtype=float))
+            2.0 * self.problem.energy * np.asarray(t, dtype=float))
 
     def states_along(self, x, origin=0.0):
         """States cos(y) psi - i sin(y) (n.sigma) psi at rotation angles
@@ -87,9 +95,9 @@ class Trajectory:
 
     def angles_at(self, t):
         """Polar angles and continuous azimuths at a time array of shape
-        (...): `angles_along` at x = 2wt."""
+        (...): `angles_along` at x = 2Et."""
         return self.angles_along(
-            2.0 * self.problem.omega * np.asarray(t, dtype=float))
+            2.0 * self.problem.energy * np.asarray(t, dtype=float))
 
     def angles_along(self, x, origin=0.0):
         """Polar angles and continuous azimuths at rotation angles
@@ -237,7 +245,7 @@ class AzimuthLift:
 
 
 def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
-    """The evolution on [0, evolution_time]. ``n`` is not read, as nothing
+    """The evolution on [0, t_b]. ``n`` is not read, as nothing
     here samples; it is still validated, so that `evolve`, which samples
     ``n`` points itself, and other callers passing it get the same errors.
 
@@ -247,7 +255,7 @@ def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     f = suboptimal_field(problem, params)
-    return Trajectory(problem=problem, t_b=evolution_time(problem, params),
+    return Trajectory(problem=problem,
                       x_b=2.0 * arrival_angle(problem, params), field=f,
                       source=problem.source_state,
                       turned=pauli_dot(f.direction) @ problem.source_state)

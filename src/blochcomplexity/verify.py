@@ -8,6 +8,7 @@ Every check returns one `CheckRecord` per compared quantity, passing or not,
 against a fixed tolerance.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class CheckRecord:
         return f"{self.check},{self.param},{self.delta:.3e},{'pass' if self.passed else 'FAIL'}"
 
 
-def integrate_schrodinger(f, psi0, total_time, hbar=1.0):
-    """Classical 4th-order integration of i*hbar dpsi/dt = (h.sigma) psi in
+def integrate_schrodinger(f, psi0, total_time):
+    """Classical 4th-order integration of i dpsi/dt = (h.sigma) psi in
     STEPS fixed steps.
 
     For this linear, time-independent generator G the four Runge-Kutta stages
@@ -52,13 +53,14 @@ def integrate_schrodinger(f, psi0, total_time, hbar=1.0):
     the stages explicitly. Renormalizes the result only when the norm drift
     stayed below MAX_NORM_DRIFT, and raises NormDrift otherwise.
     """
-    if total_time < 0.0:
-        raise ValueError("integration time must be nonnegative")
+    if not 0.0 <= total_time < math.inf:  # also false for NaN
+        raise ValueError(f"integration time must be nonnegative and finite, "
+                         f"got {total_time}")
     psi = np.asarray(psi0, dtype=complex).copy()
     if total_time == 0.0:
         return psi
     dt = total_time / STEPS
-    gen = (-1j / hbar) * pauli_dot(f.h)
+    gen = -1j * pauli_dot(f.h)
     step = np.eye(2, dtype=complex)
     power = np.eye(2, dtype=complex)
     for order in range(1, 5):
@@ -99,8 +101,6 @@ def check_supplementary_symmetry(alpha):
 def check_omega_independence(alpha, omega1, omega2):
     """Volumes, complexity and length scale must not depend on omega; the
     evolution time must scale as 1/omega."""
-    if omega1 <= 0.0 or omega2 <= 0.0:
-        raise ValueError("frequencies must be positive")
     params = SubOptimalParams(alpha)
     rep_1 = analyze(equatorial_problem(energy=omega1), params)
     rep_2 = analyze(equatorial_problem(energy=omega2), params)
@@ -127,9 +127,8 @@ def check_propagator_agreement(alphas=None, times=8):
         psi0 = problem.source_state
         worst = 0.0
         for total_time in np.linspace(0.1, 2.0, times):
-            exact = propagator(f, total_time, problem.hbar) @ psi0
-            numeric = integrate_schrodinger(f, psi0, total_time,
-                                            hbar=problem.hbar)
+            exact = propagator(f, total_time) @ psi0
+            numeric = integrate_schrodinger(f, psi0, total_time)
             worst = max(worst, float(np.max(np.abs(exact - numeric))))
         records.append(CheckRecord(check="propagator_oracle",
                                    param=f"alpha={alpha:.6g}", delta=worst,

@@ -11,7 +11,7 @@ from blochcomplexity import check_propagator_agreement, equatorial_problem
 
 @pytest.fixture(scope="session")
 def canonical():
-    """Source x-hat, target y-hat, theta_AB = pi/2, E = hbar = 1."""
+    """Source x-hat, target y-hat, theta_AB = pi/2, E = 1 (hbar = 1)."""
     return equatorial_problem()
 
 

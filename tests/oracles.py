@@ -16,7 +16,7 @@ from blochcomplexity import propagator, suboptimal_field
 def amplitudes(problem, params, t):
     """State amplitudes at time t, from the closed-form propagator applied to
     the source state."""
-    u = propagator(suboptimal_field(problem, params), t, problem.hbar)
+    u = propagator(suboptimal_field(problem, params), t)
     return u @ problem.source_state
 
 
@@ -49,7 +49,7 @@ def simpson_uniform(y, dx):
 
 
 def path_length_numeric(traj):
-    """Arc length by Simpson quadrature of 2*DeltaE(t)/hbar over the
+    """Arc length by Simpson quadrature of 2*DeltaE(t) (hbar = 1) over the
     samples.
 
     DeltaE is evaluated in Bloch form sqrt(h^2 - (r(t).h)^2) with h the
@@ -66,4 +66,4 @@ def path_length_numeric(traj):
     h_sq = float(np.dot(f.h, f.h))
     delta_e = np.sqrt(np.clip(h_sq - (r @ f.h) ** 2, 0.0, None))
     dt = grid.t[1] - grid.t[0]
-    return float(simpson_uniform(2.0 * delta_e / traj.problem.hbar, dt))
+    return float(simpson_uniform(2.0 * delta_e, dt))

@@ -1,5 +1,5 @@
 """Frozen expected values for the canonical equatorial sweep
-(source x-hat, target y-hat, theta_AB = pi/2, hbar = omega = 1).
+(source x-hat, target y-hat, theta_AB = pi/2, E = 1, with hbar = 1).
 
 Two provenances, kept separate on purpose:
 

@@ -335,8 +335,8 @@ def test_figdata_fig5_minimum_at_midpoint(tmp_path):
 
 
 def test_figdata_rejects_single_point(capsys):
-    assert run_cli("figdata", "fig4", "--points", "1") == 2
-    assert "points" in capsys.readouterr().err
+    assert run_cli("figdata", "fig4", "--points", "1") == 1
+    assert capsys.readouterr().err == "error: --points must be >= 2\n"
 
 
 def test_verify_command(capsys):

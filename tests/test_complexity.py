@@ -110,7 +110,7 @@ def _bloch_vector(states):
 def _tangent_azimuth(traj, t, arriving):
     """Azimuth of the direction the Bloch vector leaves r(t) along, or of
     the one it arrives from: a central difference over 1e-5 of rotation."""
-    h = 1e-5 / (2.0 * traj.problem.omega)
+    h = 1e-5 / (2.0 * traj.problem.energy)
     step = np.diff(_bloch_vector(traj.states_at([t - h, t + h])), axis=0)[0]
     if arriving:
         step = -step
@@ -351,18 +351,19 @@ def test_polar_reflection_identity(canonical):
     assert left == pytest.approx(right, abs=1e-10)
 
 
+def _geometry(rep):
+    """Every report field that no energy scale enters."""
+    return (rep.complexity, rep.s, rep.eta_ge, rep.eta_se, rep.kappa2,
+            rep.length_scale, rep.volume.v_bar, rep.volume.v_max,
+            rep.volume.box, rep.degeneracy_label, len(rep.volume.segments))
+
+
 def test_omega_invariance_of_analyze(canonical):
     params = SubOptimalParams(PI / 16)
     rep_1 = analyze(canonical, params)
-    for omega in (0.5, 2.0, 3.7):
+    for omega in (0.5, 0.7, 2.0, 2.5, 3.7):
         rep_w = analyze(equatorial_problem(energy=omega), params)
-        assert rep_w.volume.v_bar == pytest.approx(rep_1.volume.v_bar,
-                                                   abs=1e-8)
-        assert rep_w.volume.v_max == pytest.approx(rep_1.volume.v_max,
-                                                   abs=1e-8)
-        assert rep_w.complexity == pytest.approx(rep_1.complexity, abs=1e-8)
-        assert rep_w.length_scale == pytest.approx(rep_1.length_scale,
-                                                   abs=1e-8)
+        assert _geometry(rep_w) == _geometry(rep_1)
         assert rep_w.t_ab * omega == pytest.approx(rep_1.t_ab, abs=1e-10)
 
 
@@ -530,14 +531,12 @@ def _count_calls(monkeypatch, home, fn_name):
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
     # pi/16 has an interior branch time, so piecewise mode cuts a segment;
-    # the field and the evolution time are each computed once per analyze
-    calls = {fn_name: _count_calls(monkeypatch, hamiltonians, fn_name)
-             for fn_name in ("suboptimal_field", "evolution_time")}
+    # the field is computed once per analyze
+    calls = _count_calls(monkeypatch, hamiltonians, "suboptimal_field")
     rep = analyze(canonical, SubOptimalParams(PI / 16),
                   AnalysisConfig(averaging_mode=mode))
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
-    assert {fn_name: len(log) for fn_name, log in calls.items()} == {
-        "suboptimal_field": 1, "evolution_time": 1}
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode, states", [("uniform", 1),
@@ -564,29 +563,6 @@ def test_analyze_ignores_changes_to_a_copy_of_the_source_state():
     psi[:] = [0.0, 1.0]
     assert not np.array_equal(problem.source_state, psi)
     assert analyze(problem, params) == before
-
-
-@pytest.mark.parametrize("energy, hbar", [(1e308, 1.0), (1e10, 1e-300),
-                                          (1e-300, 1e10), (5e-324, 1.0)])
-def test_analyze_rejects_a_rotation_span_that_overflows(energy, hbar):
-    # E/hbar outside [1e-300, 1e300]: 2|h|/hbar or t_b, and the rotation
-    # angle 2wt_b with it, would overflow to inf; the problem is rejected
-    # when it is built, before analyze can run
-    with pytest.raises(ValueError, match="energy/hbar"):
-        EvolutionProblem(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-                         energy=energy, hbar=hbar)
-
-
-@pytest.mark.parametrize("energy, hbar, name", [(5e-324, 5e-324, "energy"),
-                                                (1e-310, 1e-310, "energy"),
-                                                (1e300, 1e301, "hbar")])
-def test_problem_rejects_energy_or_hbar_outside_the_supported_range(
-        energy, hbar, name):
-    # E/hbar is in range, but a subnormal E leaves the field h = E n with
-    # subnormal components and no reliable direction
-    with pytest.raises(ValueError, match=f"^{name} must lie in"):
-        EvolutionProblem(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-                         energy=energy, hbar=hbar)
 
 
 @pytest.mark.parametrize("alpha", [1.0, PI / 2])
@@ -682,7 +658,7 @@ def _dense_box(traj, n=100_001):
         # the literal azimuth, in extended precision
         if np.sin(bloch_angles(ev(x))[0]) < near:
             return phi[keep][k]
-        x = 2.0 * traj.problem.omega * x
+        x = 2.0 * traj.problem.energy * x
         return float(nearest_branch(_extended_angles(traj, x)[1],
                                     phi[keep][k]))
 
@@ -729,7 +705,7 @@ def _pole_approaches(traj, t, theta, phi):
                                      phi[hi]))]
         elif res.fun < 1e-3:
             reach = np.geomspace(
-                0.1 * np.sqrt(res.fun) / (2.0 * traj.problem.omega),
+                0.1 * np.sqrt(res.fun) / (2.0 * traj.problem.energy),
                 t[hi] - t[lo], 400)
             for side, ref in ((-1.0, phi[lo]), (1.0, phi[hi])):
                 ts = t_p + side * reach
@@ -738,7 +714,7 @@ def _pole_approaches(traj, t, theta, phi):
                     continue
 
                 def swing(t, ref=ref):
-                    x = 2.0 * traj.problem.omega * t
+                    x = 2.0 * traj.problem.energy * t
                     return float(nearest_branch(_extended_angles(traj, x)[1],
                                                 ref))
 
@@ -758,7 +734,7 @@ def _dense_branch_times(traj, n=100_001):
     # source; where Re c_k vanishes at the target (within rounding) the
     # states built from the target's end could put that zero 1e-10 off it
     def ev(t):
-        ang = traj.problem.omega * np.asarray(t, dtype=float)
+        ang = traj.problem.energy * np.asarray(t, dtype=float)
         return (np.cos(ang)[..., None] * traj.source
                 - 1j * np.sin(ang)[..., None] * traj.turned)
 
@@ -773,8 +749,8 @@ def _dense_branch_times(traj, n=100_001):
                           xtol=1e-14)
             if abs(ev(root)[comp]) > 1e-9:  # a pole, not a branch flip
                 roots.append(root)
-    # the same end and merge rules as branch_times, on the rotation angle wt
-    w = traj.problem.omega
+    # the same end and merge rules as branch_times, on the phase angle Et
+    w = traj.problem.energy
     merged = []
     for r in sorted(roots):
         if (1e-12 < w * r < w * traj.t_b - 1e-12
@@ -920,7 +896,7 @@ def test_start_is_the_angles_at_t_a(a, b, alpha):
 
 def _oracle_accessed_volume(traj, mode):
     """Accessed volume by scipy's adaptive quadrature in the rotation angle
-    x = 2wt, over the library's segments, of the literal definition: the
+    x = 2Et, over the library's segments, of the literal definition: the
     angles in extended precision, the azimuth resolved against the unwrapped
     samples, and at an exact pole the one-sided limit that the samples carry
     there. Each segment is split at the zeros of cos(theta) - cos(theta_A)
@@ -928,7 +904,7 @@ def _oracle_accessed_volume(traj, mode):
     to an end near a pole, and at x_b/2: the second half is integrated in
     x - x_b, back from the target, from whose state its states are built."""
     ts = _reference_times(traj, sample(traj).t)
-    xs = 2.0 * traj.problem.omega * ts
+    xs = 2.0 * traj.problem.energy * ts
     sampled_theta = bloch_angles(traj.states_at(ts))[0]
     sampled_theta[[0, -1]] = bloch_angles(
         np.array([traj.source, traj.problem.target_state]))[0]
@@ -1099,10 +1075,9 @@ def test_near_pole_source_matches_the_literal_definition(a, b, alpha):
          alpha=0.0, log_energy=2.0)
 def test_contract_holds_and_is_energy_free(a, b, alpha, log_energy):
     # every valid input returns a report inside the contract or raises a
-    # typed error, and the energy only scales time: the report at E matches
-    # the one at E = 1 (or both raise the same error). The match is to 1e-9,
-    # relative above 1: kappa2 ~ 1/(1 - (n.a)^2) and L_C ~ 1/sqrt(1 - C)
-    # grow without bound and carry their rounding with them.
+    # typed error, and the energy only scales time: every other field of the
+    # report at E is the one at E = 1, bit for bit (or both raise the same
+    # error)
     params = SubOptimalParams(alpha)
 
     def run(energy, mode):
@@ -1121,9 +1096,7 @@ def test_contract_holds_and_is_energy_free(a, b, alpha, log_energy):
         assert rep.volume.v_bar <= rep.volume.v_max
         assert rep.length_scale >= rep.s
         assert not isinstance(unit, type), unit
-        for name in ("complexity", "length_scale", "eta_se", "kappa2"):
-            assert getattr(rep, name) == pytest.approx(getattr(unit, name),
-                                                       rel=1e-9, abs=1e-9)
+        assert _geometry(rep) == _geometry(unit)
 
 
 # -- analyze against its stages, and the lift's pole check -------------------
@@ -1207,7 +1180,7 @@ def test_pole_check_margin_skips_no_pole(passage, delta):
         return
     assert lift.crossings.size == 0
     assert lift.pole == on[0]
-    t_pole = on[0] / (2.0 * traj.problem.omega)
+    t_pole = on[0] / (2.0 * traj.problem.energy)
     assert lift.limits == pytest.approx(
         (_tangent_azimuth(traj, t_pole, arriving=True),
          _tangent_azimuth(traj, t_pole, arriving=False)), abs=1e-9)

@@ -122,7 +122,7 @@ def test_mirror_symmetry_of_polar_angle(canonical):
 
 def test_angular_speed_matches_energy_uncertainty(canonical):
     # finite-difference Bloch angular speed sqrt(theta'^2 + sin^2 theta phi'^2)
-    # is constant and equals 2*DeltaE/hbar for a stationary drive
+    # is constant and equals 2*DeltaE (hbar = 1) for a stationary drive
     for alpha in (np.pi / 16, np.pi / 3, np.pi / 2, 0.8 * np.pi):
         params = SubOptimalParams(alpha)
         t, _, theta, phi = sample(sample_trajectory(canonical, params))
@@ -176,8 +176,7 @@ def _random_problem(rng):
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
         if abs(a @ b) < 0.98:
-            return EvolutionProblem(a, b, energy=rng.uniform(0.5, 5.0),
-                                    hbar=rng.uniform(0.5, 2.0))
+            return EvolutionProblem(a, b, energy=rng.uniform(0.5, 5.0))
 
 
 def test_states_at_matches_propagator(canonical):
@@ -193,7 +192,6 @@ def test_states_at_matches_propagator(canonical):
         times = rng.uniform(0.0, traj.t_b, 16)
         batch = traj.states_at(times)
         for k, t in enumerate(times):
-            expected = (propagator(traj.field, t, problem.hbar)
-                        @ problem.source_state)
+            expected = propagator(traj.field, t) @ problem.source_state
             assert np.max(np.abs(traj.states_at(t) - expected)) < 1e-12
             assert np.max(np.abs(batch[k] - expected)) < 1e-12

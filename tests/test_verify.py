@@ -17,10 +17,16 @@ def test_zero_time_returns_initial_state(canonical):
     assert np.array_equal(psi, canonical.source_state)
 
 
-def test_integrator_rejects_negative_time(canonical):
+@pytest.mark.parametrize("total_time", [-0.1, np.nan, np.inf])
+@pytest.mark.parametrize("route", ["propagator", "integrator"])
+def test_routes_reject_negative_or_nonfinite_time(canonical, route,
+                                                  total_time):
     f = suboptimal_field(canonical, SubOptimalParams(0.3))
-    with pytest.raises(ValueError, match="nonnegative"):
-        integrate_schrodinger(f, canonical.source_state, -0.1)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        if route == "propagator":
+            propagator(f, total_time)
+        else:
+            integrate_schrodinger(f, canonical.source_state, total_time)
 
 
 def test_integrator_matches_propagator_componentwise(canonical):
