@@ -367,6 +367,20 @@ def test_omega_invariance_of_analyze(canonical):
         assert rep_w.t_ab * omega == pytest.approx(rep_1.t_ab, abs=1e-10)
 
 
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+@pytest.mark.parametrize("energy", [1e-300, 1e300])
+def test_analyze_at_the_ends_of_the_energy_range(canonical, energy, mode):
+    # the rotation angles are energy-free, so nothing overflows at either end
+    # of the range: the geometry is the one at E = 1 and only t_ab scales
+    params = SubOptimalParams(PI / 16)
+    config = AnalysisConfig(averaging_mode=mode)
+    rep_1 = analyze(canonical, params, config)
+    rep_e = analyze(equatorial_problem(energy=energy), params, config)
+    assert _geometry(rep_e) == _geometry(rep_1)
+    assert np.isfinite(rep_e.t_ab)
+    assert rep_e.t_ab * energy == pytest.approx(rep_1.t_ab, rel=1e-15)
+
+
 def test_parallel_worked_example(canonical):
     rep = analyze(canonical, SubOptimalParams(PI / 2))
     assert rep.volume.v_bar == pytest.approx(PI / 8, abs=1e-9)
