@@ -6,8 +6,9 @@ Usage: python scripts/bench_smoke.py
 Runs `perfbench/run.py --workload W --seed 0 --seconds 1 --trace 1` for
 each workload, about 5 s in all. The traced runs replay `analyze` stage by
 stage, and that replay is the only caller outside the tests of
-`sample_trajectory(problem, params, n)`, `AnalysisConfig(samples=...)`,
-`bounding_box` and `accessed_volume`. `run.py` exits 0 even when a result
+`bounding_box` and `accessed_volume`. It still passes a sample count, as
+`sample_trajectory(problem, params, n)` and `AnalysisConfig(samples=...)`,
+which the library accepts and ignores. `run.py` exits 0 even when a result
 is wrong, so this script exits 1 when a run exits nonzero or its last line
 does not read "correct": true.
 """

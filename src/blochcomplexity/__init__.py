@@ -9,8 +9,7 @@ from .errors import (AveragingDomainError, BlochComplexityError,
                      DegenerateGeometry, NonPositiveVolume, NormDrift,
                      ParallelField, QuadratureNotConverged)
 from .hamiltonians import (EvolutionProblem, FieldVector, SubOptimalParams,
-                           equatorial_problem, evolution_time, propagator,
-                           suboptimal_field)
+                           equatorial_problem, propagator, suboptimal_field)
 from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
                       speed_efficiency)
 from .qubit import bloch_angles, pauli_dot, state_from_bloch

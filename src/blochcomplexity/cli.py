@@ -23,10 +23,13 @@ from .complexity import AnalysisConfig, DEFAULT_AVERAGING_MODE, analyze
 from .errors import BlochComplexityError
 from .hamiltonians import SubOptimalParams, equatorial_problem, suboptimal_field
 from .metrics import curvature_coefficient, geodesic_efficiency, speed_efficiency
-from .trajectory import DEFAULT_SAMPLES, sample_trajectory
+from .trajectory import sample_trajectory
 from .verify import run_verification
 
 _FRACTION_OF_PI = re.compile(r"^\s*([+-]?\d+)\s*/\s*(\d+)\s*pi\s*$")
+
+MIN_SAMPLES = 2049
+DEFAULT_SAMPLES = 4097  # the sample count `evolve` writes by default
 
 SWEEP_COLUMNS = ("alpha", "t_ab", "s", "eta_ge", "eta_se", "kappa2",
                  "v_bar", "v_max", "complexity", "l_c", "degenerate")
@@ -80,7 +83,7 @@ def cmd_sweep(args):
                                fmt(rep.volume.v_max), fmt(rep.complexity),
                                fmt(rep.length_scale), rep.degeneracy_label]))
     text = "\n".join(lines) + "\n"
-    status = _write(args.out, lambda stream: stream.write(text))
+    status = _write(args.out, text)
     return status if status else (1 if failures else 0)
 
 
@@ -88,8 +91,10 @@ def cmd_evolve(args):
     """The trajectory at ``--samples`` uniform times from 0 to t_b, one CSV
     row each: t, the angles `angles_at` gives and the closed-form state."""
     problem = equatorial_problem(args.theta_ab, energy=args.omega)
-    traj = sample_trajectory(problem, SubOptimalParams(args.alpha),
-                             args.samples)
+    if args.samples < MIN_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_SAMPLES} samples, got {args.samples}")
+    traj = sample_trajectory(problem, SubOptimalParams(args.alpha))
     t = np.linspace(0.0, traj.t_b, args.samples)
     theta, phi = traj.angles_at(t)
     c0, c1 = traj.states_at(t).T
@@ -97,7 +102,7 @@ def cmd_evolve(args):
     for row in zip(t, theta, phi, c0.real, c0.imag, c1.real, c1.imag):
         lines.append(",".join(fmt(x) for x in row))
     text = "\n".join(lines) + "\n"
-    return _write(args.out, lambda stream: stream.write(text))
+    return _write(args.out, text)
 
 
 _TABLE_ALPHAS = [Fraction(k, 16) for k in range(0, 9)]
@@ -164,7 +169,7 @@ def cmd_figdata(args):
             value = rep.complexity if args.which == "fig4" else rep.length_scale
             lines.append(f"{fmt(alpha)},{fmt(value)}")
     text = "\n".join(lines) + "\n"
-    return _write(args.out, lambda stream: stream.write(text))
+    return _write(args.out, text)
 
 
 def cmd_verify():
@@ -175,15 +180,15 @@ def cmd_verify():
     return 0 if all(r.passed for r in records) else 1
 
 
-def _write(path, emit):
-    """``emit(stream)`` on stdout, or on the file at ``path``; a file that
-    cannot be written is reported on stderr with exit code 1."""
+def _write(path, text):
+    """``text`` on stdout, or in the file at ``path``; a file that cannot be
+    written is reported on stderr with exit code 1."""
     if path is None:
-        emit(sys.stdout)
+        sys.stdout.write(text)
         return 0
     try:
         with open(path, "w", newline="") as stream:
-            emit(stream)
+            stream.write(text)
     except OSError as err:
         print(f"error: cannot write {path}: {err}", file=sys.stderr)
         return 1

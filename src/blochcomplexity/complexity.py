@@ -46,8 +46,7 @@ from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
 from .metrics import curvature_coefficient, path_length, speed_efficiency
 from .qubit import cross
-from .trajectory import (DEFAULT_SAMPLES, _arc_ends, _cos_roots,
-                         sample_trajectory)
+from .trajectory import TWO_PI, sample_trajectory
 
 # angular extent below which an axis of the bounding box counts as degenerate
 EPS_DEGENERATE = 1e-9
@@ -100,17 +99,15 @@ class VolumeReport:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """``samples`` is not read by `analyze`, which samples nothing; it is
-    still validated so that callers passing it get the same errors."""
+    """``samples`` is accepted from callers that still pass a sample count,
+    and neither read nor validated: `analyze` samples nothing."""
 
-    samples: int = DEFAULT_SAMPLES
+    samples: int | None = None
     averaging_mode: str = DEFAULT_AVERAGING_MODE
 
     def __post_init__(self):
         if self.averaging_mode not in AVERAGING_MODES:
             raise ValueError(f"unknown averaging mode {self.averaging_mode!r}")
-        if self.samples % 2 == 0:
-            raise ValueError(f"sample count must be odd, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +218,7 @@ def _branch_angles(traj):
     """`branch_times` as rotation angles 2Et, which no energy scale
     enters."""
     lo, hi = span = (0.0, 0.5 * traj.x_b)
-    xs = [_cos_roots(p, q, 0.0, span) if math.hypot(p, q) > 1e-12
+    xs = [_cos_roots(p, q, span) if math.hypot(p, q) > 1e-12
           else np.empty(0)
           for p, q in zip(traj.source.real, traj.turned.imag)]
     comp = np.repeat([0, 1], [xs[0].size, xs[1].size])
@@ -371,7 +368,24 @@ def _azimuth_turns(end, n, reach):
 def _polar_turns(circle, span):
     """Rotation angles in ``span`` where theta is stationary: z = n_z (n.a)
     + u_z cos + v_z sin turns where v_z cos = u_z sin."""
-    return _cos_roots(circle.v[2], -circle.u[2], 0.0, span)
+    return _cos_roots(circle.v[2], -circle.u[2], span)
+
+
+def _cos_roots(p, q, span):
+    """Every x in the closed interval ``span`` with p cos(x) + q sin(x) = 0;
+    none when p = q = 0."""
+    if p == q == 0.0:
+        return np.empty(0)
+    return _arc_ends(math.atan2(q, p), 0.5 * math.pi, span)
+
+
+def _arc_ends(centre, half, span):
+    """Every centre +- half + 2 pi k in the closed interval ``span``."""
+    lo, hi = span
+    return np.concatenate([
+        base + TWO_PI * np.arange(math.ceil((lo - base) / TWO_PI),
+                                  math.floor((hi - base) / TWO_PI) + 1)
+        for base in (centre - half, centre + half)])
 
 
 def _panel_edges(traj, x_bounds, x_theta):

@@ -15,7 +15,7 @@ class NonPositiveVolume(BlochComplexityError):
 
 
 class ParallelField(BlochComplexityError):
-    """Field is (numerically) parallel to the Bloch vector; the curvature
+    """Field is exactly parallel to the Bloch vector; the curvature
     coefficient denominator vanishes."""
 
 

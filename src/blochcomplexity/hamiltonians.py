@@ -140,21 +140,16 @@ def propagator(f, t):
     return np.cos(angle) * IDENTITY - 1j * np.sin(angle) * pauli_dot(f.direction)
 
 
-def evolution_time(problem, params):
-    """Arrival time of the family member at the target state:
+def arrival_angle(problem, params):
+    """E t(alpha), the amplitudes' phase angle at arrival, the same at
+    every energy scale; the arrival time of the family member is
 
-        t(alpha) = atan2(sin(theta_AB/2), sin(alpha) cos(theta_AB/2)) / E
+        t(alpha) = atan2(sin(theta_AB/2), sin(alpha) cos(theta_AB/2)) / E.
 
-    Equals theta_AB/(2E) at alpha = pi/2 and is symmetric under
+    It equals theta_AB/(2E) at alpha = pi/2 and is symmetric under
     alpha -> pi - alpha. The atan2 keeps the angle's relative precision at
     every separation, where its cosine rounds to 1 once theta_AB is small.
     """
-    return arrival_angle(problem, params) / problem.energy
-
-
-def arrival_angle(problem, params):
-    """E t(alpha), the amplitudes' phase angle at arrival: the atan2 of
-    `evolution_time`, which no energy scale enters."""
     problem.require_nondegenerate()
     half = problem.theta_ab / 2.0
     return math.atan2(math.sin(half), math.sin(params.alpha) * math.cos(half))

@@ -49,7 +49,7 @@ def curvature_coefficient(f, a_hat):
     """4*(a.h)^2 / (h^2 - (a.h)^2), the squared bending coefficient of the
     path generated by field h from Bloch vector a, as 4c^2/(1 - c^2)."""
     c, perp = _split(f, a_hat)
-    if perp < 1e-12:
+    if perp == 0.0:
         raise ParallelField("field is parallel to the Bloch vector")
     return 4.0 * c * c / perp
 

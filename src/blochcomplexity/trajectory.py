@@ -21,8 +21,6 @@ import numpy as np
 from .hamiltonians import arrival_angle, suboptimal_field
 from .qubit import POLE_EPS, bloch_angles, cross, pauli_dot
 
-MIN_SAMPLES = 2049
-DEFAULT_SAMPLES = 4097  # the sample count `evolve` writes by default
 TWO_PI = 2.0 * np.pi
 
 
@@ -244,36 +242,16 @@ class AzimuthLift:
         return nearest_branch(raw, self.phi_a + np.pi * (k + 0.5))
 
 
-def sample_trajectory(problem, params, n=DEFAULT_SAMPLES):
-    """The evolution on [0, t_b]. ``n`` is not read, as nothing
-    here samples; it is still validated, so that `evolve`, which samples
-    ``n`` points itself, and other callers passing it get the same errors.
+def sample_trajectory(problem, params, n=None):
+    """The evolution on [0, t_b]. ``n`` is accepted from callers that still
+    pass a sample count, and neither read nor validated: nothing here
+    samples, and `evolve` checks and samples its own grid.
 
     Builds the field, psi0 and (n.sigma) psi0 once; every later stage reads
     them from the returned Trajectory.
     """
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     f = suboptimal_field(problem, params)
     return Trajectory(problem=problem,
                       x_b=2.0 * arrival_angle(problem, params), field=f,
                       source=problem.source_state,
                       turned=pauli_dot(f.direction) @ problem.source_state)
-
-
-def _cos_roots(p, q, c, span):
-    """Every x in the closed interval ``span`` with p cos(x) + q sin(x) = c;
-    none when p = q = 0."""
-    r = math.hypot(p, q)
-    if r == 0.0 or abs(c) > r:
-        return np.empty(0)
-    return _arc_ends(math.atan2(q, p), math.acos(c / r), span)
-
-
-def _arc_ends(centre, half, span):
-    """Every centre +- half + 2 pi k in the closed interval ``span``."""
-    lo, hi = span
-    return np.concatenate([
-        base + TWO_PI * np.arange(math.ceil((lo - base) / TWO_PI),
-                                  math.floor((hi - base) / TWO_PI) + 1)
-        for base in (centre - half, centre + half)])

@@ -10,8 +10,8 @@ from blochcomplexity import (AnalysisConfig, EvolutionProblem,
                              check_omega_independence,
                              check_propagator_agreement,
                              check_supplementary_symmetry, curvature_coefficient,
-                             evolution_time, geodesic_efficiency, path_length,
-                             propagator, sample_trajectory, speed_efficiency,
+                             geodesic_efficiency, path_length, propagator,
+                             sample_trajectory, speed_efficiency,
                              suboptimal_field)
 from blochcomplexity.cli import main as cli_main
 from blochcomplexity.complexity import DEFAULT_AVERAGING_MODE
@@ -61,7 +61,7 @@ def test_criterion_3_time_length_table(canonical):
     ok = True
     for k, (t_ref, s_ref) in TIME_LENGTH_TABLE.items():
         params = SubOptimalParams(TABLE_ALPHAS[k])
-        ok &= abs(evolution_time(canonical, params) - t_ref) <= 1e-3
+        ok &= abs(sample_trajectory(canonical, params).t_b - t_ref) <= 1e-3
         ok &= abs(path_length(canonical, params) - s_ref) <= 1e-3
     _verdict(3, "evolution time and path length table", ok)
 

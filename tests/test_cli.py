@@ -261,7 +261,8 @@ def test_evolve_bad_path_reports_error(tmp_path, capsys):
 
 def test_evolve_rejects_tiny_sample_count(capsys):
     assert run_cli("evolve", "--alpha", "1/4pi", "--samples", "10") == 1
-    assert "2049" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: need at least 2049 samples, got 10\n")
 
 
 def _row_floats(row):

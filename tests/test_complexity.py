@@ -422,8 +422,6 @@ def test_pole_passage_draw_returns_valid_report(mode):
 def test_analysis_config_validation():
     with pytest.raises(ValueError):
         AnalysisConfig(averaging_mode="trapezoid")
-    with pytest.raises(ValueError):
-        AnalysisConfig(samples=4096)
 
 
 def test_bounding_box_matches_accessible(canonical):
@@ -1210,3 +1208,49 @@ def test_pole_check_evaluates_only_inside_its_margin(monkeypatch, delta,
     log = _count_calls(monkeypatch, Trajectory, "states_along")
     assert traj.azimuth.limits == ()
     assert len(log) == calls
+
+
+# a path off any meridian that meets the north pole mid-way, at its one
+# crossing of the plane of the start azimuth
+_SNAP_PROBLEM = EvolutionProblem(
+    np.array([0.1591020297601654, -0.834757507664317, 0.5271303894903547]),
+    np.array([0.4267351851184539, 0.9005208855683895, -0.08342191820524425]))
+_SNAP_ALPHA = 2.8326732369948786
+
+
+def test_pole_on_the_crossing_moves_onto_it():
+    params = SubOptimalParams(_SNAP_ALPHA)
+    traj = sample_trajectory(_SNAP_PROBLEM, params)
+    lift = traj.azimuth
+    assert lift.pole == lift.crossings[0]
+    assert lift.pole == pytest.approx(1.092250021610253, abs=1e-12)
+    theta = bloch_angles(traj.states_along(np.array([lift.pole])))[0]
+    assert np.sin(theta[0]) < POLE_EPS
+    for mode in AVERAGING_MODES:
+        _assert_stages_agree(_SNAP_PROBLEM, params, mode)
+
+    def c(alpha):
+        return analyze(_SNAP_PROBLEM, SubOptimalParams(alpha),
+                       AnalysisConfig(averaging_mode="uniform")).complexity
+
+    # C at the exact pole is the limit from below alpha; above it the path
+    # passes the pole on the other side, and C jumps by 0.01
+    assert c(_SNAP_ALPHA) == pytest.approx(c(_SNAP_ALPHA - 1e-10), abs=1e-5)
+    assert abs(c(_SNAP_ALPHA) - c(_SNAP_ALPHA + 1e-10)) > 1e-3
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_meridian_through_a_pole_matches_its_tilt(mode):
+    # the geodesic from (0, 0.8, 0.6) over the north pole: rounding
+    # registers a crossing of the start azimuth's plane at x = 0.1419, and
+    # the lift moves its pole there, although the path meets the pole at
+    # x = 0.9273. The tangent azimuth is the same all along a meridian, so
+    # C still equals that of the passage tilted 1e-13 about the y axis,
+    # where no crossing is registered
+    passage = ([0.0, 0.8, 0.6], [0.0, -0.6, 0.8])
+    params = SubOptimalParams(PI / 2)
+    config = AnalysisConfig(averaging_mode=mode)
+    exact, tilted = (_tilted_passage(passage, delta) for delta in (0.0, 1e-13))
+    assert sample_trajectory(tilted, params).azimuth.crossings.size == 0
+    assert analyze(exact, params, config).complexity == pytest.approx(
+        analyze(tilted, params, config).complexity, abs=1e-12)

@@ -3,8 +3,8 @@ import pytest
 
 from blochcomplexity import (DegenerateGeometry, EvolutionProblem,
                              FieldVector, SubOptimalParams, analyze,
-                             equatorial_problem, evolution_time,
-                             integrate_schrodinger, path_length, propagator,
+                             equatorial_problem, integrate_schrodinger,
+                             path_length, propagator, sample_trajectory,
                              suboptimal_field)
 from oracles import amplitudes
 from reference_values import (RK4_C0_PI16_T05, RK4_C1_PI16_T05,
@@ -40,7 +40,7 @@ def test_problem_rejects_energy_outside_the_supported_range(energy):
 def test_problem_accepts_the_ends_of_the_energy_range(energy):
     p = equatorial_problem(energy=energy)
     assert p.energy == energy
-    assert 0.0 < evolution_time(p, SubOptimalParams(0.3)) < np.inf
+    assert 0.0 < sample_trajectory(p, SubOptimalParams(0.3)).t_b < np.inf
 
 
 def test_problem_states_are_computed_once_and_read_only():
@@ -229,14 +229,16 @@ def test_propagator_rejects_zero_field():
 
 def test_evolution_time_reference_values(canonical):
     for k, (t_ref, _) in TIME_LENGTH_TABLE.items():
-        t = evolution_time(canonical, SubOptimalParams(k * np.pi / 16))
+        params = SubOptimalParams(k * np.pi / 16)
+        t = sample_trajectory(canonical, params).t_b
         assert t == pytest.approx(t_ref, abs=1e-4)
 
 
 def test_evolution_time_supplementary_symmetry(canonical):
     for alpha in np.linspace(0.05, np.pi / 2, 16):
-        t1 = evolution_time(canonical, SubOptimalParams(alpha))
-        t2 = evolution_time(canonical, SubOptimalParams(np.pi - alpha))
+        t1 = sample_trajectory(canonical, SubOptimalParams(alpha)).t_b
+        t2 = sample_trajectory(canonical,
+                               SubOptimalParams(np.pi - alpha)).t_b
         assert t1 == pytest.approx(t2, abs=1e-12)
 
 
@@ -247,7 +249,7 @@ def test_geodesic_time_and_length_at_every_separation(theta_ab, energy):
     # alpha = pi/2: t_ab = theta_AB / (2E) and s = theta_AB, to rounding
     problem = equatorial_problem(theta_ab, energy=energy)
     params = SubOptimalParams(np.pi / 2)
-    assert evolution_time(problem, params) == pytest.approx(
+    assert sample_trajectory(problem, params).t_b == pytest.approx(
         problem.theta_ab / (2.0 * energy), rel=1e-15, abs=0.0)
     assert path_length(problem, params) == pytest.approx(
         problem.theta_ab, rel=1e-15, abs=0.0)
@@ -258,7 +260,7 @@ def test_propagator_arrives_for_all_alpha(canonical):
     for alpha in ALPHA_GRID[1:-1]:
         params = SubOptimalParams(alpha)
         f = suboptimal_field(canonical, params)
-        u = propagator(f, evolution_time(canonical, params))
+        u = propagator(f, sample_trajectory(canonical, params).t_b)
         overlap = abs(np.vdot(canonical.target_state, u @ canonical.source_state))
         assert overlap == pytest.approx(1.0, abs=1e-9)
 
@@ -306,6 +308,7 @@ def test_amplitudes_closed_form_components(canonical):
 def test_amplitudes_norm_preserved(canonical):
     for alpha in ALPHA_GRID:
         params = SubOptimalParams(alpha)
-        for t in np.linspace(0.0, evolution_time(canonical, params), 9):
+        t_b = sample_trajectory(canonical, params).t_b
+        for t in np.linspace(0.0, t_b, 9):
             c = amplitudes(canonical, params, t)
             assert abs(np.linalg.norm(c) - 1.0) < 1e-12

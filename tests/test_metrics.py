@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blochcomplexity import (EvolutionProblem, FieldVector, ParallelField,
-                             SubOptimalParams, curvature_coefficient,
+from blochcomplexity import (AnalysisConfig, EvolutionProblem, FieldVector,
+                             ParallelField, SubOptimalParams, analyze,
+                             curvature_coefficient, equatorial_problem,
                              geodesic_efficiency, path_length, pauli_dot,
                              sample_trajectory, speed_efficiency,
                              suboptimal_field)
@@ -107,6 +108,22 @@ def test_curvature_rejects_parallel_field(canonical):
     with pytest.raises(ParallelField):
         curvature_coefficient(FieldVector(np.array([2.0, 0.0, 0.0])),
                               canonical.a_hat)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "appendix_piecewise"])
+@pytest.mark.parametrize("alpha", [0.0, np.pi])
+@pytest.mark.parametrize("theta_ab", [2e-6, 1e-6, 1e-8])
+def test_analyze_near_a_parallel_field(theta_ab, alpha, mode):
+    # at alpha = 0 or pi the field lies along +-(a + b), theta_AB/2 from a:
+    # |a - c n|^2 = sin^2(theta_AB/2) is tiny but not zero, so kappa2 is
+    # finite and the report meets the contract
+    rep = analyze(equatorial_problem(theta_ab), SubOptimalParams(alpha),
+                  AnalysisConfig(averaging_mode=mode))
+    assert rep.kappa2 == pytest.approx(4.0 / np.tan(theta_ab / 2.0) ** 2,
+                                       rel=1e-12)
+    assert 0.0 <= rep.complexity < 1.0
+    assert rep.volume.v_bar <= rep.volume.v_max
+    assert rep.length_scale >= rep.s
 
 
 def test_speed_efficiency_rejects_zero_field(canonical):

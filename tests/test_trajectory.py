@@ -59,11 +59,6 @@ def test_azimuth_raw_reduces_to_arctan_difference():
         assert azimuth_raw(state) == pytest.approx(expected, abs=1e-12)
 
 
-def test_sample_trajectory_rejects_small_n(canonical):
-    with pytest.raises(ValueError):
-        sample_trajectory(canonical, SubOptimalParams(0.5), n=10)
-
-
 def test_optimal_trajectory_is_equatorial(canonical):
     traj = sample_trajectory(canonical, SubOptimalParams(np.pi / 2))
     grid = sample(traj)

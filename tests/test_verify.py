@@ -4,9 +4,10 @@ import pytest
 from blochcomplexity import (NormDrift, SubOptimalParams,
                              check_omega_independence,
                              check_propagator_agreement,
-                             check_supplementary_symmetry, evolution_time,
+                             check_supplementary_symmetry,
                              integrate_schrodinger, propagator,
-                             run_verification, suboptimal_field)
+                             run_verification, sample_trajectory,
+                             suboptimal_field)
 from blochcomplexity.hamiltonians import FieldVector
 from reference_values import ARRIVAL_TIME_PI16
 
@@ -39,7 +40,7 @@ def test_integrator_matches_propagator_componentwise(canonical):
 def test_integrator_confirms_arrival_time(canonical):
     params = SubOptimalParams(np.pi / 16)
     f = suboptimal_field(canonical, params)
-    t_ab = evolution_time(canonical, params)
+    t_ab = sample_trajectory(canonical, params).t_b
     assert t_ab == pytest.approx(ARRIVAL_TIME_PI16, abs=1e-12)
     psi = integrate_schrodinger(f, canonical.source_state, t_ab)
     overlap = abs(np.vdot(canonical.target_state, psi))
