@@ -5,6 +5,8 @@ States are length-2 complex ndarrays (amplitudes of |0> and |1>), operators
 are 2x2 complex ndarrays, Bloch vectors are length-3 float ndarrays.
 """
 
+import math
+
 import numpy as np
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -40,17 +42,25 @@ def state_from_bloch(v):
     vector, with the global phase fixed so the |0> amplitude is real >= 0.
     In the southern hemisphere the half-angle is measured from the south
     pole, pi/2 - theta/2, so that cos(theta/2) keeps its relative precision
-    there and is exactly 0 at v = -z."""
+    there and is exactly 0 at v = -z. A state whose polar angle reads as an
+    exact pole (sin(theta) < POLE_EPS) has azimuth 0."""
     v = _require_unit(v, "v")
     across = np.hypot(v[0], v[1])
-    phi = 0.0 if across < POLE_EPS else np.arctan2(v[1], v[0])
     if v[2] >= 0.0:
         half = np.arctan2(across, v[2]) / 2.0
         c0, c1 = np.cos(half), np.sin(half)
     else:
         half = np.arctan2(across, -v[2]) / 2.0
         c0, c1 = np.sin(half), np.cos(half)
-    return np.array([c0, np.exp(1j * phi) * c1], dtype=complex)
+    state = np.array([c0, np.exp(1j * np.arctan2(v[1], v[0])) * c1],
+                     dtype=complex)
+    # a pole by the trajectory's test, on the state's own polar angle: next
+    # to the south pole the rounded angle reads sin(theta) about 2e-16 above
+    # |v_x + i v_y|, and a state the trajectory does not take for a pole
+    # must keep the azimuth of v (with |v_x + i v_y| >= 2 POLE_EPS it is none)
+    if across < 2.0 * POLE_EPS and math.sin(bloch_angles(state)[0]) < POLE_EPS:
+        state[1] = c1
+    return state
 
 
 def bloch_angles(states):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from blochcomplexity import bloch_angles, pauli_dot, state_from_bloch
-from blochcomplexity.qubit import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, cross
+from blochcomplexity.qubit import (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z,
+                                  POLE_EPS, cross)
 
 _finite_vectors = st.tuples(
     *[st.floats(allow_nan=False, allow_infinity=False)] * 3).map(np.array)
@@ -105,6 +108,25 @@ def test_state_from_bloch_is_normalized_with_real_c0():
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
         assert state[0].imag == 0.0
         assert state[0].real >= 0.0
+
+
+@given(pole=st.sampled_from([1.0, -1.0]), log_sin=st.floats(-12.01, -11.99),
+       phase=st.floats(-np.pi, np.pi))
+# |v_x + i v_y| = 9.999999999999998e-13, while the state's rounded polar
+# angle reads sin(theta) = 1.0002e-12: the trajectory takes it for no pole
+@example(pole=-1.0, log_sin=-12.0, phase=2.97265625)
+def test_state_next_to_a_pole_keeps_its_azimuth_unless_it_reads_as_one(
+        pole, log_sin, phase):
+    # the trajectory counts a pole by sin(theta) of the state; where it
+    # counts none, the azimuth must be v's, which the closed forms read
+    off = 10.0 ** log_sin
+    v = np.array([off * np.cos(phase), off * np.sin(phase),
+                  pole * np.sqrt(1.0 - off * off)])
+    theta, phi = bloch_angles(state_from_bloch(v))
+    if math.sin(theta) < POLE_EPS:
+        assert phi == 0.0
+    else:
+        assert phi == pytest.approx(np.arctan2(v[1], v[0]), abs=1e-12)
 
 
 @given(_finite_vectors, _finite_vectors)
