@@ -13,7 +13,10 @@ same script snapshots any checkout. OUTDIR gets:
 - ``general_pool.txt``: one line per `perfbench` general-pool draw and
   averaging mode, with the `repr` of every number of the `analyze` report
   (the box and segments included) and its degeneracy label, or the class
-  and message of the typed error it raised.
+  and message of the typed error it raised;
+- ``pole_cases.txt``: the same lines for the problems in `pole_cases`,
+  which meet an exact pole at an end or between the ends, next to one, or
+  not at all; no general-pool draw meets one.
 """
 
 import dataclasses
@@ -44,6 +47,13 @@ RUNS = {
     "sweep_unwritable": ["sweep", "--out", "/nonexistent/dir/x.csv"],
 }
 MODES = ("uniform", "appendix_piecewise")
+# a path off any meridian through the north pole, and moves of its a and b
+# in units of np.spacing
+PASSAGE = ([0.1591020297601654, -0.834757507664317, 0.5271303894903547],
+           [0.4267351851184539, 0.9005208855683895, -0.08342191820524425],
+           2.8326732369948786)
+PASSAGE_MOVES = (((2, 1, 0), (-2, -1, -3)), ((-1, 3, 0), (-3, 2, 2)),
+                 ((-2, 1, 2), (-1, 0, 3)))
 
 
 def cli_snapshot(argv):
@@ -63,12 +73,30 @@ def _cells(value):
     return [repr(float(value))]
 
 
-def pool_lines():
-    sys.path.insert(0, str(Path(bc.__file__).resolve().parents[2]
-                           / "perfbench"))
-    from workloads import general_pool
+def pole_cases():
+    """(a, b, alpha, energy): the geodesics over the north pole from
+    (0, 0.6, 0.8) and (0, 0.8, 0.6), turned about the y axis by 0, 1e-13,
+    1e-11 and 1e-7; `PASSAGE` and its `PASSAGE_MOVES`; sources and targets
+    at +-z; and a source 1e-9 from the north pole."""
+    for a, b in (([0.0, 0.6, 0.8], [0.0, -0.6, 0.8]),
+                 ([0.0, 0.8, 0.6], [0.0, -0.28, 0.96])):
+        for delta in (0.0, 1e-13, 1e-11, 1e-7):
+            yield (*([r[2] * np.sin(delta), r[1], r[2] * np.cos(delta)]
+                     for r in (a, b)), 0.5 * np.pi, 1.0)
+    a, b, alpha = (np.array(item) for item in PASSAGE)
+    yield a, b, alpha, 1.0
+    for da, db in PASSAGE_MOVES:
+        yield a + np.spacing(a) * da, b + np.spacing(b) * db, alpha, 1.0
+    w = [0.6, -0.48, 0.64]
+    for pole in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]):
+        for alpha in (0.25 * np.pi, 2.5):
+            yield pole, w, alpha, 1.0
+            yield w, pole, alpha, 1.0
+    yield [1e-9, 1e-17, 1.0], [0.0, 1.0, 0.0], 0.0, 1.0
 
-    for k, (a, b, alpha, omega) in enumerate(general_pool()):
+
+def report_lines(cases):
+    for k, (a, b, alpha, omega) in enumerate(cases):
         problem = bc.EvolutionProblem(np.array(a), np.array(b), energy=omega)
         for mode in MODES:
             try:
@@ -80,6 +108,14 @@ def pool_lines():
             yield ",".join([str(k), mode, *cells])
 
 
+def pool_lines():
+    sys.path.insert(0, str(Path(bc.__file__).resolve().parents[2]
+                           / "perfbench"))
+    from workloads import general_pool
+
+    return report_lines(general_pool())
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
@@ -88,6 +124,8 @@ def main():
     for name, argv in RUNS.items():
         (out / f"cli_{name}.txt").write_text(cli_snapshot(argv))
     (out / "general_pool.txt").write_text("\n".join(pool_lines()) + "\n")
+    (out / "pole_cases.txt").write_text(
+        "\n".join(report_lines(pole_cases())) + "\n")
     return 0
 
 

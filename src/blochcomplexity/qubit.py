@@ -57,9 +57,10 @@ def state_from_bloch(v):
     # a pole by the trajectory's test, on the state's own polar angle: next
     # to the south pole the rounded angle reads sin(theta) about 2e-16 above
     # |v_x + i v_y|, and a state the trajectory does not take for a pole
-    # must keep the azimuth of v (with |v_x + i v_y| >= 2 POLE_EPS it is none)
+    # must keep the azimuth of v (with |v_x + i v_y| >= 2 POLE_EPS it is none);
+    # the rounded |c1| stays, as the real c1 can read an ulp off the pole
     if across < 2.0 * POLE_EPS and math.sin(bloch_angles(state)[0]) < POLE_EPS:
-        state[1] = c1
+        state[1] = np.abs(state[1])
     return state
 
 

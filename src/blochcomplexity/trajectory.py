@@ -102,18 +102,11 @@ class Trajectory:
         origin + x (see `states_along`), in closed form: the raw azimuth of
         each state, moved to the 2*pi branch that the crossings of the start
         azimuth's plane before it select; at an exact pole, the lift's limit
-        on its side of the pole."""
+        on the same side of its crossings (`AzimuthLift.resolve`)."""
         x = np.asarray(x, dtype=float)
         theta, raw = bloch_angles(self.states_along(x, origin))
-        at = origin + x
-        lift = self.azimuth
-        phi = lift.resolve(at, raw)
-        pole = np.sin(theta) < POLE_EPS
-        if lift.limits and np.any(pole):
-            arrival, departure = lift.limits
-            phi = np.where(pole, np.where(at > lift.pole, departure, arrival),
-                           phi)
-        return theta, phi
+        return theta, self.azimuth.resolve(origin + x, raw,
+                                           np.sin(theta) < POLE_EPS)
 
     @cached_property
     def circle(self):
@@ -163,12 +156,12 @@ class AzimuthLift:
     side of a crossing sits on the plane, pi/2 from either centre, so it
     still resolves to the right branch.
 
-    The path turns by at most pi, so it meets at most one exact pole, at
-    rotation angle ``pole``. ``limits`` are the azimuth's one-sided limits
-    there, of -r' (arrival) and r' (departure), each on the half-turn of its
-    side; at the source or the target both are its one limit, and with no
-    pole on the path ``limits`` is empty. ``crossings`` are sorted rotation
-    angles.
+    The path turns by at most pi, so it meets at most one exact pole.
+    ``limits`` are the azimuth's one-sided limits there, of -r' (arrival)
+    and r' (departure); at the source or the target both are its one limit,
+    and with no pole on the path ``limits`` is empty. A pole between the
+    ends is the one crossing, and the departure is the limit of the path
+    pushed off it towards the field axis. ``crossings`` are sorted.
     """
 
     def __init__(self, traj):
@@ -198,13 +191,12 @@ class AzimuthLift:
             self.crossings = np.array([gap])
             self.half_turns = np.array([first, first - rising * far])
 
-        self.pole, self.limits = 0.0, (phi_a, phi_a) if departs else ()
+        self.limits = (phi_a, phi_a) if departs else ()
         if departs:
             return
         # a pole lies on the plane of phi_a: the target there is P's mirror
         # zero, so the path reaches it before any crossing; a pole mid-path
-        # is the crossing, or else the anchor's own zero, where the path
-        # touches the plane and stays in the first half-turn. The path's
+        # is the plane's crossing, found at the closest approach. The path's
         # closest approaches to the poles are at z = n_z (n.a) +- hypot(u_z,
         # v_z); where 1 - |z| >= 1e-9 there, sin(theta) >= 4e-5 along the
         # whole path, the target included, and nothing is evaluated
@@ -213,33 +205,38 @@ class AzimuthLift:
                           for side in (1.0, -1.0)])
         if not close.any():
             return
-        sides = [0, 0]
-        if math.sin(bloch_angles(traj.problem.target_state)[0]) < POLE_EPS:
-            self.pole = x_b
-        else:
+        pole = x_b
+        if math.sin(bloch_angles(traj.problem.target_state)[0]) >= POLE_EPS:
             near = np.array([math.atan2(v[2], u[2]),
                              math.atan2(-v[2], -u[2])]) % TWO_PI
             near = near[close & (near > 0.0) & (near < x_b)]
             on = np.sin(bloch_angles(traj.states_along(near))[0]) < POLE_EPS
             if not on.any():
                 return
-            self.pole = float(near[np.argmax(on)])
-            if self.crossings.size and (abs(self.crossings[0] - self.pole)
-                                        < self.pole):
-                self.pole, sides = float(self.crossings[0]), [0, 1]
-        tangent = math.cos(self.pole) * v - math.sin(self.pole) * u
-        away = math.atan2(tangent[1], tangent[0])
-        centre = phi_a + np.pi * (self.half_turns[sides] + 0.5)
-        arrival = float(nearest_branch(away + np.pi, centre[0]))
-        departure = (arrival if self.pole == x_b
-                     else float(nearest_branch(away, centre[1])))
-        self.limits = (arrival, departure)
+            pole = float(near[np.argmax(on)])
+        tangent = math.cos(pole) * v - math.sin(pole) * u
+        arrival = float(nearest_branch(math.atan2(tangent[1], tangent[0])
+                                       + np.pi, phi_a + np.pi * (first + 0.5)))
+        if pole == x_b:
+            self.limits = (arrival, arrival)
+            return
+        # pushed off the pole towards n, the path passes it on the side of
+        # n's horizontal part, perpendicular to r' there, so the azimuth
+        # turns by pi the way of (n x r')_z = +-|n_h| |r'|, which is never 0
+        departure = arrival + math.copysign(
+            math.pi, n[0] * tangent[1] - n[1] * tangent[0])
+        self.crossings, self.limits = np.array([pole]), (arrival, departure)
+        self.half_turns = np.array([first, (departure - phi_a) // math.pi])
 
-    def resolve(self, x, raw):
+    def resolve(self, x, raw, pole):
         """Continuous azimuth at rotation angles ``x`` from raw azimuths
-        there."""
-        k = self.half_turns[np.searchsorted(self.crossings, x)]
-        return nearest_branch(raw, self.phi_a + np.pi * (k + 0.5))
+        there, or where ``pole`` holds the limit on that side of the pole."""
+        side = np.searchsorted(self.crossings, x)
+        phi = nearest_branch(raw, self.phi_a
+                             + np.pi * (self.half_turns[side] + 0.5))
+        if self.limits and np.any(pole):
+            phi = np.where(pole, np.take(self.limits, side), phi)
+        return phi
 
 
 def sample_trajectory(problem, params, n=None):

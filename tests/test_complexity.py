@@ -1031,6 +1031,10 @@ def test_accessed_volume_matches_scipy_quadrature(a, b, alpha, omega):
 # closed form must keep the root's relative precision
 @example(a=_near_pole(1.0, -9.0, 1e-8), b=np.array([0.0, 1.0, 0.0]),
          alpha=0.0)
+# a source on the exact-pole threshold, whose state must not lose its
+# azimuth unless it reads as a pole
+@example(a=_near_pole(1.0, -12.0, 1.0), b=np.array([1.0, 0.0, 0.0]),
+         alpha=0.0)
 def test_near_pole_source_matches_the_literal_definition(a, b, alpha):
     # no cap near the pole: phi_A is the source's own azimuth and the lift
     # holds nothing, so C is the literal definition's, with the box from
@@ -1176,7 +1180,7 @@ def test_analyze_agrees_with_its_stages_on_general_problems(a, b, alpha,
 @pytest.mark.parametrize("delta", (0.0, 1e-13, 1e-11, 1e-7))
 def test_pole_check_margin_skips_no_pole(passage, delta):
     # the lift evaluates the path only where a closest approach is within
-    # 1e-9 of a pole in z; its pole and limits are those found by
+    # 1e-9 of a pole in z; its crossing and limits are those found by
     # evaluating both closest approaches with no margin
     traj = sample_trajectory(_tilted_passage(_PASSAGES[passage], delta),
                              SubOptimalParams(PI / 2))
@@ -1188,10 +1192,9 @@ def test_pole_check_margin_skips_no_pole(passage, delta):
     lift = traj.azimuth
     assert on.size == (delta < POLE_EPS)
     if not on.size:
-        assert (lift.pole, lift.limits) == (0.0, ())
+        assert lift.limits == ()
         return
-    assert lift.crossings.size == 0
-    assert lift.pole == on[0]
+    assert lift.crossings.tolist() == [on[0]]
     t_pole = on[0] / (2.0 * traj.problem.energy)
     assert lift.limits == pytest.approx(
         (_tangent_azimuth(traj, t_pole, arriving=True),
@@ -1212,45 +1215,119 @@ def test_pole_check_evaluates_only_inside_its_margin(monkeypatch, delta,
 
 # a path off any meridian that meets the north pole mid-way, at its one
 # crossing of the plane of the start azimuth
-_SNAP_PROBLEM = EvolutionProblem(
+_PASSAGE = (
     np.array([0.1591020297601654, -0.834757507664317, 0.5271303894903547]),
     np.array([0.4267351851184539, 0.9005208855683895, -0.08342191820524425]))
-_SNAP_ALPHA = 2.8326732369948786
+_PASSAGE_ALPHA = 2.8326732369948786
+# moves of a and b, in units of np.spacing, under which rounding used to
+# give the passage each of the half-turn pairs (-1, 0), (-1, -2) and
+# (-1, -1)
+_PASSAGE_MOVES = (((2, 1, 0), (-2, -1, -3)), ((-1, 3, 0), (-3, 2, 2)),
+                  ((-2, 1, 2), (-1, 0, 3)))
 
 
-def test_pole_on_the_crossing_moves_onto_it():
-    params = SubOptimalParams(_SNAP_ALPHA)
-    traj = sample_trajectory(_SNAP_PROBLEM, params)
-    lift = traj.azimuth
-    assert lift.pole == lift.crossings[0]
-    assert lift.pole == pytest.approx(1.092250021610253, abs=1e-12)
-    theta = bloch_angles(traj.states_along(np.array([lift.pole])))[0]
+def test_pole_passage_takes_the_side_of_the_field_axis():
+    problem = EvolutionProblem(*_PASSAGE)
+    params = SubOptimalParams(_PASSAGE_ALPHA)
+    traj = sample_trajectory(problem, params)
+    (pole,) = traj.azimuth.crossings
+    assert pole == pytest.approx(1.092250021610253, abs=1e-12)
+    theta = bloch_angles(traj.states_along(np.array([pole])))[0]
     assert np.sin(theta[0]) < POLE_EPS
     for mode in AVERAGING_MODES:
-        _assert_stages_agree(_SNAP_PROBLEM, params, mode)
+        _assert_stages_agree(problem, params, mode)
 
-    def c(alpha):
-        return analyze(_SNAP_PROBLEM, SubOptimalParams(alpha),
+    def c(problem, alpha=_PASSAGE_ALPHA):
+        return analyze(problem, SubOptimalParams(alpha),
                        AnalysisConfig(averaging_mode="uniform")).complexity
 
-    # C at the exact pole is the limit from below alpha; above it the path
-    # passes the pole on the other side, and C jumps by 0.01
-    assert c(_SNAP_ALPHA) == pytest.approx(c(_SNAP_ALPHA - 1e-10), abs=1e-5)
-    assert abs(c(_SNAP_ALPHA) - c(_SNAP_ALPHA + 1e-10)) > 1e-3
+    # above alpha the path passes the pole on the side of the field axis,
+    # and C at the exact pole is the limit from there; below alpha it passes
+    # on the other side, and C jumps by 0.01
+    exact = c(problem)
+    assert exact == pytest.approx(c(problem, _PASSAGE_ALPHA + 1e-10),
+                                  abs=1e-5)
+    assert abs(exact - c(problem, _PASSAGE_ALPHA - 1e-10)) > 1e-3
+    # a rule, not rounding, picks the side: moves of a few ulp keep it
+    a, b = _PASSAGE
+    for da, db in _PASSAGE_MOVES:
+        moved = EvolutionProblem(a + np.spacing(a) * da,
+                                 b + np.spacing(b) * db)
+        lift = sample_trajectory(moved, params).azimuth
+        assert lift.half_turns.tolist() == traj.azimuth.half_turns.tolist()
+        assert c(moved) == pytest.approx(exact, abs=1e-12)
+
+
+def _turned(r, n, angle):
+    """r turned by ``angle`` about the unit axis n."""
+    return (np.cos(angle) * r + np.sin(angle) * np.cross(n, r)
+            + (1.0 - np.cos(angle)) * (n @ r) * n)
+
+
+def _circle_through_pole(n, pole, t1, t2, push=0.0):
+    """a and b at rotations -t1 and t2 about the unit axis n from the pole
+    (0, 0, ``pole``), both moved by the angle ``push`` towards n, and the
+    alpha at which the family's field axis is n."""
+    a, b = (_turned(np.array([0.0, 0.0, pole]), n, t) for t in (-t1, t2))
+    a, b = (np.cos(push) * r + np.sin(push) * (n - (n @ r) * r)
+            / np.linalg.norm(n - (n @ r) * r) for r in (a, b))
+    ab = np.cross(a, b)
+    alpha = np.arctan2(n @ ab / np.linalg.norm(ab),
+                       n @ (a + b) / np.linalg.norm(a + b))
+    return a, b, alpha
+
+
+# eight moves of each component of a and b by up to 3 ulp
+_ULP_MOVES = np.random.default_rng(0).integers(-3, 4, size=(8, 2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tilt=st.floats(0.2, 1.4), psi=st.floats(-PI, PI), pole=_poles,
+       t1=st.floats(0.3, 1.2), t2=st.floats(0.3, 1.2))
+# circles on which a move of the source by 1e-16 used to flip the side
+@example(tilt=0.4, psi=0.0, pole=1.0, t1=0.8, t2=0.8)
+@example(tilt=0.7, psi=0.0, pole=1.0, t1=0.8, t2=0.8)
+@example(tilt=1.1, psi=0.0, pole=1.0, t1=0.5, t2=1.0)
+def test_pole_passage_is_the_limit_towards_the_field_axis(tilt, psi, pole,
+                                                          t1, t2):
+    # a path through an exact pole between its ends gives one C under moves
+    # of a few ulp, and in uniform mode it is the C of the path pushed off
+    # the pole towards the field axis n
+    n = np.array([np.sin(tilt) * np.cos(psi), np.sin(tilt) * np.sin(psi),
+                  np.cos(tilt)])
+    a, b, alpha = _circle_through_pole(n, pole, t1, t2)
+    assume(0.0 <= alpha <= PI)
+
+    def c(a, b, alpha, mode):
+        return analyze(EvolutionProblem(a, b), SubOptimalParams(alpha),
+                       AnalysisConfig(averaging_mode=mode)).complexity
+
+    for mode in AVERAGING_MODES:
+        try:
+            exact = c(a, b, alpha, mode)
+            moved = [c(a + np.spacing(a) * da, b + np.spacing(b) * db, alpha,
+                       mode) for da, db in _ULP_MOVES]
+        except AveragingDomainError:
+            continue
+        assert moved == pytest.approx([exact] * len(moved), abs=1e-12)
+        if mode == "uniform":
+            pushed = c(*_circle_through_pole(n, pole, t1, t2, 1e-10), mode)
+            assert exact == pytest.approx(pushed, abs=1e-4)
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_meridian_through_a_pole_matches_its_tilt(mode):
-    # the geodesic from (0, 0.8, 0.6) over the north pole: rounding
-    # registers a crossing of the start azimuth's plane at x = 0.1419, and
-    # the lift moves its pole there, although the path meets the pole at
-    # x = 0.9273. The tangent azimuth is the same all along a meridian, so
-    # C still equals that of the passage tilted 1e-13 about the y axis,
-    # where no crossing is registered
+    # the geodesic from (0, 0.8, 0.6) over the north pole meets it at
+    # x = 0.9273, and the lift takes that pole for its crossing whether the
+    # passage is exact or tilted 1e-13 about the y axis (rounding used to
+    # register a crossing at x = 0.1419 on the exact one). The tangent
+    # azimuth is the same all along a meridian, so the two C agree
     passage = ([0.0, 0.8, 0.6], [0.0, -0.6, 0.8])
     params = SubOptimalParams(PI / 2)
     config = AnalysisConfig(averaging_mode=mode)
     exact, tilted = (_tilted_passage(passage, delta) for delta in (0.0, 1e-13))
-    assert sample_trajectory(tilted, params).azimuth.crossings.size == 0
+    for problem in (exact, tilted):
+        (pole,) = sample_trajectory(problem, params).azimuth.crossings
+        assert pole == pytest.approx(0.9272952180016122, abs=1e-12)
     assert analyze(exact, params, config).complexity == pytest.approx(
         analyze(tilted, params, config).complexity, abs=1e-12)

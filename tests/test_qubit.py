@@ -115,6 +115,9 @@ def test_state_from_bloch_is_normalized_with_real_c0():
 # |v_x + i v_y| = 9.999999999999998e-13, while the state's rounded polar
 # angle reads sin(theta) = 1.0002e-12: the trajectory takes it for no pole
 @example(pole=-1.0, log_sin=-12.0, phase=2.97265625)
+# |c1| reads 4.999999999999999e-13 with the phase and 5e-13 without it: the
+# state reads as a pole only while it keeps the rounded modulus
+@example(pole=1.0, log_sin=-12.0, phase=1.0)
 def test_state_next_to_a_pole_keeps_its_azimuth_unless_it_reads_as_one(
         pole, log_sin, phase):
     # the trajectory counts a pole by sin(theta) of the state; where it
