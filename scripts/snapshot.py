@@ -16,7 +16,8 @@ same script snapshots any checkout. OUTDIR gets:
   and message of the typed error it raised;
 - ``pole_cases.txt``: the same lines for the problems in `pole_cases`,
   which meet an exact pole at an end or between the ends, next to one, or
-  not at all; no general-pool draw meets one.
+  not at all; no general-pool draw meets one. The last cases cannot be
+  built, and their lines hold the construction error.
 """
 
 import dataclasses
@@ -45,6 +46,7 @@ RUNS = {
     "evolve_tiny": ["evolve", "--alpha", "1/4pi", "--samples", "10"],
     "verify": ["verify"],
     "sweep_unwritable": ["sweep", "--out", "/nonexistent/dir/x.csv"],
+    "sweep_degenerate": ["sweep", "--theta-ab", "1e-13", "--steps", "2"],
 }
 MODES = ("uniform", "appendix_piecewise")
 # a path off any meridian through the north pole, and moves of its a and b
@@ -77,7 +79,10 @@ def pole_cases():
     """(a, b, alpha, energy): the geodesics over the north pole from
     (0, 0.6, 0.8) and (0, 0.8, 0.6), turned about the y axis by 0, 1e-13,
     1e-11 and 1e-7; `PASSAGE` and its `PASSAGE_MOVES`; sources and targets
-    at +-z; and a source 1e-9 from the north pole."""
+    at +-z; a source 1e-9 from the north pole; pairs that cannot be built
+    (parallel, antiparallel with signed zeros, and antiparallel to 1e-12
+    without a bisector); and sources 5e-13 from the north pole and
+    9.999999999999998e-13 from the south pole."""
     for a, b in (([0.0, 0.6, 0.8], [0.0, -0.6, 0.8]),
                  ([0.0, 0.8, 0.6], [0.0, -0.28, 0.96])):
         for delta in (0.0, 1e-13, 1e-11, 1e-7):
@@ -93,13 +98,24 @@ def pole_cases():
             yield pole, w, alpha, 1.0
             yield w, pole, alpha, 1.0
     yield [1e-9, 1e-17, 1.0], [0.0, 1.0, 0.0], 0.0, 1.0
+    x, z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+    yield x, x, 0.25 * np.pi, 1.0
+    yield z, -np.array(z), 0.25 * np.pi, 1.0
+    yield ([-0.40499928034712485, 0.19483031443833962, -0.8933178222190402],
+           [0.40499928034621474, -0.19483031443851911, 0.8933178222194137],
+           0.25 * np.pi, 1.0)
+    for pole, off, phase in ((1.0, 5e-13, 1.0), (-1.0, 1e-12, 2.97265625)):
+        a = [off * np.cos(phase), off * np.sin(phase),
+             pole * np.sqrt(1.0 - off * off)]
+        yield a, w, 0.25 * np.pi, 1.0
 
 
 def report_lines(cases):
     for k, (a, b, alpha, omega) in enumerate(cases):
-        problem = bc.EvolutionProblem(np.array(a), np.array(b), energy=omega)
         for mode in MODES:
             try:
+                problem = bc.EvolutionProblem(np.array(a), np.array(b),
+                                              energy=omega)
                 rep = bc.analyze(problem, bc.SubOptimalParams(alpha),
                                  bc.AnalysisConfig(averaging_mode=mode))
                 cells = _cells(dataclasses.astuple(rep))

@@ -7,7 +7,8 @@ class BlochComplexityError(Exception):
 
 class DegenerateGeometry(BlochComplexityError):
     """Source and target Bloch vectors are parallel or antiparallel, so the
-    rotation-axis construction (cross product / bisector) is undefined."""
+    rotation-axis construction (cross product / bisector) is undefined;
+    raised when the `EvolutionProblem` is constructed."""
 
 
 class NonPositiveVolume(BlochComplexityError):

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import DegenerateGeometry
 from .qubit import IDENTITY, _require_unit, cross, pauli_dot, state_from_bloch
 
-# |a x b| = sin(theta_AB) below this makes the axis construction blow up
+# |a x b| = sin(theta_AB) or |a + b| below this leaves the field family
+# without its axis or its bisector
 DEGENERACY_EPS = 1e-12
 
 
@@ -33,7 +34,9 @@ class EvolutionProblem:
     """Source/target Bloch vectors with the energy scale of the drive.
 
     ``theta_ab`` is computed from the vectors; ``source_state`` and
-    ``target_state`` are computed once and read-only.
+    ``target_state`` are computed once and read-only. Construction raises
+    `DegenerateGeometry` for a pair without the rotation axis a x b or the
+    bisector a + b, so every problem that exists has its field family.
     """
 
     a_hat: np.ndarray
@@ -51,6 +54,11 @@ class EvolutionProblem:
             raise ValueError(
                 f"energy must lie in [1e-300, 1e300], got {self.energy}")
         theta = float(np.arctan2(np.linalg.norm(cross(a, b)), np.dot(a, b)))
+        if math.sin(theta) < DEGENERACY_EPS:
+            raise DegenerateGeometry(
+                f"source and target are (anti)parallel: theta_ab={theta}")
+        if math.hypot(*(a + b)) < DEGENERACY_EPS:
+            raise DegenerateGeometry("antipodal vectors: bisector undefined")
         object.__setattr__(self, "a_hat", a)
         object.__setattr__(self, "b_hat", b)
         object.__setattr__(self, "theta_ab", theta)
@@ -62,11 +70,6 @@ class EvolutionProblem:
     @cached_property
     def target_state(self):
         return _read_only(state_from_bloch(self.b_hat))
-
-    def require_nondegenerate(self):
-        if np.sin(self.theta_ab) < DEGENERACY_EPS:
-            raise DegenerateGeometry(
-                f"source and target are (anti)parallel: theta_ab={self.theta_ab}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,9 @@ class SubOptimalParams:
 
 @dataclass(frozen=True)
 class FieldVector:
-    """A stationary field h (energy units) defining H = h . sigma. ``h`` is
-    a read-only copy of the input, so its cached magnitude and direction
-    cannot go stale."""
+    """A stationary non-zero field h (energy units) defining H = h . sigma.
+    ``h`` is a read-only copy of the input, so its cached magnitude and
+    direction cannot go stale."""
 
     h: np.ndarray
 
@@ -92,6 +95,8 @@ class FieldVector:
         h = np.array(self.h, dtype=float)
         if h.shape != (3,) or not np.all(np.isfinite(h)):
             raise ValueError("field must be a finite 3-vector")
+        if not h.any():
+            raise ValueError("zero field has no direction")
         object.__setattr__(self, "h", _read_only(h))
 
     @cached_property
@@ -102,21 +107,14 @@ class FieldVector:
 
     @cached_property
     def direction(self):
-        m = self.magnitude
-        if m == 0.0:
-            raise ValueError("zero field has no direction")
-        return _read_only(self.h / m)
+        return _read_only(self.h / self.magnitude)
 
 
 def suboptimal_field(problem, params):
     """Member of the field family at mixing angle alpha; magnitude E."""
-    problem.require_nondegenerate()
     axis = cross(problem.a_hat, problem.b_hat)
     plus = problem.a_hat + problem.b_hat
-    plus_norm = np.linalg.norm(plus)
-    if plus_norm < DEGENERACY_EPS:
-        raise DegenerateGeometry("antipodal vectors: bisector undefined")
-    unit = (np.cos(params.alpha) * plus / plus_norm
+    unit = (np.cos(params.alpha) * plus / np.linalg.norm(plus)
             + np.sin(params.alpha) * axis / np.linalg.norm(axis))
     f = FieldVector(problem.energy * unit)
     # the direction is the unit combination's own, the same at every energy
@@ -133,10 +131,7 @@ def propagator(f, t):
     if not 0.0 <= t < math.inf:  # also false for NaN
         raise ValueError(
             f"propagation time must be nonnegative and finite, got {t}")
-    m = f.magnitude
-    if m == 0.0:
-        raise ValueError("zero field: propagator is trivially the identity")
-    angle = m * t
+    angle = f.magnitude * t
     return np.cos(angle) * IDENTITY - 1j * np.sin(angle) * pauli_dot(f.direction)
 
 
@@ -150,7 +145,6 @@ def arrival_angle(problem, params):
     alpha -> pi - alpha. The atan2 keeps the angle's relative precision at
     every separation, where its cosine rounds to 1 once theta_AB is small.
     """
-    problem.require_nondegenerate()
     half = problem.theta_ab / 2.0
     return math.atan2(math.sin(half), math.sin(params.alpha) * math.cos(half))
 

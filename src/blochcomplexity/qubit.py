@@ -5,18 +5,12 @@ States are length-2 complex ndarrays (amplitudes of |0> and |1>), operators
 are 2x2 complex ndarrays, Bloch vectors are length-3 float ndarrays.
 """
 
-import math
-
 import numpy as np
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
-
-# sin(theta) below this is an exact pole: `state_from_bloch` puts the azimuth
-# at 0 there, and along a trajectory it is a one-sided limit
-POLE_EPS = 1e-12
 
 
 def pauli_dot(v):
@@ -42,8 +36,10 @@ def state_from_bloch(v):
     vector, with the global phase fixed so the |0> amplitude is real >= 0.
     In the southern hemisphere the half-angle is measured from the south
     pole, pi/2 - theta/2, so that cos(theta/2) keeps its relative precision
-    there and is exactly 0 at v = -z. A state whose polar angle reads as an
-    exact pole (sin(theta) < POLE_EPS) has azimuth 0."""
+    there and is exactly 0 at v = -z. The state is the literal one of v:
+    its azimuth is arctan2(v_y, v_x), and 0 only on the z axis, where the
+    signed zeros would read it as +-pi. Which states a trajectory takes for
+    a pole is its own decision (`trajectory.POLE_EPS`)."""
     v = _require_unit(v, "v")
     across = np.hypot(v[0], v[1])
     if v[2] >= 0.0:
@@ -52,16 +48,8 @@ def state_from_bloch(v):
     else:
         half = np.arctan2(across, -v[2]) / 2.0
         c0, c1 = np.sin(half), np.cos(half)
-    state = np.array([c0, np.exp(1j * np.arctan2(v[1], v[0])) * c1],
-                     dtype=complex)
-    # a pole by the trajectory's test, on the state's own polar angle: next
-    # to the south pole the rounded angle reads sin(theta) about 2e-16 above
-    # |v_x + i v_y|, and a state the trajectory does not take for a pole
-    # must keep the azimuth of v (with |v_x + i v_y| >= 2 POLE_EPS it is none);
-    # the rounded |c1| stays, as the real c1 can read an ulp off the pole
-    if across < 2.0 * POLE_EPS and math.sin(bloch_angles(state)[0]) < POLE_EPS:
-        state[1] = np.abs(state[1])
-    return state
+    phi = np.arctan2(v[1], v[0]) if across else 0.0
+    return np.array([c0, np.exp(1j * phi) * c1], dtype=complex)
 
 
 def bloch_angles(states):
@@ -69,7 +57,8 @@ def bloch_angles(states):
     arg(c1) - arg(c0) in (-pi, pi] of states with shape (..., 2).
 
     The azimuth is returned as computed even at the poles, where it carries no
-    information; callers treat sin(theta) < POLE_EPS as a pole.
+    information; a trajectory treats sin(theta) < `trajectory.POLE_EPS` as a
+    pole.
     """
     states = np.asarray(states)
     c0 = states[..., 0]

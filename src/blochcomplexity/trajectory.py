@@ -6,7 +6,7 @@ The polar angle is always well-defined; the azimuth is only defined modulo
 continuous azimuth in closed form: the Bloch vector turns rigidly about the
 field axis, so the instants where it crosses the plane of the start azimuth
 are known exactly, and counting them fixes the 2*pi branch at any time. At
-an exact pole (sin(theta) < qubit.POLE_EPS) it is the one-sided limit along
+an exact pole (sin(theta) < POLE_EPS) it is the one-sided limit along
 the path. The states are built from the nearer end of the path, so that
 next to the source or the target a small amplitude keeps its precision.
 """
@@ -19,9 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonians import arrival_angle, suboptimal_field
-from .qubit import POLE_EPS, bloch_angles, cross, pauli_dot
+from .qubit import bloch_angles, cross, pauli_dot
 
 TWO_PI = 2.0 * np.pi
+# sin(theta) below this is an exact pole, where the azimuth is a one-sided
+# limit along the path
+POLE_EPS = 1e-12
 
 
 def nearest_branch(angle, ref):

@@ -17,8 +17,7 @@ from blochcomplexity import hamiltonians
 from blochcomplexity.cli import main
 from blochcomplexity.complexity import (AVERAGING_MODES, _branch_angles,
                                         _degeneracy_kind, _volume_samples)
-from blochcomplexity.qubit import POLE_EPS
-from blochcomplexity.trajectory import Trajectory, nearest_branch
+from blochcomplexity.trajectory import POLE_EPS, Trajectory, nearest_branch
 from oracles import path_length_numeric, sample
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
                               SEGMENT_AVERAGES_PI16_PRECISE, THETA_MAX_PI16,
@@ -1031,8 +1030,7 @@ def test_accessed_volume_matches_scipy_quadrature(a, b, alpha, omega):
 # closed form must keep the root's relative precision
 @example(a=_near_pole(1.0, -9.0, 1e-8), b=np.array([0.0, 1.0, 0.0]),
          alpha=0.0)
-# a source on the exact-pole threshold, whose state must not lose its
-# azimuth unless it reads as a pole
+# a source on the exact-pole threshold, whose state keeps the azimuth of a
 @example(a=_near_pole(1.0, -12.0, 1.0), b=np.array([1.0, 0.0, 0.0]),
          alpha=0.0)
 def test_near_pole_source_matches_the_literal_definition(a, b, alpha):
@@ -1060,6 +1058,20 @@ def test_near_pole_source_matches_the_literal_definition(a, b, alpha):
             assert ratio > 1.0
             continue
         assert rep.complexity == pytest.approx(1.0 - ratio, abs=1e-9)
+
+
+def test_source_inside_the_pole_threshold_starts_the_path_of_a():
+    # a source 5e-13 from the north pole reads as a pole, but its state is
+    # still a's own, so the path is the circle of a about n: it passes the
+    # pole 4.3754084235e-13 away (the circle's closest approach, at 50
+    # digits), nearer than the source. A state moved to azimuth 0 would
+    # start another circle, whose closest approach is the source
+    a = np.array([5e-13 * np.cos(1.0), 5e-13 * np.sin(1.0), 1.0])
+    traj = sample_trajectory(EvolutionProblem(a, np.array([0.6, -0.48, 0.64])),
+                             SubOptimalParams(PI / 4))
+    assert np.sin(traj.start[0]) < POLE_EPS
+    assert bounding_box(traj).theta_min == pytest.approx(4.3754084235e-13,
+                                                         rel=1e-7, abs=0.0)
 
 
 # -- the contract at every energy --------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blochcomplexity import (DegenerateGeometry, EvolutionProblem,
-                             FieldVector, SubOptimalParams, analyze,
+                             FieldVector, SubOptimalParams,
                              equatorial_problem, integrate_schrodinger,
                              path_length, propagator, sample_trajectory,
                              suboptimal_field)
@@ -82,23 +82,24 @@ def test_optimal_field_canonical(canonical):
 
 
 def test_optimal_field_degenerate_raises():
+    # a parallel or antiparallel pair is rejected where it is built, before
+    # any field is asked of it
     a = np.array([1.0, 0, 0])
-    with pytest.raises(DegenerateGeometry):
-        suboptimal_field(EvolutionProblem(a_hat=a, b_hat=a), OPTIMAL)
+    for b in (a, -a):
+        with pytest.raises(DegenerateGeometry, match="anti"):
+            EvolutionProblem(a_hat=a, b_hat=b)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.3, np.pi / 2, np.pi])
-def test_near_antipodal_pair_without_a_bisector_raises(alpha):
+def test_near_antipodal_pair_without_a_bisector_raises():
     # sin(theta_AB) = 1.0002e-12 passes the (anti)parallel check, but the
-    # rounded |a + b| = 9.99998e-13 leaves no bisector to mix the axis with
+    # rounded |a + b| = 9.99998e-13 leaves no bisector to mix the axis with,
+    # whatever the mixing angle
     a = np.array([-0.40499928034712485, 0.19483031443833962,
                   -0.8933178222190402])
     b = np.array([0.40499928034621474, -0.19483031443851911,
                   0.8933178222194137])
-    problem = EvolutionProblem(a, b)
-    problem.require_nondegenerate()
     with pytest.raises(DegenerateGeometry, match="bisector undefined"):
-        analyze(problem, SubOptimalParams(alpha))
+        EvolutionProblem(a, b)
 
 
 def test_optimal_field_oblique_pair():
@@ -222,9 +223,10 @@ def test_propagator_entries_match_canonical_closed_form(canonical):
             assert np.allclose(u, expected, atol=1e-12)
 
 
-def test_propagator_rejects_zero_field():
-    with pytest.raises(ValueError):
-        propagator(FieldVector(np.zeros(3)), 1.0)
+@pytest.mark.parametrize("h", [np.zeros(3), np.array([-0.0, 0.0, -0.0])])
+def test_field_rejects_zero_at_construction(h):
+    with pytest.raises(ValueError, match="^zero field has no direction$"):
+        FieldVector(h)
 
 
 def test_evolution_time_reference_values(canonical):

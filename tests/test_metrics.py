@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blochcomplexity import (AnalysisConfig, EvolutionProblem, FieldVector,
-                             ParallelField, SubOptimalParams, analyze,
+from blochcomplexity import (AnalysisConfig, DegenerateGeometry,
+                             EvolutionProblem, FieldVector, ParallelField,
+                             SubOptimalParams, analyze,
                              curvature_coefficient, equatorial_problem,
                              geodesic_efficiency, path_length, pauli_dot,
                              sample_trajectory, speed_efficiency,
@@ -25,13 +26,11 @@ def test_geodesic_distance_canonical(canonical):
 
 
 def test_geodesic_distance_degenerate_pairs():
+    # a pair at distance 0 or pi has no rotation axis: no problem exists
     a = np.array([0.0, 1.0, 0.0])
-    same = EvolutionProblem(a_hat=a, b_hat=a.copy())
-    assert same.theta_ab == pytest.approx(0.0, abs=1e-7)
-    assert _overlap_distance(same) == pytest.approx(same.theta_ab, abs=1e-7)
-    anti = EvolutionProblem(a_hat=a, b_hat=-a)
-    assert anti.theta_ab == pytest.approx(np.pi, abs=1e-7)
-    assert _overlap_distance(anti) == pytest.approx(anti.theta_ab, abs=1e-7)
+    for b in (a.copy(), -a):
+        with pytest.raises(DegenerateGeometry, match="anti"):
+            EvolutionProblem(a_hat=a, b_hat=b)
 
 
 def test_geodesic_distance_equals_separation_angle():

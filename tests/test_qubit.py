@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from blochcomplexity import bloch_angles, pauli_dot, state_from_bloch
-from blochcomplexity.qubit import (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z,
-                                  POLE_EPS, cross)
+from blochcomplexity.qubit import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, cross
 
 _finite_vectors = st.tuples(
     *[st.floats(allow_nan=False, allow_infinity=False)] * 3).map(np.array)
@@ -113,23 +110,27 @@ def test_state_from_bloch_is_normalized_with_real_c0():
 @given(pole=st.sampled_from([1.0, -1.0]), log_sin=st.floats(-12.01, -11.99),
        phase=st.floats(-np.pi, np.pi))
 # |v_x + i v_y| = 9.999999999999998e-13, while the state's rounded polar
-# angle reads sin(theta) = 1.0002e-12: the trajectory takes it for no pole
+# angle reads sin(theta) = 1.0002e-12
 @example(pole=-1.0, log_sin=-12.0, phase=2.97265625)
-# |c1| reads 4.999999999999999e-13 with the phase and 5e-13 without it: the
-# state reads as a pole only while it keeps the rounded modulus
+# |c1| reads 4.999999999999999e-13 with the phase and 5e-13 without it
 @example(pole=1.0, log_sin=-12.0, phase=1.0)
-def test_state_next_to_a_pole_keeps_its_azimuth_unless_it_reads_as_one(
+def test_state_next_to_a_pole_keeps_the_azimuth_of_its_vector(
         pole, log_sin, phase):
-    # the trajectory counts a pole by sin(theta) of the state; where it
-    # counts none, the azimuth must be v's, which the closed forms read
+    # the state is the literal one of v, however close to a pole; which
+    # states are poles is the trajectory's decision, not the state's
     off = 10.0 ** log_sin
     v = np.array([off * np.cos(phase), off * np.sin(phase),
                   pole * np.sqrt(1.0 - off * off)])
-    theta, phi = bloch_angles(state_from_bloch(v))
-    if math.sin(theta) < POLE_EPS:
-        assert phi == 0.0
-    else:
-        assert phi == pytest.approx(np.arctan2(v[1], v[0]), abs=1e-12)
+    _, phi = bloch_angles(state_from_bloch(v))
+    assert phi == pytest.approx(np.arctan2(v[1], v[0]), abs=1e-12)
+
+
+@pytest.mark.parametrize("v", [-np.array([0.0, 0.0, 1.0]),
+                               np.array([-0.0, 0.0, -1.0])])
+def test_south_pole_with_signed_zeros_is_exactly_the_basis_state(v):
+    # arctan2 of the signed zeros reads +-pi; on the z axis the azimuth is 0
+    state = state_from_bloch(v)
+    assert state.tolist() == [0.0, 1.0]
 
 
 @given(_finite_vectors, _finite_vectors)
