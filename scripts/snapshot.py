@@ -56,6 +56,8 @@ PASSAGE = ([0.1591020297601654, -0.834757507664317, 0.5271303894903547],
            2.8326732369948786)
 PASSAGE_MOVES = (((2, 1, 0), (-2, -1, -3)), ((-1, 3, 0), (-3, 2, 2)),
                  ((-2, 1, 2), (-1, 0, 3)))
+# pushes of `through_pole` off the pole, on both sides of the exact passage
+CIRCLE_PUSHES = (0.0, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9)
 
 
 def cli_snapshot(argv):
@@ -81,8 +83,10 @@ def pole_cases():
     1e-11 and 1e-7; `PASSAGE` and its `PASSAGE_MOVES`; sources and targets
     at +-z; a source 1e-9 from the north pole; pairs that cannot be built
     (parallel, antiparallel with signed zeros, and antiparallel to 1e-12
-    without a bisector); and sources 5e-13 from the north pole and
-    9.999999999999998e-13 from the south pole."""
+    without a bisector); sources 5e-13 from the north pole and
+    9.999999999999998e-13 from the south pole; and `through_pole` at
+    `CIRCLE_PUSHES`, whose piecewise cuts meet a branch root next to the
+    pole."""
     for a, b in (([0.0, 0.6, 0.8], [0.0, -0.6, 0.8]),
                  ([0.0, 0.8, 0.6], [0.0, -0.28, 0.96])):
         for delta in (0.0, 1e-13, 1e-11, 1e-7):
@@ -108,6 +112,23 @@ def pole_cases():
         a = [off * np.cos(phase), off * np.sin(phase),
              pole * np.sqrt(1.0 - off * off)]
         yield a, w, 0.25 * np.pi, 1.0
+    for push in CIRCLE_PUSHES:
+        yield (*through_pole(push), 1.0)
+
+
+def through_pole(push):
+    """(a, b, alpha): the circle about n = (sin 0.203125, 0, cos 0.203125)
+    from the north pole turned by -0.5 to it turned by 1.0, both moved by
+    the angle ``push`` towards n, at the alpha whose field axis is n."""
+    n = np.array([np.sin(0.203125), 0.0, np.cos(0.203125)])
+    z = np.array([0.0, 0.0, 1.0])
+    a, b = (np.cos(t) * z + np.sin(t) * np.cross(n, z)
+            + (1.0 - np.cos(t)) * (n @ z) * n for t in (-0.5, 1.0))
+    a, b = (np.cos(push) * r + np.sin(push) * (n - (n @ r) * r)
+            / np.linalg.norm(n - (n @ r) * r) for r in (a, b))
+    ab = np.cross(a, b)
+    return a, b, np.arctan2(n @ ab / np.linalg.norm(ab),
+                            n @ (a + b) / np.linalg.norm(a + b))
 
 
 def report_lines(cases):

@@ -203,8 +203,8 @@ def branch_times(traj):
     period-pi arctangent representation of the azimuth changes branch.
 
     ``Re c_k(t) = cos(Et) Re psi0_k + sin(Et) Im(n.sigma psi0)_k``, so the
-    instants are closed-form roots. Crossings through (numerical) zeros of
-    the whole amplitude, i.e. poles, are not branch flips and are skipped,
+    instants are closed-form roots. A root where the state is an exact
+    pole (`Trajectory.poles_along`) is not a branch flip and is skipped,
     and so is a component whose Re c_k vanishes identically (both
     coefficients at rounding level), where any root would be noise. Roots
     within 1e-12 of either end, or within 1e-9 of the previous root,
@@ -218,14 +218,11 @@ def _branch_angles(traj):
     """`branch_times` as rotation angles 2Et, which no energy scale
     enters."""
     lo, hi = span = (0.0, 0.5 * traj.x_b)
-    xs = [_cos_roots(p, q, span) if math.hypot(p, q) > 1e-12
-          else np.empty(0)
-          for p, q in zip(traj.source.real, traj.turned.imag)]
-    comp = np.repeat([0, 1], [xs[0].size, xs[1].size])
-    xs = np.concatenate(xs)
-    amplitude = np.abs(traj.states_along(2.0 * xs)[np.arange(xs.size), comp])
+    xs = np.concatenate([_cos_roots(p, q, span) if math.hypot(p, q) > 1e-12
+                         else np.empty(0)
+                         for p, q in zip(traj.source.real, traj.turned.imag)])
     merged = []
-    for x in sorted(xs[amplitude > 1e-9]):
+    for x in sorted(xs[~traj.poles_along(2.0 * xs)]):
         if lo + 1e-12 < x < hi - 1e-12 and (not merged
                                             or x - merged[-1] > 1e-9):
             merged.append(x)

@@ -111,6 +111,11 @@ class Trajectory:
         return theta, self.azimuth.resolve(origin + x, raw,
                                            np.sin(theta) < POLE_EPS)
 
+    def poles_along(self, x):
+        """Whether the states at rotation angles ``x`` are exact poles,
+        sin(theta) < POLE_EPS: the one pole test of evaluated points."""
+        return np.sin(bloch_angles(self.states_along(x))[0]) < POLE_EPS
+
     @cached_property
     def circle(self):
         n = self.field.direction
@@ -198,25 +203,23 @@ class AzimuthLift:
         if departs:
             return
         # a pole lies on the plane of phi_a: the target there is P's mirror
-        # zero, so the path reaches it before any crossing; a pole mid-path
-        # is the plane's crossing, found at the closest approach. The path's
-        # closest approaches to the poles are at z = n_z (n.a) +- hypot(u_z,
-        # v_z); where 1 - |z| >= 1e-9 there, sin(theta) >= 4e-5 along the
-        # whole path, the target included, and nothing is evaluated
+        # zero, reached before any crossing, so x_b is tested first; a pole
+        # mid-path is the plane's crossing, at the closest approach. The
+        # path's closest approaches to the poles are at z = n_z (n.a) +-
+        # hypot(u_z, v_z); where 1 - |z| >= 1e-9 there, sin(theta) >= 4e-5
+        # along the whole path, the target included, and nothing is evaluated
         reach = math.hypot(u[2], v[2])
         close = np.array([1.0 - abs(n[2] * na + side * reach) < 1e-9
                           for side in (1.0, -1.0)])
         if not close.any():
             return
-        pole = x_b
-        if math.sin(bloch_angles(traj.problem.target_state)[0]) >= POLE_EPS:
-            near = np.array([math.atan2(v[2], u[2]),
-                             math.atan2(-v[2], -u[2])]) % TWO_PI
-            near = near[close & (near > 0.0) & (near < x_b)]
-            on = np.sin(bloch_angles(traj.states_along(near))[0]) < POLE_EPS
-            if not on.any():
-                return
-            pole = float(near[np.argmax(on)])
+        near = np.array([math.atan2(v[2], u[2]),
+                         math.atan2(-v[2], -u[2])]) % TWO_PI
+        near = np.append(x_b, near[close & (near > 0.0) & (near < x_b)])
+        on = traj.poles_along(near)
+        if not on.any():
+            return
+        pole = float(near[np.argmax(on)])
         tangent = math.cos(pole) * v - math.sin(pole) * u
         arrival = float(nearest_branch(math.atan2(tangent[1], tangent[0])
                                        + np.pi, phi_a + np.pi * (first + 0.5)))

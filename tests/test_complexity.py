@@ -758,7 +758,8 @@ def _dense_branch_times(traj, n=100_001):
         for k in np.nonzero(np.sign(re[:-1]) * np.sign(re[1:]) < 0)[0]:
             root = brentq(lambda x: ev(x)[comp].real, t[k], t[k + 1],
                           xtol=1e-14)
-            if abs(ev(root)[comp]) > 1e-9:  # a pole, not a branch flip
+            # a root at an exact pole is not a branch flip
+            if np.sin(bloch_angles(ev(root))[0]) >= POLE_EPS:
                 roots.append(root)
     # the same end and merge rules as branch_times, on the phase angle Et
     w = traj.problem.energy
@@ -804,6 +805,10 @@ def _dense_branch_times(traj, n=100_001):
 # Re c1 vanishes identically: its rounding noise has no branch times
 @example(a=np.array([0.0, -1.0, 0.0]), b=np.array([0.0, 0.0, 1.0]),
          alpha=0.0, omega=1.0)
+# a source 4.5e-11 from the pole: Re c1's root 5.9e-11 later, at
+# sin(theta) = 1e-10, is next to the pole but not on it, so it is a cut
+@example(a=np.array([-4.53e-11, 0.0, 1.0]), b=np.array([0.0, 1.0, 0.0]),
+         alpha=1.0, omega=1.0)
 def test_closed_form_matches_dense_search(a, b, alpha, omega):
     assume(abs(a @ b) <= 0.98)
     problem = EvolutionProblem(a, b, energy=omega)
@@ -1325,6 +1330,24 @@ def test_pole_passage_is_the_limit_towards_the_field_axis(tilt, psi, pole,
         if mode == "uniform":
             pushed = c(*_circle_through_pole(n, pole, t1, t2, 1e-10), mode)
             assert exact == pytest.approx(pushed, abs=1e-4)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_piecewise_cuts_are_continuous_next_to_a_pole(side):
+    # a branch root next to the pole but outside the exact-pole threshold
+    # is a cut, so piecewise C moves smoothly as the passage is pushed off
+    # the pole on either side
+    n = np.array([np.sin(0.203125), 0.0, np.cos(0.203125)])
+    config = AnalysisConfig(averaging_mode="appendix_piecewise")
+
+    def c(push):
+        a, b, alpha = _circle_through_pole(n, 1.0, 0.5, 1.0, side * push)
+        return analyze(EvolutionProblem(a, b), SubOptimalParams(alpha),
+                       config).complexity
+
+    far = c(1e-8)
+    assert [c(push) for push in (1e-11, 1e-10, 1e-9)] == pytest.approx(
+        [far] * 3, abs=1e-4)
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
