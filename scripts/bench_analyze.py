@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Time `analyze` per call and write the medians, with the machine and the
+versions they were taken on, to OUT as JSON.
+
+Usage: PYTHONPATH=<checkout>/src python scripts/bench_analyze.py OUT
+
+The package is the one that `import blochcomplexity` finds, and the
+general pool is read from the `perfbench/` next to that package's `src/`,
+so the same script times any checkout. Each timed call builds its problem
+and runs `analyze`, as a client's first call on a problem does; a call
+that raises a typed error is timed like the others and counted. The
+median of the single calls' times keeps a burst of load from another
+process out of the figure. OUT gets:
+
+- ``canonical``: per averaging mode, the median time of CANONICAL_CALLS
+  calls, in ms, at each alpha in {0, pi/16, pi/4, pi/2} on the canonical
+  problem (x -> y, E = 1);
+- ``general``: per averaging mode, the median time of a call over
+  GENERAL_ROUNDS passes through the first GENERAL_DRAWS general-pool
+  draws, in ms, and how many of those draws raise;
+- ``nproc``, the Python and numpy versions, and the commit of the checkout
+  (``git describe --always --dirty``; null outside a git checkout).
+
+One untimed pass precedes the rounds. It takes a few seconds.
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+import blochcomplexity as bc
+
+ROOT = Path(bc.__file__).resolve().parents[2]
+MODES = ("uniform", "appendix_piecewise")
+ALPHAS = {"0": 0.0, "pi/16": np.pi / 16, "pi/4": np.pi / 4, "pi/2": np.pi / 2}
+CANONICAL_CALLS = 200
+GENERAL_DRAWS = 600
+GENERAL_ROUNDS = 5
+
+
+def _call(problem_args, alpha, config):
+    """One client call; True when it raised a typed error."""
+    try:
+        bc.analyze(bc.EvolutionProblem(*problem_args),
+                   bc.SubOptimalParams(alpha), config)
+    except bc.BlochComplexityError:
+        return True
+    return False
+
+
+def _median_ms(cases, config, rounds):
+    """Median time of a call, in ms, over ``rounds`` passes through
+    ``cases`` after one untimed pass; and how many of the cases raise."""
+    errors = sum(_call(*case, config) for case in cases)
+    times = []
+    for _ in range(rounds):
+        for case in cases:
+            start = time.perf_counter()
+            _call(*case, config)
+            times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3, errors
+
+
+def general_cases():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import general_pool
+
+    return [((np.array(a), np.array(b), omega), alpha)
+            for a, b, alpha, omega in general_pool()[:GENERAL_DRAWS]]
+
+
+def commit():
+    try:
+        run = subprocess.run(
+            ["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return run.stdout.strip()
+
+
+def main():
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    canonical = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 1.0)
+    pool = general_cases()
+    record = {"canonical": {}, "general": {}}
+    for mode in MODES:
+        config = bc.AnalysisConfig(averaging_mode=mode)
+        record["canonical"][mode] = {
+            name: round(_median_ms([(canonical, alpha)], config,
+                                   CANONICAL_CALLS)[0], 4)
+            for name, alpha in ALPHAS.items()}
+        ms, errors = _median_ms(pool, config, GENERAL_ROUNDS)
+        record["general"][mode] = {"ms_per_call": round(ms, 4),
+                                   "draws": len(pool), "errors": errors}
+    record.update(
+        nproc=(len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count()),
+        python=platform.python_version(), numpy=np.__version__,
+        commit=commit(), canonical_calls=CANONICAL_CALLS,
+        general_rounds=GENERAL_ROUNDS)
+    Path(sys.argv[1]).write_text(json.dumps(record, indent=2) + "\n")
+    print(json.dumps(record))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

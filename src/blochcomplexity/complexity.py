@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
-from .metrics import curvature_coefficient, path_length, speed_efficiency
-from .qubit import cross
+from .metrics import arc_length, curvature_coefficient, speed_efficiency
+from .qubit import cross, dot
 from .trajectory import TWO_PI, sample_trajectory
 
 # angular extent below which an axis of the bounding box counts as degenerate
@@ -153,7 +153,7 @@ def complexity_length_scale(s, c):
         raise ValueError("path length must be positive")
     if not 0.0 <= c < 1.0:
         raise ValueError(f"complexity must lie in [0, 1), got {c}")
-    return s / np.sqrt(1.0 - c)
+    return s / math.sqrt(1.0 - c)
 
 
 def analyze(problem, params, config=None):
@@ -164,7 +164,7 @@ def analyze(problem, params, config=None):
     traj = sample_trajectory(problem, params)
     box, kind, v_max, v_bar, segments = _volumes(traj, config.averaging_mode)
     c = complexity(v_bar, v_max)
-    s = path_length(problem, params)
+    s = arc_length(problem, params, traj.x_b)
     f = traj.field
     volume = VolumeReport(v_bar=v_bar, v_max=v_max, box=box,
                           averaging_mode=config.averaging_mode,
@@ -218,11 +218,12 @@ def _branch_angles(traj):
     """`branch_times` as rotation angles 2Et, which no energy scale
     enters."""
     lo, hi = span = (0.0, 0.5 * traj.x_b)
-    xs = np.concatenate([_cos_roots(p, q, span) if math.hypot(p, q) > 1e-12
-                         else np.empty(0)
-                         for p, q in zip(traj.source.real, traj.turned.imag)])
+    xs = np.array([x for p, q in zip(traj.source.real.tolist(),
+                                     traj.turned.imag.tolist())
+                   if math.hypot(p, q) > 1e-12
+                   for x in _cos_roots(p, q, span)])
     merged = []
-    for x in sorted(xs[~traj.poles_along(2.0 * xs)]):
+    for x in sorted(xs[~traj.poles_along(2.0 * xs)].tolist()):
         if lo + 1e-12 < x < hi - 1e-12 and (not merged
                                             or x - merged[-1] > 1e-9):
             merged.append(x)
@@ -270,7 +271,7 @@ def _volumes(traj, mode):
     x_theta = _polar_turns(traj.circle, (0.0, x_b))
     candidates = _box_candidates(traj, x_theta)
     cuts = _branch_angles(traj) if mode == APPENDIX_PIECEWISE else []
-    x_bounds = np.array([0.0] + cuts + [x_b])
+    x_bounds = [0.0, *cuts, x_b]
     bounds = [traj.time_of(x) for x in x_bounds]
     edges = _panel_edges(traj, x_bounds, x_theta)
     # panels past the midpoint are measured back from x_b, where the states
@@ -300,7 +301,7 @@ def _volumes(traj, mode):
                                          theta[k:].reshape(nodes.shape),
                                          phi[k:].reshape(nodes.shape), kind))
     integrals = _panel_integrals(volume, lo, hi, first)
-    segment = np.searchsorted(x_bounds, edges[:-1], side="right") - 1
+    segment = np.array(x_bounds).searchsorted(edges[:-1], side="right") - 1
     sums = np.bincount(segment, weights=integrals, minlength=len(cuts) + 1)
     averages = tuple((t0, t1, float(total / (x1 - x0)))
                      for t0, t1, x0, x1, total in zip(
@@ -317,22 +318,22 @@ def _box_candidates(traj, x_theta):
     # on a path through an exact pole the azimuth's stationary points are a
     # double root there, which rounding moves off the pole, and the limits
     # stand in for them
-    x_phi = np.empty(0) if traj.azimuth.limits else np.concatenate([
-        _azimuth_turns(traj.problem.a_hat, n, 0.5 * x_b),
-        x_b - _azimuth_turns(traj.problem.b_hat, -n, 0.5 * x_b)])
-    return np.concatenate([[x_b], x_theta, x_phi])
+    x_phi = [] if traj.azimuth.limits else [
+        *_azimuth_turns(traj.problem.a_hat.tolist(), n, 0.5 * x_b),
+        *(x_b - y for y in _azimuth_turns(traj.problem.b_hat.tolist(),
+                                          [-m for m in n], 0.5 * x_b))]
+    return np.array([x_b, *x_theta, *x_phi])
 
 
 def _box(traj, x_theta, theta, phi):
     """The box spanned by the start angles, the angles at the
     `_box_candidates` and the azimuth's limits at an exact pole."""
     theta_a, phi_a = traj.start
-    k = 1 + x_theta.size
-    theta = np.append(theta[:k], theta_a)
-    phi = np.concatenate([[phi_a], phi[:1], phi[k:], traj.azimuth.limits])
-    return AngularBox(theta_min=float(theta.min()),
-                      theta_max=float(theta.max()),
-                      phi_min=float(phi.min()), phi_max=float(phi.max()))
+    k = 1 + len(x_theta)
+    theta = [*theta[:k].tolist(), theta_a]
+    phi = [phi_a, *phi[:1].tolist(), *phi[k:].tolist(), *traj.azimuth.limits]
+    return AngularBox(theta_min=min(theta), theta_max=max(theta),
+                      phi_min=min(phi), phi_max=max(phi))
 
 
 def _azimuth_turns(end, n, reach):
@@ -349,17 +350,17 @@ def _azimuth_turns(end, n, reach):
     keeps its relative precision; each is turned into y by an atan2, which
     neither overflows nor divides by zero.
     """
-    ne = float(n @ end)
-    u, v = end - ne * n, cross(n, end)
-    f = float(end[0] * v[1] - end[1] * v[0])
-    a, b = ne * float(u[2]), ne * float(v[2])
+    ne = dot(n, end)
+    v = cross(n, end)
+    f = end[0] * v[1] - end[1] * v[0]
+    a, b = ne * (end[2] - ne * n[2]), ne * v[2]
     disc = b * b - f * (f + 2.0 * a)
     if disc < 0.0:
-        return np.empty(0)
+        return []
     q = b + math.copysign(math.sqrt(disc), b)
-    y = np.array([2.0 * math.atan2(math.copysign(1.0, den) * num, abs(den))
-                  for num, den in ((f, q), (q, f + 2.0 * a))])
-    return y[(y >= 0.0) & (y <= reach)]
+    y = [2.0 * math.atan2(math.copysign(1.0, den) * num, abs(den))
+         for num, den in ((f, q), (q, f + 2.0 * a))]
+    return [x for x in y if 0.0 <= x <= reach]
 
 
 def _polar_turns(circle, span):
@@ -372,17 +373,16 @@ def _cos_roots(p, q, span):
     """Every x in the closed interval ``span`` with p cos(x) + q sin(x) = 0;
     none when p = q = 0."""
     if p == q == 0.0:
-        return np.empty(0)
+        return []
     return _arc_ends(math.atan2(q, p), 0.5 * math.pi, span)
 
 
 def _arc_ends(centre, half, span):
     """Every centre +- half + 2 pi k in the closed interval ``span``."""
     lo, hi = span
-    return np.concatenate([
-        base + TWO_PI * np.arange(math.ceil((lo - base) / TWO_PI),
-                                  math.floor((hi - base) / TWO_PI) + 1)
-        for base in (centre - half, centre + half)])
+    return [base + TWO_PI * k for base in (centre - half, centre + half)
+            for k in range(math.ceil((lo - base) / TWO_PI),
+                           math.floor((hi - base) / TWO_PI) + 1)]
 
 
 def _panel_edges(traj, x_bounds, x_theta):
@@ -393,12 +393,11 @@ def _panel_edges(traj, x_bounds, x_theta):
     u, v = traj.circle.u, traj.circle.v
     span = (x_bounds[0], x_bounds[-1])
     # z(x) - z_A = R_z (cos(x - c) - cos c): zero at x = 0 and at 2c
-    c = np.arctan2(v[2], u[2])
-    kinks = np.concatenate([_arc_ends(c, c, span),
-                            x_theta,
-                            traj.azimuth.crossings, [0.5 * traj.x_b]])
-    inside = kinks[(kinks > span[0]) & (kinks < span[1])]
-    return np.unique(np.concatenate([x_bounds, inside]))
+    c = math.atan2(v[2], u[2])
+    kinks = [*_arc_ends(c, c, span), *x_theta,
+             *traj.azimuth.crossings.tolist(), 0.5 * traj.x_b]
+    inside = [x for x in kinks if span[0] < x < span[1]]
+    return np.array(sorted({*x_bounds, *inside}))
 
 
 def _panel_integrals(f, lo, hi, first):
@@ -414,7 +413,7 @@ def _panel_integrals(f, lo, hi, first):
     mid = 0.5 * (lo + hi)
     owner = np.arange(lo.size)
     total = np.zeros(lo.size)
-    whole, left, right = np.split(first, 3)
+    whole, left, right = first.reshape(3, -1)
     level = 0
     while True:
         finer = left + right
@@ -439,7 +438,7 @@ def _panel_integrals(f, lo, hi, first):
         owner = np.concatenate([owner[keep], owner[keep]])
         mid = 0.5 * (lo + hi)
         half, x = _nodes(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = np.split(_gauss(half, f(x)), 2)
+        left, right = _gauss(half, f(x)).reshape(2, -1)
         level += 1
 
 

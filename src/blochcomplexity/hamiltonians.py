@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .qubit import IDENTITY, _require_unit, cross, pauli_dot, state_from_bloch
+from .qubit import (IDENTITY, _require_unit, cross, dot, pauli_dot,
+                    state_from_bloch)
 
 # |a x b| = sin(theta_AB) or |a + b| below this leaves the field family
 # without its axis or its bisector
@@ -53,14 +54,14 @@ class EvolutionProblem:
         if not 1e-300 <= self.energy <= 1e300:
             raise ValueError(
                 f"energy must lie in [1e-300, 1e300], got {self.energy}")
-        theta = float(np.arctan2(np.linalg.norm(cross(a, b)), np.dot(a, b)))
+        theta = math.atan2(math.hypot(*cross(a, b)), dot(a, b))
         if math.sin(theta) < DEGENERACY_EPS:
             raise DegenerateGeometry(
                 f"source and target are (anti)parallel: theta_ab={theta}")
-        if math.hypot(*(a + b)) < DEGENERACY_EPS:
+        if math.hypot(*(p + q for p, q in zip(a, b))) < DEGENERACY_EPS:
             raise DegenerateGeometry("antipodal vectors: bisector undefined")
-        object.__setattr__(self, "a_hat", a)
-        object.__setattr__(self, "b_hat", b)
+        object.__setattr__(self, "a_hat", _read_only(np.array(a)))
+        object.__setattr__(self, "b_hat", _read_only(np.array(b)))
         object.__setattr__(self, "theta_ab", theta)
 
     @cached_property
@@ -74,13 +75,15 @@ class EvolutionProblem:
 
 @dataclass(frozen=True)
 class SubOptimalParams:
-    """Mixing angle alpha of the field family, 0 <= alpha <= pi."""
+    """Mixing angle alpha of the field family, 0 <= alpha <= pi (a float)."""
 
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= np.pi:
-            raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
+        alpha = float(self.alpha)
+        if not 0.0 <= alpha <= math.pi:
+            raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,10 @@ class FieldVector:
 
     def __post_init__(self):
         h = np.array(self.h, dtype=float)
-        if h.shape != (3,) or not np.all(np.isfinite(h)):
+        parts = h.tolist()
+        if h.shape != (3,) or not all(map(math.isfinite, parts)):
             raise ValueError("field must be a finite 3-vector")
-        if not h.any():
+        if not any(parts):
             raise ValueError("zero field has no direction")
         object.__setattr__(self, "h", _read_only(h))
 
@@ -103,7 +107,7 @@ class FieldVector:
     def magnitude(self):
         """|h| without squaring the components, so that it neither over- nor
         underflows for any finite field."""
-        return math.hypot(*self.h)
+        return math.hypot(*self.h.tolist())
 
     @cached_property
     def direction(self):
@@ -112,14 +116,17 @@ class FieldVector:
 
 def suboptimal_field(problem, params):
     """Member of the field family at mixing angle alpha; magnitude E."""
-    axis = cross(problem.a_hat, problem.b_hat)
-    plus = problem.a_hat + problem.b_hat
-    unit = (np.cos(params.alpha) * plus / np.linalg.norm(plus)
-            + np.sin(params.alpha) * axis / np.linalg.norm(axis))
-    f = FieldVector(problem.energy * unit)
+    a, b = problem.a_hat.tolist(), problem.b_hat.tolist()
+    plus, axis = [p + q for p, q in zip(a, b)], cross(a, b)
+    cos_a, sin_a = math.cos(params.alpha), math.sin(params.alpha)
+    plus_norm, axis_norm = math.hypot(*plus), math.hypot(*axis)
+    unit = [cos_a * p / plus_norm + sin_a * q / axis_norm
+            for p, q in zip(plus, axis)]
+    f = FieldVector([problem.energy * u for u in unit])
     # the direction is the unit combination's own, the same at every energy
     # scale; h/|h| would round E into it
-    f.__dict__["direction"] = _read_only(unit / math.hypot(*unit))
+    norm = math.hypot(*unit)
+    f.__dict__["direction"] = _read_only(np.array([u / norm for u in unit]))
     return f
 
 

@@ -12,10 +12,9 @@ field direction, so none depends on the energy scale.
 
 import math
 
-import numpy as np
-
 from .errors import ParallelField
 from .hamiltonians import arrival_angle
+from .qubit import dot
 
 
 def path_length(problem, params):
@@ -28,9 +27,14 @@ def path_length(problem, params):
     hypot(sin(alpha), cos(alpha) sin(theta_AB/2)): the same value, without
     the cancellation that makes it 0 once cos(theta_AB/2) rounds to 1.
     """
+    return arc_length(problem, params, 2.0 * arrival_angle(problem, params))
+
+
+def arc_length(problem, params, x_b):
+    """`path_length` from the rotation angle ``x_b`` = 2 E t(alpha)."""
     half = problem.theta_ab / 2.0
-    root = np.hypot(np.sin(params.alpha), np.cos(params.alpha) * np.sin(half))
-    return 2.0 * root * arrival_angle(problem, params)
+    return x_b * math.hypot(math.sin(params.alpha),
+                            math.cos(params.alpha) * math.sin(half))
 
 
 def geodesic_efficiency(problem, params):
@@ -57,7 +61,7 @@ def curvature_coefficient(f, a_hat):
 def _split(f, a_hat):
     """c = n.a for the field direction n, and 1 - c^2 taken as |a - c n|^2,
     which keeps its relative precision where c^2 rounds close to 1."""
-    n = f.direction
-    c = float(np.dot(n, a_hat))
-    across = a_hat - c * n
-    return c, float(across @ across)
+    n, a = f.direction.tolist(), a_hat.tolist()
+    c = dot(n, a)
+    across = [p - c * q for p, q in zip(a, n)]
+    return c, dot(across, across)

@@ -2,8 +2,11 @@
 vectors.
 
 States are length-2 complex ndarrays (amplitudes of |0> and |1>), operators
-are 2x2 complex ndarrays, Bloch vectors are length-3 float ndarrays.
+are 2x2 complex ndarrays, Bloch vectors are length-3 float ndarrays; the
+helpers for one evolution's geometry take and give Python floats.
 """
+
+import math
 
 import numpy as np
 
@@ -25,10 +28,23 @@ def pauli_dot(v):
 
 
 def cross(a, b):
-    """a x b of 3-vectors: np.cross's arithmetic, at a tenth of its cost."""
-    a0, a1, a2 = np.asarray(a).tolist()
-    b0, b1, b2 = np.asarray(b).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    """a x b of float 3-sequences, as a tuple: np.cross's arithmetic."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def dot(a, b):
+    """a . b of 3-vectors given as float sequences, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def pauli_dot_times(n, psi):
+    """(n . sigma) psi: `pauli_dot` (n) @ psi in Python complex arithmetic."""
+    n0, n1, n2 = n.tolist()
+    p0, p1 = psi.tolist()
+    return np.array([n2 * p0 + complex(n0, -n1) * p1,
+                     complex(n0, n1) * p0 - n2 * p1])
 
 
 def state_from_bloch(v):
@@ -37,19 +53,19 @@ def state_from_bloch(v):
     In the southern hemisphere the half-angle is measured from the south
     pole, pi/2 - theta/2, so that cos(theta/2) keeps its relative precision
     there and is exactly 0 at v = -z. The state is the literal one of v:
-    its azimuth is arctan2(v_y, v_x), and 0 only on the z axis, where the
+    its azimuth is atan2(v_y, v_x), and 0 only on the z axis, where the
     signed zeros would read it as +-pi. Which states a trajectory takes for
     a pole is its own decision (`trajectory.POLE_EPS`)."""
-    v = _require_unit(v, "v")
-    across = np.hypot(v[0], v[1])
-    if v[2] >= 0.0:
-        half = np.arctan2(across, v[2]) / 2.0
-        c0, c1 = np.cos(half), np.sin(half)
+    x, y, z = _require_unit(v, "v")
+    across = math.hypot(x, y)
+    if z >= 0.0:
+        half = math.atan2(across, z) / 2.0
+        c0, c1 = math.cos(half), math.sin(half)
     else:
-        half = np.arctan2(across, -v[2]) / 2.0
-        c0, c1 = np.sin(half), np.cos(half)
-    phi = np.arctan2(v[1], v[0]) if across else 0.0
-    return np.array([c0, np.exp(1j * phi) * c1], dtype=complex)
+        half = math.atan2(across, -z) / 2.0
+        c0, c1 = math.sin(half), math.cos(half)
+    phi = math.atan2(y, x) if across else 0.0
+    return np.array([c0, complex(c1 * math.cos(phi), c1 * math.sin(phi))])
 
 
 def bloch_angles(states):
@@ -67,12 +83,14 @@ def bloch_angles(states):
 
 
 def _require_unit(v, name):
-    """``v`` as a float array scaled to norm 1; rejects anything but a
+    """``v`` scaled to norm 1, as a tuple of floats; rejects anything but a
     finite 3-vector within 1e-9 of unit norm, naming the argument."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
+    parts = v.tolist()
+    if v.shape != (3,) or not all(map(math.isfinite, parts)):
         raise ValueError(f"{name} must be a finite 3-vector")
-    norm = float(np.linalg.norm(v))
+    x, y, z = parts
+    norm = math.hypot(x, y, z)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"{name} must be a unit vector, got norm {norm}")
-    return v / norm
+    return x / norm, y / norm, z / norm

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonians import arrival_angle, suboptimal_field
-from .qubit import bloch_angles, cross, pauli_dot
+from .qubit import bloch_angles, cross, dot, pauli_dot_times
 
 TWO_PI = 2.0 * np.pi
 # sin(theta) below this is an exact pole, where the azimuth is a one-sided
@@ -30,18 +30,19 @@ POLE_EPS = 1e-12
 def nearest_branch(angle, ref):
     """``angle`` shifted by the 2*pi multiple that brings it closest to
     ``ref`` (elementwise)."""
-    return angle + TWO_PI * np.round((ref - angle) / TWO_PI)
+    return angle + TWO_PI * np.rint((ref - angle) / TWO_PI)
 
 
 class Circle(NamedTuple):
     """The Bloch vector's rigid turn about the field axis ``n``:
     r(x) = n (n.a) + cos(x) u + sin(x) v at rotation angle x = 2Et, with
-    ``na`` = n.a, ``u`` = a - n (n.a) and ``v`` = n x a."""
+    ``na`` = n.a, ``u`` = a - n (n.a) and ``v`` = n x a, each vector a
+    tuple of floats."""
 
-    n: np.ndarray
+    n: tuple
     na: float
-    u: np.ndarray
-    v: np.ndarray
+    u: tuple
+    v: tuple
 
 
 @dataclass(frozen=True)
@@ -118,21 +119,25 @@ class Trajectory:
 
     @cached_property
     def circle(self):
-        n = self.field.direction
-        a = self.problem.a_hat
-        na = float(n @ a)
-        return Circle(n=n, na=na, u=a - na * n, v=cross(n, a))
+        n = tuple(self.field.direction.tolist())
+        a = self.problem.a_hat.tolist()
+        na = dot(n, a)
+        return Circle(n=n, na=na, u=tuple(p - na * q for p, q in zip(a, n)),
+                      v=cross(n, a))
 
     @cached_property
     def arrival(self):
         """The target's own state in the phase of psi0's evolved state at
         x_b, and (n.sigma) of it: the second half's psi."""
         half = 0.5 * self.x_b
-        reached = (math.cos(half) * self.source
-                   - 1j * math.sin(half) * self.turned)
-        overlap = np.vdot(self.problem.target_state, reached)
-        psi = self.problem.target_state * (overlap / abs(overlap))
-        return psi, pauli_dot(self.field.direction) @ psi
+        c, s = math.cos(half), 1j * math.sin(half)
+        target = self.problem.target_state
+        overlap = sum(t.conjugate() * (c * p - s * q) for t, p, q in zip(
+            target.tolist(), self.source.tolist(), self.turned.tolist()))
+        # numpy's multiply, which fuses multiply-adds where the machine has
+        # them: `evolve` prints the second half's amplitudes in its rounding
+        psi = target * (overlap * (1.0 / abs(overlap)))
+        return psi, pauli_dot_times(self.field.direction, psi)
 
     @cached_property
     def azimuth(self):
@@ -143,11 +148,11 @@ class Trajectory:
         """(theta_A, phi_A), the angles at t = 0 as `angles_at` gives them:
         the source's, but at an exact pole the azimuth of its direction of
         departure r'(0) = n x a. phi_A anchors the lift."""
-        theta, phi = bloch_angles(self.source)
+        theta, phi = (float(angle) for angle in bloch_angles(self.source))
         if math.sin(theta) < POLE_EPS:
             v = self.circle.v
             phi = math.atan2(v[1], v[0])
-        return theta, float(phi)
+        return theta, phi
 
 
 class AzimuthLift:
@@ -193,9 +198,10 @@ class AzimuthLift:
         if 0.0 < gap <= x_b and math.hypot(p, q) > 0.0:
             rising = 1.0 if d < math.pi else -1.0
             # a crossing on the far ray turns the azimuth the other way
-            far = np.sign((cos_a * n[0] + sin_a * n[1]) * na
-                          + (cos_a * u[0] + sin_a * u[1]) * math.cos(gap)
-                          + (cos_a * v[0] + sin_a * v[1]) * math.sin(gap))
+            far = ((cos_a * n[0] + sin_a * n[1]) * na
+                   + (cos_a * u[0] + sin_a * u[1]) * math.cos(gap)
+                   + (cos_a * v[0] + sin_a * v[1]) * math.sin(gap))
+            far = (far > 0.0) - (far < 0.0)
             self.crossings = np.array([gap])
             self.half_turns = np.array([first, first - rising * far])
 
@@ -209,18 +215,19 @@ class AzimuthLift:
         # hypot(u_z, v_z); where 1 - |z| >= 1e-9 there, sin(theta) >= 4e-5
         # along the whole path, the target included, and nothing is evaluated
         reach = math.hypot(u[2], v[2])
-        close = np.array([1.0 - abs(n[2] * na + side * reach) < 1e-9
-                          for side in (1.0, -1.0)])
-        if not close.any():
+        close = [side for side in (1.0, -1.0)
+                 if 1.0 - abs(n[2] * na + side * reach) < 1e-9]
+        if not close:
             return
-        near = np.array([math.atan2(v[2], u[2]),
-                         math.atan2(-v[2], -u[2])]) % TWO_PI
-        near = np.append(x_b, near[close & (near > 0.0) & (near < x_b)])
-        on = traj.poles_along(near)
+        near = [math.atan2(side * v[2], side * u[2]) % TWO_PI
+                for side in close]
+        near = [x_b] + [x for x in near if 0.0 < x < x_b]
+        on = traj.poles_along(np.array(near))
         if not on.any():
             return
-        pole = float(near[np.argmax(on)])
-        tangent = math.cos(pole) * v - math.sin(pole) * u
+        pole = near[np.argmax(on)]
+        tangent = [math.cos(pole) * vk - math.sin(pole) * uk
+                   for vk, uk in zip(v, u)]
         arrival = float(nearest_branch(math.atan2(tangent[1], tangent[0])
                                        + np.pi, phi_a + np.pi * (first + 0.5)))
         if pole == x_b:
@@ -237,7 +244,7 @@ class AzimuthLift:
     def resolve(self, x, raw, pole):
         """Continuous azimuth at rotation angles ``x`` from raw azimuths
         there, or where ``pole`` holds the limit on that side of the pole."""
-        side = np.searchsorted(self.crossings, x)
+        side = self.crossings.searchsorted(x)
         phi = nearest_branch(raw, self.phi_a
                              + np.pi * (self.half_turns[side] + 0.5))
         if self.limits and np.any(pole):
@@ -257,4 +264,5 @@ def sample_trajectory(problem, params, n=None):
     return Trajectory(problem=problem,
                       x_b=2.0 * arrival_angle(problem, params), field=f,
                       source=problem.source_state,
-                      turned=pauli_dot(f.direction) @ problem.source_state)
+                      turned=pauli_dot_times(f.direction,
+                                             problem.source_state))

@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              SubOptimalParams, accessed_volume, analyze,
                              bloch_angles, bounding_box, branch_times,
                              complexity, complexity_length_scale,
-                             equatorial_problem, sample_trajectory)
+                             equatorial_problem, path_length,
+                             sample_trajectory)
 from blochcomplexity import hamiltonians
 from blochcomplexity.cli import main
 from blochcomplexity.complexity import (AVERAGING_MODES, _branch_angles,
@@ -565,6 +568,71 @@ def test_analyze_evaluates_the_path_in_one_pass(canonical, monkeypatch, mode,
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
     assert {fn_name: len(log) for fn_name, log in calls.items()} == {
         "angles_along": 1, "states_along": states}
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_analyze_computes_the_arrival_angle_once(canonical, monkeypatch,
+                                                  mode):
+    # the trajectory's x_b holds it, and the path length reads it from there
+    calls = _count_calls(monkeypatch, hamiltonians, "arrival_angle")
+    analyze(canonical, SubOptimalParams(PI / 16),
+            AnalysisConfig(averaging_mode=mode))
+    assert len(calls) == 1
+
+
+def _general_draws(count):
+    """The first ``count`` (problem, alpha) draws of the benchmark's general
+    pool."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import general_pool
+
+    return [(EvolutionProblem(np.array(a), np.array(b), energy=omega), alpha)
+            for a, b, alpha, omega in general_pool()[:count]]
+
+
+def _reports(canonical, mode):
+    """`analyze` at the 17 alphas of the reference sweep, as `cli sweep`
+    passes them (numpy floats), and on 200 general-pool draws, skipping the
+    draws that raise."""
+    config = AnalysisConfig(averaging_mode=mode)
+    cases = ([(canonical, alpha) for alpha in np.linspace(0.0, PI, 17)]
+             + _general_draws(200))
+    for problem, alpha in cases:
+        params = SubOptimalParams(alpha)
+        try:
+            yield problem, params, analyze(problem, params, config)
+        except BlochComplexityError:
+            continue
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_report_length_is_path_length_bit_for_bit(canonical, mode):
+    count = 0
+    for problem, params, rep in _reports(canonical, mode):
+        assert rep.s == path_length(problem, params)
+        count += 1
+    assert count > 150
+
+
+def _numbers(value):
+    """Every number in a report, its volume, box and segments included."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _numbers(getattr(value, field.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _numbers(item)
+    elif not isinstance(value, str):
+        yield value
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_every_number_on_a_report_is_a_builtin_float(canonical, mode):
+    # a numpy float would print as np.float64(...) in a repr
+    for _, _, rep in _reports(canonical, mode):
+        numbers = list(_numbers(rep))
+        assert len(numbers) == 14 + 3 * len(rep.volume.segments)
+        assert {type(x) for x in numbers} == {float}
 
 
 def test_analyze_ignores_changes_to_a_copy_of_the_source_state():

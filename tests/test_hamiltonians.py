@@ -159,11 +159,26 @@ def test_field_magnitude_and_direction_at_extreme_energies(energy):
 
 
 @pytest.mark.parametrize("h", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
-                               [1.0, 0.0], [[1.0, 0.0, 0.0]]],
-                         ids=["nan", "inf", "short", "nested"])
+                               [1.0, 0.0], [[1.0, 0.0, 0.0]],
+                               [-np.inf, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                               3.0, [[np.nan]]],
+                         ids=["nan", "inf", "short", "nested", "-inf", "long",
+                              "scalar", "nested-nan"])
 def test_field_rejects_nonfinite_or_misshapen_input(h):
-    with pytest.raises(ValueError, match="finite 3-vector"):
+    with pytest.raises(ValueError, match="^field must be a finite 3-vector$"):
         FieldVector(np.array(h))
+
+
+@pytest.mark.parametrize("name", ["a_hat", "b_hat"])
+@pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0],
+                                 [0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.1, 0.0]],
+                         ids=["nan", "-inf", "short", "zero", "non-unit"])
+def test_problem_names_the_vector_it_rejects(name, bad):
+    vectors = {"a_hat": np.array([1.0, 0.0, 0.0]),
+               "b_hat": np.array([0.0, 0.0, 1.0])}
+    vectors[name] = np.array(bad)
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        EvolutionProblem(**vectors)
 
 
 def test_field_keeps_its_own_read_only_copy():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from blochcomplexity import bloch_angles, pauli_dot, state_from_bloch
-from blochcomplexity.qubit import IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, cross
+from blochcomplexity.qubit import (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z,
+                                   _require_unit, cross, pauli_dot_times)
 
 _finite_vectors = st.tuples(
     *[st.floats(allow_nan=False, allow_infinity=False)] * 3).map(np.array)
@@ -139,8 +142,64 @@ def test_cross_is_numpy_cross_bit_for_bit(a, b):
     # inf, and inf - inf to nan, in both
     with np.errstate(over="ignore", invalid="ignore"):
         expected = np.cross(a, b)
-    assert cross(a, b).tobytes() == expected.tobytes()
+    assert np.array(cross(a.tolist(), b.tolist())).tobytes() \
+        == expected.tobytes()
 
 
 def test_identity_constant():
     assert np.array_equal(IDENTITY, np.eye(2))
+
+
+_amplitudes = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False,
+                        allow_infinity=False)
+
+
+@given(st.tuples(_amplitudes, _amplitudes, _amplitudes),
+       st.tuples(_amplitudes, _amplitudes, _amplitudes, _amplitudes))
+@example((0.6, 0.0, 0.8), (1.0, 0.0, 0.0, 0.0))
+def test_pauli_dot_times_is_the_matrix_product_to_rounding(n, parts):
+    # each component is a sum of three products; numpy's product fuses
+    # multiply-adds where the machine has them and the helper never does,
+    # so they agree bit for bit only without fused multiply-adds, and
+    # otherwise to 4 eps |n| |psi| per real component (the two roundings
+    # of a three-term sum differ by at most 3.5 eps times the sum of its
+    # terms' magnitudes, which Cauchy-Schwarz bounds by |n| |psi|)
+    n = np.array(n)
+    psi = np.array([complex(*parts[:2]), complex(*parts[2:])])
+    got = pauli_dot_times(n, psi)
+    want = pauli_dot(n) @ psi
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # the norms by hypot, which does not underflow for tiny components
+    bound = (4.0 * np.finfo(float).eps * math.hypot(*n) * math.hypot(*parts)
+             + 4.0 * np.finfo(float).smallest_subnormal)
+    assert np.all(np.abs(got.real - want.real) <= bound)
+    assert np.all(np.abs(got.imag - want.imag) <= bound)
+
+
+@pytest.mark.parametrize("v, message", [
+    ([np.nan, 0.0, 0.0], "must be a finite 3-vector"),
+    ([0.0, np.inf, 0.0], "must be a finite 3-vector"),
+    ([0.0, 0.0, -np.inf], "must be a finite 3-vector"),
+    ([1.0, 0.0], "must be a finite 3-vector"),
+    ([1.0, 0.0, 0.0, 0.0], "must be a finite 3-vector"),
+    ([[1.0, 0.0, 0.0]], "must be a finite 3-vector"),
+    (1.0, "must be a finite 3-vector"),
+    ([0.0, 0.0, 0.0], "must be a unit vector, got norm 0.0"),
+    ([-0.0, 0.0, -0.0], "must be a unit vector, got norm 0.0"),
+    ([2.0, 0.0, 0.0], "must be a unit vector, got norm 2.0"),
+    ([1.0 + 2e-9, 0.0, 0.0], "must be a unit vector"),
+    ([1e300, 1e300, 0.0], "must be a unit vector"),
+], ids=["nan", "inf", "-inf", "short", "long", "nested", "scalar", "zero",
+        "signed-zero", "norm-2", "off-by-2e-9", "huge"])
+def test_require_unit_rejects_naming_the_argument(v, message):
+    with pytest.raises(ValueError, match=f"^w {message}"):
+        _require_unit(v, "w")
+    with pytest.raises(ValueError, match=f"^v {message}"):
+        state_from_bloch(v)
+
+
+def test_require_unit_scales_to_norm_one_as_floats():
+    assert _require_unit(np.array([0.0, 1.0, 0.0]), "v") == (0.0, 1.0, 0.0)
+    unit = _require_unit([0.6, 0.0, 0.8 * (1.0 + 1e-10)], "v")
+    assert {type(x) for x in unit} == {float}
+    assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-15)
