@@ -5,23 +5,30 @@ versions they were taken on, to OUT as JSON.
 Usage: PYTHONPATH=<checkout>/src python scripts/bench_analyze.py OUT
 
 The package is the one that `import blochcomplexity` finds, and the
-general pool is read from the `perfbench/` next to that package's `src/`,
-so the same script times any checkout. Each timed call builds its problem
-and runs `analyze`, as a client's first call on a problem does; a call
-that raises a typed error is timed like the others and counted. The
-median of the single calls' times keeps a burst of load from another
-process out of the figure. OUT gets:
+general pool and the reference work are read from the `perfbench/` next
+to that package's `src/`, so the same script times any checkout. Each
+timed call builds its problem and runs `analyze`, as a client's first call
+on a problem does; a call that raises a typed error is timed like the
+others and counted. The median of the single calls' times keeps a burst of
+load from another process out of the figure. After each call the script
+times one run of `perfbench`'s fixed reference work
+(`workloads.analyze_reference`, about 1 ms), and writes each median also
+as a ratio to the median of the references timed among its calls: the
+load of a shared machine moves the absolute times between runs, and the
+ratio much less. OUT gets:
 
-- ``canonical``: per averaging mode, the median time of CANONICAL_CALLS
-  calls, in ms, at each alpha in {0, pi/16, pi/4, pi/2} on the canonical
-  problem (x -> y, E = 1);
+- ``canonical``: per averaging mode and at each alpha in
+  {0, pi/16, pi/4, pi/2} on the canonical problem (x -> y, E = 1), the
+  median time of CANONICAL_CALLS calls, in ms (``ms``) and in units of the
+  reference (``ref``);
 - ``general``: per averaging mode, the median time of a call over
   GENERAL_ROUNDS passes through the first GENERAL_DRAWS general-pool
-  draws, in ms, and how many of those draws raise;
+  draws, in ms (``ms_per_call``) and in units of the reference
+  (``ref_per_call``), and how many of those draws raise;
 - ``nproc``, the Python and numpy versions, and the commit of the checkout
   (``git describe --always --dirty``; null outside a git checkout).
 
-One untimed pass precedes the rounds. It takes a few seconds.
+One untimed pass precedes the rounds. It takes about 10 seconds.
 """
 
 import json
@@ -55,25 +62,33 @@ def _call(problem_args, alpha, config):
     return False
 
 
-def _median_ms(cases, config, rounds):
+def _seconds(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def _medians(cases, config, rounds, reference):
     """Median time of a call, in ms, over ``rounds`` passes through
-    ``cases`` after one untimed pass; and how many of the cases raise."""
+    ``cases`` after one untimed pass; that median over the median time of
+    ``reference``, run after each timed call; and how many of the cases
+    raise."""
     errors = sum(_call(*case, config) for case in cases)
-    times = []
+    times, references = [], []
     for _ in range(rounds):
         for case in cases:
-            start = time.perf_counter()
-            _call(*case, config)
-            times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3, errors
+            times.append(_seconds(_call, *case, config))
+            references.append(_seconds(reference))
+    ms, ref_ms = (statistics.median(t) * 1e3 for t in (times, references))
+    return ms, ms / ref_ms, errors
 
 
-def general_cases():
+def perfbench_workloads():
+    """The checkout's `perfbench/workloads.py`, only read from."""
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import general_pool
+    import workloads
 
-    return [((np.array(a), np.array(b), omega), alpha)
-            for a, b, alpha, omega in general_pool()[:GENERAL_DRAWS]]
+    return workloads
 
 
 def commit():
@@ -90,16 +105,22 @@ def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     canonical = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 1.0)
-    pool = general_cases()
+    workloads = perfbench_workloads()
+    reference = workloads.analyze_reference
+    pool = [((np.array(a), np.array(b), omega), alpha)
+            for a, b, alpha, omega in workloads.general_pool()[:GENERAL_DRAWS]]
     record = {"canonical": {}, "general": {}}
     for mode in MODES:
         config = bc.AnalysisConfig(averaging_mode=mode)
-        record["canonical"][mode] = {
-            name: round(_median_ms([(canonical, alpha)], config,
-                                   CANONICAL_CALLS)[0], 4)
-            for name, alpha in ALPHAS.items()}
-        ms, errors = _median_ms(pool, config, GENERAL_ROUNDS)
+        record["canonical"][mode] = {}
+        for name, alpha in ALPHAS.items():
+            ms, ref, _ = _medians([(canonical, alpha)], config,
+                                  CANONICAL_CALLS, reference)
+            record["canonical"][mode][name] = {"ms": round(ms, 4),
+                                               "ref": round(ref, 4)}
+        ms, ref, errors = _medians(pool, config, GENERAL_ROUNDS, reference)
         record["general"][mode] = {"ms_per_call": round(ms, 4),
+                                   "ref_per_call": round(ref, 4),
                                    "draws": len(pool), "errors": errors}
     record.update(
         nproc=(len(os.sched_getaffinity(0))

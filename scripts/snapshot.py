@@ -18,6 +18,11 @@ same script snapshots any checkout. OUTDIR gets:
   which meet an exact pole at an end or between the ends, next to one, or
   not at all; no general-pool draw meets one. The last cases cannot be
   built, and their lines hold the construction error.
+
+Byte identity is a property of one machine: compare only snapshots taken
+on the same machine. numpy's batch kernels (`states_along`,
+`pauli_dot(n) @ psi`, `np.dot`) fuse multiply-adds where the CPU has FMA,
+so two machines can write different last digits with no code change.
 """
 
 import dataclasses

@@ -12,7 +12,7 @@ from .hamiltonians import (EvolutionProblem, FieldVector, SubOptimalParams,
                            equatorial_problem, propagator, suboptimal_field)
 from .metrics import (curvature_coefficient, geodesic_efficiency, path_length,
                       speed_efficiency)
-from .qubit import bloch_angles, pauli_dot, state_from_bloch
+from .qubit import bloch_angles, pauli_dot
 from .trajectory import Trajectory, sample_trajectory
 from .verify import (CheckRecord, check_omega_independence,
                      check_propagator_agreement, check_supplementary_symmetry,

@@ -45,8 +45,7 @@ import numpy as np
 from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
 from .metrics import arc_length, curvature_coefficient, speed_efficiency
-from .qubit import cross, dot
-from .trajectory import TWO_PI, sample_trajectory
+from .trajectory import TWO_PI, Circle, sample_trajectory
 
 # angular extent below which an axis of the bounding box counts as degenerate
 EPS_DEGENERATE = 1e-9
@@ -128,7 +127,7 @@ class EvolutionReport:
 
 def accessed_volume(traj, mode=DEFAULT_AVERAGING_MODE):
     """Time-averaged instantaneous volume of the trajectory."""
-    return _volumes(traj, mode)[3]
+    return _volumes(traj, AnalysisConfig(averaging_mode=mode))[3]
 
 
 def complexity(v_bar, v_max):
@@ -162,7 +161,7 @@ def analyze(problem, params, config=None):
     is built."""
     config = config or AnalysisConfig()
     traj = sample_trajectory(problem, params)
-    box, kind, v_max, v_bar, segments = _volumes(traj, config.averaging_mode)
+    box, kind, v_max, v_bar, segments = _volumes(traj, config)
     c = complexity(v_bar, v_max)
     s = arc_length(problem, params, traj.x_b)
     f = traj.field
@@ -261,16 +260,15 @@ def _volume_samples(theta_a, phi_a, theta, phi, kind):
                         * np.sin(0.5 * (theta - theta_a)) * (phi - phi_a))
 
 
-def _volumes(traj, mode):
+def _volumes(traj, config):
     """The box, its degeneracy kind, V_max, the accessed volume and its
-    per-segment averages, from one `Trajectory.angles_along` call at the
-    box candidates and the quadrature's first-level nodes."""
-    if mode not in AVERAGING_MODES:
-        raise ValueError(f"unknown averaging mode {mode!r}")
+    per-segment averages in ``config``'s mode, from one `angles_along`
+    call at the box candidates and the quadrature's first-level nodes."""
     x_b = traj.x_b
     x_theta = _polar_turns(traj.circle, (0.0, x_b))
     candidates = _box_candidates(traj, x_theta)
-    cuts = _branch_angles(traj) if mode == APPENDIX_PIECEWISE else []
+    cuts = (_branch_angles(traj)
+            if config.averaging_mode == APPENDIX_PIECEWISE else [])
     x_bounds = [0.0, *cuts, x_b]
     bounds = [traj.time_of(x) for x in x_bounds]
     edges = _panel_edges(traj, x_bounds, x_theta)
@@ -314,14 +312,15 @@ def _volumes(traj, mode):
 def _box_candidates(traj, x_theta):
     """Where `bounding_box` takes the angles: x_b, the polar turns
     ``x_theta`` and, with no exact pole on the path, the azimuth's turns."""
-    x_b, n = traj.x_b, traj.circle.n
+    x_b, circle, b = traj.x_b, traj.circle, traj.problem.b_hat.tolist()
     # on a path through an exact pole the azimuth's stationary points are a
     # double root there, which rounding moves off the pole, and the limits
-    # stand in for them
+    # stand in for them; the target's turns are measured back from it, on
+    # its circle about -n
     x_phi = [] if traj.azimuth.limits else [
-        *_azimuth_turns(traj.problem.a_hat.tolist(), n, 0.5 * x_b),
-        *(x_b - y for y in _azimuth_turns(traj.problem.b_hat.tolist(),
-                                          [-m for m in n], 0.5 * x_b))]
+        *_azimuth_turns(circle, traj.problem.a_hat.tolist(), 0.5 * x_b),
+        *(x_b - y for y in _azimuth_turns(
+            Circle.about([-m for m in circle.n], b), b, 0.5 * x_b))]
     return np.array([x_b, *x_theta, *x_phi])
 
 
@@ -336,10 +335,10 @@ def _box(traj, x_theta, theta, phi):
                       phi_min=min(phi), phi_max=max(phi))
 
 
-def _azimuth_turns(end, n, reach):
-    """Rotation angles y in [0, reach] about ``n`` from the point ``end``
-    where the azimuth is stationary, measured from that end so that they
-    keep their precision next to it.
+def _azimuth_turns(circle, end, reach):
+    """Rotation angles y in [0, reach] along ``circle`` from its point
+    ``end`` where the azimuth is stationary, measured from that end so that
+    they keep their precision next to it.
 
     On the circle r(y) = n (n.e) + cos(y) u + sin(y) v through e = ``end``,
     (r x r')_z = f + A (1 - cos y) - B sin y with f = (e x v)_z, A = (n.e) u_z
@@ -350,10 +349,9 @@ def _azimuth_turns(end, n, reach):
     keeps its relative precision; each is turned into y by an atan2, which
     neither overflows nor divides by zero.
     """
-    ne = dot(n, end)
-    v = cross(n, end)
+    _, ne, u, v = circle
     f = end[0] * v[1] - end[1] * v[0]
-    a, b = ne * (end[2] - ne * n[2]), ne * v[2]
+    a, b = ne * u[2], ne * v[2]
     disc = b * b - f * (f + 2.0 * a)
     if disc < 0.0:
         return []

@@ -34,8 +34,8 @@ DEGENERACY_EPS = 1e-12
 class EvolutionProblem:
     """Source/target Bloch vectors with the energy scale of the drive.
 
-    ``theta_ab`` is computed from the vectors; ``source_state`` and
-    ``target_state`` are computed once and read-only. Construction raises
+    ``a_hat`` and ``b_hat`` are scaled to norm 1 once, and ``theta_ab`` and
+    the read-only states are built from those floats. Construction raises
     `DegenerateGeometry` for a pair without the rotation axis a x b or the
     bisector a + b, so every problem that exists has its field family.
     """
@@ -66,11 +66,11 @@ class EvolutionProblem:
 
     @cached_property
     def source_state(self):
-        return _read_only(state_from_bloch(self.a_hat))
+        return _read_only(state_from_bloch(*self.a_hat.tolist()))
 
     @cached_property
     def target_state(self):
-        return _read_only(state_from_bloch(self.b_hat))
+        return _read_only(state_from_bloch(*self.b_hat.tolist()))
 
 
 @dataclass(frozen=True)

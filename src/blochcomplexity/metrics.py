@@ -15,6 +15,7 @@ import math
 from .errors import ParallelField
 from .hamiltonians import arrival_angle
 from .qubit import dot
+from .trajectory import Circle
 
 
 def path_length(problem, params):
@@ -46,22 +47,16 @@ def geodesic_efficiency(problem, params):
 def speed_efficiency(f, a_hat):
     """sqrt(h_perp^2) / |h|: the fraction of the drive that actually moves the
     state instead of spinning it about its own axis."""
-    return math.sqrt(_split(f, a_hat)[1])
+    u = Circle.about(f.direction.tolist(), a_hat.tolist()).u
+    return math.sqrt(dot(u, u))
 
 
 def curvature_coefficient(f, a_hat):
     """4*(a.h)^2 / (h^2 - (a.h)^2), the squared bending coefficient of the
-    path generated by field h from Bloch vector a, as 4c^2/(1 - c^2)."""
-    c, perp = _split(f, a_hat)
+    path generated by field h from Bloch vector a, as 4c^2/|a - c n|^2 with
+    c = n.a, from the split `Circle.about`."""
+    _, c, u, _ = Circle.about(f.direction.tolist(), a_hat.tolist())
+    perp = dot(u, u)
     if perp == 0.0:
         raise ParallelField("field is parallel to the Bloch vector")
     return 4.0 * c * c / perp
-
-
-def _split(f, a_hat):
-    """c = n.a for the field direction n, and 1 - c^2 taken as |a - c n|^2,
-    which keeps its relative precision where c^2 rounds close to 1."""
-    n, a = f.direction.tolist(), a_hat.tolist()
-    c = dot(n, a)
-    across = [p - c * q for p, q in zip(a, n)]
-    return c, dot(across, across)

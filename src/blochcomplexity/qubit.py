@@ -47,16 +47,16 @@ def pauli_dot_times(n, psi):
                      complex(n0, n1) * p0 - n2 * p1])
 
 
-def state_from_bloch(v):
-    """State vector (cos(theta/2), exp(i*phi) sin(theta/2)) for a unit Bloch
-    vector, with the global phase fixed so the |0> amplitude is real >= 0.
-    In the southern hemisphere the half-angle is measured from the south
-    pole, pi/2 - theta/2, so that cos(theta/2) keeps its relative precision
-    there and is exactly 0 at v = -z. The state is the literal one of v:
-    its azimuth is atan2(v_y, v_x), and 0 only on the z axis, where the
-    signed zeros would read it as +-pi. Which states a trajectory takes for
-    a pole is its own decision (`trajectory.POLE_EPS`)."""
-    x, y, z = _require_unit(v, "v")
+def state_from_bloch(x, y, z):
+    """State vector (cos(theta/2), exp(i*phi) sin(theta/2)) for the unit
+    Bloch vector v = (x, y, z), floats taken as given (`EvolutionProblem`
+    validates them once), with the global phase fixed so the |0> amplitude
+    is real >= 0. In the southern hemisphere the half-angle is measured
+    from the south pole, pi/2 - theta/2, so that cos(theta/2) keeps its
+    relative precision there and is exactly 0 at v = -z. The state is the
+    literal one of v: its azimuth is atan2(v_y, v_x), and 0 only on the z
+    axis, where the signed zeros would read it as +-pi. Which states are
+    poles is a trajectory's decision (`trajectory.POLE_EPS`)."""
     across = math.hypot(x, y)
     if z >= 0.0:
         half = math.atan2(across, z) / 2.0

@@ -34,15 +34,24 @@ def nearest_branch(angle, ref):
 
 
 class Circle(NamedTuple):
-    """The Bloch vector's rigid turn about the field axis ``n``:
-    r(x) = n (n.a) + cos(x) u + sin(x) v at rotation angle x = 2Et, with
-    ``na`` = n.a, ``u`` = a - n (n.a) and ``v`` = n x a, each vector a
-    tuple of floats."""
+    """A Bloch vector e's rigid turn about the field axis ``n``:
+    r(x) = n (n.e) + cos(x) u + sin(x) v at rotation angle x, with
+    ``na`` = n.e, ``u`` = e - n (n.e) and ``v`` = n x e, each vector a
+    tuple of floats; |u|^2 is 1 - (n.e)^2 with its relative precision where
+    (n.e)^2 rounds close to 1."""
 
     n: tuple
     na: float
     u: tuple
     v: tuple
+
+    @classmethod
+    def about(cls, n, e):
+        """The circle of ``e`` about ``n``, both float 3-sequences: the one
+        split of a vector about a field axis."""
+        na = dot(n, e)
+        u = (e[0] - na * n[0], e[1] - na * n[1], e[2] - na * n[2])
+        return cls(tuple(n), na, u, cross(n, e))
 
 
 @dataclass(frozen=True)
@@ -119,11 +128,9 @@ class Trajectory:
 
     @cached_property
     def circle(self):
-        n = tuple(self.field.direction.tolist())
-        a = self.problem.a_hat.tolist()
-        na = dot(n, a)
-        return Circle(n=n, na=na, u=tuple(p - na * q for p, q in zip(a, n)),
-                      v=cross(n, a))
+        """The source's circle about the field axis, on which x = 2Et."""
+        return Circle.about(self.field.direction.tolist(),
+                            self.problem.a_hat.tolist())
 
     @cached_property
     def arrival(self):

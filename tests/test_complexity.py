@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -14,12 +15,14 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              SubOptimalParams, accessed_volume, analyze,
                              bloch_angles, bounding_box, branch_times,
                              complexity, complexity_length_scale,
-                             equatorial_problem, path_length,
-                             sample_trajectory)
-from blochcomplexity import hamiltonians
+                             curvature_coefficient, equatorial_problem,
+                             path_length, sample_trajectory,
+                             speed_efficiency)
+from blochcomplexity import hamiltonians, qubit
 from blochcomplexity.cli import main
 from blochcomplexity.complexity import (AVERAGING_MODES, _branch_angles,
                                         _degeneracy_kind, _volume_samples)
+from blochcomplexity.qubit import _require_unit, state_from_bloch
 from blochcomplexity.trajectory import POLE_EPS, Trajectory, nearest_branch
 from oracles import path_length_numeric, sample
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
@@ -624,6 +627,44 @@ def _numbers(value):
             yield from _numbers(item)
     elif not isinstance(value, str):
         yield value
+
+
+def test_efficiency_and_curvature_read_the_trajectory_circle():
+    # both come from the one split of a about the field axis n: with
+    # na = n.a and u = a - na n, eta_SE = |u| and kappa^2 = 4 na^2 / |u|^2,
+    # bit for bit
+    for problem, alpha in _general_draws(200):
+        traj = sample_trajectory(problem, SubOptimalParams(alpha))
+        _, na, u, _ = traj.circle
+        perp = sum(x * x for x in u)
+        assert speed_efficiency(traj.field, problem.a_hat) == math.sqrt(perp)
+        assert (curvature_coefficient(traj.field, problem.a_hat)
+                == 4.0 * na * na / perp)
+
+
+def test_each_unit_vector_is_validated_once_and_its_state_reads_it(
+        monkeypatch):
+    # general-pool draw 997, whose b a second division by its rounded norm
+    # moves by an ulp: the target state is the state of the b_hat that the
+    # circle, the box and the metrics read
+    a = (-0.41639410003863575, 0.33253262034940695, 0.8461902917527309)
+    b = (0.8979141761767451, 0.11284184990972573, 0.42546074922346055)
+    calls = _count_calls(monkeypatch, qubit, "_require_unit")
+    problem = EvolutionProblem(np.array(a), np.array(b))
+    analyze(problem, SubOptimalParams(1.9876606565295185))
+    assert len(calls) == 2
+    b_hat = problem.b_hat.tolist()
+    state = problem.target_state.tobytes()
+    assert state == state_from_bloch(*b_hat).tobytes()
+    assert state != state_from_bloch(*_require_unit(b_hat, "b")).tobytes()
+
+
+def test_an_unknown_averaging_mode_is_rejected_by_name(canonical):
+    traj = sample_trajectory(canonical, SubOptimalParams(PI / 4))
+    with pytest.raises(ValueError, match="averaging mode 'bogus'"):
+        AnalysisConfig(averaging_mode="bogus")
+    with pytest.raises(ValueError, match="averaging mode 'bogus'"):
+        accessed_volume(traj, "bogus")
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)

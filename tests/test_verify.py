@@ -3,11 +3,9 @@ import pytest
 
 from blochcomplexity import (NormDrift, SubOptimalParams,
                              check_omega_independence,
-                             check_propagator_agreement,
                              check_supplementary_symmetry,
                              integrate_schrodinger, propagator,
-                             run_verification, sample_trajectory,
-                             suboptimal_field)
+                             sample_trajectory, suboptimal_field)
 from blochcomplexity.hamiltonians import FieldVector
 from reference_values import ARRIVAL_TIME_PI16
 
@@ -77,8 +75,9 @@ def test_integrator_raises_on_norm_drift(canonical):
         integrate_schrodinger(f, canonical.source_state, 1.0)
 
 
-def test_propagator_agreement_grid():
-    records = check_propagator_agreement(times=8)
+def test_propagator_agreement_grid(oracle_gate):
+    # the gate holds check_propagator_agreement()'s records
+    records = oracle_gate
     assert len(records) == 16
     assert all(r.passed for r in records)
     assert max(r.delta for r in records) < 1e-9
@@ -108,8 +107,8 @@ def test_omega_independence_checks():
         assert len(ratio) == 1 and ratio[0].delta < 1e-10
 
 
-def test_run_verification_all_green():
-    records = run_verification()
+def test_run_verification_all_green(verification):
+    records = verification
     assert records and all(r.passed for r in records)
     line = records[0].line()
     assert line.count(",") == 3 and line.endswith("pass")
