@@ -25,10 +25,21 @@ ratio much less. OUT gets:
   GENERAL_ROUNDS passes through the first GENERAL_DRAWS general-pool
   draws, in ms (``ms_per_call``) and in units of the reference
   (``ref_per_call``), and how many of those draws raise;
+- ``work``: per averaging mode, from one more untimed pass through the
+  canonical alphas and the general draws, the work of a call: the points
+  it evaluates (``points``, the sum of ``np.size(x)`` over its
+  `Trajectory.states_along` calls, through which every evaluation passes)
+  and its Python-level calls (``calls``, the ``"call"`` events that
+  `sys.setprofile` sees), at each canonical alpha and, over the general
+  draws, as the median, max (points only) and total;
 - ``nproc``, the Python and numpy versions, and the commit of the checkout
   (``git describe --always --dirty``; null outside a git checkout).
 
-One untimed pass precedes the rounds. It takes about 10 seconds.
+The work counts are exact: for one commit and one Python version they are
+the same on every run and machine, so a change of work shows in them
+however loaded the machine is. The times are not: the load of a shared
+machine moves them, and the ratios less. One untimed pass precedes the
+rounds. It takes about 10 seconds.
 """
 
 import json
@@ -83,6 +94,39 @@ def _medians(cases, config, rounds, reference):
     return ms, ms / ref_ms, errors
 
 
+def _work(case, config):
+    """(points, calls) of one client call: the sum of np.size(x) over its
+    `Trajectory.states_along` calls and its Python-level calls."""
+    counts = [0, 0]
+    along = bc.Trajectory.states_along.__code__
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[1] += 1
+            if frame.f_code is along:
+                counts[0] += np.size(frame.f_locals["x"])
+
+    sys.setprofile(profile)
+    try:
+        _call(*case, config)
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def _work_record(canonical, pool, config):
+    """The ``work`` entry of one averaging mode."""
+    record = {name: dict(zip(("points", "calls"),
+                             _work((canonical, alpha), config)))
+              for name, alpha in ALPHAS.items()}
+    points, calls = zip(*(_work(case, config) for case in pool))
+    record["general"] = {
+        "points": {"median": statistics.median(points), "max": max(points),
+                   "total": sum(points)},
+        "calls": {"median": statistics.median(calls), "total": sum(calls)}}
+    return record
+
+
 def perfbench_workloads():
     """The checkout's `perfbench/workloads.py`, only read from."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -109,7 +153,7 @@ def main():
     reference = workloads.analyze_reference
     pool = [((np.array(a), np.array(b), omega), alpha)
             for a, b, alpha, omega in workloads.general_pool()[:GENERAL_DRAWS]]
-    record = {"canonical": {}, "general": {}}
+    record = {"canonical": {}, "general": {}, "work": {}}
     for mode in MODES:
         config = bc.AnalysisConfig(averaging_mode=mode)
         record["canonical"][mode] = {}
@@ -122,6 +166,7 @@ def main():
         record["general"][mode] = {"ms_per_call": round(ms, 4),
                                    "ref_per_call": round(ref, 4),
                                    "draws": len(pool), "errors": errors}
+        record["work"][mode] = _work_record(canonical, pool, config)
     record.update(
         nproc=(len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count()),
