@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
 from .metrics import arc_length, curvature_coefficient, speed_efficiency
-from .trajectory import TWO_PI, Circle, sample_trajectory
+from .trajectory import Circle, _arc_ends, _cos_roots, sample_trajectory
 
 # angular extent below which an axis of the bounding box counts as degenerate
 EPS_DEGENERATE = 1e-9
@@ -192,9 +192,7 @@ def bounding_box(traj):
     spans the angles there, at both ends and, where the path meets an exact
     pole, the azimuth's one-sided limits on both sides of it.
     """
-    x_theta = _polar_turns(traj.circle, (0.0, traj.x_b))
-    return _box(traj, x_theta,
-                *traj.angles_along(_box_candidates(traj, x_theta)))
+    return _box(traj, *traj.angles_along(_box_candidates(traj)))
 
 
 def branch_times(traj):
@@ -265,13 +263,12 @@ def _volumes(traj, config):
     per-segment averages in ``config``'s mode, from one `angles_along`
     call at the box candidates and the quadrature's first-level nodes."""
     x_b = traj.x_b
-    x_theta = _polar_turns(traj.circle, (0.0, x_b))
-    candidates = _box_candidates(traj, x_theta)
+    candidates = _box_candidates(traj)
     cuts = (_branch_angles(traj)
             if config.averaging_mode == APPENDIX_PIECEWISE else [])
     x_bounds = [0.0, *cuts, x_b]
     bounds = [traj.time_of(x) for x in x_bounds]
-    edges = _panel_edges(traj, x_bounds, x_theta)
+    edges = _panel_edges(traj, x_bounds)
     # panels past the midpoint are measured back from x_b, where the states
     # there start (see `Trajectory.states_along`): their x is negative
     origin = np.where(edges[:-1] < 0.5 * x_b, 0.0, x_b)
@@ -285,7 +282,7 @@ def _volumes(traj, config):
 
     theta, phi = angles(np.concatenate([candidates, nodes.ravel()]))
     k = candidates.size
-    box = _box(traj, x_theta, theta[:k], phi[:k])
+    box = _box(traj, theta[:k], phi[:k])
     kind = _degeneracy_kind(box)
     # V_max is V at the box's far corner
     v_max = float(_volume_samples(box.theta_min, box.phi_min, box.theta_max,
@@ -309,9 +306,10 @@ def _volumes(traj, config):
     return box, kind, v_max, v_bar, averages
 
 
-def _box_candidates(traj, x_theta):
+def _box_candidates(traj):
     """Where `bounding_box` takes the angles: x_b, the polar turns
-    ``x_theta`` and, with no exact pole on the path, the azimuth's turns."""
+    (`Trajectory.polar_turns`) and, with no exact pole on the path, the
+    azimuth's turns."""
     x_b, circle, b = traj.x_b, traj.circle, traj.problem.b_hat.tolist()
     # on a path through an exact pole the azimuth's stationary points are a
     # double root there, which rounding moves off the pole, and the limits
@@ -321,14 +319,14 @@ def _box_candidates(traj, x_theta):
         *_azimuth_turns(circle, traj.problem.a_hat.tolist(), 0.5 * x_b),
         *(x_b - y for y in _azimuth_turns(
             Circle.about([-m for m in circle.n], b), b, 0.5 * x_b))]
-    return np.array([x_b, *x_theta, *x_phi])
+    return np.array([x_b, *traj.polar_turns, *x_phi])
 
 
-def _box(traj, x_theta, theta, phi):
+def _box(traj, theta, phi):
     """The box spanned by the start angles, the angles at the
     `_box_candidates` and the azimuth's limits at an exact pole."""
     theta_a, phi_a = traj.start
-    k = 1 + len(x_theta)
+    k = 1 + len(traj.polar_turns)
     theta = [*theta[:k].tolist(), theta_a]
     phi = [phi_a, *phi[:1].tolist(), *phi[k:].tolist(), *traj.azimuth.limits]
     return AngularBox(theta_min=min(theta), theta_max=max(theta),
@@ -361,38 +359,15 @@ def _azimuth_turns(circle, end, reach):
     return [x for x in y if 0.0 <= x <= reach]
 
 
-def _polar_turns(circle, span):
-    """Rotation angles in ``span`` where theta is stationary: z = n_z (n.a)
-    + u_z cos + v_z sin turns where v_z cos = u_z sin."""
-    return _cos_roots(circle.v[2], -circle.u[2], span)
-
-
-def _cos_roots(p, q, span):
-    """Every x in the closed interval ``span`` with p cos(x) + q sin(x) = 0;
-    none when p = q = 0."""
-    if p == q == 0.0:
-        return []
-    return _arc_ends(math.atan2(q, p), 0.5 * math.pi, span)
-
-
-def _arc_ends(centre, half, span):
-    """Every centre +- half + 2 pi k in the closed interval ``span``."""
-    lo, hi = span
-    return [base + TWO_PI * k for base in (centre - half, centre + half)
-            for k in range(math.ceil((lo - base) / TWO_PI),
-                           math.floor((hi - base) / TWO_PI) + 1)]
-
-
-def _panel_edges(traj, x_bounds, x_theta):
+def _panel_edges(traj, x_bounds):
     """Sorted panel edges in the rotation angle: the segment bounds, the
     midpoint, where the states switch ends, and every interior point where
-    V may kink or its azimuth turns fast (``x_theta``, the polar turns,
-    among them)."""
+    V may kink or its azimuth turns fast (the polar turns among them)."""
     u, v = traj.circle.u, traj.circle.v
     span = (x_bounds[0], x_bounds[-1])
     # z(x) - z_A = R_z (cos(x - c) - cos c): zero at x = 0 and at 2c
     c = math.atan2(v[2], u[2])
-    kinks = [*_arc_ends(c, c, span), *x_theta,
+    kinks = [*_arc_ends(c, c, span), *traj.polar_turns,
              *traj.azimuth.crossings.tolist(), 0.5 * traj.x_b]
     inside = [x for x in kinks if span[0] < x < span[1]]
     return np.array(sorted({*x_bounds, *inside}))

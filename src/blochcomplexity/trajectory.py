@@ -33,6 +33,22 @@ def nearest_branch(angle, ref):
     return angle + TWO_PI * np.rint((ref - angle) / TWO_PI)
 
 
+def _cos_roots(p, q, span):
+    """Every x in the closed interval ``span`` with p cos(x) + q sin(x) = 0;
+    none when p = q = 0."""
+    if p == q == 0.0:
+        return []
+    return _arc_ends(math.atan2(q, p), 0.5 * math.pi, span)
+
+
+def _arc_ends(centre, half, span):
+    """Every centre +- half + 2 pi k in the closed interval ``span``."""
+    lo, hi = span
+    return [base + TWO_PI * k for base in (centre - half, centre + half)
+            for k in range(math.ceil((lo - base) / TWO_PI),
+                           math.floor((hi - base) / TWO_PI) + 1)]
+
+
 class Circle(NamedTuple):
     """A Bloch vector e's rigid turn about the field axis ``n``:
     r(x) = n (n.e) + cos(x) u + sin(x) v at rotation angle x, with
@@ -133,6 +149,15 @@ class Trajectory:
                             self.problem.a_hat.tolist())
 
     @cached_property
+    def polar_turns(self):
+        """Rotation angles in [0, x_b] where theta is stationary, the path's
+        highest and lowest points and so its closest approaches to the
+        poles: z = n_z (n.a) + u_z cos + v_z sin turns where
+        v_z cos = u_z sin."""
+        circle = self.circle
+        return tuple(_cos_roots(circle.v[2], -circle.u[2], (0.0, self.x_b)))
+
+    @cached_property
     def arrival(self):
         """The target's own state in the phase of psi0's evolved state at
         x_b, and (n.sigma) of it: the second half's psi."""
@@ -217,18 +242,13 @@ class AzimuthLift:
             return
         # a pole lies on the plane of phi_a: the target there is P's mirror
         # zero, reached before any crossing, so x_b is tested first; a pole
-        # mid-path is the plane's crossing, at the closest approach. The
-        # path's closest approaches to the poles are at z = n_z (n.a) +-
-        # hypot(u_z, v_z); where 1 - |z| >= 1e-9 there, sin(theta) >= 4e-5
+        # mid-path is the plane's crossing, at a polar turn. The path's
+        # closest approaches to the poles are at z = n_z (n.a) +-
+        # hypot(u_z, v_z); where 1 - |z| >= 1e-9 at both, sin(theta) >= 4e-5
         # along the whole path, the target included, and nothing is evaluated
-        reach = math.hypot(u[2], v[2])
-        close = [side for side in (1.0, -1.0)
-                 if 1.0 - abs(n[2] * na + side * reach) < 1e-9]
-        if not close:
+        if 1.0 - (abs(n[2] * na) + math.hypot(u[2], v[2])) >= 1e-9:
             return
-        near = [math.atan2(side * v[2], side * u[2]) % TWO_PI
-                for side in close]
-        near = [x_b] + [x for x in near if 0.0 < x < x_b]
+        near = [x_b] + [x for x in traj.polar_turns if 0.0 < x < x_b]
         on = traj.poles_along(np.array(near))
         if not on.any():
             return

@@ -1307,13 +1307,10 @@ def test_analyze_agrees_with_its_stages_on_general_problems(a, b, alpha,
 def test_pole_check_margin_skips_no_pole(passage, delta):
     # the lift evaluates the path only where a closest approach is within
     # 1e-9 of a pole in z; its crossing and limits are those found by
-    # evaluating both closest approaches with no margin
+    # evaluating every interior polar turn with no margin
     traj = sample_trajectory(_tilted_passage(_PASSAGES[passage], delta),
                              SubOptimalParams(PI / 2))
-    _, _, u, v = traj.circle
-    near = np.array([np.arctan2(v[2], u[2]),
-                     np.arctan2(-v[2], -u[2])]) % (2.0 * PI)
-    near = near[(near > 0.0) & (near < traj.x_b)]
+    near = np.array([x for x in traj.polar_turns if 0.0 < x < traj.x_b])
     on = near[np.sin(bloch_angles(traj.states_along(near))[0]) < POLE_EPS]
     lift = traj.azimuth
     assert on.size == (delta < POLE_EPS)
@@ -1457,6 +1454,69 @@ def test_piecewise_cuts_are_continuous_next_to_a_pole(side):
     far = c(1e-8)
     assert [c(push) for push in (1e-11, 1e-10, 1e-9)] == pytest.approx(
         [far] * 3, abs=1e-4)
+
+
+# every path among the pole cases that meets an exact pole between its
+# ends: the geodesics over the north pole, exact and tilted by 1e-13,
+# `_PASSAGE` and its moves, a circle through the north pole at the alpha of
+# its axis, and a source 1e-12 from the south pole that reaches it just after
+# leaving
+def _mid_path_passages():
+    geodesics = [(_tilted_passage(passage, delta), SubOptimalParams(PI / 2))
+                 for passage in _PASSAGES.values() for delta in (0.0, 1e-13)]
+    a, b = _PASSAGE
+    moved = [(EvolutionProblem(a + np.spacing(a) * da, b + np.spacing(b) * db),
+              SubOptimalParams(_PASSAGE_ALPHA))
+             for da, db in (((0, 0, 0), (0, 0, 0)), *_PASSAGE_MOVES)]
+    n = np.array([np.sin(0.203125), 0.0, np.cos(0.203125)])
+    a, b, alpha = _circle_through_pole(n, 1.0, 0.5, 1.0)
+    off, phase = 1e-12, 2.97265625
+    south = np.array([off * np.cos(phase), off * np.sin(phase),
+                      -np.sqrt(1.0 - off * off)])
+    return [*geodesics, *moved,
+            (EvolutionProblem(a, b), SubOptimalParams(alpha)),
+            (EvolutionProblem(south, np.array([0.6, -0.48, 0.64])),
+             SubOptimalParams(PI / 4))]
+
+
+_MID_PATH_PASSAGES = _mid_path_passages()
+
+
+@pytest.mark.parametrize("case", range(len(_MID_PATH_PASSAGES)))
+def test_a_mid_path_pole_is_a_polar_turn(case):
+    # the lift's crossing at a pole between the ends is the polar turn that
+    # the box and the panel edges read, bit for bit
+    traj = sample_trajectory(*_MID_PATH_PASSAGES[case])
+    lift = traj.azimuth
+    (pole,) = lift.crossings
+    arrival, departure = lift.limits
+    assert abs(departure - arrival) == pytest.approx(PI, abs=1e-12)
+    assert pole in traj.polar_turns
+
+
+def _per_side_turns(traj):
+    """The rotation angles of the closest approaches to both poles in
+    [0, 2 pi), each from its own side: atan2(+-v_z, +-u_z)."""
+    _, _, u, v = traj.circle
+    return [math.atan2(side * v[2], side * u[2]) % (2.0 * PI)
+            for side in (1.0, -1.0)]
+
+
+def test_polar_turns_agree_with_the_per_side_form_at_poles_and_in_general():
+    # an independent location of the polar turns: each lies within 1e-15 of
+    # a per-side closest approach (mod 2 pi), and every per-side one inside
+    # the path is a polar turn
+    cases = [*_MID_PATH_PASSAGES, *((problem, SubOptimalParams(alpha))
+                                    for problem, alpha in _general_draws(200))]
+    for problem, params in cases:
+        traj = sample_trajectory(problem, params)
+        per_side = _per_side_turns(traj)
+        for x in traj.polar_turns:
+            assert min(abs((x - y + PI) % (2.0 * PI) - PI)
+                       for y in per_side) <= 1e-15
+        inside = [y for y in per_side if 1e-15 < y < traj.x_b - 1e-15]
+        assert all(min(abs(x - y) for x in traj.polar_turns) <= 1e-15
+                   for y in inside)
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
