@@ -35,10 +35,10 @@ ratio much less. OUT gets:
 - ``nproc``, the Python and numpy versions, and the commit of the checkout
   (``git describe --always --dirty``; null outside a git checkout).
 
-The work counts are exact: for one commit and one Python version they are
-the same on every run and machine, so a change of work shows in them
-however loaded the machine is. The times are not: the load of a shared
-machine moves them, and the ratios less. One untimed pass precedes the
+The work counts are exact: for one commit and one Python version they
+repeat run after run, however loaded the machine is, so a change of work
+shows in them. The times are not: the load of a shared machine moves
+them, and the ratios less. One untimed pass precedes the
 rounds. It takes about 10 seconds.
 """
 

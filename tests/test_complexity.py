@@ -1456,12 +1456,12 @@ def test_piecewise_cuts_are_continuous_next_to_a_pole(side):
         [far] * 3, abs=1e-4)
 
 
-# every path among the pole cases that meets an exact pole between its
-# ends: the geodesics over the north pole, exact and tilted by 1e-13,
-# `_PASSAGE` and its moves, a circle through the north pole at the alpha of
-# its axis, and a source 1e-12 from the south pole that reaches it just after
-# leaving
 def _mid_path_passages():
+    """(problem, params) of every path among `scripts/snapshot.py`'s pole
+    cases that meets an exact pole between its ends: the geodesics over the
+    north pole, exact and tilted by 1e-13, `_PASSAGE` and its moves, a
+    circle through the north pole at the alpha of its axis, and a source
+    1e-12 from the south pole that reaches it just after leaving."""
     geodesics = [(_tilted_passage(passage, delta), SubOptimalParams(PI / 2))
                  for passage in _PASSAGES.values() for delta in (0.0, 1e-13)]
     a, b = _PASSAGE
@@ -1494,23 +1494,17 @@ def test_a_mid_path_pole_is_a_polar_turn(case):
     assert pole in traj.polar_turns
 
 
-def _per_side_turns(traj):
-    """The rotation angles of the closest approaches to both poles in
-    [0, 2 pi), each from its own side: atan2(+-v_z, +-u_z)."""
-    _, _, u, v = traj.circle
-    return [math.atan2(side * v[2], side * u[2]) % (2.0 * PI)
-            for side in (1.0, -1.0)]
-
-
 def test_polar_turns_agree_with_the_per_side_form_at_poles_and_in_general():
     # an independent location of the polar turns: each lies within 1e-15 of
-    # a per-side closest approach (mod 2 pi), and every per-side one inside
-    # the path is a polar turn
+    # a closest approach to a pole taken from its own side, atan2(+-v_z,
+    # +-u_z) (mod 2 pi), and every such approach inside the path is a turn
     cases = [*_MID_PATH_PASSAGES, *((problem, SubOptimalParams(alpha))
                                     for problem, alpha in _general_draws(200))]
     for problem, params in cases:
         traj = sample_trajectory(problem, params)
-        per_side = _per_side_turns(traj)
+        _, _, u, v = traj.circle
+        per_side = [math.atan2(side * v[2], side * u[2]) % (2.0 * PI)
+                    for side in (1.0, -1.0)]
         for x in traj.polar_turns:
             assert min(abs((x - y + PI) % (2.0 * PI) - PI)
                        for y in per_side) <= 1e-15
