@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Time `analyze` per call and write the medians, with the machine and the
-versions they were taken on, to OUT as JSON.
+"""Time `analyze` and the reference integrator per call and write the
+medians, with the machine and the versions they were taken on, to OUT as
+JSON.
 
 Usage: PYTHONPATH=<checkout>/src python scripts/bench_analyze.py OUT
 
 The package is the one that `import blochcomplexity` finds, and the
-general pool and the reference work are read from the `perfbench/` next
-to that package's `src/`, so the same script times any checkout. Each
-timed call builds its problem and runs `analyze`, as a client's first call
-on a problem does; a call that raises a typed error is timed like the
-others and counted. The median of the single calls' times keeps a burst of
-load from another process out of the figure. After each call the script
-times one run of `perfbench`'s fixed reference work
-(`workloads.analyze_reference`, about 1 ms), and writes each median also
-as a ratio to the median of the references timed among its calls: the
-load of a shared machine moves the absolute times between runs, and the
-ratio much less. OUT gets:
+general and oracle pools and the reference work are read from the
+`perfbench/` next to that package's `src/`, so the same script times any
+checkout. Each timed `analyze` call builds its problem and runs
+`analyze`, as a client's first call on a problem does; a call that raises
+a typed error is timed like the others and counted. The median of the
+single calls' times keeps a burst of load from another process out of the
+figure. After each call the script times one run of `perfbench`'s fixed
+reference work (`workloads.analyze_reference`, about 1 ms, for `analyze`;
+`workloads.Oracle.reference`, the oracle workload's, for the integrator),
+and writes each median also as a ratio to the median of the references
+timed among its calls: the load of a shared machine moves the absolute
+times between runs, and the ratio much less. OUT gets:
 
 - ``canonical``: per averaging mode and at each alpha in
   {0, pi/16, pi/4, pi/2} on the canonical problem (x -> y, E = 1), the
@@ -25,6 +27,9 @@ ratio much less. OUT gets:
   GENERAL_ROUNDS passes through the first GENERAL_DRAWS general-pool
   draws, in ms (``ms_per_call``) and in units of the reference
   (``ref_per_call``), and how many of those draws raise;
+- ``oracle``: the same for `integrate_schrodinger` over ORACLE_ROUNDS
+  passes through the first ORACLE_DRAWS oracle-pool draws (a general
+  field and time each, built untimed as the oracle workload builds them);
 - ``work``: per averaging mode, from one more untimed pass through the
   canonical alphas and the general draws, the work of a call: the points
   it evaluates (``points``, the sum of ``np.size(x)`` over its
@@ -39,9 +44,11 @@ The work counts are exact: for one commit and one Python version they
 repeat run after run, however loaded the machine is, so a change of work
 shows in them. The times are not: the load of a shared machine moves
 them, and the ratios less. One untimed pass precedes the
-rounds. It takes about 10 seconds.
+rounds. It takes about 10 seconds, and 5 more where the integrator takes
+15 ms a call.
 """
 
+import functools
 import json
 import os
 import platform
@@ -61,6 +68,8 @@ ALPHAS = {"0": 0.0, "pi/16": np.pi / 16, "pi/4": np.pi / 4, "pi/2": np.pi / 2}
 CANONICAL_CALLS = 200
 GENERAL_DRAWS = 600
 GENERAL_ROUNDS = 5
+ORACLE_DRAWS = 64
+ORACLE_ROUNDS = 5
 
 
 def _call(problem_args, alpha, config):
@@ -73,22 +82,31 @@ def _call(problem_args, alpha, config):
     return False
 
 
+def _integrate(field, psi0, total_time):
+    """One reference-integrator call; True when it raised a typed error."""
+    try:
+        bc.integrate_schrodinger(field, psi0, total_time)
+    except bc.BlochComplexityError:
+        return True
+    return False
+
+
 def _seconds(fn, *args):
     start = time.perf_counter()
     fn(*args)
     return time.perf_counter() - start
 
 
-def _medians(cases, config, rounds, reference):
-    """Median time of a call, in ms, over ``rounds`` passes through
-    ``cases`` after one untimed pass; that median over the median time of
-    ``reference``, run after each timed call; and how many of the cases
-    raise."""
-    errors = sum(_call(*case, config) for case in cases)
+def _medians(call, cases, rounds, reference):
+    """Median time of ``call(*case)``, in ms, over ``rounds`` passes
+    through ``cases`` after one untimed pass; that median over the median
+    time of ``reference``, run after each timed call; and how many of the
+    cases raise."""
+    errors = sum(call(*case) for case in cases)
     times, references = [], []
     for _ in range(rounds):
         for case in cases:
-            times.append(_seconds(_call, *case, config))
+            times.append(_seconds(call, *case))
             references.append(_seconds(reference))
     ms, ref_ms = (statistics.median(t) * 1e3 for t in (times, references))
     return ms, ms / ref_ms, errors
@@ -127,6 +145,17 @@ def _work_record(canonical, pool, config):
     return record
 
 
+def oracle_draws(workloads):
+    """(field, psi0, T) of the first ORACLE_DRAWS oracle-pool draws, built
+    as the oracle workload builds its inputs."""
+    draws = []
+    for a, b, alpha, total_time in workloads.oracle_pool()[:ORACLE_DRAWS]:
+        problem = bc.EvolutionProblem(np.array(a), np.array(b))
+        field = bc.suboptimal_field(problem, bc.SubOptimalParams(alpha))
+        draws.append((field, problem.source_state, total_time))
+    return draws
+
+
 def perfbench_workloads():
     """The checkout's `perfbench/workloads.py`, only read from."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -156,23 +185,29 @@ def main():
     record = {"canonical": {}, "general": {}, "work": {}}
     for mode in MODES:
         config = bc.AnalysisConfig(averaging_mode=mode)
+        call = functools.partial(_call, config=config)
         record["canonical"][mode] = {}
         for name, alpha in ALPHAS.items():
-            ms, ref, _ = _medians([(canonical, alpha)], config,
+            ms, ref, _ = _medians(call, [(canonical, alpha)],
                                   CANONICAL_CALLS, reference)
             record["canonical"][mode][name] = {"ms": round(ms, 4),
                                                "ref": round(ref, 4)}
-        ms, ref, errors = _medians(pool, config, GENERAL_ROUNDS, reference)
+        ms, ref, errors = _medians(call, pool, GENERAL_ROUNDS, reference)
         record["general"][mode] = {"ms_per_call": round(ms, 4),
                                    "ref_per_call": round(ref, 4),
                                    "draws": len(pool), "errors": errors}
         record["work"][mode] = _work_record(canonical, pool, config)
+    ms, ref, errors = _medians(_integrate, oracle_draws(workloads),
+                               ORACLE_ROUNDS, workloads.Oracle.reference)
+    record["oracle"] = {"ms_per_call": round(ms, 4),
+                        "ref_per_call": round(ref, 4),
+                        "draws": ORACLE_DRAWS, "errors": errors}
     record.update(
         nproc=(len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count()),
         python=platform.python_version(), numpy=np.__version__,
         commit=commit(), canonical_calls=CANONICAL_CALLS,
-        general_rounds=GENERAL_ROUNDS)
+        general_rounds=GENERAL_ROUNDS, oracle_rounds=ORACLE_ROUNDS)
     Path(sys.argv[1]).write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record))
     return 0
