@@ -1,16 +1,20 @@
 """Reference routes the tests compare the library against: the matrix
-propagator applied to the source state, and the arc length by composite
-Simpson quadrature over a trajectory's samples. Neither is a production
-path; the library computes both quantities in closed form, and samples
-nothing.
+propagator applied to the source state, the arc length by composite
+Simpson quadrature over a trajectory's samples, and the reference
+integrator's steps as numpy matrix-vector products. None is a production
+path; the library computes the first two in closed form, samples nothing,
+and steps the integrator on Python complex scalars.
 
 `sample` builds the uniform grid that `evolve` writes."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from blochcomplexity import propagator, suboptimal_field
+from blochcomplexity.qubit import pauli_dot
+from blochcomplexity.verify import STEPS
 
 
 def amplitudes(problem, params, t):
@@ -18,6 +22,19 @@ def amplitudes(problem, params, t):
     the source state."""
     u = propagator(suboptimal_field(problem, params), t)
     return u @ problem.source_state
+
+
+def integrate_numpy(f, psi0, total_time):
+    """`integrate_schrodinger`'s STEPS fixed steps of the 4th-order Taylor
+    matrix M = sum_k (dt G)^k / k!, G = -i (h.sigma), each applied as a
+    numpy product ``M @ psi``, and the result renormalized."""
+    gen = -1j * (total_time / STEPS) * pauli_dot(f.h)
+    step = sum(np.linalg.matrix_power(gen, k) / math.factorial(k)
+               for k in range(5))
+    psi = np.asarray(psi0, dtype=complex)
+    for _ in range(STEPS):
+        psi = step @ psi
+    return psi / np.linalg.norm(psi)
 
 
 class Samples(NamedTuple):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from blochcomplexity import (NormDrift, SubOptimalParams,
+from blochcomplexity import (EvolutionProblem, NormDrift, SubOptimalParams,
                              check_omega_independence,
                              check_supplementary_symmetry,
                              integrate_schrodinger, propagator,
                              sample_trajectory, suboptimal_field)
 from blochcomplexity.hamiltonians import FieldVector
+from oracles import integrate_numpy
 from reference_values import ARRIVAL_TIME_PI16
 
 
@@ -66,13 +67,30 @@ def test_integrator_norm_drift_is_tiny(canonical):
     assert np.max(np.abs(packaged - psi / np.linalg.norm(psi))) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_integrator_raises_on_norm_drift(canonical):
+@pytest.mark.parametrize("h_z", [5e5, 1e300])
+def test_integrator_raises_on_norm_drift(canonical, h_z):
     # a huge field magnitude makes the fixed step far too coarse:
-    # |h| dt = 5e5 / 8192 = 61
-    f = FieldVector(np.array([0.0, 0.0, 5e5]))
+    # |h| dt = 5e5 / 8192 = 61; at 1e300 the step matrix itself overflows,
+    # and that too ends in NormDrift, with no warning
+    f = FieldVector(np.array([0.0, 0.0, h_z]))
     with pytest.raises(NormDrift):
         integrate_schrodinger(f, canonical.source_state, 1.0)
+
+
+@pytest.mark.parametrize("a, b, alpha, total_time", [
+    ((0.48, 0.6, 0.64), (-0.6, 0.0, 0.8), 0.4, 1.7),
+    ((0.0, -0.8, -0.6), (0.36, 0.48, -0.8), 2.2, 0.35),
+    ((-0.64, 0.48, -0.6), (0.8, 0.6, 0.0), 1.3, 1.1),
+])
+def test_integrator_matches_the_numpy_stepping_on_general_fields(
+        a, b, alpha, total_time):
+    # off-equator sources and targets: the scalar loop applies the same
+    # Taylor step as numpy's step @ psi products, to rounding
+    problem = EvolutionProblem(np.array(a), np.array(b))
+    f = suboptimal_field(problem, SubOptimalParams(alpha))
+    psi = integrate_schrodinger(f, problem.source_state, total_time)
+    reference = integrate_numpy(f, problem.source_state, total_time)
+    assert np.max(np.abs(psi - reference)) < 1e-12
 
 
 def test_propagator_agreement_grid(oracle_gate):
