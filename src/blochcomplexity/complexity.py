@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
-from .metrics import arc_length, curvature_coefficient, speed_efficiency
+from .metrics import _curvature_coefficient, _speed_efficiency, arc_length
 from .trajectory import Circle, _arc_ends, _cos_roots, sample_trajectory
 
 # angular extent below which an axis of the bounding box counts as degenerate
@@ -164,7 +164,6 @@ def analyze(problem, params, config=None):
     box, kind, v_max, v_bar, segments = _volumes(traj, config)
     c = complexity(v_bar, v_max)
     s = arc_length(problem, params, traj.x_b)
-    f = traj.field
     volume = VolumeReport(v_bar=v_bar, v_max=v_max, box=box,
                           averaging_mode=config.averaging_mode,
                           segments=segments)
@@ -173,8 +172,8 @@ def analyze(problem, params, config=None):
         t_ab=traj.t_b,
         s=s,
         eta_ge=problem.theta_ab / s,
-        eta_se=speed_efficiency(f, problem.a_hat),
-        kappa2=curvature_coefficient(f, problem.a_hat),
+        eta_se=_speed_efficiency(traj.circle),
+        kappa2=_curvature_coefficient(traj.circle),
         complexity=c,
         length_scale=complexity_length_scale(s, c),
         volume=volume,

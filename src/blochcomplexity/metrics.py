@@ -47,16 +47,26 @@ def geodesic_efficiency(problem, params):
 def speed_efficiency(f, a_hat):
     """sqrt(h_perp^2) / |h|: the fraction of the drive that actually moves the
     state instead of spinning it about its own axis."""
-    u = Circle.about(f.direction.tolist(), a_hat.tolist()).u
-    return math.sqrt(dot(u, u))
+    return _speed_efficiency(
+        Circle.about(f.direction.tolist(), a_hat.tolist()))
 
 
 def curvature_coefficient(f, a_hat):
     """4*(a.h)^2 / (h^2 - (a.h)^2), the squared bending coefficient of the
     path generated by field h from Bloch vector a, as 4c^2/|a - c n|^2 with
     c = n.a, from the split `Circle.about`."""
-    _, c, u, _ = Circle.about(f.direction.tolist(), a_hat.tolist())
-    perp = dot(u, u)
+    return _curvature_coefficient(
+        Circle.about(f.direction.tolist(), a_hat.tolist()))
+
+
+def _speed_efficiency(circle):
+    """`speed_efficiency` of the circle of a about the field axis: |u|."""
+    return math.sqrt(dot(circle.u, circle.u))
+
+
+def _curvature_coefficient(circle):
+    """`curvature_coefficient` of the circle of a about the field axis."""
+    perp = dot(circle.u, circle.u)
     if perp == 0.0:
         raise ParallelField("field is parallel to the Bloch vector")
-    return 4.0 * c * c / perp
+    return 4.0 * circle.na * circle.na / perp

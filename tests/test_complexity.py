@@ -23,7 +23,8 @@ from blochcomplexity.cli import main
 from blochcomplexity.complexity import (AVERAGING_MODES, _branch_angles,
                                         _degeneracy_kind, _volume_samples)
 from blochcomplexity.qubit import _require_unit, state_from_bloch
-from blochcomplexity.trajectory import POLE_EPS, Trajectory, nearest_branch
+from blochcomplexity.trajectory import (POLE_EPS, Circle, Trajectory,
+                                        nearest_branch)
 from oracles import path_length_numeric, sample
 from reference_values import (ARRIVAL_TIME_PI16, BRANCH_TIME_PI16,
                               SEGMENT_AVERAGES_PI16_PRECISE, THETA_MAX_PI16,
@@ -554,6 +555,19 @@ def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
                   AnalysisConfig(averaging_mode=mode))
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_analyze_splits_each_end_once(canonical, monkeypatch, mode):
+    # the source's circle is the trajectory's, and eta_SE and kappa2 read
+    # it; the other split is the target's circle about -n in the box
+    calls = _count_calls(monkeypatch, Circle, "about")
+    rep = analyze(canonical, SubOptimalParams(PI / 16),
+                  AnalysisConfig(averaging_mode=mode))
+    assert len(calls) == 2
+    traj = sample_trajectory(canonical, SubOptimalParams(PI / 16))
+    assert rep.eta_se == speed_efficiency(traj.field, canonical.a_hat)
+    assert rep.kappa2 == curvature_coefficient(traj.field, canonical.a_hat)
 
 
 @pytest.mark.parametrize("mode, states", [("uniform", 1),
