@@ -67,14 +67,14 @@ def test_integrator_norm_drift_is_tiny(canonical):
     assert np.max(np.abs(packaged - psi / np.linalg.norm(psi))) < 1e-12
 
 
-@pytest.mark.parametrize("h_z", [5e5, 1e300])
-def test_integrator_raises_on_norm_drift(canonical, h_z):
+def test_integrator_raises_on_norm_drift(canonical):
     # a huge field magnitude makes the fixed step far too coarse:
     # |h| dt = 5e5 / 8192 = 61; at 1e300 the step matrix itself overflows,
     # and that too ends in NormDrift, with no warning
-    f = FieldVector(np.array([0.0, 0.0, h_z]))
-    with pytest.raises(NormDrift):
-        integrate_schrodinger(f, canonical.source_state, 1.0)
+    for h_z in (5e5, 1e300):
+        f = FieldVector(np.array([0.0, 0.0, h_z]))
+        with pytest.raises(NormDrift):
+            integrate_schrodinger(f, canonical.source_state, 1.0)
 
 
 @pytest.mark.parametrize("a, b, alpha, total_time", [
