@@ -26,7 +26,9 @@ times between runs, and the ratio much less. OUT gets:
 - ``general``: per averaging mode, the median time of a call over
   GENERAL_ROUNDS passes through the first GENERAL_DRAWS general-pool
   draws, in ms (``ms_per_call``) and in units of the reference
-  (``ref_per_call``), and how many of those draws raise;
+  (``ref_per_call``), the 95th percentile of those call times in the same
+  two units (``p95_ms_per_call``, ``p95_ref_per_call``), and how many of
+  the draws raise;
 - ``oracle``: the same for `integrate_schrodinger` over ORACLE_ROUNDS
   passes through the first ORACLE_DRAWS oracle-pool draws (a general
   field and time each, built untimed as the oracle workload builds them);
@@ -36,7 +38,11 @@ times between runs, and the ratio much less. OUT gets:
   `Trajectory.states_along` calls, through which every evaluation passes)
   and its Python-level calls (``calls``, the ``"call"`` events that
   `sys.setprofile` sees), at each canonical alpha and, over the general
-  draws, as the median, max (points only) and total;
+  draws, as the median, max (points only) and total; and its quadrature
+  levels (``levels``, its `Trajectory.angles_along` calls: the first
+  level's nodes share one call with the box, and each bisection level
+  adds one), at each canonical alpha and, over the general draws, as the
+  median, max and a histogram (``histogram``, draws per level count);
 - ``nproc``, the Python and numpy versions, and the commit of the checkout
   (``git describe --always --dirty``; null outside a git checkout).
 
@@ -98,31 +104,38 @@ def _seconds(fn, *args):
 
 
 def _medians(call, cases, rounds, reference):
-    """Median time of ``call(*case)``, in ms, over ``rounds`` passes
-    through ``cases`` after one untimed pass; that median over the median
-    time of ``reference``, run after each timed call; and how many of the
-    cases raise."""
+    """Median and 95th-percentile time of ``call(*case)``, in ms, over
+    ``rounds`` passes through ``cases`` after one untimed pass; both over
+    the median time of ``reference``, run after each timed call; and how
+    many of the cases raise."""
     errors = sum(call(*case) for case in cases)
     times, references = [], []
     for _ in range(rounds):
         for case in cases:
             times.append(_seconds(call, *case))
             references.append(_seconds(reference))
-    ms, ref_ms = (statistics.median(t) * 1e3 for t in (times, references))
-    return ms, ms / ref_ms, errors
+    ref_ms = statistics.median(references) * 1e3
+    ms = statistics.median(times) * 1e3
+    p95 = (statistics.quantiles(times, n=20)[18] * 1e3 if len(times) > 1
+           else ms)
+    return ms, ms / ref_ms, p95, p95 / ref_ms, errors
 
 
 def _work(case, config):
-    """(points, calls) of one client call: the sum of np.size(x) over its
-    `Trajectory.states_along` calls and its Python-level calls."""
-    counts = [0, 0]
+    """(points, calls, levels) of one client call: the sum of np.size(x)
+    over its `Trajectory.states_along` calls, its Python-level calls and
+    its `Trajectory.angles_along` calls."""
+    counts = [0, 0, 0]
     along = bc.Trajectory.states_along.__code__
+    angles = bc.Trajectory.angles_along.__code__
 
     def profile(frame, event, arg):
         if event == "call":
             counts[1] += 1
             if frame.f_code is along:
                 counts[0] += np.size(frame.f_locals["x"])
+            elif frame.f_code is angles:
+                counts[2] += 1
 
     sys.setprofile(profile)
     try:
@@ -134,14 +147,17 @@ def _work(case, config):
 
 def _work_record(canonical, pool, config):
     """The ``work`` entry of one averaging mode."""
-    record = {name: dict(zip(("points", "calls"),
+    record = {name: dict(zip(("points", "calls", "levels"),
                              _work((canonical, alpha), config)))
               for name, alpha in ALPHAS.items()}
-    points, calls = zip(*(_work(case, config) for case in pool))
+    points, calls, levels = zip(*(_work(case, config) for case in pool))
     record["general"] = {
         "points": {"median": statistics.median(points), "max": max(points),
                    "total": sum(points)},
-        "calls": {"median": statistics.median(calls), "total": sum(calls)}}
+        "calls": {"median": statistics.median(calls), "total": sum(calls)},
+        "levels": {"median": statistics.median(levels), "max": max(levels),
+                   "histogram": {str(k): levels.count(k)
+                                 for k in sorted(set(levels))}}}
     return record
 
 
@@ -188,17 +204,20 @@ def main():
         call = functools.partial(_call, config=config)
         record["canonical"][mode] = {}
         for name, alpha in ALPHAS.items():
-            ms, ref, _ = _medians(call, [(canonical, alpha)],
-                                  CANONICAL_CALLS, reference)
+            ms, ref, *_ = _medians(call, [(canonical, alpha)],
+                                   CANONICAL_CALLS, reference)
             record["canonical"][mode][name] = {"ms": round(ms, 4),
                                                "ref": round(ref, 4)}
-        ms, ref, errors = _medians(call, pool, GENERAL_ROUNDS, reference)
+        ms, ref, p95, p95_ref, errors = _medians(call, pool, GENERAL_ROUNDS,
+                                                 reference)
         record["general"][mode] = {"ms_per_call": round(ms, 4),
                                    "ref_per_call": round(ref, 4),
+                                   "p95_ms_per_call": round(p95, 4),
+                                   "p95_ref_per_call": round(p95_ref, 4),
                                    "draws": len(pool), "errors": errors}
         record["work"][mode] = _work_record(canonical, pool, config)
-    ms, ref, errors = _medians(_integrate, oracle_draws(workloads),
-                               ORACLE_ROUNDS, workloads.Oracle.reference)
+    ms, ref, _, _, errors = _medians(_integrate, oracle_draws(workloads),
+                                     ORACLE_ROUNDS, workloads.Oracle.reference)
     record["oracle"] = {"ms_per_call": round(ms, 4),
                         "ref_per_call": round(ref, 4),
                         "draws": ORACLE_DRAWS, "errors": errors}
