@@ -34,9 +34,13 @@ at every point where V can kink: where cos(theta) returns to cos(theta_A),
 where the azimuth crosses the plane of phi_A, at the polar extrema (where
 the azimuth turns fastest near a pole, and where a path through a pole
 meets it), at the segment boundaries, and at the midpoint, past which the
-panels are measured back from the target.
+panels are measured back from the target. Around each polar turn the edges
+are graded geometrically, from the closest approach to the pole there, so
+that one level resolves the azimuth's fast turn however near the pole the
+path passes; a panel that still fails its error test is bisected.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -45,7 +49,8 @@ import numpy as np
 from .errors import (AveragingDomainError, NonPositiveVolume,
                      QuadratureNotConverged)
 from .metrics import _curvature_coefficient, _speed_efficiency, arc_length
-from .trajectory import Circle, _arc_ends, _cos_roots, sample_trajectory
+from .trajectory import (POLE_EPS, Circle, _arc_ends, _cos_roots,
+                         sample_trajectory)
 
 # angular extent below which an axis of the bounding box counts as degenerate
 EPS_DEGENERATE = 1e-9
@@ -218,8 +223,10 @@ def _branch_angles(traj):
                                      traj.turned.imag.tolist())
                    if math.hypot(p, q) > 1e-12
                    for x in _cos_roots(p, q, span)])
+    if traj.near_pole:
+        xs = xs[~traj.poles_along(2.0 * xs)]
     merged = []
-    for x in sorted(xs[~traj.poles_along(2.0 * xs)].tolist()):
+    for x in sorted(xs.tolist()):
         if lo + 1e-12 < x < hi - 1e-12 and (not merged
                                             or x - merged[-1] > 1e-9):
             merged.append(x)
@@ -360,16 +367,48 @@ def _azimuth_turns(circle, end, reach):
 
 def _panel_edges(traj, x_bounds):
     """Sorted panel edges in the rotation angle: the segment bounds, the
-    midpoint, where the states switch ends, and every interior point where
-    V may kink or its azimuth turns fast (the polar turns among them)."""
+    midpoint, where the states switch ends, every interior point where V
+    may kink or its azimuth turns fast (the polar turns among them), and
+    edges graded towards each interior polar turn (`_graded_edges`). An
+    edge closer than 4 ulp of x_b to a segment bound or to an edge before
+    it in that order is dropped: it would only cut a sliver panel."""
     u, v = traj.circle.u, traj.circle.v
     span = (x_bounds[0], x_bounds[-1])
     # z(x) - z_A = R_z (cos(x - c) - cos c): zero at x = 0 and at 2c
     c = math.atan2(v[2], u[2])
-    kinks = [*_arc_ends(c, c, span), *traj.polar_turns,
-             *traj.azimuth.crossings.tolist(), 0.5 * traj.x_b]
-    inside = [x for x in kinks if span[0] < x < span[1]]
-    return np.array(sorted({*x_bounds, *inside}))
+    gap = 4.0 * math.ulp(traj.x_b)
+    edges = list(x_bounds)
+    for x in [0.5 * traj.x_b, *traj.polar_turns,
+              *traj.azimuth.crossings.tolist(), *_arc_ends(c, c, span),
+              *_graded_edges(traj, span)]:
+        k = bisect.bisect(edges, x)
+        if 0 < k < len(edges) and min(x - edges[k - 1], edges[k] - x) >= gap:
+            edges.insert(k, x)
+    return np.array(edges)
+
+
+def _graded_edges(traj, span):
+    """Edges on both sides of each polar turn inside ``span``, at
+    distances w, 4w, 16w, ... from it, on each side while the next one
+    would still fit between it and the span's end, with w = theta_min / |u|:
+    the closest approach to the pole there over the path's speed in x. The
+    azimuth turns by about pi within w of the turn, so the panels grow with
+    the distance from it and one quadrature level resolves the turn however
+    near the pole it passes; where 4w exceeds the span, no edge is added.
+    Where theta_min < POLE_EPS the turn is an exact pole: the azimuth takes
+    its one-sided limits there, and the lift's crossing at the turn already
+    cuts the path."""
+    speed = math.hypot(*traj.circle.u)
+    edges = []
+    for turn, theta_min in zip(traj.polar_turns, traj.closest_approaches):
+        if not span[0] < turn < span[1] or theta_min < POLE_EPS:
+            continue
+        for end in span:
+            step = theta_min / speed
+            while 4.0 * step < abs(end - turn):
+                edges.append(turn + math.copysign(step, end - turn))
+                step *= 4.0
+    return edges
 
 
 def _panel_integrals(f, lo, hi, first):

@@ -158,6 +158,31 @@ class Trajectory:
         return tuple(_cos_roots(circle.v[2], -circle.u[2], (0.0, self.x_b)))
 
     @cached_property
+    def closest_approaches(self):
+        """theta_min at each of the `polar_turns`: the angle between the
+        path there and the pole it turns towards, |beta - rho| at a highest
+        point and |pi - beta - rho| at a lowest, with beta the field axis's
+        polar angle and rho = atan2(|u|, n.a) the circle's angular radius
+        about it. As a difference of angles it keeps its digits next to a
+        pole, where 1 - |z| loses half of them."""
+        n, na, u, v = self.circle
+        beta = math.atan2(math.hypot(n[0], n[1]), n[2])
+        rho = math.atan2(math.hypot(*u), na)
+        north, south = abs(beta - rho), abs(math.pi - beta - rho)
+        return tuple(north if u[2] * math.cos(x) + v[2] * math.sin(x) > 0.0
+                     else south for x in self.polar_turns)
+
+    @cached_property
+    def near_pole(self):
+        """Whether the path's circle comes within 1e-9 of a pole in z:
+        its closest approaches are at z = n_z (n.a) +- hypot(u_z, v_z), and
+        where 1 - |z| >= 1e-9 at both, sin(theta) >= 4e-5 all along it, so
+        no state of the path is an exact pole and none need be evaluated to
+        tell."""
+        n, na, u, v = self.circle
+        return 1.0 - (abs(n[2] * na) + math.hypot(u[2], v[2])) < 1e-9
+
+    @cached_property
     def arrival(self):
         """The target's own state in the phase of psi0's evolved state at
         x_b, and (n.sigma) of it: the second half's psi."""
@@ -242,11 +267,8 @@ class AzimuthLift:
             return
         # a pole lies on the plane of phi_a: the target there is P's mirror
         # zero, reached before any crossing, so x_b is tested first; a pole
-        # mid-path is the plane's crossing, at a polar turn. The path's
-        # closest approaches to the poles are at z = n_z (n.a) +-
-        # hypot(u_z, v_z); where 1 - |z| >= 1e-9 at both, sin(theta) >= 4e-5
-        # along the whole path, the target included, and nothing is evaluated
-        if 1.0 - (abs(n[2] * na) + math.hypot(u[2], v[2])) >= 1e-9:
+        # mid-path is the plane's crossing, at a polar turn
+        if not traj.near_pole:
             return
         near = [x_b] + [x for x in traj.polar_turns if 0.0 < x < x_b]
         on = traj.poles_along(np.array(near))

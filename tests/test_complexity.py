@@ -21,7 +21,8 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
 from blochcomplexity import hamiltonians, qubit
 from blochcomplexity.cli import main
 from blochcomplexity.complexity import (AVERAGING_MODES, _branch_angles,
-                                        _degeneracy_kind, _volume_samples)
+                                        _degeneracy_kind, _panel_edges,
+                                        _volume_samples)
 from blochcomplexity.qubit import _require_unit, state_from_bloch
 from blochcomplexity.trajectory import (POLE_EPS, Circle, Trajectory,
                                         nearest_branch)
@@ -408,9 +409,11 @@ def test_meridian_worked_example():
 
 
 def test_bisection_cap_raises_naming_the_panel(monkeypatch):
-    # draw 165 needs bisected panels; allowed none, the quadrature refuses
-    # the run and says which panel failed
-    monkeypatch.setattr(sys.modules[analyze.__module__], "MAX_BISECTIONS", 0)
+    # at a tolerance of 0 some panel of draw 165 needs bisecting; allowed
+    # none, the quadrature refuses the run and says which panel failed
+    module = sys.modules[analyze.__module__]
+    monkeypatch.setattr(module, "PANEL_TOL", 0.0)
+    monkeypatch.setattr(module, "MAX_BISECTIONS", 0)
     with pytest.raises(QuadratureNotConverged,
                        match=r"panel \[[-+.e0-9]+, [-+.e0-9]+\] .* after 0 "
                              r"bisections"):
@@ -570,21 +573,18 @@ def test_analyze_splits_each_end_once(canonical, monkeypatch, mode):
     assert rep.kappa2 == curvature_coefficient(traj.field, canonical.a_hat)
 
 
-@pytest.mark.parametrize("mode, states", [("uniform", 1),
-                                          ("appendix_piecewise", 2)])
-def test_analyze_evaluates_the_path_in_one_pass(canonical, monkeypatch, mode,
-                                                states):
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_analyze_evaluates_the_path_in_one_pass(canonical, monkeypatch, mode):
     # the box, the degeneracy, V_max and the first quadrature level read one
-    # angles_along call; piecewise mode adds one states_along call for the
-    # branch roots of both components, and the lift, whose path keeps far
-    # from the poles, evaluates nothing
+    # angles_along call; the path keeps far from the poles, so neither the
+    # lift nor piecewise mode's branch roots evaluate a state to test for one
     calls = {fn_name: _count_calls(monkeypatch, Trajectory, fn_name)
              for fn_name in ("angles_along", "states_along")}
     rep = analyze(canonical, SubOptimalParams(PI / 16),
                   AnalysisConfig(averaging_mode=mode))
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
     assert {fn_name: len(log) for fn_name, log in calls.items()} == {
-        "angles_along": 1, "states_along": states}
+        "angles_along": 1, "states_along": 1}
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
@@ -1348,6 +1348,53 @@ def test_pole_check_evaluates_only_inside_its_margin(monkeypatch, delta,
     log = _count_calls(monkeypatch, Trajectory, "states_along")
     assert traj.azimuth.limits == ()
     assert len(log) == calls
+
+
+@needs_extended_precision
+@pytest.mark.parametrize("delta", (1e-2, 1e-4, 1e-7, 1e-11))
+def test_near_pole_passage_converges_at_the_first_level(monkeypatch, delta):
+    # the panels graded towards the polar turn resolve the azimuth's fast
+    # turn there, so no panel is bisected more than once however near the
+    # pole the path passes (without them, 1e-11 took 29 levels)
+    problem, params = _tilted_passage(_PASSAGES["0.6"], delta), \
+        SubOptimalParams(PI / 2)
+    traj = sample_trajectory(problem, params)
+    log = _count_calls(monkeypatch, Trajectory, "angles_along")
+    for mode in AVERAGING_MODES:
+        log.clear()
+        v_bar = analyze(problem, params,
+                        AnalysisConfig(averaging_mode=mode)).volume.v_bar
+        assert len(log) <= 2
+        assert v_bar == pytest.approx(_oracle_accessed_volume(traj, mode),
+                                      abs=1e-10)
+
+
+def _golden_pole_cases():
+    """(a, b, alpha, energy) of `scripts/snapshot.py`'s pole cases, as
+    ``golden_reports.csv`` records them."""
+    with (Path(__file__).resolve().parent / "golden_reports.csv").open() as f:
+        rows = [line.split(",") for line in f
+                if line.startswith("pole ") and ",uniform," in line]
+    return [(np.array(row[1:4], dtype=float), np.array(row[4:7], dtype=float),
+             float(row[7]), float(row[8])) for row in rows]
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_pole_cases_cut_no_sliver_panels(mode):
+    # where two edge formulas meet one point, or an edge is graded towards a
+    # turn at an exact pole, the edges used to sit 1 or 2 ulp apart and cut
+    # panels that cost a quadrature level of points for nothing
+    cases = _golden_pole_cases()
+    assert len(cases) == 33
+    for a, b, alpha, energy in cases:
+        try:
+            traj = sample_trajectory(EvolutionProblem(a, b, energy=energy),
+                                     SubOptimalParams(alpha))
+        except BlochComplexityError:
+            continue
+        cuts = _branch_angles(traj) if mode == "appendix_piecewise" else []
+        edges = _panel_edges(traj, [0.0, *cuts, traj.x_b])
+        assert np.diff(edges).min() >= 8.0 * np.spacing(traj.x_b)
 
 
 # a path off any meridian that meets the north pole mid-way, at its one
