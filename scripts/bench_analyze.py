@@ -116,8 +116,7 @@ def _medians(call, cases, rounds, reference):
             references.append(_seconds(reference))
     ref_ms = statistics.median(references) * 1e3
     ms = statistics.median(times) * 1e3
-    p95 = (statistics.quantiles(times, n=20)[18] * 1e3 if len(times) > 1
-           else ms)
+    p95 = statistics.quantiles(times, n=20)[18] * 1e3
     return ms, ms / ref_ms, p95, p95 / ref_ms, errors
 
 

@@ -41,7 +41,7 @@ needs_extended_precision = pytest.mark.skipif(
     reason="numpy's longdouble is a double on this platform")
 
 # draw 165 of the benchmark's general pool: a pass 0.019 rad from the north
-# pole, where the azimuth turns fast and panels must be bisected
+# pole, where the azimuth turns fast
 DRAW_165 = (EvolutionProblem(
     np.array([-0.8137139379033355, 0.39103157742910793,
               -0.43007433394141326]),
