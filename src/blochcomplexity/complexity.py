@@ -394,7 +394,8 @@ def _graded_edges(traj, span):
     the closest approach to the pole there over the path's speed in x. The
     azimuth turns by about pi within w of the turn, so the panels grow with
     the distance from it and one quadrature level resolves the turn however
-    near the pole it passes; where 4w exceeds the span, no edge is added.
+    near the pole it passes; where 4w exceeds the distance to both ends,
+    no edge is added.
     Where theta_min < POLE_EPS the turn is an exact pole: the azimuth takes
     its one-sided limits there, and the lift's crossing at the turn already
     cuts the path."""
