@@ -43,6 +43,9 @@ times between runs, and the ratio much less. OUT gets:
   level's nodes share one call with the box, and each bisection level
   adds one), at each canonical alpha and, over the general draws, as the
   median, max and a histogram (``histogram``, draws per level count);
+  and the same three summed over the `snapshot.pole_cases` whose problem
+  can be built (``pole_cases``, with their number in ``cases``), which
+  meet an exact pole or pass next to one as no general draw does;
 - ``nproc``, the Python and numpy versions, and the commit of the checkout
   (``git describe --always --dirty``; null outside a git checkout).
 
@@ -67,6 +70,7 @@ from pathlib import Path
 import numpy as np
 
 import blochcomplexity as bc
+from snapshot import pole_cases
 
 ROOT = Path(bc.__file__).resolve().parents[2]
 MODES = ("uniform", "appendix_piecewise")
@@ -144,7 +148,21 @@ def _work(case, config):
     return counts
 
 
-def _work_record(canonical, pool, config):
+def _buildable(cases):
+    """((a, b, energy), alpha) of the ``(a, b, alpha, energy)`` cases whose
+    `EvolutionProblem` can be built."""
+    built = []
+    for a, b, alpha, energy in cases:
+        args = (np.array(a), np.array(b), energy)
+        try:
+            bc.EvolutionProblem(*args)
+        except bc.BlochComplexityError:
+            continue
+        built.append((args, alpha))
+    return built
+
+
+def _work_record(canonical, pool, poles, config):
     """The ``work`` entry of one averaging mode."""
     record = {name: dict(zip(("points", "calls", "levels"),
                              _work((canonical, alpha), config)))
@@ -157,6 +175,9 @@ def _work_record(canonical, pool, config):
         "levels": {"median": statistics.median(levels), "max": max(levels),
                    "histogram": {str(k): levels.count(k)
                                  for k in sorted(set(levels))}}}
+    points, calls, levels = zip(*(_work(case, config) for case in poles))
+    record["pole_cases"] = {"cases": len(poles), "points": sum(points),
+                            "calls": sum(calls), "levels": sum(levels)}
     return record
 
 
@@ -197,6 +218,7 @@ def main():
     reference = workloads.analyze_reference
     pool = [((np.array(a), np.array(b), omega), alpha)
             for a, b, alpha, omega in workloads.general_pool()[:GENERAL_DRAWS]]
+    poles = _buildable(pole_cases())
     record = {"canonical": {}, "general": {}, "work": {}}
     for mode in MODES:
         config = bc.AnalysisConfig(averaging_mode=mode)
@@ -214,7 +236,7 @@ def main():
                                    "p95_ms_per_call": round(p95, 4),
                                    "p95_ref_per_call": round(p95_ref, 4),
                                    "draws": len(pool), "errors": errors}
-        record["work"][mode] = _work_record(canonical, pool, config)
+        record["work"][mode] = _work_record(canonical, pool, poles, config)
     ms, ref, _, _, errors = _medians(_integrate, oracle_draws(workloads),
                                      ORACLE_ROUNDS, workloads.Oracle.reference)
     record["oracle"] = {"ms_per_call": round(ms, 4),
