@@ -204,13 +204,16 @@ def branch_times(traj):
     period-pi arctangent representation of the azimuth changes branch.
 
     ``Re c_k(t) = cos(Et) Re psi0_k + sin(Et) Im(n.sigma psi0)_k``, so the
-    instants are closed-form roots. A root where the state is an exact
-    pole (`Trajectory.poles_along`) is not a branch flip and is skipped,
-    and so is a component whose Re c_k vanishes identically (both
-    coefficients at rounding level), where any root would be noise. Roots
-    within 1e-12 of either end, or within 1e-9 of the previous root,
-    are dropped; both filters act on the phase angle Et, so the result
-    scales exactly as 1/E.
+    instants are closed-form roots. The amplitude that vanishes at the
+    path's exact pole (`Trajectory.pole`), c1 at the north pole and c0 at
+    the south, has a root there that flips no branch, as Im c_k vanishes
+    with Re c_k: its roots within POLE_EPS / |u| of the pole in x, where
+    sin(theta) < POLE_EPS to first order, are skipped, and the other
+    amplitude's roots are flips however near the pole. A component whose
+    Re c_k vanishes identically (both coefficients at rounding level) is
+    skipped too, as its roots would be noise. Roots within 1e-12 of either
+    end, or within 1e-9 of the previous root, are dropped; both filters
+    act on the phase angle Et, so the result scales exactly as 1/E.
     """
     return [traj.time_of(x) for x in _branch_angles(traj)]
 
@@ -219,16 +222,17 @@ def _branch_angles(traj):
     """`branch_times` as rotation angles 2Et, which no energy scale
     enters."""
     lo, hi = span = (0.0, 0.5 * traj.x_b)
-    xs = np.array([x for p, q in zip(traj.source.real.tolist(),
-                                     traj.turned.imag.tolist())
-                   if math.hypot(p, q) > 1e-12
-                   for x in _cos_roots(p, q, span)])
-    if traj.near_pole:
-        xs = xs[~traj.poles_along(2.0 * xs)]
+    pole, (n, na, u, v) = traj.pole, traj.circle
+    vanishing = None if pole is None else int(
+        n[2] * na + u[2] * math.cos(pole) + v[2] * math.sin(pole) > 0.0)
     merged = []
-    for x in sorted(xs.tolist()):
-        if lo + 1e-12 < x < hi - 1e-12 and (not merged
-                                            or x - merged[-1] > 1e-9):
+    for x, k in sorted((x, k) for k, (p, q) in enumerate(zip(
+            traj.source.real.tolist(), traj.turned.imag.tolist()))
+            if math.hypot(p, q) > 1e-12 for x in _cos_roots(p, q, span)):
+        if (lo + 1e-12 < x < hi - 1e-12
+                and (k != vanishing
+                     or abs(2.0 * x - pole) * math.hypot(*u) >= POLE_EPS)
+                and (not merged or x - merged[-1] > 1e-9)):
             merged.append(x)
     return [2.0 * x for x in merged]
 
@@ -321,7 +325,7 @@ def _box_candidates(traj):
     # double root there, which rounding moves off the pole, and the limits
     # stand in for them; the target's turns are measured back from it, on
     # its circle about -n
-    x_phi = [] if traj.azimuth.limits else [
+    x_phi = [] if traj.pole is not None else [
         *_azimuth_turns(circle, traj.problem.a_hat.tolist(), 0.5 * x_b),
         *(x_b - y for y in _azimuth_turns(
             Circle.about([-m for m in circle.n], b), b, 0.5 * x_b))]
@@ -398,7 +402,9 @@ def _graded_edges(traj, span):
     no edge is added.
     Where theta_min < POLE_EPS the turn is an exact pole: the azimuth takes
     its one-sided limits there, and the lift's crossing at the turn already
-    cuts the path."""
+    cuts the path. Skipping every such turn, not only `Trajectory.pole`,
+    keeps step > 0: a target on a pole (`scripts/snapshot.py`'s pole cases
+    13, 15, 17, 19) has a turn one ulp inside x_b with theta_min = 0."""
     speed = math.hypot(*traj.circle.u)
     edges = []
     for turn, theta_min in zip(traj.polar_turns, traj.closest_approaches):

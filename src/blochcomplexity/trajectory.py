@@ -7,12 +7,14 @@ continuous azimuth in closed form: the Bloch vector turns rigidly about the
 field axis, so the instants where it crosses the plane of the start azimuth
 are known exactly, and counting them fixes the 2*pi branch at any time. At
 an exact pole (sin(theta) < POLE_EPS) it is the one-sided limit along
-the path. The states are built from the nearer end of the path, so that
+the path, whose one exact pole `Trajectory.pole` finds without evaluating
+a state. The states are built from the nearer end of the path, so that
 next to the source or the target a small amplitude keeps its precision.
 """
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -137,11 +139,6 @@ class Trajectory:
         return theta, self.azimuth.resolve(origin + x, raw,
                                            np.sin(theta) < POLE_EPS)
 
-    def poles_along(self, x):
-        """Whether the states at rotation angles ``x`` are exact poles,
-        sin(theta) < POLE_EPS: the one pole test of evaluated points."""
-        return np.sin(bloch_angles(self.states_along(x))[0]) < POLE_EPS
-
     @cached_property
     def circle(self):
         """The source's circle about the field axis, on which x = 2Et."""
@@ -173,14 +170,21 @@ class Trajectory:
                      else south for x in self.polar_turns)
 
     @cached_property
-    def near_pole(self):
-        """Whether the path's circle comes within 1e-9 of a pole in z:
-        its closest approaches are at z = n_z (n.a) +- hypot(u_z, v_z), and
-        where 1 - |z| >= 1e-9 at both, sin(theta) >= 4e-5 all along it, so
-        no state of the path is an exact pole and none need be evaluated to
-        tell."""
-        n, na, u, v = self.circle
-        return 1.0 - (abs(n[2] * na) + math.hypot(u[2], v[2])) < 1e-9
+    def pole(self):
+        """The rotation angle in [0, x_b] of the path's one exact pole, or
+        None: the source if its own sin(theta_A) < POLE_EPS, else the target
+        if its state at x_b (`states_along`'s) is a pole, else the first
+        interior polar turn whose closest approach is below POLE_EPS. The
+        ends come first: an end on a pole is a polar turn too, which
+        rounding may put just inside the path."""
+        if math.sin(self.start[0]) < POLE_EPS:
+            return 0.0
+        c0, c1 = self.arrival[0].tolist()
+        if math.sin(2.0 * math.atan2(abs(c1), abs(c0))) < POLE_EPS:
+            return self.x_b
+        return next((x for x, theta_min in zip(self.polar_turns,
+                                               self.closest_approaches)
+                     if 0.0 < x < self.x_b and theta_min < POLE_EPS), None)
 
     @cached_property
     def arrival(self):
@@ -226,19 +230,20 @@ class AzimuthLift:
     side of a crossing sits on the plane, pi/2 from either centre, so it
     still resolves to the right branch.
 
-    The path turns by at most pi, so it meets at most one exact pole.
-    ``limits`` are the azimuth's one-sided limits there, of -r' (arrival)
-    and r' (departure); at the source or the target both are its one limit,
-    and with no pole on the path ``limits`` is empty. A pole between the
-    ends is the one crossing, and the departure is the limit of the path
-    pushed off it towards the field axis. ``crossings`` are sorted.
+    ``limits`` are the azimuth's one-sided limits at the path's exact pole
+    (`Trajectory.pole`), of -r' (arrival) and r' (departure); at the source
+    or the target both are its one limit, and with no pole on the path
+    ``limits`` is empty. A pole between the ends is the one crossing, and
+    the departure is the limit of the path pushed off it towards the field
+    axis. ``crossings`` are sorted.
     """
 
     def __init__(self, traj):
         n, na, u, v = traj.circle
         x_b = traj.x_b
         self.phi_a = phi_a = traj.start[1]
-        departs = math.sin(traj.start[0]) < POLE_EPS
+        pole = traj.pole
+        departs = pole == 0.0
         cos_a, sin_a = math.cos(phi_a), math.sin(phi_a)
 
         # d: rotation angle from the anchor to the maximum of P. P rises out
@@ -263,18 +268,8 @@ class AzimuthLift:
             self.half_turns = np.array([first, first - rising * far])
 
         self.limits = (phi_a, phi_a) if departs else ()
-        if departs:
+        if pole is None or departs:
             return
-        # a pole lies on the plane of phi_a: the target there is P's mirror
-        # zero, reached before any crossing, so x_b is tested first; a pole
-        # mid-path is the plane's crossing, at a polar turn
-        if not traj.near_pole:
-            return
-        near = [x_b] + [x for x in traj.polar_turns if 0.0 < x < x_b]
-        on = traj.poles_along(np.array(near))
-        if not on.any():
-            return
-        pole = near[np.argmax(on)]
         tangent = [math.cos(pole) * vk - math.sin(pole) * uk
                    for vk, uk in zip(v, u)]
         arrival = float(nearest_branch(math.atan2(tangent[1], tangent[0])
@@ -308,10 +303,22 @@ def sample_trajectory(problem, params, n=None):
 
     Builds the field, psi0 and (n.sigma) psi0 once; every later stage reads
     them from the returned Trajectory.
+
+    On the south pole the |0> amplitude of psi0 vanishes, and the global
+    phase it fixes elsewhere falls to the raw azimuth of a vector that has
+    none. There psi0 takes the phase in which its |1> amplitude has the
+    departure azimuth phi_A, as it has for a source next to the pole along
+    phi_A; piecewise mode's branch roots follow this phase.
     """
     f = suboptimal_field(problem, params)
-    return Trajectory(problem=problem,
+    source = problem.source_state
+    traj = Trajectory(problem=problem,
                       x_b=2.0 * arrival_angle(problem, params), field=f,
-                      source=problem.source_state,
-                      turned=pauli_dot_times(f.direction,
-                                             problem.source_state))
+                      source=source,
+                      turned=pauli_dot_times(f.direction, source))
+    theta_a, phi_a = traj.start
+    if traj.pole != 0.0 or theta_a < 0.5 * math.pi:
+        return traj
+    source = source * cmath.exp(1j * (phi_a - cmath.phase(source[1])))
+    return replace(traj, source=source,
+                   turned=pauli_dot_times(f.direction, source))

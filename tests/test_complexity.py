@@ -529,6 +529,31 @@ def test_pole_source_is_the_limit_along_its_departure_azimuth(pole, b, alpha):
             assert abs(rep.complexity - c_pole) <= 10.0 * eps
 
 
+@pytest.mark.parametrize("alpha", (0.3, PI / 4, 1.0, 2.5))
+def test_south_pole_source_takes_the_phase_of_its_departure_azimuth(alpha):
+    # on the south pole c0 vanishes and cannot fix the global phase that
+    # piecewise mode's branch roots follow, so a source there takes the
+    # phase of its departure azimuth, not the raw azimuth of its zero or
+    # subnormal components (with that, (-5e-324, 1e-323, -1) gave C = 0.1415
+    # in two segments at pi/4, and (0, 0, -1) 0.7676 in one): every source
+    # inside the pole threshold gives one C
+    w = np.array([0.6, -0.48, 0.64])
+    for mode in AVERAGING_MODES:
+        config = AnalysisConfig(averaging_mode=mode)
+
+        def report(a):
+            return analyze(EvolutionProblem(np.array(a), w),
+                           SubOptimalParams(alpha), config)
+
+        exact = report([0.0, 0.0, -1.0])
+        for a in ([-5e-324, 1e-323, -1.0], [-0.0, -0.0, -1.0],
+                  [1e-13, 0.0, -1.0], [0.0, 1e-13, -1.0]):
+            rep = report(a)
+            assert len(rep.volume.segments) == len(exact.volume.segments)
+            assert rep.complexity == pytest.approx(exact.complexity,
+                                                   abs=1e-12)
+
+
 def _count_calls(monkeypatch, home, fn_name):
     """Replace ``home.fn_name`` by a wrapper that logs each call: in the
     class ``home`` itself, or in every package module that holds it;
@@ -1316,38 +1341,69 @@ def test_analyze_agrees_with_its_stages_on_general_problems(a, b, alpha,
             continue
 
 
-@pytest.mark.parametrize("passage", _PASSAGES)
-@pytest.mark.parametrize("delta", (0.0, 1e-13, 1e-11, 1e-7))
-def test_pole_check_margin_skips_no_pole(passage, delta):
-    # the lift evaluates the path only where a closest approach is within
-    # 1e-9 of a pole in z; its crossing and limits are those found by
-    # evaluating every interior polar turn with no margin
-    traj = sample_trajectory(_tilted_passage(_PASSAGES[passage], delta),
-                             SubOptimalParams(PI / 2))
-    near = np.array([x for x in traj.polar_turns if 0.0 < x < traj.x_b])
-    on = near[np.sin(bloch_angles(traj.states_along(near))[0]) < POLE_EPS]
+def _golden_pole_cases():
+    """(a, b, alpha, energy) of `scripts/snapshot.py`'s pole cases, as
+    ``golden_reports.csv`` records them."""
+    with (Path(__file__).resolve().parent / "golden_reports.csv").open() as f:
+        rows = [line.split(",") for line in f
+                if line.startswith("pole ") and ",uniform," in line]
+    return [(np.array(row[1:4], dtype=float), np.array(row[4:7], dtype=float),
+             float(row[7]), float(row[8])) for row in rows]
+
+
+def _pole_check_cases():
+    """(problem, params) of the golden pole cases that can be built, by
+    name; the first eight are `_tilted_passage` of the `_PASSAGES` at
+    delta = 0, 1e-13, 1e-11 and 1e-7."""
+    cases = {}
+    for k, (a, b, alpha, energy) in enumerate(_golden_pole_cases()):
+        try:
+            cases[f"pole {k}"] = (EvolutionProblem(a, b, energy=energy),
+                                  SubOptimalParams(alpha))
+        except BlochComplexityError:
+            continue
+    return cases
+
+
+_POLE_CHECK_CASES = _pole_check_cases()
+
+
+@pytest.mark.parametrize("case", _POLE_CHECK_CASES)
+def test_pole_check_margin_skips_no_pole(case):
+    # the path's one pole decision, made in closed form, is the one found by
+    # evaluating the states at the source, the target and every interior
+    # polar turn, in that order; an interior pole is the lift's crossing,
+    # with the tangent's azimuths on either side of it as its limits
+    traj = sample_trajectory(*_POLE_CHECK_CASES[case])
+    near = [0.0, traj.x_b, *(x for x in traj.polar_turns
+                             if 0.0 < x < traj.x_b)]
+    on = np.sin(bloch_angles(traj.states_along(np.array(near)))[0]) < POLE_EPS
+    assert traj.pole == (near[np.argmax(on)] if on.any() else None)
     lift = traj.azimuth
-    assert on.size == (delta < POLE_EPS)
-    if not on.size:
+    if traj.pole is None:
         assert lift.limits == ()
         return
-    assert lift.crossings.tolist() == [on[0]]
-    t_pole = on[0] / (2.0 * traj.problem.energy)
-    assert lift.limits == pytest.approx(
-        (_tangent_azimuth(traj, t_pole, arriving=True),
-         _tangent_azimuth(traj, t_pole, arriving=False)), abs=1e-9)
+    if traj.pole in (0.0, traj.x_b):
+        return
+    assert lift.crossings.tolist() == [traj.pole]
+    t_pole = traj.time_of(traj.pole)
+    tangents = [_tangent_azimuth(traj, t_pole, arriving)
+                for arriving in (True, False)]
+    assert nearest_branch(np.array(lift.limits), tangents) == pytest.approx(
+        tangents, abs=1e-9)
 
 
-@pytest.mark.parametrize("delta, calls", [(1e-5, 1), (1e-4, 0)])
-def test_pole_check_evaluates_only_inside_its_margin(monkeypatch, delta,
-                                                     calls):
-    # 1 - |z| at the closest approach is 5e-11 at delta = 1e-5 and 5e-9 at
-    # 1e-4, outside the 1e-9 margin, where the lift evaluates no state
+@pytest.mark.parametrize("delta", (0.0, 1e-13, 1e-11, 1e-7, 1e-5, 1e-4))
+def test_pole_check_evaluates_no_state(monkeypatch, delta):
+    # the path's pole, the lift and piecewise mode's branch roots are
+    # decided in closed form, an exact passage (delta = 0) included
     traj = sample_trajectory(_tilted_passage(_PASSAGES["0.6"], delta),
                              SubOptimalParams(PI / 2))
     log = _count_calls(monkeypatch, Trajectory, "states_along")
-    assert traj.azimuth.limits == ()
-    assert len(log) == calls
+    assert (traj.pole is None) == (delta >= POLE_EPS)
+    assert (traj.azimuth.limits == ()) == (delta >= POLE_EPS)
+    _branch_angles(traj)
+    assert log == []
 
 
 @needs_extended_precision
@@ -1367,16 +1423,6 @@ def test_near_pole_passage_converges_at_the_first_level(monkeypatch, delta):
         assert len(log) <= 2
         assert v_bar == pytest.approx(_oracle_accessed_volume(traj, mode),
                                       abs=1e-10)
-
-
-def _golden_pole_cases():
-    """(a, b, alpha, energy) of `scripts/snapshot.py`'s pole cases, as
-    ``golden_reports.csv`` records them."""
-    with (Path(__file__).resolve().parent / "golden_reports.csv").open() as f:
-        rows = [line.split(",") for line in f
-                if line.startswith("pole ") and ",uniform," in line]
-    return [(np.array(row[1:4], dtype=float), np.array(row[4:7], dtype=float),
-             float(row[7]), float(row[8])) for row in rows]
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
@@ -1472,6 +1518,11 @@ _ULP_MOVES = np.random.default_rng(0).integers(-3, 4, size=(8, 2, 3))
 @example(tilt=0.4, psi=0.0, pole=1.0, t1=0.8, t2=0.8)
 @example(tilt=0.7, psi=0.0, pole=1.0, t1=0.8, t2=0.8)
 @example(tilt=1.1, psi=0.0, pole=1.0, t1=0.5, t2=1.0)
+# circles on which c1's branch root falls 1e-12 from the south pole, where
+# ulp moves used to put it on both sides of the pole threshold: a root of
+# the amplitude that does not vanish at the pole is a cut however near it
+@example(tilt=1.373046875, psi=1e-13, pole=-1.0, t1=1.0, t2=1.0)
+@example(tilt=1.37307, psi=1e-13, pole=-1.0, t1=1.0, t2=1.0)
 def test_pole_passage_is_the_limit_towards_the_field_axis(tilt, psi, pole,
                                                           t1, t2):
     # a path through an exact pole between its ends gives one C under moves
