@@ -34,18 +34,28 @@ times between runs, and the ratio much less. OUT gets:
   field and time each, built untimed as the oracle workload builds them);
 - ``work``: per averaging mode, from one more untimed pass through the
   canonical alphas and the general draws, the work of a call: the points
-  it evaluates (``points``, the sum of ``np.size(x)`` over its
-  `Trajectory.states_along` calls, through which every evaluation passes)
-  and its Python-level calls (``calls``, the ``"call"`` events that
-  `sys.setprofile` sees), at each canonical alpha and, over the general
-  draws, as the median, max (points only) and total; and its quadrature
-  levels (``levels``, its `Trajectory.angles_along` calls: the first
-  level's nodes share one call with the box, and each bisection level
-  adds one), at each canonical alpha and, over the general draws, as the
-  median, max and a histogram (``histogram``, draws per level count);
-  and the same three summed over the `snapshot.pole_cases` whose problem
-  can be built (``pole_cases``, with their number in ``cases``), which
-  meet an exact pole or pass next to one as no general draw does;
+  it evaluates (``points``, the sum of ``np.size(x)`` over the calls of
+  the evaluation kernel's states, `trajectory.evaluate_states`, through
+  which every evaluation passes) and its Python-level calls (``calls``,
+  the ``"call"`` events that `sys.setprofile` sees), at each canonical
+  alpha and, over the general draws, as the median, max (points only) and
+  total; and its quadrature levels (``levels``, the calls of the kernel's
+  angles, `trajectory.evaluate_angles`: the first level's nodes share one
+  call with the box, and each bisection level adds one), at each
+  canonical alpha and, over the general draws, as the median, max and a
+  histogram (``histogram``, draws per level count); and the same three
+  summed over the `snapshot.pole_cases` whose problem can be built
+  (``pole_cases``, with their number in ``cases``), which meet an exact
+  pole or pass next to one as no general draw does. In a checkout from
+  before the kernel, its methods `Trajectory.states_along` and
+  `Trajectory.angles_along` are counted;
+- ``sweep``: for the default 17-row `cli sweep` to a file (``cli_sweep``)
+  and the 257-row `cli figdata fig4` to a file (``fig4``), both in
+  process, the median time of one command over SWEEP_ROUNDS and
+  FIG4_ROUNDS runs, in ms (``ms``) and in units of `perfbench`'s sweep
+  reference (``ref``, `workloads.sweep_reference`, the `table_sweep`
+  workload's), and the points and levels of one command, counted as in
+  ``work`` (``points``, ``levels``);
 - ``nproc``, the Python and numpy versions, and the commit of the checkout
   (``git describe --always --dirty``; null outside a git checkout).
 
@@ -64,12 +74,14 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 import blochcomplexity as bc
+import blochcomplexity.cli
 from snapshot import pole_cases
 
 ROOT = Path(bc.__file__).resolve().parents[2]
@@ -80,6 +92,10 @@ GENERAL_DRAWS = 600
 GENERAL_ROUNDS = 5
 ORACLE_DRAWS = 64
 ORACLE_ROUNDS = 5
+SWEEP_ROUNDS = 100
+FIG4_ROUNDS = 20
+COMMANDS = {"cli_sweep": (["sweep"], SWEEP_ROUNDS),
+            "fig4": (["figdata", "fig4"], FIG4_ROUNDS)}
 
 
 def _call(problem_args, alpha, config):
@@ -124,13 +140,27 @@ def _medians(call, cases, rounds, reference):
     return ms, ms / ref_ms, p95, p95 / ref_ms, errors
 
 
+def _kernel():
+    """The code of the evaluation kernel's states and angles, or of the
+    `Trajectory` methods in a checkout from before the kernel."""
+    states = getattr(bc.trajectory, "evaluate_states",
+                     bc.Trajectory.states_along)
+    angles = getattr(bc.trajectory, "evaluate_angles",
+                     bc.Trajectory.angles_along)
+    return states.__code__, angles.__code__
+
+
 def _work(case, config):
     """(points, calls, levels) of one client call: the sum of np.size(x)
-    over its `Trajectory.states_along` calls, its Python-level calls and
-    its `Trajectory.angles_along` calls."""
+    over its kernel states calls, its Python-level calls and its kernel
+    angles calls."""
+    return _counted(_call, *case, config)
+
+
+def _counted(fn, *args):
+    """(points, calls, levels) of ``fn(*args)``, as `_work` counts them."""
     counts = [0, 0, 0]
-    along = bc.Trajectory.states_along.__code__
-    angles = bc.Trajectory.angles_along.__code__
+    along, angles = _kernel()
 
     def profile(frame, event, arg):
         if event == "call":
@@ -142,10 +172,31 @@ def _work(case, config):
 
     sys.setprofile(profile)
     try:
-        _call(*case, config)
+        fn(*args)
     finally:
         sys.setprofile(None)
     return counts
+
+
+def _sweep_record(reference):
+    """The ``sweep`` entry: each of COMMANDS run in process, its output
+    written to a file in a temporary directory."""
+    record = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (argv, rounds) in COMMANDS.items():
+            argv = [*argv, "--out", str(Path(tmp) / f"{name}.csv")]
+
+            def command():
+                """One run; False, as no typed error escapes `cli.main`."""
+                if bc.cli.main(argv) != 0:
+                    raise RuntimeError(f"{argv} failed")
+                return False
+
+            ms, ref, *_ = _medians(command, [()], rounds, reference)
+            points, _, levels = _counted(command)
+            record[name] = {"ms": round(ms, 4), "ref": round(ref, 4),
+                            "points": points, "levels": levels}
+    return record
 
 
 def _buildable(cases):
@@ -239,6 +290,7 @@ def main():
         record["work"][mode] = _work_record(canonical, pool, poles, config)
     ms, ref, _, _, errors = _medians(_integrate, oracle_draws(workloads),
                                      ORACLE_ROUNDS, workloads.Oracle.reference)
+    record["sweep"] = _sweep_record(workloads.sweep_reference)
     record["oracle"] = {"ms_per_call": round(ms, 4),
                         "ref_per_call": round(ref, 4),
                         "draws": ORACLE_DRAWS, "errors": errors}
@@ -247,7 +299,8 @@ def main():
                if hasattr(os, "sched_getaffinity") else os.cpu_count()),
         python=platform.python_version(), numpy=np.__version__,
         commit=commit(), canonical_calls=CANONICAL_CALLS,
-        general_rounds=GENERAL_ROUNDS, oracle_rounds=ORACLE_ROUNDS)
+        general_rounds=GENERAL_ROUNDS, oracle_rounds=ORACLE_ROUNDS,
+        sweep_rounds=SWEEP_ROUNDS, fig4_rounds=FIG4_ROUNDS)
     Path(sys.argv[1]).write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record))
     return 0
