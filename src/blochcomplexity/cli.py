@@ -10,6 +10,10 @@ Subcommands:
 
 Angles are accepted as decimal radians or as fractions of pi written
 ``k/n pi`` (e.g. ``3/16pi``), which keeps grid values exact.
+
+``sweep``, ``tables`` and ``figdata`` analyze their alpha grid in one
+`analyze_alphas` call: ``sweep`` reports each failing row on stderr and
+exits 1, while ``tables`` and ``figdata`` stop at the first failing row.
 """
 
 import argparse
@@ -19,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexity import AnalysisConfig, DEFAULT_AVERAGING_MODE, analyze
+from .complexity import (AnalysisConfig, DEFAULT_AVERAGING_MODE, analyze,
+                         analyze_alphas)
 from .errors import BlochComplexityError
 from .hamiltonians import SubOptimalParams, equatorial_problem, suboptimal_field
 from .metrics import curvature_coefficient, geodesic_efficiency, speed_efficiency
@@ -69,11 +74,9 @@ def cmd_sweep(args):
 
     failures = 0
     lines = [",".join(SWEEP_COLUMNS)]
-    for alpha in alphas:
-        try:
-            rep = analyze(problem, SubOptimalParams(alpha), config)
-        except BlochComplexityError as err:
-            print(f"sweep: alpha={alpha:.12g} aborted: {err}",
+    for alpha, rep in zip(alphas, analyze_alphas(problem, alphas, config)):
+        if isinstance(rep, BlochComplexityError):
+            print(f"sweep: alpha={alpha:.12g} aborted: {rep}",
                   file=sys.stderr)
             failures += 1
             continue
@@ -117,10 +120,10 @@ def _pi_label(frac):
 
 
 def cmd_tables(which):
-    problem = equatorial_problem()
+    reports = _reports(equatorial_problem(),
+                       [float(frac) * np.pi for frac in _TABLE_ALPHAS])
     rows = []
-    for frac in _TABLE_ALPHAS:
-        rep = analyze(problem, SubOptimalParams(float(frac) * np.pi))
+    for frac, rep in zip(_TABLE_ALPHAS, reports):
         cells = {"I": (rep.volume.v_bar, rep.volume.v_max, rep.complexity,
                        rep.length_scale),
                  "II": (rep.eta_ge, rep.eta_se, rep.kappa2, rep.complexity,
@@ -164,12 +167,21 @@ def cmd_figdata(args):
     else:
         column = "complexity" if args.which == "fig4" else "l_c"
         lines.append(f"alpha,{column}")
-        for alpha in alphas:
-            rep = analyze(problem, SubOptimalParams(alpha))
+        for alpha, rep in zip(alphas, _reports(problem, alphas)):
             value = rep.complexity if args.which == "fig4" else rep.length_scale
             lines.append(f"{fmt(alpha)},{fmt(value)}")
     text = "\n".join(lines) + "\n"
     return _write(args.out, text)
+
+
+def _reports(problem, alphas):
+    """The `analyze_alphas` reports of ``alphas``; raises the first failing
+    row's error."""
+    reports = analyze_alphas(problem, alphas)
+    for rep in reports:
+        if isinstance(rep, BlochComplexityError):
+            raise rep
+    return reports
 
 
 def cmd_verify():

@@ -38,6 +38,12 @@ panels are measured back from the target. Around each polar turn the edges
 are graded geometrically, from the closest approach to the pole there, so
 that one level resolves the azimuth's fast turn however near the pole the
 path passes; a panel that still fails its error test is bisected.
+
+`analyze_alphas` runs a sweep of mixing angles on one problem in one
+pass: each row lays out its own geometry, one call of the evaluation
+kernel (`trajectory.evaluate_angles`) evaluates every row's box candidates
+and first-level nodes, and only a row with panels to bisect evaluates
+again. `analyze` is its one-row case.
 """
 
 import bisect
@@ -46,11 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AveragingDomainError, NonPositiveVolume,
-                     QuadratureNotConverged)
+from .errors import (AveragingDomainError, BlochComplexityError,
+                     NonPositiveVolume, QuadratureNotConverged)
+from .hamiltonians import SubOptimalParams
 from .metrics import _curvature_coefficient, _speed_efficiency, arc_length
 from .trajectory import (POLE_EPS, Circle, _arc_ends, _cos_roots,
-                         sample_trajectory)
+                         evaluate_angles, sample_trajectory, stack)
 
 # angular extent below which an axis of the bounding box counts as degenerate
 EPS_DEGENERATE = 1e-9
@@ -132,7 +139,8 @@ class EvolutionReport:
 
 def accessed_volume(traj, mode=DEFAULT_AVERAGING_MODE):
     """Time-averaged instantaneous volume of the trajectory."""
-    return _volumes(traj, AnalysisConfig(averaging_mode=mode))[3]
+    (volumes,) = _volumes([traj], AnalysisConfig(averaging_mode=mode))
+    return _unwrap(volumes)[3]
 
 
 def complexity(v_bar, v_max):
@@ -163,10 +171,44 @@ def complexity_length_scale(s, c):
 def analyze(problem, params, config=None):
     """Full pipeline: evolution, box, volumes, complexity, and path
     metrics, all in closed form or by adaptive quadrature; no sampled grid
-    is built."""
+    is built. The one-row case of `analyze_alphas`: it raises the typed
+    error that the row raised."""
+    (report,) = _analyze_rows(problem, [params], config)
+    return _unwrap(report)
+
+
+def analyze_alphas(problem, alphas, config=None):
+    """`analyze` at each mixing angle in ``alphas`` on one problem: one
+    entry per alpha, in order, which is its `EvolutionReport` or the typed
+    `BlochComplexityError` that its row raised; a failing row does not stop
+    the rows after it. Every alpha is validated (``ValueError`` outside
+    [0, pi]) before any row runs.
+
+    Each row lays out its own geometry (trajectory, box candidates, branch
+    cuts, panel edges), and one evaluation of the kernel serves the box
+    candidates and first-level quadrature nodes of every row; each row's
+    outcome is the one `analyze` gives it, to rounding."""
+    return _analyze_rows(problem, [SubOptimalParams(alpha)
+                                   for alpha in alphas], config)
+
+
+def _analyze_rows(problem, params, config):
+    """`analyze_alphas` at the given `SubOptimalParams`."""
     config = config or AnalysisConfig()
-    traj = sample_trajectory(problem, params)
-    box, kind, v_max, v_bar, segments = _volumes(traj, config)
+    trajs = [sample_trajectory(problem, p) for p in params]
+    reports = _volumes(trajs, config)
+    for r, (p, traj) in enumerate(zip(params, trajs)):
+        if not isinstance(reports[r], BlochComplexityError):
+            try:
+                reports[r] = _report(problem, p, traj, reports[r], config)
+            except BlochComplexityError as err:
+                reports[r] = err
+    return reports
+
+
+def _report(problem, params, traj, volumes, config):
+    """One row's `EvolutionReport` from its trajectory and `_volumes`."""
+    box, kind, v_max, v_bar, segments = volumes
     c = complexity(v_bar, v_max)
     s = arc_length(problem, params, traj.x_b)
     volume = VolumeReport(v_bar=v_bar, v_max=v_max, box=box,
@@ -185,6 +227,13 @@ def analyze(problem, params, config=None):
         degeneracy_label=kind)
 
 
+def _unwrap(outcome):
+    """A row's outcome, or the typed error it holds raised."""
+    if isinstance(outcome, BlochComplexityError):
+        raise outcome
+    return outcome
+
+
 def bounding_box(traj):
     """Exact (theta, phi) bounding box of a trajectory.
 
@@ -196,7 +245,7 @@ def bounding_box(traj):
     spans the angles there, at both ends and, where the path meets an exact
     pole, the azimuth's one-sided limits on both sides of it.
     """
-    return _box(traj, *traj.angles_along(_box_candidates(traj)))
+    return _box(traj, *traj.angles_along(np.array(_box_candidates(traj))))
 
 
 def branch_times(traj):
@@ -268,52 +317,129 @@ def _volume_samples(theta_a, phi_a, theta, phi, kind):
                         * np.sin(0.5 * (theta - theta_a)) * (phi - phi_a))
 
 
-def _volumes(traj, config):
-    """The box, its degeneracy kind, V_max, the accessed volume and its
-    per-segment averages in ``config``'s mode, from one `angles_along`
-    call at the box candidates and the quadrature's first-level nodes."""
-    x_b = traj.x_b
-    candidates = _box_candidates(traj)
-    cuts = (_branch_angles(traj)
-            if config.averaging_mode == APPENDIX_PIECEWISE else [])
-    x_bounds = [0.0, *cuts, x_b]
-    bounds = [traj.time_of(x) for x in x_bounds]
-    edges = _panel_edges(traj, x_bounds)
+def _volumes(trajs, config):
+    """Per trajectory, in order: its box, degeneracy kind, V_max, accessed
+    volume and per-segment averages in ``config``'s mode, or the typed error
+    it raised.
+
+    Each trajectory lays out its box candidates and panel edges; then one
+    kernel call (`evaluate_angles`) evaluates every trajectory's candidates
+    and first-level quadrature nodes, trajectories on a leading row axis,
+    each row padded to the longest with repeats of its own last candidate
+    and panel edge (zero-width panels), which are sliced off. A trajectory
+    whose panels all converge at that level is done; only one with panels
+    to bisect evaluates again, on its own."""
+    if not trajs:
+        return []
+    rows = len(trajs)
+    piecewise = config.averaging_mode == APPENDIX_PIECEWISE
+    candidates, x_bounds, edges = [], [], []
+    for traj in trajs:
+        candidates.append(_box_candidates(traj))
+        x_bounds.append([0.0, *(_branch_angles(traj) if piecewise else []),
+                         traj.x_b])
+        edges.append(_panel_edges(traj, x_bounds[-1]))
+    k, n = max(map(len, candidates)), max(map(len, edges))
+    constants = stack(trajs)
+    x_b = constants.x_b
+    table = [c + c[-1:] * (k - len(c)) + e + e[-1:] * (n - len(e))
+             for c, e in zip(candidates, edges)]
+    # one trajectory's points lie on one axis, as its constants are floats
+    padded = np.array(table[0] if rows == 1 else table)
     # panels past the midpoint are measured back from x_b, where the states
     # there start (see `Trajectory.states_along`): their x is negative
-    origin = np.where(edges[:-1] < 0.5 * x_b, 0.0, x_b)
-    lo, hi = edges[:-1] - origin, edges[1:] - origin
+    origin = np.where(padded[..., k:-1] < 0.5 * x_b, 0.0, x_b)
+    lo, hi = padded[..., k:-1] - origin, padded[..., k + 1:] - origin
     mid = 0.5 * (lo + hi)
-    half, nodes = _nodes(np.concatenate([lo, lo, mid]),
-                         np.concatenate([hi, mid, hi]))
+    half, nodes = _nodes(np.concatenate([lo, lo, mid], axis=-1),
+                         np.concatenate([hi, mid, hi], axis=-1))
+    x = np.concatenate([padded[..., :k], nodes.reshape(*lo.shape[:-1], -1)],
+                       axis=-1)
+    theta, phi = evaluate_angles(constants, x, np.where(x < 0.0, x_b, 0.0))
+    theta, phi = theta.reshape(rows, -1), phi.reshape(rows, -1)
+    lo, hi = lo.reshape(rows, -1), hi.reshape(rows, -1)
 
-    def angles(x):
-        return traj.angles_along(x, np.where(x < 0.0, x_b, 0.0))
+    kinds, outcomes = [], []
+    for r, traj in enumerate(trajs):
+        m = len(candidates[r])
+        box = _box(traj, theta[r, :m], phi[r, :m])
+        try:
+            kinds.append(_degeneracy_kind(box))
+        except NonPositiveVolume as err:
+            kinds.append(None)
+            outcomes.append(err)
+            continue
+        # V_max is V at the box's far corner
+        outcomes.append((box, float(_volume_samples(
+            box.theta_min, box.phi_min, box.theta_max, box.phi_max,
+            kinds[r]))))
+    values = _volume_rows([traj.start for traj in trajs], theta[:, k:],
+                          phi[:, k:], kinds)
+    whole, left, right = _gauss(half, values.reshape(nodes.shape)).reshape(
+        rows, 3, -1).transpose(1, 0, 2)
+    finer = left + right
+    # a padded panel has width 0, and so an error of 0
+    converged = (np.abs(whole - finer) <= PANEL_TOL).all(axis=1).tolist()
+    sums = finer.tolist()
 
-    theta, phi = angles(np.concatenate([candidates, nodes.ravel()]))
-    k = candidates.size
-    box = _box(traj, theta[:k], phi[:k])
-    kind = _degeneracy_kind(box)
-    # V_max is V at the box's far corner
-    v_max = float(_volume_samples(box.theta_min, box.phi_min, box.theta_max,
-                                  box.phi_max, kind))
+    for r, traj in enumerate(trajs):
+        if kinds[r] is None:
+            continue
+        p = len(edges[r]) - 1
+        if converged[r]:
+            integrals = sums[r][:p]
+        else:
+            try:
+                integrals = _panel_integrals(
+                    _volume_along(traj, kinds[r]), lo[r, :p], hi[r, :p],
+                    whole[r, :p], left[r, :p], right[r, :p]).tolist()
+            except QuadratureNotConverged as err:
+                outcomes[r] = err
+                continue
+        bounds = x_bounds[r]
+        totals = [0.0] * (len(bounds) - 1)
+        for edge, integral in zip(edges[r], integrals):
+            totals[bisect.bisect_right(bounds, edge) - 1] += integral
+        times = [traj.time_of(x) for x in bounds]
+        averages = tuple((t0, t1, total / (x1 - x0))
+                         for t0, t1, x0, x1, total in zip(
+                             times[:-1], times[1:], bounds[:-1], bounds[1:],
+                             totals))
+        box, v_max = outcomes[r]
+        outcomes[r] = (box, kinds[r], v_max,
+                       sum(avg for _, _, avg in averages), averages)
+    return outcomes
+
+
+def _volume_rows(starts, theta, phi, kinds):
+    """V at each row of angles, from the row's start angles (``starts``,
+    (theta_A, phi_A) per row) and in its degeneracy kind; a row whose kind
+    is None gets any kind's. One row's start angles stay floats, on which
+    numpy takes its scalar path."""
+    theta_a, phi_a = (starts[0] if len(starts) == 1
+                      else np.array(starts).T[..., None])
+    present = set(kinds) - {None}
+    if len(present) <= 1:
+        return _volume_samples(theta_a, phi_a, theta, phi,
+                               min(present, default="none"))
+    values = np.zeros_like(theta)
+    for kind in present:
+        same = [r for r, other in enumerate(kinds) if other == kind]
+        values[same] = _volume_samples(theta_a[same], phi_a[same],
+                                       theta[same], phi[same], kind)
+    return values
+
+
+def _volume_along(traj, kind):
+    """V along ``traj`` as a function of the rotation angle, measured back
+    from x_b where negative."""
     theta_a, phi_a = traj.start
 
     def volume(x):
-        return _volume_samples(theta_a, phi_a, *angles(x), kind)
+        return _volume_samples(theta_a, phi_a, *traj.angles_along(
+            x, np.where(x < 0.0, traj.x_b, 0.0)), kind)
 
-    first = _gauss(half, _volume_samples(theta_a, phi_a,
-                                         theta[k:].reshape(nodes.shape),
-                                         phi[k:].reshape(nodes.shape), kind))
-    integrals = _panel_integrals(volume, lo, hi, first)
-    segment = np.array(x_bounds).searchsorted(edges[:-1], side="right") - 1
-    sums = np.bincount(segment, weights=integrals, minlength=len(cuts) + 1)
-    averages = tuple((t0, t1, float(total / (x1 - x0)))
-                     for t0, t1, x0, x1, total in zip(
-                         bounds[:-1], bounds[1:], x_bounds[:-1],
-                         x_bounds[1:], sums))
-    v_bar = float(sum(avg for _, _, avg in averages))
-    return box, kind, v_max, v_bar, averages
+    return volume
 
 
 def _box_candidates(traj):
@@ -329,7 +455,7 @@ def _box_candidates(traj):
         *_azimuth_turns(circle, traj.problem.a_hat.tolist(), 0.5 * x_b),
         *(x_b - y for y in _azimuth_turns(
             Circle.about([-m for m in circle.n], b), b, 0.5 * x_b))]
-    return np.array([x_b, *traj.polar_turns, *x_phi])
+    return [x_b, *traj.polar_turns, *x_phi]
 
 
 def _box(traj, theta, phi):
@@ -388,7 +514,7 @@ def _panel_edges(traj, x_bounds):
         k = bisect.bisect(edges, x)
         if 0 < k < len(edges) and min(x - edges[k - 1], edges[k] - x) >= gap:
             edges.insert(k, x)
-    return np.array(edges)
+    return edges
 
 
 def _graded_edges(traj, span):
@@ -418,10 +544,10 @@ def _graded_edges(traj, span):
     return edges
 
 
-def _panel_integrals(f, lo, hi, first):
+def _panel_integrals(f, lo, hi, whole, left, right):
     """Integral of f over each panel [lo, hi], by adaptive Gauss-Legendre
-    quadrature, from the ``first`` level: the rules on the panels, then on
-    their left and on their right halves, concatenated.
+    quadrature, from the first level: the rules on the panels (``whole``)
+    and on their ``left`` and ``right`` halves.
 
     A panel's rule is compared with the sum of the rules on its two halves;
     panels where they differ by more than PANEL_TOL are bisected, the halves'
@@ -431,7 +557,6 @@ def _panel_integrals(f, lo, hi, first):
     mid = 0.5 * (lo + hi)
     owner = np.arange(lo.size)
     total = np.zeros(lo.size)
-    whole, left, right = first.reshape(3, -1)
     level = 0
     while True:
         finer = left + right
@@ -478,7 +603,7 @@ _NODES, _WEIGHTS = _gauss_legendre(16)
 def _nodes(lo, hi):
     """Half-widths of the panels [lo, hi] and their Gauss-Legendre nodes."""
     half = 0.5 * (hi - lo)
-    return half, (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    return half, (0.5 * (lo + hi))[..., None] + half[..., None] * _NODES
 
 
 def _gauss(half, values):

@@ -79,7 +79,8 @@ def bloch_angles(states):
     states = np.asarray(states)
     c0 = states[..., 0]
     c1 = states[..., 1]
-    return 2.0 * np.arctan2(np.abs(c1), np.abs(c0)), np.angle(c1 * np.conj(c0))
+    z = c1 * np.conj(c0)
+    return 2.0 * np.arctan2(np.abs(c1), np.abs(c0)), np.arctan2(z.imag, z.real)
 
 
 def _require_unit(v, name):

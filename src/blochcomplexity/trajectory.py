@@ -10,6 +10,12 @@ an exact pole (sin(theta) < POLE_EPS) it is the one-sided limit along
 the path, whose one exact pole `Trajectory.pole` finds without evaluating
 a state. The states are built from the nearer end of the path, so that
 next to the source or the target a small amplitude keeps its precision.
+
+Every evaluation goes through one kernel, `evaluate_states` and
+`evaluate_angles`, which reads a trajectory's `Constants`: the
+`Trajectory` methods pass their own, and `stack` lays several
+trajectories' constants on a leading row axis, so that one kernel call
+evaluates a whole sweep of them.
 """
 
 import cmath
@@ -112,15 +118,9 @@ class Trajectory:
         the phase of the evolved one, and y = (origin + x - x_b)/2, which is
         x/2 for an origin at x_b. Each half is thus exact at its own end: a
         small amplitude next to a pole keeps its relative precision there,
-        and so does a rotation angle measured from x_b."""
-        x = np.asarray(x, dtype=float)
-        back = origin + x > 0.5 * self.x_b
-        ang = 0.5 * np.where(back, x + (origin - self.x_b), x + origin)
-        psi, turned = self.arrival
-        back = back[..., None]
-        return (np.cos(ang)[..., None] * np.where(back, psi, self.source)
-                - 1j * np.sin(ang)[..., None]
-                * np.where(back, turned, self.turned))
+        and so does a rotation angle measured from x_b. The kernel is
+        `evaluate_states`, with this trajectory's `constants`."""
+        return evaluate_states(self.constants, x, origin)
 
     def angles_at(self, t):
         """Polar angles and continuous azimuths at a time array of shape
@@ -133,11 +133,30 @@ class Trajectory:
         origin + x (see `states_along`), in closed form: the raw azimuth of
         each state, moved to the 2*pi branch that the crossings of the start
         azimuth's plane before it select; at an exact pole, the lift's limit
-        on the same side of its crossings (`AzimuthLift.resolve`)."""
-        x = np.asarray(x, dtype=float)
-        theta, raw = bloch_angles(self.states_along(x, origin))
-        return theta, self.azimuth.resolve(origin + x, raw,
-                                           np.sin(theta) < POLE_EPS)
+        on the same side of its crossings. The kernel is `evaluate_angles`,
+        with this trajectory's `constants`."""
+        return evaluate_angles(self.constants, x, origin)
+
+    @cached_property
+    def constants(self):
+        """What the evaluation kernel reads of this trajectory
+        (`Constants`)."""
+        psi, turned = self.arrival
+        lift = self.azimuth
+        crossings = lift.crossings.tolist()
+        # the centre of the half-turn k before and, where there is one,
+        # after the crossing: the branch a raw azimuth there is moved to
+        centres = [lift.phi_a + math.pi * (k + 0.5)
+                   for k in lift.half_turns.tolist()]
+        halves = np.array([self.source.tolist(), psi.tolist(),
+                           [-1j * c for c in self.turned.tolist()],
+                           [-1j * c for c in turned.tolist()]])
+        return Constants(
+            x_b=self.x_b, psi=halves[:2], turned=halves[2:],
+            crossing=crossings[0] if crossings else math.inf,
+            centres=np.array(centres[:1] + centres[-1:]),
+            limits=np.array(lift.limits) if lift.limits else None,
+            first=0, poles=True)
 
     @cached_property
     def circle(self):
@@ -285,15 +304,81 @@ class AzimuthLift:
         self.crossings, self.limits = np.array([pole]), (arrival, departure)
         self.half_turns = np.array([first, (departure - phi_a) // math.pi])
 
-    def resolve(self, x, raw, pole):
-        """Continuous azimuth at rotation angles ``x`` from raw azimuths
-        there, or where ``pole`` holds the limit on that side of the pole."""
-        side = self.crossings.searchsorted(x)
-        phi = nearest_branch(raw, self.phi_a
-                             + np.pi * (self.half_turns[side] + 0.5))
-        if self.limits and np.any(pole):
-            phi = np.where(pole, np.take(self.limits, side), phi)
-        return phi
+
+class Constants(NamedTuple):
+    """What the evaluation kernel (`evaluate_states`, `evaluate_angles`)
+    reads of one trajectory (`Trajectory.constants`), or of several stacked
+    on a leading row axis (`stack`).
+
+    ``x_b``, ``crossing``, ``first`` and ``poles`` broadcast against the
+    rotation angles: floats for one trajectory, a column per row for
+    several. ``psi`` and ``turned`` hold, per trajectory and half of the
+    path (from the source, from the target), its psi and -i (n.sigma) psi;
+    ``centres`` holds per trajectory the branch centres phi_a + pi (k + 1/2)
+    of the half-turns k before and after its one crossing, which is
+    ``crossing`` (inf where it has none); ``limits`` its limits on both
+    sides of an exact pole, or None where no trajectory has them. ``first``
+    is the index of a trajectory's pair in those four, and ``poles`` says
+    where its limits apply."""
+
+    x_b: object
+    psi: np.ndarray
+    turned: np.ndarray
+    crossing: object
+    centres: np.ndarray
+    limits: object
+    first: object
+    poles: object
+
+
+def stack(trajs):
+    """The `Constants` of ``trajs``, one row each, for rotation angles of
+    shape (len(trajs), ...); a single trajectory's own."""
+    if len(trajs) == 1:
+        return trajs[0].constants
+    rows = [traj.constants for traj in trajs]
+    column = np.arange(len(rows))[:, None]
+    limits = None
+    if any(c.limits is not None for c in rows):
+        limits = np.concatenate([np.full(2, np.nan) if c.limits is None
+                                 else c.limits for c in rows])
+    return Constants(
+        x_b=np.array([c.x_b for c in rows])[:, None],
+        psi=np.concatenate([c.psi for c in rows]),
+        turned=np.concatenate([c.turned for c in rows]),
+        crossing=np.array([c.crossing for c in rows])[:, None],
+        centres=np.concatenate([c.centres for c in rows]),
+        limits=limits, first=2 * column,
+        poles=np.array([c.limits is not None for c in rows])[:, None])
+
+
+def evaluate_states(constants, x, origin=0.0):
+    """The kernel of `Trajectory.states_along`: the states at rotation
+    angles origin + x of the trajectories in ``constants``."""
+    x = np.asarray(x, dtype=float)
+    x_b = constants.x_b
+    at = x + origin
+    back = at > 0.5 * x_b
+    ang = 0.5 * np.where(back, x + (origin - x_b), at)
+    half = back + constants.first
+    return (np.cos(ang)[..., None] * constants.psi[half]
+            + np.sin(ang)[..., None] * constants.turned[half])
+
+
+def evaluate_angles(constants, x, origin=0.0):
+    """The kernel of `Trajectory.angles_along`: polar angles and
+    continuous azimuths at rotation angles origin + x. A raw azimuth is
+    moved to the branch of its side of the crossing; at an exact pole,
+    sin(theta) < POLE_EPS, which is tested only where limits exist, it is
+    the limit on that side."""
+    x = np.asarray(x, dtype=float)
+    theta, raw = bloch_angles(evaluate_states(constants, x, origin))
+    side = (constants.crossing < origin + x) + constants.first
+    phi = nearest_branch(raw, constants.centres[side])
+    if constants.limits is not None:
+        pole = (np.sin(theta) < POLE_EPS) & constants.poles
+        phi = np.where(pole, constants.limits[side], phi)
+    return theta, phi
 
 
 def sample_trajectory(problem, params, n=None):

@@ -192,15 +192,16 @@ def test_sweep_rejects_zero_steps(capsys):
                                    AveragingDomainError],
                          ids=lambda error: error.__name__)
 def test_sweep_aborts_row_on_typed_error(error, tmp_path, capsys, monkeypatch):
-    import blochcomplexity.cli as cli_mod
-    real_analyze = cli_mod.analyze
+    # the error is injected at the step that builds each row's report
+    home = sys.modules["blochcomplexity.complexity"]
+    real_report = home._report
 
-    def flaky(problem, params, config):
+    def flaky(problem, params, *args):
         if params.alpha > 2.0:
             raise error("synthetic undersampling")
-        return real_analyze(problem, params, config)
+        return real_report(problem, params, *args)
 
-    monkeypatch.setattr(cli_mod, "analyze", flaky)
+    monkeypatch.setattr(home, "_report", flaky)
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--steps", "4", "--out", str(out)) == 1
     err = capsys.readouterr().err

@@ -11,14 +11,15 @@ from scipy.optimize import brentq, minimize_scalar
 
 from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              BlochComplexityError, EvolutionProblem,
-                             NonPositiveVolume, QuadratureNotConverged,
-                             SubOptimalParams, accessed_volume, analyze,
+                             EvolutionReport, NonPositiveVolume,
+                             QuadratureNotConverged, SubOptimalParams,
+                             accessed_volume, analyze, analyze_alphas,
                              bloch_angles, bounding_box, branch_times,
                              complexity, complexity_length_scale,
                              curvature_coefficient, equatorial_problem,
                              path_length, sample_trajectory,
                              speed_efficiency)
-from blochcomplexity import hamiltonians, qubit
+from blochcomplexity import hamiltonians, qubit, trajectory
 from blochcomplexity.cli import main
 from blochcomplexity.complexity import (AVERAGING_MODES, _branch_angles,
                                         _degeneracy_kind, _panel_edges,
@@ -601,15 +602,24 @@ def test_analyze_splits_each_end_once(canonical, monkeypatch, mode):
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_analyze_evaluates_the_path_in_one_pass(canonical, monkeypatch, mode):
     # the box, the degeneracy, V_max and the first quadrature level read one
-    # angles_along call; the path keeps far from the poles, so neither the
-    # lift nor piecewise mode's branch roots evaluate a state to test for one
-    calls = {fn_name: _count_calls(monkeypatch, Trajectory, fn_name)
-             for fn_name in ("angles_along", "states_along")}
-    rep = analyze(canonical, SubOptimalParams(PI / 16),
-                  AnalysisConfig(averaging_mode=mode))
+    # call of the evaluation kernel; the path keeps far from the poles, so
+    # neither the lift nor piecewise mode's branch roots evaluate a state to
+    # test for one
+    config = AnalysisConfig(averaging_mode=mode)
+    calls = {fn_name: _count_calls(monkeypatch, trajectory, fn_name)
+             for fn_name in ("evaluate_angles", "evaluate_states")}
+    rep = analyze(canonical, SubOptimalParams(PI / 16), config)
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
     assert {fn_name: len(log) for fn_name, log in calls.items()} == {
-        "angles_along": 1, "states_along": 1}
+        "evaluate_angles": 1, "evaluate_states": 1}
+    # a whole sweep evaluates every row's first level in one kernel call;
+    # no row of the reference sweep is bisected
+    for log in calls.values():
+        log.clear()
+    rows = analyze_alphas(canonical, np.linspace(0.0, PI, 17), config)
+    assert all(isinstance(row, EvolutionReport) for row in rows)
+    assert {fn_name: len(log) for fn_name, log in calls.items()} == {
+        "evaluate_angles": 1, "evaluate_states": 1}
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
@@ -1641,3 +1651,152 @@ def test_meridian_through_a_pole_matches_its_tilt(mode):
         assert pole == pytest.approx(0.9272952180016122, abs=1e-12)
     assert analyze(exact, params, config).complexity == pytest.approx(
         analyze(tilted, params, config).complexity, abs=1e-12)
+
+
+# -- a sweep of alphas in one pass against its rows one by one ---------------
+
+# a batched row evaluates its points at other positions of the kernel's
+# arrays than `analyze` does, and numpy's vectorised sin, cos and arctan2
+# may round a point differently by its position: measured up to 2.5e-14
+# relative. 1e-12 is about 4500 float64 ulp.
+_ROWS_RTOL = 1e-12
+
+
+def _assert_rows_match(problem, alphas, config):
+    """Each `analyze_alphas` row has its own `analyze` outcome: the same
+    error class, or the same label and segment count with C, V_bar, V_max
+    and L_C within _ROWS_RTOL; returns the rows."""
+    rows = analyze_alphas(problem, alphas, config)
+    assert len(rows) == len(alphas)
+    for alpha, row in zip(alphas, rows):
+        try:
+            one = analyze(problem, SubOptimalParams(alpha), config)
+        except BlochComplexityError as err:
+            assert type(row) is type(err), alpha
+            continue
+        assert isinstance(row, EvolutionReport), (alpha, row)
+        assert row.alpha == one.alpha
+        assert row.degeneracy_label == one.degeneracy_label
+        assert len(row.volume.segments) == len(one.volume.segments)
+        for got, want in ((row.complexity, one.complexity),
+                          (row.volume.v_bar, one.volume.v_bar),
+                          (row.volume.v_max, one.volume.v_max),
+                          (row.length_scale, one.length_scale)):
+            assert got == pytest.approx(want, rel=_ROWS_RTOL, abs=0.0)
+    return rows
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_analyze_alphas_matches_analyze_on_the_reference_sweep(canonical,
+                                                               mode):
+    rows = _assert_rows_match(canonical, np.linspace(0.0, PI, 17),
+                              AnalysisConfig(averaging_mode=mode))
+    # alpha = pi/2 is the equator, a parallel
+    assert [row.degeneracy_label for row in rows].count("theta") == 1
+    assert rows[8].degeneracy_label == "theta"
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_analyze_alphas_matches_analyze_on_general_problems(mode):
+    config = AnalysisConfig(averaging_mode=mode)
+    failed = 0
+    for problem, _ in _general_draws(64):
+        rows = _assert_rows_match(problem, np.linspace(0.0, PI, 17), config)
+        failed += sum(isinstance(row, AveragingDomainError) for row in rows)
+    # piecewise mode leaves its domain on some of these rows
+    assert (failed > 0) == (mode == "appendix_piecewise")
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_analyze_alphas_matches_analyze_at_pole_cases(mode):
+    # each pole case's alpha first, in the middle and last of a 17-alpha
+    # grid: its row meets a pole (or passes next to one) among rows that
+    # do not
+    config = AnalysisConfig(averaging_mode=mode)
+    grid = np.linspace(0.0, PI, 17).tolist()
+    built = 0
+    for a, b, alpha, energy in _golden_pole_cases():
+        try:
+            problem = EvolutionProblem(a, b, energy=energy)
+        except BlochComplexityError:
+            continue
+        built += 1
+        _assert_rows_match(problem, [alpha, *grid[:8], alpha, *grid[8:],
+                                     alpha], config)
+    assert built == 30
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_unit_vectors, b=_unit_vectors,
+       alphas=st.lists(st.floats(0.0, PI), min_size=1, max_size=6),
+       mode=st.sampled_from(AVERAGING_MODES))
+def test_analyze_alphas_matches_analyze_on_random_problems(a, b, alphas,
+                                                           mode):
+    assume(abs(a @ b) <= 0.98)
+    _assert_rows_match(EvolutionProblem(a, b), alphas,
+                       AnalysisConfig(averaging_mode=mode))
+
+
+@pytest.mark.parametrize("stage", ("_degeneracy_kind", "complexity"))
+def test_analyze_alphas_keeps_the_rows_around_a_failing_one(canonical,
+                                                            monkeypatch,
+                                                            stage):
+    # a typed error injected into the sixth row, at the step that decides
+    # its degeneracy (before its quadrature) or its complexity (after),
+    # is that row's outcome, and every other row is its one-row value
+    home = sys.modules["blochcomplexity.complexity"]
+    real = getattr(home, stage)
+    calls = []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == 6:
+            raise NonPositiveVolume("synthetic failure")
+        return real(*args)
+
+    alphas = np.linspace(0.0, PI, 17)
+    monkeypatch.setattr(home, stage, flaky)
+    rows = analyze_alphas(canonical, alphas)
+    monkeypatch.undo()
+    assert isinstance(rows[5], NonPositiveVolume)
+    assert str(rows[5]) == "synthetic failure"
+    for alpha, row in zip(np.delete(alphas, 5), rows[:5] + rows[6:]):
+        one = analyze(canonical, SubOptimalParams(alpha))
+        assert [x for segment in row.volume.segments for x in segment] \
+            == pytest.approx([x for segment in one.volume.segments
+                              for x in segment], rel=_ROWS_RTOL, abs=0.0)
+        assert row.complexity == pytest.approx(one.complexity,
+                                               rel=_ROWS_RTOL, abs=0.0)
+
+
+def test_analyze_alphas_names_each_rows_worst_panel(canonical, monkeypatch):
+    # with a 4-node rule and no bisection allowed, a row whose panels miss
+    # the tolerance raises QuadratureNotConverged naming the panel that its
+    # own `analyze` names; the equator (alpha = pi/2), where V is linear,
+    # still converges
+    home = sys.modules["blochcomplexity.complexity"]
+    nodes, weights = home._gauss_legendre(4)
+    monkeypatch.setattr(home, "_NODES", nodes)
+    monkeypatch.setattr(home, "_WEIGHTS", weights)
+    monkeypatch.setattr(home, "MAX_BISECTIONS", 0)
+    alphas = np.linspace(0.0, PI, 17)
+    rows = analyze_alphas(canonical, alphas)
+    for alpha, row in zip(alphas, rows):
+        try:
+            analyze(canonical, SubOptimalParams(alpha))
+        except QuadratureNotConverged as one:
+            assert isinstance(row, QuadratureNotConverged)
+            assert (str(row).split(" still has")[0]
+                    == str(one).split(" still has")[0])
+        else:
+            assert isinstance(row, EvolutionReport)
+    assert sum(isinstance(row, QuadratureNotConverged) for row in rows) == 16
+
+
+def test_analyze_alphas_rejects_an_alpha_before_any_row_runs(canonical,
+                                                             monkeypatch):
+    calls = _count_calls(monkeypatch, trajectory, "sample_trajectory")
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        analyze_alphas(canonical, [0.1, 0.2, 4.0])
+    assert calls == []
+    assert analyze_alphas(canonical, []) == []
