@@ -63,8 +63,8 @@ The work counts are exact: for one commit and one Python version they
 repeat run after run, however loaded the machine is, so a change of work
 shows in them. The times are not: the load of a shared machine moves
 them, and the ratios less. One untimed pass precedes the
-rounds. It takes about 10 seconds, and 5 more where the integrator takes
-15 ms a call.
+rounds. It takes about 15 seconds (20 where a sweep is a row-by-row
+loop), and 5 more where the integrator takes 15 ms a call.
 """
 
 import functools

@@ -342,18 +342,19 @@ def _volumes(trajs, config):
     k, n = max(map(len, candidates)), max(map(len, edges))
     constants = stack(trajs)
     x_b = constants.x_b
-    table = [c + c[-1:] * (k - len(c)) + e + e[-1:] * (n - len(e))
+    table = [[*c, *c[-1:] * (k - len(c)), *e, *e[-1:] * (n - len(e))]
              for c, e in zip(candidates, edges)]
     # one trajectory's points lie on one axis, as its constants are floats
     padded = np.array(table[0] if rows == 1 else table)
+    ends = padded[..., k:]
     # panels past the midpoint are measured back from x_b, where the states
     # there start (see `Trajectory.states_along`): their x is negative
-    origin = np.where(padded[..., k:-1] < 0.5 * x_b, 0.0, x_b)
-    lo, hi = padded[..., k:-1] - origin, padded[..., k + 1:] - origin
+    origin = np.where(ends[..., :-1] < 0.5 * x_b, 0.0, x_b)
+    lo, hi = ends[..., :-1] - origin, ends[..., 1:] - origin
     mid = 0.5 * (lo + hi)
     half, nodes = _nodes(np.concatenate([lo, lo, mid], axis=-1),
                          np.concatenate([hi, mid, hi], axis=-1))
-    x = np.concatenate([padded[..., :k], nodes.reshape(*lo.shape[:-1], -1)],
+    x = np.concatenate([padded[..., :k], nodes.reshape(*ends.shape[:-1], -1)],
                        axis=-1)
     theta, phi = evaluate_angles(constants, x, np.where(x < 0.0, x_b, 0.0))
     theta, phi = theta.reshape(rows, -1), phi.reshape(rows, -1)

@@ -141,22 +141,21 @@ class Trajectory:
     def constants(self):
         """What the evaluation kernel reads of this trajectory
         (`Constants`)."""
-        psi, turned = self.arrival
+        (s0, s1), (p0, p1) = self.source.tolist(), self.arrival[0].tolist()
+        (t0, t1), (q0, q1) = (self.turned.tolist(),
+                              self.arrival[1].tolist())
         lift = self.azimuth
         crossings = lift.crossings.tolist()
         # the centre of the half-turn k before and, where there is one,
         # after the crossing: the branch a raw azimuth there is moved to
-        centres = [lift.phi_a + math.pi * (k + 0.5)
-                   for k in lift.half_turns.tolist()]
-        halves = np.array([self.source.tolist(), psi.tolist(),
-                           [-1j * c for c in self.turned.tolist()],
-                           [-1j * c for c in turned.tolist()]])
+        first, *after = [lift.phi_a + math.pi * (k + 0.5)
+                         for k in lift.half_turns.tolist()]
         return Constants(
-            x_b=self.x_b, psi=halves[:2], turned=halves[2:],
-            crossing=crossings[0] if crossings else math.inf,
-            centres=np.array(centres[:1] + centres[-1:]),
-            limits=np.array(lift.limits) if lift.limits else None,
-            first=0, poles=True)
+            self.x_b, np.array([s0, s1, p0, p1]).reshape(2, 2),
+            np.array([-1j * t0, -1j * t1, -1j * q0, -1j * q1]).reshape(2, 2),
+            crossings[0] if crossings else math.inf,
+            np.array([first, *(after or [first])]),
+            np.array(lift.limits) if lift.limits else None, 0, True)
 
     @cached_property
     def circle(self):
