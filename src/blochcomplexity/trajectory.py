@@ -141,20 +141,23 @@ class Trajectory:
     def constants(self):
         """What the evaluation kernel reads of this trajectory
         (`Constants`)."""
-        (s0, s1), (p0, p1) = self.source.tolist(), self.arrival[0].tolist()
-        (t0, t1), (q0, q1) = (self.turned.tolist(),
-                              self.arrival[1].tolist())
+        psi, turned = self.arrival
+        (s0, s1), (p0, p1) = self.source.tolist(), psi.tolist()
+        (t0, t1), (q0, q1) = self.turned.tolist(), turned.tolist()
         lift = self.azimuth
         crossings = lift.crossings.tolist()
-        # the centre of the half-turn k before and, where there is one,
-        # after the crossing: the branch a raw azimuth there is moved to
-        first, *after = [lift.phi_a + math.pi * (k + 0.5)
-                         for k in lift.half_turns.tolist()]
+        # the centre of the half-turn k before the crossing and after it (the
+        # same one where there is no crossing): the branch a raw azimuth
+        # there is moved to
+        centres = [lift.phi_a + math.pi * (k + 0.5)
+                   for k in lift.half_turns.tolist()]
+        # positional, in the order of the fields: this runs once per
+        # trajectory, on every `analyze`
         return Constants(
             self.x_b, np.array([s0, s1, p0, p1]).reshape(2, 2),
             np.array([-1j * t0, -1j * t1, -1j * q0, -1j * q1]).reshape(2, 2),
             crossings[0] if crossings else math.inf,
-            np.array([first, *(after or [first])]),
+            np.array(centres[:1] + centres[-1:]),
             np.array(lift.limits) if lift.limits else None, 0, True)
 
     @cached_property
