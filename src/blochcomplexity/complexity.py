@@ -465,7 +465,7 @@ def _box(traj, theta, phi):
     theta_a, phi_a = traj.start
     k = 1 + len(traj.polar_turns)
     theta = [*theta[:k].tolist(), theta_a]
-    phi = [phi_a, *phi[:1].tolist(), *phi[k:].tolist(), *traj.azimuth.limits]
+    phi = [phi_a, *phi[:1].tolist(), *phi[k:].tolist(), *traj.limits]
     return AngularBox(theta_min=min(theta), theta_max=max(theta),
                       phi_min=min(phi), phi_max=max(phi))
 
@@ -510,7 +510,7 @@ def _panel_edges(traj, x_bounds):
     gap = 4.0 * math.ulp(traj.x_b)
     edges = list(x_bounds)
     for x in [0.5 * traj.x_b, *traj.polar_turns,
-              *traj.azimuth.crossings.tolist(), *_arc_ends(c, c, span),
+              traj.crossing, *_arc_ends(c, c, span),
               *_graded_edges(traj, span)]:
         k = bisect.bisect(edges, x)
         if 0 < k < len(edges) and min(x - edges[k - 1], edges[k] - x) >= gap:

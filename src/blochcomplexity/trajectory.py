@@ -7,8 +7,8 @@ continuous azimuth in closed form: the Bloch vector turns rigidly about the
 field axis, so the instants where it crosses the plane of the start azimuth
 are known exactly, and counting them fixes the 2*pi branch at any time. At
 an exact pole (sin(theta) < POLE_EPS) it is the one-sided limit along
-the path, whose one exact pole `Trajectory.pole` finds without evaluating
-a state. The states are built from the nearer end of the path, so that
+the path, whose one exact pole (`Trajectory.pole`) is found without
+evaluating a state. The states are built from the nearer end of the path, so that
 next to the source or the target a small amplitude keeps its precision.
 
 Every evaluation goes through one kernel, `evaluate_states` and
@@ -20,8 +20,7 @@ evaluates a whole sweep of them.
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,11 +77,45 @@ class Circle(NamedTuple):
         return cls(tuple(n), na, u, cross(n, e))
 
 
+class Constants(NamedTuple):
+    """What the evaluation kernel (`evaluate_states`, `evaluate_angles`)
+    reads of one trajectory (`Trajectory.constants`), or of several stacked
+    on a leading row axis (`stack`).
+
+    ``x_b``, ``crossing``, ``first`` and ``poles`` broadcast against the
+    rotation angles: floats for one trajectory, a column per row for
+    several. ``psi`` and ``turned`` hold, per trajectory and half of the
+    path (from the source, from the target), its psi and -i (n.sigma) psi;
+    ``centres`` holds per trajectory the branch centres phi_a + pi (k + 1/2)
+    of the half-turns k before and after its one crossing, which is
+    ``crossing`` (inf where it has none); ``limits`` its limits on both
+    sides of an exact pole, or None where no trajectory has them. ``first``
+    is the index of a trajectory's pair in those four, and ``poles`` says
+    where its limits apply."""
+
+    x_b: object
+    psi: np.ndarray
+    turned: np.ndarray
+    crossing: object
+    centres: np.ndarray
+    limits: object
+    first: object
+    poles: object
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """One evolution on [0, t_b]: the stationary ``field`` h, the ``source``
-    state psi0 and the ``turned`` state (n.sigma) psi0 along the field axis
-    n, from which every state and angle follows in closed form.
+    """One evolution on [0, t_b], as `sample_trajectory` builds it: the
+    stationary ``field`` h, the ``source`` state psi0 and the ``turned``
+    state (n.sigma) psi0 along the field axis n, from which every state and
+    angle follows in closed form; the source's ``circle`` about n, on which
+    x = 2Et; the ``start`` angles (theta_A, phi_A) as `angles_at` gives
+    them, with phi_A at an exact pole the azimuth of the direction of
+    departure r'(0) = n x a; the ``arrival`` pair, the target's own state
+    in the phase of psi0's evolved one at x_b and (n.sigma) of it; the
+    ``polar_turns`` and ``closest_approaches`` (`_polar_turns`); the exact
+    ``pole`` (`_pole`); the lift's ``crossing``, ``half_turns`` and
+    ``limits`` (`_lift`); and the kernel's ``constants``.
 
     The path is parametrised by the rotation angle x = 2Et, which runs
     from 0 to ``x_b`` at every energy E; only `states_at`, `angles_at` and
@@ -94,6 +127,16 @@ class Trajectory:
     field: object
     source: np.ndarray
     turned: np.ndarray
+    circle: Circle
+    start: tuple
+    arrival: tuple
+    polar_turns: tuple
+    closest_approaches: tuple
+    pole: object
+    crossing: float
+    half_turns: tuple
+    limits: tuple
+    constants: Constants
 
     @property
     def t_b(self):
@@ -137,200 +180,103 @@ class Trajectory:
         with this trajectory's `constants`."""
         return evaluate_angles(self.constants, x, origin)
 
-    @cached_property
-    def constants(self):
-        """What the evaluation kernel reads of this trajectory
-        (`Constants`)."""
-        psi, turned = self.arrival
-        (s0, s1), (p0, p1) = self.source.tolist(), psi.tolist()
-        (t0, t1), (q0, q1) = self.turned.tolist(), turned.tolist()
-        lift = self.azimuth
-        crossings = lift.crossings.tolist()
-        # the centre of the half-turn k before the crossing and after it (the
-        # same one where there is no crossing): the branch a raw azimuth
-        # there is moved to
-        centres = [lift.phi_a + math.pi * (k + 0.5)
-                   for k in lift.half_turns.tolist()]
-        # positional, in the order of the fields: this runs once per
-        # trajectory, on every `analyze`
-        return Constants(
-            self.x_b, np.array([s0, s1, p0, p1]).reshape(2, 2),
-            np.array([-1j * t0, -1j * t1, -1j * q0, -1j * q1]).reshape(2, 2),
-            crossings[0] if crossings else math.inf,
-            np.array(centres[:1] + centres[-1:]),
-            np.array(lift.limits) if lift.limits else None, 0, True)
 
-    @cached_property
-    def circle(self):
-        """The source's circle about the field axis, on which x = 2Et."""
-        return Circle.about(self.field.direction.tolist(),
-                            self.problem.a_hat.tolist())
-
-    @cached_property
-    def polar_turns(self):
-        """Rotation angles in [0, x_b] where theta is stationary, the path's
-        highest and lowest points and so its closest approaches to the
-        poles: z = n_z (n.a) + u_z cos + v_z sin turns where
-        v_z cos = u_z sin."""
-        circle = self.circle
-        return tuple(_cos_roots(circle.v[2], -circle.u[2], (0.0, self.x_b)))
-
-    @cached_property
-    def closest_approaches(self):
-        """theta_min at each of the `polar_turns`: the angle between the
-        path there and the pole it turns towards, |beta - rho| at a highest
-        point and |pi - beta - rho| at a lowest, with beta the field axis's
-        polar angle and rho = atan2(|u|, n.a) the circle's angular radius
-        about it. As a difference of angles it keeps its digits next to a
-        pole, where 1 - |z| loses half of them."""
-        n, na, u, v = self.circle
-        beta = math.atan2(math.hypot(n[0], n[1]), n[2])
-        rho = math.atan2(math.hypot(*u), na)
-        north, south = abs(beta - rho), abs(math.pi - beta - rho)
-        return tuple(north if u[2] * math.cos(x) + v[2] * math.sin(x) > 0.0
-                     else south for x in self.polar_turns)
-
-    @cached_property
-    def pole(self):
-        """The rotation angle in [0, x_b] of the path's one exact pole, or
-        None: the source if its own sin(theta_A) < POLE_EPS, else the target
-        if its state at x_b (`states_along`'s) is a pole, else the first
-        interior polar turn whose closest approach is below POLE_EPS. The
-        ends come first: an end on a pole is a polar turn too, which
-        rounding may put just inside the path."""
-        if math.sin(self.start[0]) < POLE_EPS:
-            return 0.0
-        c0, c1 = self.arrival[0].tolist()
-        if math.sin(2.0 * math.atan2(abs(c1), abs(c0))) < POLE_EPS:
-            return self.x_b
-        return next((x for x, theta_min in zip(self.polar_turns,
-                                               self.closest_approaches)
-                     if 0.0 < x < self.x_b and theta_min < POLE_EPS), None)
-
-    @cached_property
-    def arrival(self):
-        """The target's own state in the phase of psi0's evolved state at
-        x_b, and (n.sigma) of it: the second half's psi."""
-        half = 0.5 * self.x_b
-        c, s = math.cos(half), 1j * math.sin(half)
-        target = self.problem.target_state
-        overlap = sum(t.conjugate() * (c * p - s * q) for t, p, q in zip(
-            target.tolist(), self.source.tolist(), self.turned.tolist()))
-        # numpy's multiply, which fuses multiply-adds where the machine has
-        # them: `evolve` prints the second half's amplitudes in its rounding
-        psi = target * (overlap * (1.0 / abs(overlap)))
-        return psi, pauli_dot_times(self.field.direction, psi)
-
-    @cached_property
-    def azimuth(self):
-        return AzimuthLift(self)
-
-    @cached_property
-    def start(self):
-        """(theta_A, phi_A), the angles at t = 0 as `angles_at` gives them:
-        the source's, but at an exact pole the azimuth of its direction of
-        departure r'(0) = n x a. phi_A anchors the lift."""
-        theta, phi = (float(angle) for angle in bloch_angles(self.source))
-        if math.sin(theta) < POLE_EPS:
-            v = self.circle.v
-            phi = math.atan2(v[1], v[0])
-        return theta, phi
+def _polar_turns(circle, x_b):
+    """Rotation angles in [0, x_b] where theta is stationary, the path's
+    highest and lowest points and so its closest approaches to the poles:
+    z = n_z (n.a) + u_z cos + v_z sin turns where v_z cos = u_z sin. And
+    theta_min at each: the angle between the path there and the pole it
+    turns towards, |beta - rho| at a highest point and |pi - beta - rho| at
+    a lowest, with beta the field axis's polar angle and
+    rho = atan2(|u|, n.a) the circle's angular radius about it. As a
+    difference of angles it keeps its digits next to a pole, where 1 - |z|
+    loses half of them."""
+    n, na, u, v = circle
+    turns = tuple(_cos_roots(v[2], -u[2], (0.0, x_b)))
+    beta = math.atan2(math.hypot(n[0], n[1]), n[2])
+    rho = math.atan2(math.hypot(*u), na)
+    north, south = abs(beta - rho), abs(math.pi - beta - rho)
+    return turns, tuple(north if u[2] * math.cos(x) + v[2] * math.sin(x) > 0.0
+                        else south for x in turns)
 
 
-class AzimuthLift:
-    """The 2*pi branch of a trajectory's azimuth at any rotation angle.
+def _pole(theta_a, psi, x_b, turns, approaches):
+    """The rotation angle in [0, x_b] of the path's one exact pole, or
+    None: the source if its own sin(theta_A) < POLE_EPS, else the target
+    if its state ``psi`` at x_b is a pole, else the first interior polar
+    turn whose closest approach is below POLE_EPS. The ends come first: an
+    end on a pole is a polar turn too, which rounding may put just inside
+    the path."""
+    if math.sin(theta_a) < POLE_EPS:
+        return 0.0
+    c0, c1 = psi.tolist()
+    if math.sin(2.0 * math.atan2(abs(c1), abs(c0))) < POLE_EPS:
+        return x_b
+    return next((x for x, theta_min in zip(turns, approaches)
+                 if 0.0 < x < x_b and theta_min < POLE_EPS), None)
 
-    The anchor is x = 0; ``phi_a`` is the source's raw azimuth, or for a
-    source at an exact pole the azimuth of its direction of departure
-    r'(0) = n x a. With P(x) the component of r(x) across the plane of
-    azimuth ``phi_a``, P = R cos(x - c) + const vanishes at the anchor and
-    at its mirror about c, so the plane's crossings are exact. Each
-    crossing moves the azimuth into the next half-turn (k pi, (k + 1) pi)
-    relative to ``phi_a``; a raw azimuth is resolved to the branch nearest
-    the centre of its half-turn. A point that rounding puts on the wrong
-    side of a crossing sits on the plane, pi/2 from either centre, so it
-    still resolves to the right branch.
 
-    ``limits`` are the azimuth's one-sided limits at the path's exact pole
-    (`Trajectory.pole`), of -r' (arrival) and r' (departure); at the source
-    or the target both are its one limit, and with no pole on the path
-    ``limits`` is empty. A pole between the ends is the one crossing, and
-    the departure is the limit of the path pushed off it towards the field
-    axis. ``crossings`` are sorted.
+def _lift(circle, x_b, phi_a, pole):
+    """The 2*pi branch of the azimuth at any rotation angle: the one
+    crossing of the start azimuth's plane (inf where there is none), the
+    half-turns before and after it (the same one where there is none), and
+    the azimuth's limits at an exact pole.
+
+    The anchor is x = 0, where the azimuth is ``phi_a``. With P(x) the
+    component of r(x) across the plane of azimuth ``phi_a``,
+    P = R cos(x - c) + const vanishes at the anchor and at its mirror about
+    c, so the plane's crossing is exact. It moves the azimuth into the next
+    half-turn (k pi, (k + 1) pi) relative to ``phi_a``; a raw azimuth is
+    resolved to the branch nearest the centre of its half-turn. A point
+    that rounding puts on the wrong side of the crossing sits on the plane,
+    pi/2 from either centre, so it still resolves to the right branch.
+
+    The limits are the azimuth's one-sided limits at the path's exact
+    ``pole``, of -r' (arrival) and r' (departure); at the source or the
+    target both are its one limit, and with no pole on the path there are
+    none. A pole between the ends is the one crossing, and the departure is
+    the limit of the path pushed off it towards the field axis.
     """
+    n, na, u, v = circle
+    departs = pole == 0.0
+    cos_a, sin_a = math.cos(phi_a), math.sin(phi_a)
 
-    def __init__(self, traj):
-        n, na, u, v = traj.circle
-        x_b = traj.x_b
-        self.phi_a = phi_a = traj.start[1]
-        pole = traj.pole
-        departs = pole == 0.0
-        cos_a, sin_a = math.cos(phi_a), math.sin(phi_a)
+    # d: rotation angle from the anchor to the maximum of P. P rises out
+    # of the anchor when 0 < d < pi; at d = 0 (P <= 0) or d = pi
+    # (P >= 0) it touches the plane there and keeps its sign, as it does
+    # at a source on the pole, whose departure lies in the plane. The
+    # path turns by at most pi, so P's mirror zero is its one crossing.
+    p = cos_a * u[1] - sin_a * u[0]
+    q = 0.0 if departs else cos_a * v[1] - sin_a * v[0]
+    d = math.atan2(q, p) % TWO_PI
+    gap = (2.0 * d) % TWO_PI
+    first = 0.0 if 0.0 < d <= math.pi else -1.0
+    crossing, after = math.inf, first
+    if 0.0 < gap <= x_b and math.hypot(p, q) > 0.0:
+        rising = 1.0 if d < math.pi else -1.0
+        # a crossing on the far ray turns the azimuth the other way
+        far = ((cos_a * n[0] + sin_a * n[1]) * na
+               + (cos_a * u[0] + sin_a * u[1]) * math.cos(gap)
+               + (cos_a * v[0] + sin_a * v[1]) * math.sin(gap))
+        far = (far > 0.0) - (far < 0.0)
+        crossing, after = gap, first - rising * far
 
-        # d: rotation angle from the anchor to the maximum of P. P rises out
-        # of the anchor when 0 < d < pi; at d = 0 (P <= 0) or d = pi
-        # (P >= 0) it touches the plane there and keeps its sign, as it does
-        # at a source on the pole, whose departure lies in the plane. The
-        # path turns by at most pi, so P's mirror zero is its one crossing.
-        p = cos_a * u[1] - sin_a * u[0]
-        q = 0.0 if departs else cos_a * v[1] - sin_a * v[0]
-        d = math.atan2(q, p) % TWO_PI
-        gap = (2.0 * d) % TWO_PI
-        first = 0.0 if 0.0 < d <= math.pi else -1.0
-        self.crossings, self.half_turns = np.empty(0), np.array([first])
-        if 0.0 < gap <= x_b and math.hypot(p, q) > 0.0:
-            rising = 1.0 if d < math.pi else -1.0
-            # a crossing on the far ray turns the azimuth the other way
-            far = ((cos_a * n[0] + sin_a * n[1]) * na
-                   + (cos_a * u[0] + sin_a * u[1]) * math.cos(gap)
-                   + (cos_a * v[0] + sin_a * v[1]) * math.sin(gap))
-            far = (far > 0.0) - (far < 0.0)
-            self.crossings = np.array([gap])
-            self.half_turns = np.array([first, first - rising * far])
-
-        self.limits = (phi_a, phi_a) if departs else ()
-        if pole is None or departs:
-            return
-        tangent = [math.cos(pole) * vk - math.sin(pole) * uk
-                   for vk, uk in zip(v, u)]
-        arrival = float(nearest_branch(math.atan2(tangent[1], tangent[0])
-                                       + np.pi, phi_a + np.pi * (first + 0.5)))
-        if pole == x_b:
-            self.limits = (arrival, arrival)
-            return
-        # pushed off the pole towards n, the path passes it on the side of
-        # n's horizontal part, perpendicular to r' there, so the azimuth
-        # turns by pi the way of (n x r')_z = +-|n_h| |r'|, which is never 0
-        departure = arrival + math.copysign(
-            math.pi, n[0] * tangent[1] - n[1] * tangent[0])
-        self.crossings, self.limits = np.array([pole]), (arrival, departure)
-        self.half_turns = np.array([first, (departure - phi_a) // math.pi])
-
-
-class Constants(NamedTuple):
-    """What the evaluation kernel (`evaluate_states`, `evaluate_angles`)
-    reads of one trajectory (`Trajectory.constants`), or of several stacked
-    on a leading row axis (`stack`).
-
-    ``x_b``, ``crossing``, ``first`` and ``poles`` broadcast against the
-    rotation angles: floats for one trajectory, a column per row for
-    several. ``psi`` and ``turned`` hold, per trajectory and half of the
-    path (from the source, from the target), its psi and -i (n.sigma) psi;
-    ``centres`` holds per trajectory the branch centres phi_a + pi (k + 1/2)
-    of the half-turns k before and after its one crossing, which is
-    ``crossing`` (inf where it has none); ``limits`` its limits on both
-    sides of an exact pole, or None where no trajectory has them. ``first``
-    is the index of a trajectory's pair in those four, and ``poles`` says
-    where its limits apply."""
-
-    x_b: object
-    psi: np.ndarray
-    turned: np.ndarray
-    crossing: object
-    centres: np.ndarray
-    limits: object
-    first: object
-    poles: object
+    if departs:
+        return crossing, (first, after), (phi_a, phi_a)
+    if pole is None:
+        return crossing, (first, after), ()
+    tangent = [math.cos(pole) * vk - math.sin(pole) * uk
+               for vk, uk in zip(v, u)]
+    arrival = float(nearest_branch(math.atan2(tangent[1], tangent[0])
+                                   + np.pi, phi_a + np.pi * (first + 0.5)))
+    if pole == x_b:
+        return crossing, (first, after), (arrival, arrival)
+    # pushed off the pole towards n, the path passes it on the side of
+    # n's horizontal part, perpendicular to r' there, so the azimuth
+    # turns by pi the way of (n x r')_z = +-|n_h| |r'|, which is never 0
+    departure = arrival + math.copysign(
+        math.pi, n[0] * tangent[1] - n[1] * tangent[0])
+    return pole, (first, (departure - phi_a) // math.pi), (arrival, departure)
 
 
 def stack(trajs):
@@ -384,12 +330,12 @@ def evaluate_angles(constants, x, origin=0.0):
 
 
 def sample_trajectory(problem, params, n=None):
-    """The evolution on [0, t_b]. ``n`` is accepted from callers that still
-    pass a sample count, and neither read nor validated: nothing here
-    samples, and `evolve` checks and samples its own grid.
-
-    Builds the field, psi0 and (n.sigma) psi0 once; every later stage reads
-    them from the returned Trajectory.
+    """The evolution on [0, t_b], each part of it computed once, in one
+    pass: the field and x_b, the circle, the start angles, psi0 and
+    (n.sigma) psi0, the arrival pair, the polar turns, the pole, the lift
+    and the kernel's `Constants`. ``n`` is accepted from callers that
+    still pass a sample count, and neither read nor validated: nothing
+    here samples, and `evolve` checks and samples its own grid.
 
     On the south pole the |0> amplitude of psi0 vanishes, and the global
     phase it fixes elsewhere falls to the raw azimuth of a vector that has
@@ -398,14 +344,44 @@ def sample_trajectory(problem, params, n=None):
     phi_A; piecewise mode's branch roots follow this phase.
     """
     f = suboptimal_field(problem, params)
+    x_b = 2.0 * arrival_angle(problem, params)
+    axis = f.direction
+    circle = Circle.about(axis.tolist(), problem.a_hat.tolist())
     source = problem.source_state
-    traj = Trajectory(problem=problem,
-                      x_b=2.0 * arrival_angle(problem, params), field=f,
-                      source=source,
-                      turned=pauli_dot_times(f.direction, source))
-    theta_a, phi_a = traj.start
-    if traj.pole != 0.0 or theta_a < 0.5 * math.pi:
-        return traj
-    source = source * cmath.exp(1j * (phi_a - cmath.phase(source[1])))
-    return replace(traj, source=source,
-                   turned=pauli_dot_times(f.direction, source))
+    theta_a, phi_a = (float(angle) for angle in bloch_angles(source))
+    if math.sin(theta_a) < POLE_EPS:
+        v = circle.v
+        phi_a = math.atan2(v[1], v[0])
+        if theta_a >= 0.5 * math.pi:
+            source = source * cmath.exp(
+                1j * (phi_a - cmath.phase(source[1])))
+    turned = pauli_dot_times(axis, source)
+    (s0, s1), (t0, t1) = source.tolist(), turned.tolist()
+
+    half = 0.5 * x_b
+    c, s = math.cos(half), 1j * math.sin(half)
+    target = problem.target_state
+    overlap = sum(t.conjugate() * (c * p - s * q) for t, p, q in zip(
+        target.tolist(), (s0, s1), (t0, t1)))
+    # numpy's multiply, which fuses multiply-adds where the machine has
+    # them: `evolve` prints the second half's amplitudes in its rounding
+    psi = target * (overlap * (1.0 / abs(overlap)))
+    arrival = psi, pauli_dot_times(axis, psi)
+
+    turns, approaches = _polar_turns(circle, x_b)
+    pole = _pole(theta_a, psi, x_b, turns, approaches)
+    crossing, half_turns, limits = _lift(circle, x_b, phi_a, pole)
+    (p0, p1), (q0, q1) = psi.tolist(), arrival[1].tolist()
+    # the centre of the half-turn k before the crossing and after it: the
+    # branch a raw azimuth there is moved to
+    centres = [phi_a + math.pi * (k + 0.5) for k in half_turns]
+    # positional, in the order of the fields: this runs once per
+    # trajectory, on every `analyze`
+    constants = Constants(
+        x_b, np.array([s0, s1, p0, p1]).reshape(2, 2),
+        np.array([-1j * t0, -1j * t1, -1j * q0, -1j * q1]).reshape(2, 2),
+        crossing, np.array(centres), np.array(limits) if limits else None,
+        0, True)
+    return Trajectory(problem, x_b, f, source, turned, circle,
+                      (theta_a, phi_a), arrival, turns, approaches, pole,
+                      crossing, half_turns, limits, constants)

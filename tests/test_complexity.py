@@ -575,6 +575,22 @@ def _count_calls(monkeypatch, home, fn_name):
     return log
 
 
+@pytest.mark.parametrize("a", ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0],
+                               [0.6, 0.8, 0.0]),
+                         ids=("south", "north", "equator"))
+def test_sample_trajectory_builds_each_part_once(monkeypatch, a):
+    # a source on the south pole is re-phased before (n.sigma) psi0 is
+    # built, not built twice: like every other source it takes (n.sigma) of
+    # psi0 and of the arrival state, and one bloch_angles of psi0, and
+    # reading the kernel's constants and the start angles computes nothing
+    problem = EvolutionProblem(np.array(a), np.array([0.6, -0.48, 0.64]))
+    turned = _count_calls(monkeypatch, qubit, "pauli_dot_times")
+    angles = _count_calls(monkeypatch, qubit, "bloch_angles")
+    traj = sample_trajectory(problem, SubOptimalParams(PI / 4))
+    assert traj.constants.x_b == traj.x_b and len(traj.start) == 2
+    assert (len(turned), len(angles)) == (2, 1)
+
+
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
     # pi/16 has an interior branch time, so piecewise mode cuts a segment;
@@ -1205,7 +1221,7 @@ def test_near_pole_source_matches_the_literal_definition(a, b, alpha):
     traj = sample_trajectory(problem, params)
     # with an exact pole on the path the azimuth there is a one-sided limit,
     # which the departure, rotation and passage tests cover
-    assume(not traj.azimuth.limits)
+    assume(not traj.limits)
     # the references need a sampling that resolves the winding: a path that
     # passes a pole 1e-11 away turns its azimuth by pi between samples
     ts = _reference_times(traj, sample(traj).t)
@@ -1389,17 +1405,16 @@ def test_pole_check_margin_skips_no_pole(case):
                              if 0.0 < x < traj.x_b)]
     on = np.sin(bloch_angles(traj.states_along(np.array(near)))[0]) < POLE_EPS
     assert traj.pole == (near[np.argmax(on)] if on.any() else None)
-    lift = traj.azimuth
     if traj.pole is None:
-        assert lift.limits == ()
+        assert traj.limits == ()
         return
     if traj.pole in (0.0, traj.x_b):
         return
-    assert lift.crossings.tolist() == [traj.pole]
+    assert traj.crossing == traj.pole
     t_pole = traj.time_of(traj.pole)
     tangents = [_tangent_azimuth(traj, t_pole, arriving)
                 for arriving in (True, False)]
-    assert nearest_branch(np.array(lift.limits), tangents) == pytest.approx(
+    assert nearest_branch(np.array(traj.limits), tangents) == pytest.approx(
         tangents, abs=1e-9)
 
 
@@ -1411,7 +1426,7 @@ def test_pole_check_evaluates_no_state(monkeypatch, delta):
                              SubOptimalParams(PI / 2))
     log = _count_calls(monkeypatch, Trajectory, "states_along")
     assert (traj.pole is None) == (delta >= POLE_EPS)
-    assert (traj.azimuth.limits == ()) == (delta >= POLE_EPS)
+    assert (traj.limits == ()) == (delta >= POLE_EPS)
     _branch_angles(traj)
     assert log == []
 
@@ -1470,7 +1485,7 @@ def test_pole_passage_takes_the_side_of_the_field_axis():
     problem = EvolutionProblem(*_PASSAGE)
     params = SubOptimalParams(_PASSAGE_ALPHA)
     traj = sample_trajectory(problem, params)
-    (pole,) = traj.azimuth.crossings
+    pole = traj.crossing
     assert pole == pytest.approx(1.092250021610253, abs=1e-12)
     theta = bloch_angles(traj.states_along(np.array([pole])))[0]
     assert np.sin(theta[0]) < POLE_EPS
@@ -1493,8 +1508,8 @@ def test_pole_passage_takes_the_side_of_the_field_axis():
     for da, db in _PASSAGE_MOVES:
         moved = EvolutionProblem(a + np.spacing(a) * da,
                                  b + np.spacing(b) * db)
-        lift = sample_trajectory(moved, params).azimuth
-        assert lift.half_turns.tolist() == traj.azimuth.half_turns.tolist()
+        moved_traj = sample_trajectory(moved, params)
+        assert moved_traj.half_turns == traj.half_turns
         assert c(moved) == pytest.approx(exact, abs=1e-12)
 
 
@@ -1609,9 +1624,8 @@ def test_a_mid_path_pole_is_a_polar_turn(case):
     # the lift's crossing at a pole between the ends is the polar turn that
     # the box and the panel edges read, bit for bit
     traj = sample_trajectory(*_MID_PATH_PASSAGES[case])
-    lift = traj.azimuth
-    (pole,) = lift.crossings
-    arrival, departure = lift.limits
+    pole = traj.crossing
+    arrival, departure = traj.limits
     assert abs(departure - arrival) == pytest.approx(PI, abs=1e-12)
     assert pole in traj.polar_turns
 
@@ -1647,7 +1661,7 @@ def test_meridian_through_a_pole_matches_its_tilt(mode):
     config = AnalysisConfig(averaging_mode=mode)
     exact, tilted = (_tilted_passage(passage, delta) for delta in (0.0, 1e-13))
     for problem in (exact, tilted):
-        (pole,) = sample_trajectory(problem, params).azimuth.crossings
+        pole = sample_trajectory(problem, params).crossing
         assert pole == pytest.approx(0.9272952180016122, abs=1e-12)
     assert analyze(exact, params, config).complexity == pytest.approx(
         analyze(tilted, params, config).complexity, abs=1e-12)
