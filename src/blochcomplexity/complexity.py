@@ -187,7 +187,7 @@ def analyze_alphas(problem, alphas, config=None):
     Each row lays out its own geometry (trajectory, box candidates, branch
     cuts, panel edges), and one evaluation of the kernel serves the box
     candidates and first-level quadrature nodes of every row; each row's
-    outcome is the one `analyze` gives it, to rounding."""
+    outcome is the one `analyze` gives it, bit for bit."""
     return _analyze_rows(problem, [SubOptimalParams(alpha)
                                    for alpha in alphas], config)
 
@@ -609,5 +609,8 @@ def _nodes(lo, hi):
 
 def _gauss(half, values):
     """The 16-node Gauss-Legendre rule on panels of half-widths ``half``
-    from the integrand's ``values`` at their `_nodes`."""
-    return half * (values @ _WEIGHTS)
+    from the integrand's ``values`` at their `_nodes`. An elementwise
+    product and a sum over the last axis, not a matrix product: the sum
+    over a panel's nodes is then the same at any panel count, so a batched
+    row equals its own `analyze` bit for bit."""
+    return half * (values * _WEIGHTS).sum(axis=-1)

@@ -79,7 +79,11 @@ def bloch_angles(states):
     states = np.asarray(states)
     c0 = states[..., 0]
     c1 = states[..., 1]
-    z = c1 * np.conj(c0)
+    # np.multiply, not `*`: from 256 KiB on, `*` reuses the temporary
+    # conjugate as its output and multiplies in the other order, which a
+    # fused complex product rounds differently, so a point's azimuth would
+    # depend on the size of the array it is evaluated in
+    z = np.multiply(c1, np.conj(c0))
     return 2.0 * np.arctan2(np.abs(c1), np.abs(c0)), np.arctan2(z.imag, z.real)
 
 

@@ -1669,17 +1669,10 @@ def test_meridian_through_a_pole_matches_its_tilt(mode):
 
 # -- a sweep of alphas in one pass against its rows one by one ---------------
 
-# a batched row evaluates its points at other positions of the kernel's
-# arrays than `analyze` does, and numpy's vectorised sin, cos and arctan2
-# may round a point differently by its position: measured up to 2.5e-14
-# relative. 1e-12 is about 4500 float64 ulp.
-_ROWS_RTOL = 1e-12
-
-
 def _assert_rows_match(problem, alphas, config):
-    """Each `analyze_alphas` row has its own `analyze` outcome: the same
-    error class, or the same label and segment count with C, V_bar, V_max
-    and L_C within _ROWS_RTOL; returns the rows."""
+    """Each `analyze_alphas` row has its own `analyze` outcome, bit for
+    bit: the same error class and message, or the same label and segment
+    count with the same C, V_bar, V_max and L_C; returns the rows."""
     rows = analyze_alphas(problem, alphas, config)
     assert len(rows) == len(alphas)
     for alpha, row in zip(alphas, rows):
@@ -1687,6 +1680,7 @@ def _assert_rows_match(problem, alphas, config):
             one = analyze(problem, SubOptimalParams(alpha), config)
         except BlochComplexityError as err:
             assert type(row) is type(err), alpha
+            assert str(row) == str(err), alpha
             continue
         assert isinstance(row, EvolutionReport), (alpha, row)
         assert row.alpha == one.alpha
@@ -1696,7 +1690,7 @@ def _assert_rows_match(problem, alphas, config):
                           (row.volume.v_bar, one.volume.v_bar),
                           (row.volume.v_max, one.volume.v_max),
                           (row.length_scale, one.length_scale)):
-            assert got == pytest.approx(want, rel=_ROWS_RTOL, abs=0.0)
+            assert got == want, alpha
     return rows
 
 
@@ -1776,11 +1770,8 @@ def test_analyze_alphas_keeps_the_rows_around_a_failing_one(canonical,
     assert str(rows[5]) == "synthetic failure"
     for alpha, row in zip(np.delete(alphas, 5), rows[:5] + rows[6:]):
         one = analyze(canonical, SubOptimalParams(alpha))
-        assert [x for segment in row.volume.segments for x in segment] \
-            == pytest.approx([x for segment in one.volume.segments
-                              for x in segment], rel=_ROWS_RTOL, abs=0.0)
-        assert row.complexity == pytest.approx(one.complexity,
-                                               rel=_ROWS_RTOL, abs=0.0)
+        assert row.volume.segments == one.volume.segments
+        assert row.complexity == one.complexity
 
 
 def test_analyze_alphas_names_each_rows_worst_panel(canonical, monkeypatch):
