@@ -2,8 +2,10 @@
 Schrodinger equation, plus symmetry and frequency-scaling harnesses that
 compare full analysis reports.
 
-The integrator is the oracle side of a dual-route check: it never calls the
-closed-form propagator, so agreement between the two is evidence for both.
+The integrator is the oracle side of a dual-route check: it never reads
+the closed-form states, and the check compares it with the states that the
+reports read (`Trajectory.states_at`), so agreement between the two is
+evidence for both.
 It applies its one step matrix STEPS times, one step at a time, on the two
 amplitudes held as Python complex scalars: a 2x2 numpy product per step
 costs far more in call overhead than in arithmetic. The steps are not
@@ -21,9 +23,9 @@ import numpy as np
 
 from .complexity import analyze
 from .errors import NormDrift
-from .hamiltonians import (SubOptimalParams, equatorial_problem, propagator,
-                           suboptimal_field)
+from .hamiltonians import SubOptimalParams, equatorial_problem
 from .qubit import pauli_dot
+from .trajectory import sample_trajectory
 
 STEPS = 8192
 MAX_NORM_DRIFT = 1e-10
@@ -129,18 +131,19 @@ def check_omega_independence(alpha, omega1, omega2):
 
 
 def check_propagator_agreement():
-    """Reference integrator vs closed-form propagator at alpha = k pi/16,
-    k = 1..16, and 8 times in [0.1, 2]; one record per alpha, whose delta
-    is the worst per-component amplitude difference over its times."""
+    """Reference integrator vs the closed-form states that the reports
+    read (`Trajectory.states_at`) at alpha = k pi/16, k = 1..16, and 8
+    times in [0.1, 2]; one record per alpha, whose delta is the worst
+    per-component amplitude difference over its times."""
     problem = equatorial_problem()
+    times = np.linspace(0.1, 2.0, 8)
     records = []
     for alpha in (k * np.pi / 16.0 for k in range(1, 17)):
-        f = suboptimal_field(problem, SubOptimalParams(alpha))
-        psi0 = problem.source_state
+        traj = sample_trajectory(problem, SubOptimalParams(alpha))
         worst = 0.0
-        for total_time in np.linspace(0.1, 2.0, 8):
-            exact = propagator(f, total_time) @ psi0
-            numeric = integrate_schrodinger(f, psi0, total_time)
+        for total_time, exact in zip(times, traj.states_at(times)):
+            numeric = integrate_schrodinger(traj.field, traj.source,
+                                            total_time)
             worst = max(worst, float(np.max(np.abs(exact - numeric))))
         records.append(CheckRecord(check="propagator_oracle",
                                    param=f"alpha={alpha:.6g}", delta=worst,
