@@ -296,7 +296,10 @@ def _degeneracy_kind(box):
     theta_deg = box.theta_extent < EPS_DEGENERATE
     phi_deg = box.phi_extent < EPS_DEGENERATE
     if theta_deg and phi_deg:
-        raise NonPositiveVolume("trajectory does not move in (theta, phi)")
+        raise NonPositiveVolume(
+            f"trajectory's box extents {box.theta_extent:.3g} in theta and "
+            f"{box.phi_extent:.3g} in phi are both below EPS_DEGENERATE = "
+            f"{EPS_DEGENERATE:g}")
     if theta_deg:
         return "theta"
     if phi_deg:

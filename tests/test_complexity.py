@@ -278,6 +278,16 @@ def test_complexity_rejects_bad_volumes():
         complexity(1e-17, 1.0)
 
 
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_a_box_below_the_threshold_names_its_extents(mode):
+    # the path moves by 5e-10 rad, under EPS_DEGENERATE on both axes: the
+    # error gives both extents and the threshold, not "does not move"
+    with pytest.raises(NonPositiveVolume, match=r"box extents \S+ in theta "
+                       r"and \S+ in phi are both below EPS_DEGENERATE = 1e-09"):
+        analyze(equatorial_problem(5e-10), SubOptimalParams(0.7),
+                AnalysisConfig(averaging_mode=mode))
+
+
 def test_length_scale_values():
     assert complexity_length_scale(1.3, 0.0) == 1.3
     assert complexity_length_scale(1.5708, 0.5) == pytest.approx(2.2214,
