@@ -20,9 +20,11 @@ same script snapshots any checkout. OUTDIR gets:
   built, and their lines hold the construction error.
 
 Byte identity is a property of one machine: compare only snapshots taken
-on the same machine. numpy's batch kernels (`states_along`,
-`pauli_dot(n) @ psi`, `np.dot`) fuse multiply-adds where the CPU has FMA,
-so two machines can write different last digits with no code change.
+on the same machine. numpy's batch kernels (the evaluation
+kernel `trajectory.evaluate_states`, the `arrival` multiply in
+`sample_trajectory` and the complex product in `bloch_angles`) fuse
+multiply-adds where the CPU has FMA, so two machines can write different
+last digits with no code change.
 """
 
 import dataclasses

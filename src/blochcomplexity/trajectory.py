@@ -366,12 +366,12 @@ def sample_trajectory(problem, params, n=None):
     # numpy's multiply, which fuses multiply-adds where the machine has
     # them: `evolve` prints the second half's amplitudes in its rounding
     psi = target * (overlap * (1.0 / abs(overlap)))
-    arrival = psi, pauli_dot_times(axis, psi)
+    psi_turned = pauli_dot_times(axis, psi)
 
     turns, approaches = _polar_turns(circle, x_b)
     pole = _pole(theta_a, psi, x_b, turns, approaches)
     crossing, half_turns, limits = _lift(circle, x_b, phi_a, pole)
-    (p0, p1), (q0, q1) = psi.tolist(), arrival[1].tolist()
+    (p0, p1), (q0, q1) = psi.tolist(), psi_turned.tolist()
     # the centre of the half-turn k before the crossing and after it: the
     # branch a raw azimuth there is moved to
     centres = [phi_a + math.pi * (k + 0.5) for k in half_turns]
@@ -383,5 +383,6 @@ def sample_trajectory(problem, params, n=None):
         crossing, np.array(centres), np.array(limits) if limits else None,
         0, True)
     return Trajectory(problem, x_b, f, source, turned, circle,
-                      (theta_a, phi_a), arrival, turns, approaches, pole,
-                      crossing, half_turns, limits, constants)
+                      (theta_a, phi_a), (psi, psi_turned), turns,
+                      approaches, pole, crossing, half_turns, limits,
+                      constants)
