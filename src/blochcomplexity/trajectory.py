@@ -348,7 +348,7 @@ def sample_trajectory(problem, params, n=None):
     axis = f.direction
     circle = Circle.about(axis.tolist(), problem.a_hat.tolist())
     source = problem.source_state
-    theta_a, phi_a = (float(angle) for angle in bloch_angles(source))
+    theta_a, phi_a = map(float, bloch_angles(source))
     if math.sin(theta_a) < POLE_EPS:
         v = circle.v
         phi_a = math.atan2(v[1], v[0])
