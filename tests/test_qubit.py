@@ -141,6 +141,17 @@ def test_cross_is_numpy_cross_bit_for_bit(a, b):
         == expected.tobytes()
 
 
+def test_bloch_angles_do_not_depend_on_the_array_size():
+    # a state's angles are the same in a 20000-state array (past the
+    # 256 KiB from which numpy may reuse a temporary as the output of `*`)
+    # as in a 1000-state one, so a batched sweep row keeps its own bits
+    rng = np.random.default_rng(0)
+    states = rng.normal(size=(20000, 2)) + 1j * rng.normal(size=(20000, 2))
+    for whole, parts in zip(bloch_angles(states), zip(*(
+            bloch_angles(states[k:k + 1000]) for k in range(0, 20000, 1000)))):
+        assert np.array_equal(whole, np.concatenate(parts))
+
+
 def test_identity_constant():
     assert np.array_equal(IDENTITY, np.eye(2))
 
