@@ -8,8 +8,9 @@ field axis, so the instants where it crosses the plane of the start azimuth
 are known exactly, and counting them fixes the 2*pi branch at any time. At
 an exact pole (sin(theta) < POLE_EPS) it is the one-sided limit along
 the path, whose one exact pole (`Trajectory.pole`) is found without
-evaluating a state. The states are built from the nearer end of the path, so that
-next to the source or the target a small amplitude keeps its precision.
+evaluating a state. The states are built from the nearer end of the path,
+so that next to the source or the target a small amplitude keeps its
+precision.
 
 Every evaluation goes through one kernel, `evaluate_states` and
 `evaluate_angles`, which reads a trajectory's `Constants`: the
@@ -77,32 +78,6 @@ class Circle(NamedTuple):
         return cls(tuple(n), na, u, cross(n, e))
 
 
-class Constants(NamedTuple):
-    """What the evaluation kernel (`evaluate_states`, `evaluate_angles`)
-    reads of one trajectory (`Trajectory.constants`), or of several stacked
-    on a leading row axis (`stack`).
-
-    ``x_b``, ``crossing``, ``first`` and ``poles`` broadcast against the
-    rotation angles: floats for one trajectory, a column per row for
-    several. ``psi`` and ``turned`` hold, per trajectory and half of the
-    path (from the source, from the target), its psi and -i (n.sigma) psi;
-    ``centres`` holds per trajectory the branch centres phi_a + pi (k + 1/2)
-    of the half-turns k before and after its one crossing, which is
-    ``crossing`` (inf where it has none); ``limits`` its limits on both
-    sides of an exact pole, or None where no trajectory has them. ``first``
-    is the index of a trajectory's pair in those four, and ``poles`` says
-    where its limits apply."""
-
-    x_b: object
-    psi: np.ndarray
-    turned: np.ndarray
-    crossing: object
-    centres: np.ndarray
-    limits: object
-    first: object
-    poles: object
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One evolution on [0, t_b], as `sample_trajectory` builds it: the
@@ -136,7 +111,7 @@ class Trajectory:
     crossing: float
     half_turns: tuple
     limits: tuple
-    constants: Constants
+    constants: "Constants"
 
     @property
     def t_b(self):
@@ -277,6 +252,32 @@ def _lift(circle, x_b, phi_a, pole):
     departure = arrival + math.copysign(
         math.pi, n[0] * tangent[1] - n[1] * tangent[0])
     return pole, (first, (departure - phi_a) // math.pi), (arrival, departure)
+
+
+class Constants(NamedTuple):
+    """What the evaluation kernel (`evaluate_states`, `evaluate_angles`)
+    reads of one trajectory (`Trajectory.constants`), or of several stacked
+    on a leading row axis (`stack`).
+
+    ``x_b``, ``crossing``, ``first`` and ``poles`` broadcast against the
+    rotation angles: floats for one trajectory, a column per row for
+    several. ``psi`` and ``turned`` hold, per trajectory and half of the
+    path (from the source, from the target), its psi and -i (n.sigma) psi;
+    ``centres`` holds per trajectory the branch centres phi_a + pi (k + 1/2)
+    of the half-turns k before and after its one crossing, which is
+    ``crossing`` (inf where it has none); ``limits`` its limits on both
+    sides of an exact pole, or None where no trajectory has them. ``first``
+    is the index of a trajectory's pair in those four, and ``poles`` says
+    where its limits apply."""
+
+    x_b: object
+    psi: np.ndarray
+    turned: np.ndarray
+    crossing: object
+    centres: np.ndarray
+    limits: object
+    first: object
+    poles: object
 
 
 def stack(trajs):

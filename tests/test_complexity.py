@@ -282,8 +282,9 @@ def test_complexity_rejects_bad_volumes():
 def test_a_box_below_the_threshold_names_its_extents(mode):
     # the path moves by 5e-10 rad, under EPS_DEGENERATE on both axes: the
     # error gives both extents and the threshold, not "does not move"
-    with pytest.raises(NonPositiveVolume, match=r"box extents \S+ in theta "
-                       r"and \S+ in phi are both below EPS_DEGENERATE = 1e-09"):
+    with pytest.raises(NonPositiveVolume,
+                       match=r"box extents \S+ in theta and \S+ in phi are "
+                             r"both below EPS_DEGENERATE = 1e-09"):
         analyze(equatorial_problem(5e-10), SubOptimalParams(0.7),
                 AnalysisConfig(averaging_mode=mode))
 
