@@ -17,6 +17,7 @@ exits 1, while ``tables`` and ``figdata`` stop at the first failing row.
 """
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -207,7 +208,13 @@ def _write(path, text):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The process's one argument parser, built on the first call.
+
+    `main` parses every argv with it: `parse_args` writes only to a new
+    namespace, so no parse leaves state behind for the next, and the help
+    reads the terminal width when it is formatted, not here."""
     parser = argparse.ArgumentParser(
         prog="blochcomplexity",
         description="Geometric quality metrics and volume-based complexity "

@@ -11,7 +11,7 @@ import pytest
 from blochcomplexity import (AveragingDomainError, NonPositiveVolume,
                              QuadratureNotConverged, SubOptimalParams,
                              equatorial_problem, sample_trajectory)
-from blochcomplexity.cli import main, parse_angle
+from blochcomplexity.cli import build_parser, main, parse_angle
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -353,6 +353,53 @@ def test_verify_command(capsys):
     assert any(line.startswith("supplementary") for line in out)
     assert any(line.startswith("omega_invariance") for line in out)
 
+
+def test_every_call_shares_one_parser():
+    assert build_parser() is build_parser()
+
+
+def test_a_sweep_after_other_flags_writes_the_same_bytes(tmp_path):
+    before, other, after = (tmp_path / name for name in
+                            ("before.csv", "other.csv", "after.csv"))
+    assert run_cli("sweep", "--out", str(before)) == 0
+    assert run_cli("sweep", "--averaging", "uniform", "--steps", "4",
+                   "--alpha-end", "1/2pi", "--out", str(other)) == 0
+    assert run_cli("sweep", "--out", str(after)) == 0
+    assert after.read_bytes() == before.read_bytes()
+
+
+def test_a_sweep_after_an_argument_error_writes_the_same_bytes(tmp_path,
+                                                               capsys):
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert run_cli("sweep", "--out", str(before)) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("sweep", "--steps", "x")
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "blochcomplexity sweep: error: argument --steps: "
+        "invalid int value: 'x'")
+    assert run_cli("sweep", "--out", str(after)) == 0
+    assert after.read_bytes() == before.read_bytes()
+    assert capsys.readouterr() == ("", "")
+
+
+def _printed_help(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_the_shared_parser_prints_the_help_of_a_fresh_one(argv, capsys,
+                                                          monkeypatch):
+    # a width set after the shared parser was built still sets the help's
+    # line breaks
+    build_parser()
+    monkeypatch.setenv("COLUMNS", "50")
+    fresh = build_parser.__wrapped__()
+    assert (_printed_help(main, argv, capsys)
+            == _printed_help(fresh.parse_args, argv, capsys))
 
 def _child_env():
     """The environment of a child process that runs the package under test,
