@@ -37,7 +37,8 @@ times between runs, and the ratio much less. OUT gets:
   it evaluates (``points``, the sum of ``np.size(x)`` over the calls of
   the evaluation kernel's states, `trajectory.evaluate_states`, through
   which every evaluation passes) and its Python-level calls (``calls``,
-  the ``"call"`` events that `sys.setprofile` sees), at each canonical
+  the ``"call"`` events that `sys.setprofile` sees, where a generator,
+  whose every resume is such an event, counts once), at each canonical
   alpha and, over the general draws, as the median, max (points only) and
   total; and its quadrature levels (``levels``, the calls of the kernel's
   angles, `trajectory.evaluate_angles`: the first level's nodes share one
@@ -54,8 +55,9 @@ times between runs, and the ratio much less. OUT gets:
   process, the median time of one command over SWEEP_ROUNDS and
   FIG4_ROUNDS runs, in ms (``ms``) and in units of `perfbench`'s sweep
   reference (``ref``, `workloads.sweep_reference`, the `table_sweep`
-  workload's), and the points and levels of one command, counted as in
-  ``work`` (``points``, ``levels``);
+  workload's), and the points, calls and levels of one command run after
+  the timed ones, counted as in ``work`` (``points``, ``calls``,
+  ``levels``);
 - ``nproc``, the Python and numpy versions, and the commit of the checkout
   (``git describe --always --dirty``; null outside a git checkout).
 
@@ -68,6 +70,7 @@ loop), and 5 more where the integrator takes 15 ms a call.
 """
 
 import functools
+import inspect
 import json
 import os
 import platform
@@ -96,6 +99,8 @@ SWEEP_ROUNDS = 100
 FIG4_ROUNDS = 20
 COMMANDS = {"cli_sweep": (["sweep"], SWEEP_ROUNDS),
             "fig4": (["figdata", "fig4"], FIG4_ROUNDS)}
+_RESUMABLE = (inspect.CO_GENERATOR | inspect.CO_COROUTINE
+              | inspect.CO_ASYNC_GENERATOR)
 
 
 def _call(problem_args, alpha, config):
@@ -161,14 +166,22 @@ def _counted(fn, *args):
     """(points, calls, levels) of ``fn(*args)``, as `_work` counts them."""
     counts = [0, 0, 0]
     along, angles = _kernel()
+    # the frames of the generators counted so far, whose resumes are
+    # "call" events too; held, so that no later frame takes their identity
+    started = set()
 
     def profile(frame, event, arg):
-        if event == "call":
-            counts[1] += 1
-            if frame.f_code is along:
-                counts[0] += np.size(frame.f_locals["x"])
-            elif frame.f_code is angles:
-                counts[2] += 1
+        if event != "call":
+            return
+        if frame.f_code.co_flags & _RESUMABLE:
+            if frame in started:
+                return
+            started.add(frame)
+        counts[1] += 1
+        if frame.f_code is along:
+            counts[0] += np.size(frame.f_locals["x"])
+        elif frame.f_code is angles:
+            counts[2] += 1
 
     sys.setprofile(profile)
     try:
@@ -193,9 +206,10 @@ def _sweep_record(reference):
                 return False
 
             ms, ref, *_ = _medians(command, [()], rounds, reference)
-            points, _, levels = _counted(command)
+            points, calls, levels = _counted(command)
             record[name] = {"ms": round(ms, 4), "ref": round(ref, 4),
-                            "points": points, "levels": levels}
+                            "points": points, "calls": calls,
+                            "levels": levels}
     return record
 
 
