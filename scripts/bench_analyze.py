@@ -99,8 +99,6 @@ SWEEP_ROUNDS = 100
 FIG4_ROUNDS = 20
 COMMANDS = {"cli_sweep": (["sweep"], SWEEP_ROUNDS),
             "fig4": (["figdata", "fig4"], FIG4_ROUNDS)}
-_RESUMABLE = (inspect.CO_GENERATOR | inspect.CO_COROUTINE
-              | inspect.CO_ASYNC_GENERATOR)
 
 
 def _call(problem_args, alpha, config):
@@ -173,7 +171,7 @@ def _counted(fn, *args):
     def profile(frame, event, arg):
         if event != "call":
             return
-        if frame.f_code.co_flags & _RESUMABLE:
+        if frame.f_code.co_flags & inspect.CO_GENERATOR:
             if frame in started:
                 return
             started.add(frame)

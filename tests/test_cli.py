@@ -401,6 +401,7 @@ def test_the_shared_parser_prints_the_help_of_a_fresh_one(argv, capsys,
     assert (_printed_help(main, argv, capsys)
             == _printed_help(fresh.parse_args, argv, capsys))
 
+
 def _child_env():
     """The environment of a child process that runs the package under test,
     from src/."""
