@@ -47,9 +47,7 @@ times between runs, and the ratio much less. OUT gets:
   histogram (``histogram``, draws per level count); and the same three
   summed over the `snapshot.pole_cases` whose problem can be built
   (``pole_cases``, with their number in ``cases``), which meet an exact
-  pole or pass next to one as no general draw does. In a checkout from
-  before the kernel, its methods `Trajectory.states_along` and
-  `Trajectory.angles_along` are counted;
+  pole or pass next to one as no general draw does;
 - ``sweep``: for the default 17-row `cli sweep` to a file (``cli_sweep``)
   and the 257-row `cli figdata fig4` to a file (``fig4``), both in
   process, the median time of one command over SWEEP_ROUNDS and
@@ -65,8 +63,7 @@ The work counts are exact: for one commit and one Python version they
 repeat run after run, however loaded the machine is, so a change of work
 shows in them. The times are not: the load of a shared machine moves
 them, and the ratios less. One untimed pass precedes the
-rounds. It takes about 15 seconds (20 where a sweep is a row-by-row
-loop), and 5 more where the integrator takes 15 ms a call.
+rounds. It takes about 15 seconds.
 """
 
 import functools
@@ -85,10 +82,9 @@ import numpy as np
 
 import blochcomplexity as bc
 import blochcomplexity.cli
-from snapshot import pole_cases
+from snapshot import MODES, perfbench_workloads, pole_cases
 
 ROOT = Path(bc.__file__).resolve().parents[2]
-MODES = ("uniform", "appendix_piecewise")
 ALPHAS = {"0": 0.0, "pi/16": np.pi / 16, "pi/4": np.pi / 4, "pi/2": np.pi / 2}
 CANONICAL_CALLS = 200
 GENERAL_DRAWS = 600
@@ -143,27 +139,13 @@ def _medians(call, cases, rounds, reference):
     return ms, ms / ref_ms, p95, p95 / ref_ms, errors
 
 
-def _kernel():
-    """The code of the evaluation kernel's states and angles, or of the
-    `Trajectory` methods in a checkout from before the kernel."""
-    states = getattr(bc.trajectory, "evaluate_states",
-                     bc.Trajectory.states_along)
-    angles = getattr(bc.trajectory, "evaluate_angles",
-                     bc.Trajectory.angles_along)
-    return states.__code__, angles.__code__
-
-
-def _work(case, config):
-    """(points, calls, levels) of one client call: the sum of np.size(x)
-    over its kernel states calls, its Python-level calls and its kernel
-    angles calls."""
-    return _counted(_call, *case, config)
-
-
 def _counted(fn, *args):
-    """(points, calls, levels) of ``fn(*args)``, as `_work` counts them."""
+    """(points, calls, levels) of ``fn(*args)``: the sum of np.size(x) over
+    its calls of the kernel's states, its Python-level calls and its calls
+    of the kernel's angles."""
     counts = [0, 0, 0]
-    along, angles = _kernel()
+    states = bc.trajectory.evaluate_states.__code__
+    angles = bc.trajectory.evaluate_angles.__code__
     # the frames of the generators counted so far, whose resumes are
     # "call" events too; held, so that no later frame takes their identity
     started = set()
@@ -176,7 +158,7 @@ def _counted(fn, *args):
                 return
             started.add(frame)
         counts[1] += 1
-        if frame.f_code is along:
+        if frame.f_code is states:
             counts[0] += np.size(frame.f_locals["x"])
         elif frame.f_code is angles:
             counts[2] += 1
@@ -228,9 +210,10 @@ def _buildable(cases):
 def _work_record(canonical, pool, poles, config):
     """The ``work`` entry of one averaging mode."""
     record = {name: dict(zip(("points", "calls", "levels"),
-                             _work((canonical, alpha), config)))
+                             _counted(_call, canonical, alpha, config)))
               for name, alpha in ALPHAS.items()}
-    points, calls, levels = zip(*(_work(case, config) for case in pool))
+    points, calls, levels = zip(*(_counted(_call, *case, config)
+                                  for case in pool))
     record["general"] = {
         "points": {"median": statistics.median(points), "max": max(points),
                    "total": sum(points)},
@@ -238,7 +221,8 @@ def _work_record(canonical, pool, poles, config):
         "levels": {"median": statistics.median(levels), "max": max(levels),
                    "histogram": {str(k): levels.count(k)
                                  for k in sorted(set(levels))}}}
-    points, calls, levels = zip(*(_work(case, config) for case in poles))
+    points, calls, levels = zip(*(_counted(_call, *case, config)
+                                  for case in poles))
     record["pole_cases"] = {"cases": len(poles), "points": sum(points),
                             "calls": sum(calls), "levels": sum(levels)}
     return record
@@ -253,14 +237,6 @@ def oracle_draws(workloads):
         field = bc.suboptimal_field(problem, bc.SubOptimalParams(alpha))
         draws.append((field, problem.source_state, total_time))
     return draws
-
-
-def perfbench_workloads():
-    """The checkout's `perfbench/workloads.py`, only read from."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
-    return workloads
 
 
 def commit():

@@ -17,16 +17,39 @@ same script snapshots any checkout. OUTDIR gets:
 - ``pole_cases.txt``: the same lines for the problems in `pole_cases`,
   which meet an exact pole at an end or between the ends, next to one, or
   not at all; no general-pool draw meets one. The last cases cannot be
-  built, and their lines hold the construction error.
+  built, and their lines hold the construction error;
+- ``golden_reports.csv``: the regression net that `tests/test_golden.py`
+  checks the library against, built from the same reports: one row per
+  averaging mode and case among the first GOLDEN_DRAWS general-pool draws
+  and the pole cases (`golden_key`), with the columns
+  - ``case``: ``pool <k>`` for the k-th pool draw, ``pole <k>`` for the
+    k-th pole case;
+  - ``a0 a1 a2 b0 b1 b2 alpha energy``: the inputs, each float as its
+    `repr`, so that the test rebuilds them bit for bit;
+  - ``mode``, and ``outcome``: the degeneracy label of the report, or the
+    class of the typed error that `analyze` (or the problem's
+    construction) raised;
+  - ``segments``: the report's number of averaging segments (empty for an
+    error);
+  - ``C V_bar V_max s L_C``: the report's complexity, volumes, path length
+    and length scale as `repr` (empty for an error).
 
 Byte identity is a property of one machine: compare only snapshots taken
 on the same machine. numpy's batch kernels (the evaluation
-kernel `trajectory.evaluate_states`, the `arrival` multiply in
-`sample_trajectory` and the complex product in `bloch_angles`) fuse
-multiply-adds where the CPU has FMA, so two machines can write different
-last digits with no code change.
+kernel `trajectory.evaluate_states`, the multiply that phases the target's
+state in `sample_trajectory` and the complex product in `bloch_angles`)
+fuse multiply-adds where the CPU has FMA, so two machines can write
+different last digits with no code change.
+
+That is why `tests/test_golden.py` compares the outcome and the segment
+count exactly but the five values only to a relative 1e-9: moving a and b
+by up to 2 units in the last place moved them by at most about 1e-11.
+Regenerate the committed net (``cp OUTDIR/golden_reports.csv tests/``)
+only for a change that is meant to change these reports, and say so where
+the change is recorded.
 """
 
+import csv
 import dataclasses
 import subprocess
 import sys
@@ -56,6 +79,11 @@ RUNS = {
     "sweep_degenerate": ["sweep", "--theta-ab", "1e-13", "--steps", "2"],
 }
 MODES = ("uniform", "appendix_piecewise")
+GOLDEN_DRAWS = 512
+GOLDEN_COLUMNS = ("case", "a0", "a1", "a2", "b0", "b1", "b2", "alpha",
+                  "energy", "mode", "outcome", "segments", "C", "V_bar",
+                  "V_max", "s", "L_C")
+FILES = {"pool": "general_pool.txt", "pole": "pole_cases.txt"}
 # a path off any meridian through the north pole, and moves of its a and b
 # in units of np.spacing
 PASSAGE = ([0.1591020297601654, -0.834757507664317, 0.5271303894903547],
@@ -138,26 +166,67 @@ def through_pole(push):
                             n @ (a + b) / np.linalg.norm(a + b))
 
 
-def report_lines(cases):
-    for k, (a, b, alpha, omega) in enumerate(cases):
-        for mode in MODES:
-            try:
-                problem = bc.EvolutionProblem(np.array(a), np.array(b),
-                                              energy=omega)
-                rep = bc.analyze(problem, bc.SubOptimalParams(alpha),
-                                 bc.AnalysisConfig(averaging_mode=mode))
-                cells = _cells(dataclasses.astuple(rep))
-            except bc.BlochComplexityError as err:
-                cells = [type(err).__name__, str(err)]
-            yield ",".join([str(k), mode, *cells])
-
-
-def pool_lines():
+def perfbench_workloads():
+    """The `perfbench/workloads.py` next to the package's `src/`, only read
+    from."""
     sys.path.insert(0, str(Path(bc.__file__).resolve().parents[2]
                            / "perfbench"))
-    from workloads import general_pool
+    import workloads
 
-    return report_lines(general_pool())
+    return workloads
+
+
+def cases():
+    """(name, inputs) of every general-pool draw and then every pole case:
+    ``pool <k>`` or ``pole <k>`` for the k-th of each, and (a0, a1, a2, b0,
+    b1, b2, alpha, energy), each a float."""
+    for prefix, source in (("pool", perfbench_workloads().general_pool()),
+                           ("pole", pole_cases())):
+        for k, (a, b, alpha, energy) in enumerate(source):
+            yield f"{prefix} {k}", (*map(float, a), *map(float, b),
+                                    float(alpha), float(energy))
+
+
+def golden_key(name, inputs, mode):
+    """The case, input and mode cells of the ``golden_reports.csv`` row of
+    a case in one mode; None for a pool draw after the first
+    GOLDEN_DRAWS, which the file leaves out."""
+    prefix, k = name.split()
+    if prefix == "pool" and int(k) >= GOLDEN_DRAWS:
+        return None
+    return [name, *map(repr, inputs), mode]
+
+
+def report(inputs, mode):
+    """`analyze`'s report on a case in one averaging mode, or the typed
+    error that it or the problem's construction raised."""
+    try:
+        problem = bc.EvolutionProblem(np.array(inputs[:3]),
+                                      np.array(inputs[3:6]),
+                                      energy=inputs[7])
+        return bc.analyze(problem, bc.SubOptimalParams(inputs[6]),
+                          bc.AnalysisConfig(averaging_mode=mode))
+    except bc.BlochComplexityError as err:
+        return err
+
+
+def report_cells(rep):
+    """Every number of a report, the box and segments included, and its
+    degeneracy label; or the class and message of the error."""
+    if isinstance(rep, bc.BlochComplexityError):
+        return [type(rep).__name__, str(rep)]
+    return _cells(dataclasses.astuple(rep))
+
+
+def golden_cells(rep):
+    """The outcome, segment count and values of a ``golden_reports.csv``
+    row."""
+    if isinstance(rep, bc.BlochComplexityError):
+        return [type(rep).__name__] + [""] * 6
+    values = (rep.complexity, rep.volume.v_bar, rep.volume.v_max, rep.s,
+              rep.length_scale)
+    return [rep.degeneracy_label, str(len(rep.volume.segments)),
+            *(repr(float(x)) for x in values)]
 
 
 def main():
@@ -167,9 +236,20 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     for name, argv in RUNS.items():
         (out / f"cli_{name}.txt").write_text(cli_snapshot(argv))
-    (out / "general_pool.txt").write_text("\n".join(pool_lines()) + "\n")
-    (out / "pole_cases.txt").write_text(
-        "\n".join(report_lines(pole_cases())) + "\n")
+    lines = {prefix: [] for prefix in FILES}
+    golden = [GOLDEN_COLUMNS]
+    for name, inputs in cases():
+        prefix, k = name.split()
+        for mode in MODES:
+            rep = report(inputs, mode)
+            lines[prefix].append(",".join([k, mode, *report_cells(rep)]))
+            key = golden_key(name, inputs, mode)
+            if key:
+                golden.append(key + golden_cells(rep))
+    for prefix, file in FILES.items():
+        (out / file).write_text("\n".join(lines[prefix]) + "\n")
+    with (out / "golden_reports.csv").open("w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(golden)
     return 0
 
 

@@ -4,7 +4,7 @@ evolutions between arbitrary Bloch-sphere states."""
 from .complexity import (AnalysisConfig, AngularBox, DEFAULT_AVERAGING_MODE,
                          EvolutionReport, VolumeReport, accessed_volume,
                          analyze, analyze_alphas, bounding_box, branch_times,
-                         complexity, complexity_length_scale)
+                         complexity_from_volumes, complexity_length_scale)
 from .errors import (AveragingDomainError, BlochComplexityError,
                      DegenerateGeometry, NonPositiveVolume, NormDrift,
                      ParallelField, QuadratureNotConverged)

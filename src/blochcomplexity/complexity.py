@@ -143,7 +143,7 @@ def accessed_volume(traj, mode=DEFAULT_AVERAGING_MODE):
     return _unwrap(volumes)[3]
 
 
-def complexity(v_bar, v_max):
+def complexity_from_volumes(v_bar, v_max):
     """Deficit ratio (V_max - V̄)/V_max in [0, 1)."""
     if v_max <= 0.0 or v_bar <= 0.0:
         raise NonPositiveVolume(
@@ -209,7 +209,7 @@ def _analyze_rows(problem, params, config):
 def _report(problem, params, traj, volumes, config):
     """One row's `EvolutionReport` from its trajectory and `_volumes`."""
     box, kind, v_max, v_bar, segments = volumes
-    c = complexity(v_bar, v_max)
+    c = complexity_from_volumes(v_bar, v_max)
     s = arc_length(problem, params, traj.x_b)
     volume = VolumeReport(v_bar=v_bar, v_max=v_max, box=box,
                           averaging_mode=config.averaging_mode,

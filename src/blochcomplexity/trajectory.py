@@ -86,11 +86,11 @@ class Trajectory:
     angle follows in closed form; the source's ``circle`` about n, on which
     x = 2Et; the ``start`` angles (theta_A, phi_A) as `angles_at` gives
     them, with phi_A at an exact pole the azimuth of the direction of
-    departure r'(0) = n x a; the ``arrival`` pair, the target's own state
-    in the phase of psi0's evolved one at x_b and (n.sigma) of it; the
-    ``polar_turns`` and ``closest_approaches`` (`_polar_turns`); the exact
-    ``pole`` (`_pole`); the lift's ``crossing``, ``half_turns`` and
-    ``limits`` (`_lift`); and the kernel's ``constants``.
+    departure r'(0) = n x a; the ``polar_turns`` and ``closest_approaches``
+    (`_polar_turns`); the exact ``pole`` (`_pole`); the lift's
+    ``crossing``, ``half_turns`` and ``limits`` (`_lift`); and the kernel's
+    ``constants``, which alone keep the arrival pair, the target's own
+    state in the phase of psi0's evolved one at x_b and (n.sigma) of it.
 
     The path is parametrised by the rotation angle x = 2Et, which runs
     from 0 to ``x_b`` at every energy E; only `states_at`, `angles_at` and
@@ -104,7 +104,6 @@ class Trajectory:
     turned: np.ndarray
     circle: Circle
     start: tuple
-    arrival: tuple
     polar_turns: tuple
     closest_approaches: tuple
     pole: object
@@ -384,6 +383,5 @@ def sample_trajectory(problem, params, n=None):
         crossing, np.array(centres), np.array(limits) if limits else None,
         0, True)
     return Trajectory(problem, x_b, f, source, turned, circle,
-                      (theta_a, phi_a), (psi, psi_turned), turns,
-                      approaches, pole, crossing, half_turns, limits,
-                      constants)
+                      (theta_a, phi_a), turns, approaches, pole, crossing,
+                      half_turns, limits, constants)

@@ -1,5 +1,5 @@
 """Regression net on general input: both averaging modes on fixed general
-draws and on the pole cases, against the reports that `scripts/golden.py`
+draws and on the pole cases, against the reports that `scripts/snapshot.py`
 wrote to ``golden_reports.csv``. The outcome (degeneracy label or error
 class) and the segment count must match exactly, and C, V_bar, V_max, s
 and L_C to a relative 1e-9."""
