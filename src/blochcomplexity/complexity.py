@@ -274,9 +274,10 @@ def _branch_angles(traj):
     pole, (n, na, u, v) = traj.pole, traj.circle
     vanishing = None if pole is None else int(
         n[2] * na + u[2] * math.cos(pole) + v[2] * math.sin(pole) > 0.0)
+    (s0, s1), (t0, t1) = traj.source, traj.turned
     merged = []
-    for x, k in sorted((x, k) for k, (p, q) in enumerate(zip(
-            traj.source.real.tolist(), traj.turned.imag.tolist()))
+    for x, k in sorted((x, k) for k, (p, q) in enumerate(
+            ((s0.real, t0.imag), (s1.real, t1.imag)))
             if math.hypot(p, q) > 1e-12 for x in _cos_roots(p, q, span)):
         if (lo + 1e-12 < x < hi - 1e-12
                 and (k != vanishing
@@ -450,13 +451,13 @@ def _box_candidates(traj):
     """Where `bounding_box` takes the angles: x_b, the polar turns
     (`Trajectory.polar_turns`) and, with no exact pole on the path, the
     azimuth's turns."""
-    x_b, circle, b = traj.x_b, traj.circle, traj.problem.b_hat.tolist()
+    x_b, circle, b = traj.x_b, traj.circle, traj.problem.b
     # on a path through an exact pole the azimuth's stationary points are a
     # double root there, which rounding moves off the pole, and the limits
     # stand in for them; the target's turns are measured back from it, on
     # its circle about -n
     x_phi = [] if traj.pole is not None else [
-        *_azimuth_turns(circle, traj.problem.a_hat.tolist(), 0.5 * x_b),
+        *_azimuth_turns(circle, traj.problem.a, 0.5 * x_b),
         *(x_b - y for y in _azimuth_turns(
             Circle.about([-m for m in circle.n], b), b, 0.5 * x_b))]
     return [x_b, *traj.polar_turns, *x_phi]

@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .qubit import (IDENTITY, _require_unit, cross, dot, pauli_dot,
-                    state_from_bloch)
+from .qubit import (IDENTITY, _require_unit, bloch_angles, cross, dot,
+                    pauli_dot, state_from_bloch)
 
 # |a x b| = sin(theta_AB) or |a + b| below this leaves the field family
 # without its axis or its bisector
@@ -38,12 +38,24 @@ class EvolutionProblem:
     the read-only states are built from those floats. Construction raises
     `DegenerateGeometry` for a pair without the rotation axis a x b or the
     bisector a + b, so every problem that exists has its field family.
+
+    The geometry that every member of the family shares is kept as Python
+    floats: ``a`` and ``b`` (the unit vectors as tuples), ``plus`` = a + b
+    and ``axis`` = a x b with their norms ``plus_norm`` and ``axis_norm``;
+    and the source's angles (``source_angles``) are computed on first use,
+    once per problem.
     """
 
     a_hat: np.ndarray
     b_hat: np.ndarray
     energy: float = 1.0
     theta_ab: float = field(init=False)
+    a: tuple = field(init=False, repr=False, compare=False)
+    b: tuple = field(init=False, repr=False, compare=False)
+    plus: tuple = field(init=False, repr=False, compare=False)
+    axis: tuple = field(init=False, repr=False, compare=False)
+    plus_norm: float = field(init=False, repr=False, compare=False)
+    axis_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = _require_unit(self.a_hat, "a_hat")
@@ -54,23 +66,37 @@ class EvolutionProblem:
         if not 1e-300 <= self.energy <= 1e300:
             raise ValueError(
                 f"energy must lie in [1e-300, 1e300], got {self.energy}")
-        theta = math.atan2(math.hypot(*cross(a, b)), dot(a, b))
+        axis = cross(a, b)
+        axis_norm = math.hypot(*axis)
+        theta = math.atan2(axis_norm, dot(a, b))
         if math.sin(theta) < DEGENERACY_EPS:
             raise DegenerateGeometry(
                 f"source and target are (anti)parallel: theta_ab={theta}")
-        if math.hypot(*(p + q for p, q in zip(a, b))) < DEGENERACY_EPS:
+        plus = tuple(p + q for p, q in zip(a, b))
+        plus_norm = math.hypot(*plus)
+        if plus_norm < DEGENERACY_EPS:
             raise DegenerateGeometry("antipodal vectors: bisector undefined")
-        object.__setattr__(self, "a_hat", _read_only(np.array(a)))
-        object.__setattr__(self, "b_hat", _read_only(np.array(b)))
-        object.__setattr__(self, "theta_ab", theta)
+        for name, value in (("a_hat", _read_only(np.array(a))),
+                            ("b_hat", _read_only(np.array(b))),
+                            ("theta_ab", theta), ("a", a), ("b", b),
+                            ("plus", plus), ("axis", axis),
+                            ("plus_norm", plus_norm),
+                            ("axis_norm", axis_norm)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def source_state(self):
-        return _read_only(state_from_bloch(*self.a_hat.tolist()))
+        return _read_only(state_from_bloch(*self.a))
 
     @cached_property
     def target_state(self):
-        return _read_only(state_from_bloch(*self.b_hat.tolist()))
+        return _read_only(state_from_bloch(*self.b))
+
+    @cached_property
+    def source_angles(self):
+        """(theta_A, phi_A) of the source state, as `bloch_angles` gives
+        them: floats, the same for every member of the family."""
+        return tuple(map(float, bloch_angles(self.source_state)))
 
 
 @dataclass(frozen=True)
@@ -116,18 +142,26 @@ class FieldVector:
 
 def suboptimal_field(problem, params):
     """Member of the field family at mixing angle alpha; magnitude E."""
-    a, b = problem.a_hat.tolist(), problem.b_hat.tolist()
-    plus, axis = [p + q for p, q in zip(a, b)], cross(a, b)
-    cos_a, sin_a = math.cos(params.alpha), math.sin(params.alpha)
-    plus_norm, axis_norm = math.hypot(*plus), math.hypot(*axis)
-    unit = [cos_a * p / plus_norm + sin_a * q / axis_norm
-            for p, q in zip(plus, axis)]
+    unit, direction = field_direction(problem, params)
     f = FieldVector([problem.energy * u for u in unit])
     # the direction is the unit combination's own, the same at every energy
     # scale; h/|h| would round E into it
-    norm = math.hypot(*unit)
-    f.__dict__["direction"] = _read_only(np.array([u / norm for u in unit]))
+    f.__dict__["direction"] = _read_only(np.array(direction))
     return f
+
+
+def field_direction(problem, params):
+    """The family's unit combination at mixing angle alpha,
+    cos(alpha) (a+b)/|a+b| + sin(alpha) (a x b)/|a x b|, and its direction,
+    the combination over its own norm, as tuples of floats: what
+    `suboptimal_field` scales by E and what a trajectory turns about."""
+    cos_a, sin_a = math.cos(params.alpha), math.sin(params.alpha)
+    plus_norm, axis_norm = problem.plus_norm, problem.axis_norm
+    unit = [cos_a * p / plus_norm + sin_a * q / axis_norm
+            for p, q in zip(problem.plus, problem.axis)]
+    x, y, z = unit
+    norm = math.hypot(x, y, z)
+    return unit, (x / norm, y / norm, z / norm)
 
 
 def propagator(f, t):

@@ -3,7 +3,8 @@ vectors.
 
 States are length-2 complex ndarrays (amplitudes of |0> and |1>), operators
 are 2x2 complex ndarrays, Bloch vectors are length-3 float ndarrays; the
-helpers for one evolution's geometry take and give Python floats.
+helpers for one evolution's geometry take and give Python floats and
+complex numbers.
 """
 
 import math
@@ -40,11 +41,13 @@ def dot(a, b):
 
 
 def pauli_dot_times(n, psi):
-    """(n . sigma) psi: `pauli_dot` (n) @ psi in Python complex arithmetic."""
-    n0, n1, n2 = n.tolist()
-    p0, p1 = psi.tolist()
-    return np.array([n2 * p0 + complex(n0, -n1) * p1,
-                     complex(n0, n1) * p0 - n2 * p1])
+    """(n . sigma) psi: `pauli_dot` (n) @ psi in Python complex arithmetic,
+    for a 3-sequence of floats ``n`` and a 2-sequence of complex numbers
+    ``psi``; a tuple of two complex numbers."""
+    n0, n1, n2 = n
+    p0, p1 = psi
+    return (n2 * p0 + complex(n0, -n1) * p1,
+            complex(n0, n1) * p0 - n2 * p1)
 
 
 def state_from_bloch(x, y, z):

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonians import arrival_angle, suboptimal_field
+from .hamiltonians import arrival_angle, field_direction, suboptimal_field
 from .qubit import bloch_angles, cross, dot, pauli_dot_times
 
 TWO_PI = 2.0 * np.pi
@@ -80,17 +80,19 @@ class Circle(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One evolution on [0, t_b], as `sample_trajectory` builds it: the
-    stationary ``field`` h, the ``source`` state psi0 and the ``turned``
-    state (n.sigma) psi0 along the field axis n, from which every state and
-    angle follows in closed form; the source's ``circle`` about n, on which
-    x = 2Et; the ``start`` angles (theta_A, phi_A) as `angles_at` gives
-    them, with phi_A at an exact pole the azimuth of the direction of
-    departure r'(0) = n x a; the ``polar_turns`` and ``closest_approaches``
-    (`_polar_turns`); the exact ``pole`` (`_pole`); the lift's
-    ``crossing``, ``half_turns`` and ``limits`` (`_lift`); and the kernel's
-    ``constants``, which alone keep the arrival pair, the target's own
-    state in the phase of psi0's evolved one at x_b and (n.sigma) of it.
+    """One evolution on [0, t_b], as `sample_trajectory` builds it for a
+    ``problem`` at ``params``: the ``source`` state psi0 and the ``turned``
+    state (n.sigma) psi0 along the field axis n, each a tuple of two
+    complex numbers, from which every state and angle follows in closed
+    form; the source's ``circle`` about n, on which x = 2Et; the ``start``
+    angles (theta_A, phi_A) as `angles_at` gives them, with phi_A at an
+    exact pole the azimuth of the direction of departure r'(0) = n x a;
+    the ``polar_turns`` and ``closest_approaches`` (`_polar_turns`); the
+    exact ``pole`` (`_pole`); the lift's ``crossing``, ``half_turns`` and
+    ``limits`` (`_lift`); and the kernel's ``constants``, which alone keep
+    the arrival pair, the target's own state in the phase of psi0's evolved
+    one at x_b and (n.sigma) of it. The stationary ``field`` h is built on
+    each read, from the problem and params.
 
     The path is parametrised by the rotation angle x = 2Et, which runs
     from 0 to ``x_b`` at every energy E; only `states_at`, `angles_at` and
@@ -98,10 +100,10 @@ class Trajectory:
     """
 
     problem: object
+    params: object
     x_b: float
-    field: object
-    source: np.ndarray
-    turned: np.ndarray
+    source: tuple
+    turned: tuple
     circle: Circle
     start: tuple
     polar_turns: tuple
@@ -111,6 +113,13 @@ class Trajectory:
     half_turns: tuple
     limits: tuple
     constants: "Constants"
+
+    @property
+    def field(self):
+        """The stationary field h, `suboptimal_field` of the problem and
+        params: a new `FieldVector` on each read, which nothing in
+        `analyze` needs."""
+        return suboptimal_field(self.problem, self.params)
 
     @property
     def t_b(self):
@@ -183,7 +192,7 @@ def _pole(theta_a, psi, x_b, turns, approaches):
     the path."""
     if math.sin(theta_a) < POLE_EPS:
         return 0.0
-    c0, c1 = psi.tolist()
+    c0, c1 = psi
     if math.sin(2.0 * math.atan2(abs(c1), abs(c0))) < POLE_EPS:
         return x_b
     return next((x for x, theta_min in zip(turns, approaches)
@@ -331,11 +340,13 @@ def evaluate_angles(constants, x, origin=0.0):
 
 def sample_trajectory(problem, params, n=None):
     """The evolution on [0, t_b], each part of it computed once, in one
-    pass: the field and x_b, the circle, the start angles, psi0 and
-    (n.sigma) psi0, the arrival pair, the polar turns, the pole, the lift
-    and the kernel's `Constants`. ``n`` is accepted from callers that
-    still pass a sample count, and neither read nor validated: nothing
-    here samples, and `evolve` checks and samples its own grid.
+    pass: the field's direction and x_b, the circle, the start angles, psi0
+    and (n.sigma) psi0, the arrival pair, the polar turns, the pole, the
+    lift and the kernel's `Constants`; what the problem shares with every
+    member of its family (a, b, the source's angles) is the problem's own.
+    ``n`` is accepted from callers that still pass a sample count, and
+    neither read nor validated: nothing here samples, and `evolve` checks
+    and samples its own grid.
 
     On the south pole the |0> amplitude of psi0 vanishes, and the global
     phase it fixes elsewhere falls to the raw azimuth of a vector that has
@@ -343,35 +354,33 @@ def sample_trajectory(problem, params, n=None):
     departure azimuth phi_A, as it has for a source next to the pole along
     phi_A; piecewise mode's branch roots follow this phase.
     """
-    f = suboptimal_field(problem, params)
+    _, axis = field_direction(problem, params)
     x_b = 2.0 * arrival_angle(problem, params)
-    axis = f.direction
-    circle = Circle.about(axis.tolist(), problem.a_hat.tolist())
+    circle = Circle.about(axis, problem.a)
     source = problem.source_state
-    theta_a, phi_a = map(float, bloch_angles(source))
+    theta_a, phi_a = problem.source_angles
     if math.sin(theta_a) < POLE_EPS:
         v = circle.v
         phi_a = math.atan2(v[1], v[0])
         if theta_a >= 0.5 * math.pi:
             source = source * cmath.exp(
                 1j * (phi_a - cmath.phase(source[1])))
-    turned = pauli_dot_times(axis, source)
-    (s0, s1), (t0, t1) = source.tolist(), turned.tolist()
+    source = s0, s1 = tuple(source.tolist())
+    turned = t0, t1 = pauli_dot_times(axis, source)
 
     half = 0.5 * x_b
     c, s = math.cos(half), 1j * math.sin(half)
     target = problem.target_state
     overlap = sum(t.conjugate() * (c * p - s * q) for t, p, q in zip(
-        target.tolist(), (s0, s1), (t0, t1)))
+        target.tolist(), source, turned))
     # numpy's multiply, which fuses multiply-adds where the machine has
     # them: `evolve` prints the second half's amplitudes in its rounding
-    psi = target * (overlap * (1.0 / abs(overlap)))
-    psi_turned = pauli_dot_times(axis, psi)
+    psi = p0, p1 = (target * (overlap * (1.0 / abs(overlap)))).tolist()
+    q0, q1 = pauli_dot_times(axis, psi)
 
     turns, approaches = _polar_turns(circle, x_b)
     pole = _pole(theta_a, psi, x_b, turns, approaches)
     crossing, half_turns, limits = _lift(circle, x_b, phi_a, pole)
-    (p0, p1), (q0, q1) = psi.tolist(), psi_turned.tolist()
     # the centre of the half-turn k before the crossing and after it: the
     # branch a raw azimuth there is moved to
     centres = [phi_a + math.pi * (k + 0.5) for k in half_turns]
@@ -382,6 +391,6 @@ def sample_trajectory(problem, params, n=None):
         np.array([-1j * t0, -1j * t1, -1j * q0, -1j * q1]).reshape(2, 2),
         crossing, np.array(centres), np.array(limits) if limits else None,
         0, True)
-    return Trajectory(problem, x_b, f, source, turned, circle,
+    return Trajectory(problem, params, x_b, source, turned, circle,
                       (theta_a, phi_a), turns, approaches, pole, crossing,
                       half_turns, limits, constants)

@@ -140,10 +140,11 @@ def check_propagator_agreement():
     records = []
     for alpha in (k * np.pi / 16.0 for k in range(1, 17)):
         traj = sample_trajectory(problem, SubOptimalParams(alpha))
+        # the field is built on each read of `Trajectory.field`
+        f, psi0 = traj.field, traj.source
         worst = 0.0
         for total_time, exact in zip(times, traj.states_at(times)):
-            numeric = integrate_schrodinger(traj.field, traj.source,
-                                            total_time)
+            numeric = integrate_schrodinger(f, psi0, total_time)
             worst = max(worst, float(np.max(np.abs(exact - numeric))))
         records.append(CheckRecord(check="propagator_oracle",
                                    param=f"alpha={alpha:.6g}", delta=worst,

@@ -18,12 +18,13 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              complexity_from_volumes, complexity_length_scale,
                              curvature_coefficient, equatorial_problem,
                              path_length, sample_trajectory,
-                             speed_efficiency)
+                             speed_efficiency, suboptimal_field)
 from blochcomplexity import hamiltonians, qubit, trajectory
 from blochcomplexity.cli import main
 from blochcomplexity.complexity import (AVERAGING_MODES, _branch_angles,
                                         _degeneracy_kind, _panel_edges,
                                         _volume_samples)
+from blochcomplexity.hamiltonians import FieldVector
 from blochcomplexity.qubit import _require_unit, state_from_bloch
 from blochcomplexity.trajectory import (POLE_EPS, Circle, Trajectory,
                                         nearest_branch)
@@ -101,7 +102,7 @@ def _extended_angles(traj, x, from_target=False):
         psi = traj.problem.target_state
     elif x > traj.x_b / 2.0:
         psi, ang = traj.problem.target_state, (x - traj.x_b) / 2.0
-    psi = psi.astype(np.clongdouble)
+    psi = np.asarray(psi, dtype=np.clongdouble)
     c0, c1 = np.cos(ang) * psi - 1j * np.sin(ang) * (turn @ psi)
     z = c1 * np.conj(c0)
     return (float(2.0 * np.arctan2(abs(c1), abs(c0))),
@@ -616,31 +617,84 @@ def _count_calls(monkeypatch, home, fn_name):
     return log
 
 
-@pytest.mark.parametrize("a", ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0],
-                               [0.6, 0.8, 0.0]),
-                         ids=("south", "north", "equator"))
+_POLES_AND_EQUATOR = pytest.mark.parametrize(
+    "a", ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0]),
+    ids=("south", "north", "equator"))
+
+
+@_POLES_AND_EQUATOR
 def test_sample_trajectory_builds_each_part_once(monkeypatch, a):
     # a source on the south pole is re-phased before (n.sigma) psi0 is
     # built, not built twice: like every other source it takes (n.sigma) of
-    # psi0 and of the arrival state, and one bloch_angles of psi0, and
-    # reading the kernel's constants and the start angles computes nothing
+    # psi0 and of the arrival state, and one field direction per trajectory;
+    # the source's bloch_angles are the problem's, taken on its first
+    # trajectory only, and reading the kernel's constants and the start
+    # angles computes nothing
     problem = EvolutionProblem(np.array(a), np.array([0.6, -0.48, 0.64]))
     turned = _count_calls(monkeypatch, qubit, "pauli_dot_times")
+    direction = _count_calls(monkeypatch, hamiltonians, "field_direction")
     angles = _count_calls(monkeypatch, qubit, "bloch_angles")
-    traj = sample_trajectory(problem, SubOptimalParams(PI / 4))
-    assert traj.constants.x_b == traj.x_b and len(traj.start) == 2
-    assert (len(turned), len(angles)) == (2, 1)
+    for rows, alpha in enumerate((PI / 4, PI / 3), start=1):
+        traj = sample_trajectory(problem, SubOptimalParams(alpha))
+        assert traj.constants.x_b == traj.x_b and len(traj.start) == 2
+        assert (len(turned), len(direction), len(angles)) == (
+            2 * rows, rows, 1)
+
+
+@_POLES_AND_EQUATOR
+def test_the_trajectory_field_is_the_family_member(a):
+    # the field is derived from the problem and params on each read, bit
+    # for bit the one `suboptimal_field` builds, and its direction is the
+    # axis the trajectory turns about
+    problem = EvolutionProblem(np.array(a), np.array([0.6, -0.48, 0.64]),
+                               energy=1.7)
+    params = SubOptimalParams(PI / 4)
+    traj = sample_trajectory(problem, params)
+    got, want = traj.field, suboptimal_field(problem, params)
+    assert got is not want
+    assert got.h.tobytes() == want.h.tobytes()
+    assert got.direction.tobytes() == want.direction.tobytes()
+    assert got.magnitude.hex() == want.magnitude.hex()
+    assert traj.circle.n == tuple(want.direction.tolist())
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
     # pi/16 has an interior branch time, so piecewise mode cuts a segment;
-    # the field is computed once per analyze
-    calls = _count_calls(monkeypatch, hamiltonians, "suboptimal_field")
+    # the field's direction is computed once per analyze, and the field
+    # itself is not built
+    calls = _count_calls(monkeypatch, hamiltonians, "field_direction")
+    fields = _count_calls(monkeypatch, hamiltonians, "suboptimal_field")
     rep = analyze(canonical, SubOptimalParams(PI / 16),
                   AnalysisConfig(averaging_mode=mode))
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
-    assert len(calls) == 1
+    assert (len(calls), len(fields)) == (1, 0)
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_analyze_builds_no_field_vector(canonical, monkeypatch, mode):
+    # no row of `analyze` or `analyze_alphas` builds a FieldVector; the
+    # counter does see the one that `suboptimal_field` builds
+    built = _count_calls(monkeypatch, FieldVector, "__post_init__")
+    config = AnalysisConfig(averaging_mode=mode)
+    analyze(canonical, SubOptimalParams(PI / 16), config)
+    analyze_alphas(canonical, np.linspace(0.0, PI, 17), config)
+    assert len(built) == 0
+    suboptimal_field(canonical, SubOptimalParams(PI / 16))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_a_sweep_takes_the_source_angles_once(monkeypatch, mode):
+    # the source's angles belong to the problem: a 17-row sweep on a new
+    # problem calls bloch_angles once for them and once in the kernel call
+    # that evaluates every row
+    problem = equatorial_problem()
+    calls = _count_calls(monkeypatch, qubit, "bloch_angles")
+    rows = analyze_alphas(problem, np.linspace(0.0, PI, 17),
+                          AnalysisConfig(averaging_mode=mode))
+    assert all(isinstance(row, EvolutionReport) for row in rows)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)

@@ -170,10 +170,10 @@ def test_pauli_dot_times_is_the_matrix_product_to_rounding(n, parts):
     # otherwise to 4 eps |n| |psi| per real component (the two roundings
     # of a three-term sum differ by at most 3.5 eps times the sum of its
     # terms' magnitudes, which Cauchy-Schwarz bounds by |n| |psi|)
-    n = np.array(n)
-    psi = np.array([complex(*parts[:2]), complex(*parts[2:])])
+    psi = (complex(*parts[:2]), complex(*parts[2:]))
     got = pauli_dot_times(n, psi)
-    want = pauli_dot(n) @ psi
+    assert all(type(c) is complex for c in got)
+    got, want = np.array(got), pauli_dot(n) @ np.array(psi)
     assert got.dtype == want.dtype and got.shape == want.shape
     # the norms by hypot, which does not underflow for tiny components
     bound = (4.0 * np.finfo(float).eps * math.hypot(*n) * math.hypot(*parts)
