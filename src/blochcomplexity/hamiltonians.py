@@ -152,9 +152,10 @@ def suboptimal_field(problem, params):
 
 def field_direction(problem, params):
     """The family's unit combination at mixing angle alpha,
-    cos(alpha) (a+b)/|a+b| + sin(alpha) (a x b)/|a x b|, and its direction,
-    the combination over its own norm, as tuples of floats: what
-    `suboptimal_field` scales by E and what a trajectory turns about."""
+    cos(alpha) (a+b)/|a+b| + sin(alpha) (a x b)/|a x b|, as a list of
+    floats, which `suboptimal_field` scales by E; and its direction, the
+    combination over its own norm, as a tuple of floats, the axis that a
+    trajectory turns about."""
     cos_a, sin_a = math.cos(params.alpha), math.sin(params.alpha)
     plus_norm, axis_norm = problem.plus_norm, problem.axis_norm
     unit = [cos_a * p / plus_norm + sin_a * q / axis_norm
