@@ -661,14 +661,12 @@ def test_the_trajectory_field_is_the_family_member(a):
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_analyze_builds_the_field_once(canonical, monkeypatch, mode):
     # pi/16 has an interior branch time, so piecewise mode cuts a segment;
-    # the field's direction is computed once per analyze, and the field
-    # itself is not built
+    # the field's direction is computed once per analyze
     calls = _count_calls(monkeypatch, hamiltonians, "field_direction")
-    fields = _count_calls(monkeypatch, hamiltonians, "suboptimal_field")
     rep = analyze(canonical, SubOptimalParams(PI / 16),
                   AnalysisConfig(averaging_mode=mode))
     assert len(rep.volume.segments) == (1 if mode == "uniform" else 2)
-    assert (len(calls), len(fields)) == (1, 0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
