@@ -69,6 +69,8 @@ RUNS = {
     "figdata_fig2": ["figdata", "fig2", "--points", "513"],
     "figdata_fig4": ["figdata", "fig4"],
     "figdata_fig5": ["figdata", "fig5"],
+    "figdata_fig4_theta": ["figdata", "fig4", "--theta-ab", "0.3",
+                           "--points", "33"],
     "evolve_pi16": ["evolve", "--alpha", "1/16pi"],
     "evolve_omega_theta": ["evolve", "--alpha", "1/4pi", "--omega", "2.5",
                            "--theta-ab", "0.3"],
@@ -77,6 +79,8 @@ RUNS = {
     "verify": ["verify"],
     "sweep_unwritable": ["sweep", "--out", "/nonexistent/dir/x.csv"],
     "sweep_degenerate": ["sweep", "--theta-ab", "1e-13", "--steps", "2"],
+    "figdata_degenerate": ["figdata", "fig4", "--theta-ab", "5e-10",
+                           "--points", "2"],
 }
 MODES = ("uniform", "appendix_piecewise")
 GOLDEN_DRAWS = 512

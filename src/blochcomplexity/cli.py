@@ -5,7 +5,7 @@ Subcommands:
     evolve   dump one sampled trajectory to CSV (the only code that samples)
     tables   print the reference tables (I: volumes/complexity,
              II: efficiencies/curvature, III: times/lengths)
-    figdata  dense alpha grids for external plotting
+    figdata  energy-free dense alpha grids for external plotting
     verify   run the oracle/symmetry harness
 
 Angles are accepted as decimal radians or as fractions of pi written
@@ -24,8 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexity import (AnalysisConfig, DEFAULT_AVERAGING_MODE, analyze,
-                         analyze_alphas)
+from .complexity import AnalysisConfig, DEFAULT_AVERAGING_MODE, analyze_alphas
 from .errors import BlochComplexityError
 from .hamiltonians import SubOptimalParams, equatorial_problem, suboptimal_field
 from .metrics import curvature_coefficient, geodesic_efficiency, speed_efficiency
@@ -154,7 +153,7 @@ def cmd_figdata(args):
     if args.points < 2:
         raise ValueError("--points must be >= 2")
     alphas = np.linspace(0.0, np.pi, args.points)
-    problem = equatorial_problem(theta_ab=args.theta_ab, energy=args.omega)
+    problem = equatorial_problem(args.theta_ab)
     lines = []
     if args.which == "fig2":
         lines.append("alpha,eta_ge,eta_se,kappa2")
@@ -243,7 +242,7 @@ def build_parser():
     figdata = sub.add_parser("figdata", help="dense alpha-grid CSV")
     figdata.add_argument("which", choices=("fig2", "fig4", "fig5"))
     figdata.add_argument("--points", type=int, default=257)
-    _common_flags(figdata)
+    figdata.add_argument("--theta-ab", type=parse_angle, default=np.pi / 2.0)
     figdata.add_argument("--out", default=None)
 
     sub.add_parser("verify", help="run the oracle/symmetry harness")

@@ -30,7 +30,7 @@ from .qubit import (IDENTITY, _require_unit, bloch_angles, cross, dot,
 DEGENERACY_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionProblem:
     """Source/target Bloch vectors with the energy scale of the drive.
 
@@ -50,12 +50,12 @@ class EvolutionProblem:
     b_hat: np.ndarray
     energy: float = 1.0
     theta_ab: float = field(init=False)
-    a: tuple = field(init=False, repr=False, compare=False)
-    b: tuple = field(init=False, repr=False, compare=False)
-    plus: tuple = field(init=False, repr=False, compare=False)
-    axis: tuple = field(init=False, repr=False, compare=False)
-    plus_norm: float = field(init=False, repr=False, compare=False)
-    axis_norm: float = field(init=False, repr=False, compare=False)
+    a: tuple = field(init=False, repr=False)
+    b: tuple = field(init=False, repr=False)
+    plus: tuple = field(init=False, repr=False)
+    axis: tuple = field(init=False, repr=False)
+    plus_norm: float = field(init=False, repr=False)
+    axis_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         a = _require_unit(self.a_hat, "a_hat")
@@ -112,7 +112,7 @@ class SubOptimalParams:
         object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldVector:
     """A stationary non-zero field h (energy units) defining H = h . sigma.
     ``h`` is a read-only copy of the input, so its cached magnitude and

@@ -78,7 +78,7 @@ class Circle(NamedTuple):
         return cls(tuple(n), na, u, cross(n, e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One evolution on [0, t_b], as `sample_trajectory` builds it for a
     ``problem`` at ``params``: the ``source`` state psi0 and the ``turned``

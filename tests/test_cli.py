@@ -96,6 +96,15 @@ def test_only_evolve_takes_a_sample_count(argv, capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("tables", "I"), ("figdata", "fig4")])
+def test_only_sweep_and_evolve_take_an_energy(argv, capsys):
+    # tables and figdata print energy-free quantities only
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv, "--omega", "2")
+    assert exit_info.value.code == 2
+    assert "--omega" in capsys.readouterr().err
+
+
 def test_sweep_single_point(tmp_path):
     out = tmp_path / "one.csv"
     assert run_cli("sweep", "--alpha-start", "1/2pi", "--alpha-end", "1/2pi",
@@ -341,6 +350,16 @@ def test_figdata_rejects_single_point(capsys):
     assert capsys.readouterr().err == "error: --points must be >= 2\n"
 
 
+def test_figdata_stops_at_a_failing_row(tmp_path, capsys):
+    out = tmp_path / "fig4.csv"
+    assert run_cli("figdata", "fig4", "--theta-ab", "5e-10", "--points", "2",
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: trajectory's box extents 2.5e-10 in theta and 5e-10 in phi"
+        " are both below EPS_DEGENERATE = 1e-09\n")
+    assert not out.exists()
+
+
 def test_verify_command(capsys):
     assert run_cli("verify") == 0
     out = capsys.readouterr().out.splitlines()
@@ -424,9 +443,9 @@ def test_runtime_imports_nothing_beyond_numpy():
     # the package depends on numpy alone, and the quadrature's nodes avoid
     # numpy.polynomial, whose import costs resident memory
     code = ("import sys\n"
-            "import blochcomplexity.cli as cli\n"
-            "cli.analyze(cli.equatorial_problem(),"
-            " cli.SubOptimalParams(0.3))\n"
+            "import blochcomplexity as bc\n"
+            "import blochcomplexity.cli\n"
+            "bc.analyze(bc.equatorial_problem(), bc.SubOptimalParams(0.3))\n"
             "print('\\n'.join(sys.modules))\n")
     result = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
                             capture_output=True, text=True, check=True,

@@ -195,6 +195,21 @@ def test_field_keeps_its_own_read_only_copy():
             frozen[0] = 1.0
 
 
+@pytest.mark.parametrize("build", [
+    equatorial_problem,
+    lambda: sample_trajectory(equatorial_problem(), SubOptimalParams(0.3)),
+    lambda: FieldVector(np.array([0.0, 3.0, 4.0])),
+], ids=["problem", "trajectory", "field"])
+def test_records_compare_and_hash_by_identity(build):
+    # each record holds arrays, whose == has no single truth value; the
+    # records compare as objects instead of raising
+    first, second = build(), build()
+    assert (first == second) is False and first != second
+    assert first == first
+    # keying a dict hashes both
+    assert {first: 1, second: 2}[second] == 2
+
+
 def test_propagator_identity_and_unitarity(canonical):
     f = suboptimal_field(canonical, SubOptimalParams(0.3))
     assert np.allclose(propagator(f, 0.0), np.eye(2), atol=1e-15)
