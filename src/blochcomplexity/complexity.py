@@ -245,7 +245,8 @@ def bounding_box(traj):
     spans the angles there, at both ends and, where the path meets an exact
     pole, the azimuth's one-sided limits on both sides of it.
     """
-    return _box(traj, *traj.angles_along(np.array(_box_candidates(traj))))
+    theta, phi = traj.angles_along(np.array(_box_candidates(traj)))
+    return _box(traj, theta.tolist(), phi.tolist())
 
 
 def branch_times(traj):
@@ -330,9 +331,11 @@ def _volumes(trajs, config):
     kernel call (`evaluate_angles`) evaluates every trajectory's candidates
     and first-level quadrature nodes, trajectories on a leading row axis,
     each row padded to the longest with repeats of its own last candidate
-    and panel edge (zero-width panels), which are sliced off. A trajectory
-    whose panels all converge at that level is done; only one with panels
-    to bisect evaluates again, on its own."""
+    and panel edge (zero-width panels), which are sliced off; V_max and V
+    at the nodes are then evaluated for every trajectory at once
+    (`_volume_rows`), so the numpy calls do not grow with the rows. A
+    trajectory whose panels all converge at that level is done; only one
+    with panels to bisect evaluates again, on its own."""
     if not trajs:
         return []
     rows = len(trajs)
@@ -364,22 +367,25 @@ def _volumes(trajs, config):
     theta, phi = theta.reshape(rows, -1), phi.reshape(rows, -1)
     lo, hi = lo.reshape(rows, -1), hi.reshape(rows, -1)
 
-    kinds, outcomes = [], []
+    box_theta, box_phi = theta[:, :k].tolist(), phi[:, :k].tolist()
+    boxes, kinds, outcomes = [], [], [None] * rows
     for r, traj in enumerate(trajs):
         m = len(candidates[r])
-        box = _box(traj, theta[r, :m], phi[r, :m])
+        boxes.append(_box(traj, box_theta[r][:m], box_phi[r][:m]))
         try:
-            kinds.append(_degeneracy_kind(box))
+            kinds.append(_degeneracy_kind(boxes[r]))
         except NonPositiveVolume as err:
             kinds.append(None)
-            outcomes.append(err)
-            continue
-        # V_max is V at the box's far corner
-        outcomes.append((box, float(_volume_samples(
-            box.theta_min, box.phi_min, box.theta_max, box.phi_max,
-            kinds[r]))))
-    values = _volume_rows([traj.start for traj in trajs], theta[:, k:],
-                          phi[:, k:], kinds)
+            outcomes[r] = err
+    # V_max is V at the box's far corner, one element per row
+    corners = np.array([(box.theta_min, box.phi_min, box.theta_max,
+                         box.phi_max) for box in boxes]).T
+    v_max = _volume_rows(*corners, kinds).tolist()
+    # one row's start angles stay floats, which broadcast at less cost than
+    # a 1 x 1 array
+    starts = trajs[0].start if rows == 1 else np.array(
+        [traj.start for traj in trajs]).T[..., None]
+    values = _volume_rows(*starts, theta[:, k:], phi[:, k:], kinds)
     whole, left, right = _gauss(half, values.reshape(nodes.shape)).reshape(
         rows, 3, -1).transpose(1, 0, 2)
     finer = left + right
@@ -410,25 +416,22 @@ def _volumes(trajs, config):
                          for t0, t1, x0, x1, total in zip(
                              times[:-1], times[1:], bounds[:-1], bounds[1:],
                              totals))
-        box, v_max = outcomes[r]
-        outcomes[r] = (box, kinds[r], v_max,
+        outcomes[r] = (boxes[r], kinds[r], v_max[r],
                        sum(avg for _, _, avg in averages), averages)
     return outcomes
 
 
-def _volume_rows(starts, theta, phi, kinds):
-    """V at each row of angles, from the row's start angles (``starts``,
-    (theta_A, phi_A) per row) and in its degeneracy kind; a row whose kind
-    is None gets any kind's. One row's start angles stay floats, on which
-    numpy takes its scalar path."""
-    theta_a, phi_a = (starts[0] if len(starts) == 1
-                      else np.array(starts).T[..., None])
-    present = set(kinds) - {None}
-    if len(present) <= 1:
-        return _volume_samples(theta_a, phi_a, theta, phi,
-                               min(present, default="none"))
-    values = np.zeros_like(theta)
-    for kind in present:
+def _volume_rows(theta_a, phi_a, theta, phi, kinds):
+    """V at each row of ``theta`` and ``phi`` from the row's start angles
+    ``theta_a`` and ``phi_a``, which broadcast against them, in the row's
+    degeneracy kind; a row whose kind is None gets any kind's. The most
+    common kind's formula runs on every row, and only the rows of the
+    other kinds are evaluated again, in their own, so that the number of
+    evaluations does not grow with the rows."""
+    present = sorted(set(kinds) - {None}, key=kinds.count, reverse=True)
+    values = _volume_samples(theta_a, phi_a, theta, phi,
+                             present[0] if present else "none")
+    for kind in present[1:]:
         same = [r for r, other in enumerate(kinds) if other == kind]
         values[same] = _volume_samples(theta_a[same], phi_a[same],
                                        theta[same], phi[same], kind)
@@ -465,11 +468,12 @@ def _box_candidates(traj):
 
 def _box(traj, theta, phi):
     """The box spanned by the start angles, the angles at the
-    `_box_candidates` and the azimuth's limits at an exact pole."""
+    `_box_candidates` (lists of floats, in their order) and the azimuth's
+    limits at an exact pole."""
     theta_a, phi_a = traj.start
     k = 1 + len(traj.polar_turns)
-    theta = [*theta[:k].tolist(), theta_a]
-    phi = [phi_a, *phi[:1].tolist(), *phi[k:].tolist(), *traj.limits]
+    theta = [*theta[:k], theta_a]
+    phi = [phi_a, *phi[:1], *phi[k:], *traj.limits]
     return AngularBox(theta_min=min(theta), theta_max=max(theta),
                       phi_min=min(phi), phi_max=max(phi))
 

@@ -35,15 +35,16 @@ class EvolutionProblem:
     """Source/target Bloch vectors with the energy scale of the drive.
 
     ``a_hat`` and ``b_hat`` are scaled to norm 1 once, and ``theta_ab`` and
-    the read-only states are built from those floats. Construction raises
-    `DegenerateGeometry` for a pair without the rotation axis a x b or the
-    bisector a + b, so every problem that exists has its field family.
+    the read-only ``source_state`` and ``target_state`` are built from those
+    floats. Construction raises `DegenerateGeometry` for a pair without the
+    rotation axis a x b or the bisector a + b, so every problem that exists
+    has its field family.
 
-    The geometry that every member of the family shares is kept as Python
-    floats: ``a`` and ``b`` (the unit vectors as tuples), ``plus`` = a + b
-    and ``axis`` = a x b with their norms ``plus_norm`` and ``axis_norm``;
-    and the source's angles (``source_angles``) are computed on first use,
-    once per problem.
+    The geometry that every member of the family shares is computed once,
+    at construction, and kept as Python floats: ``a`` and ``b`` (the unit
+    vectors as tuples), ``plus`` = a + b and ``axis`` = a x b with their
+    norms ``plus_norm`` and ``axis_norm``, and ``source_angles``, the
+    source's (theta_A, phi_A) as `bloch_angles` gives them.
     """
 
     a_hat: np.ndarray
@@ -56,6 +57,9 @@ class EvolutionProblem:
     axis: tuple = field(init=False, repr=False)
     plus_norm: float = field(init=False, repr=False)
     axis_norm: float = field(init=False, repr=False)
+    source_state: np.ndarray = field(init=False, repr=False)
+    target_state: np.ndarray = field(init=False, repr=False)
+    source_angles: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         a = _require_unit(self.a_hat, "a_hat")
@@ -76,27 +80,19 @@ class EvolutionProblem:
         plus_norm = math.hypot(*plus)
         if plus_norm < DEGENERACY_EPS:
             raise DegenerateGeometry("antipodal vectors: bisector undefined")
+        source = _read_only(state_from_bloch(*a))
         for name, value in (("a_hat", _read_only(np.array(a))),
                             ("b_hat", _read_only(np.array(b))),
                             ("theta_ab", theta), ("a", a), ("b", b),
                             ("plus", plus), ("axis", axis),
                             ("plus_norm", plus_norm),
-                            ("axis_norm", axis_norm)):
+                            ("axis_norm", axis_norm),
+                            ("source_state", source),
+                            ("target_state",
+                             _read_only(state_from_bloch(*b))),
+                            ("source_angles",
+                             tuple(map(float, bloch_angles(source))))):
             object.__setattr__(self, name, value)
-
-    @cached_property
-    def source_state(self):
-        return _read_only(state_from_bloch(*self.a))
-
-    @cached_property
-    def target_state(self):
-        return _read_only(state_from_bloch(*self.b))
-
-    @cached_property
-    def source_angles(self):
-        """(theta_A, phi_A) of the source state, as `bloch_angles` gives
-        them: floats, the same for every member of the family."""
-        return tuple(map(float, bloch_angles(self.source_state)))
 
 
 @dataclass(frozen=True)

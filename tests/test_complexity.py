@@ -627,13 +627,14 @@ def test_sample_trajectory_builds_each_part_once(monkeypatch, a):
     # a source on the south pole is re-phased before (n.sigma) psi0 is
     # built, not built twice: like every other source it takes (n.sigma) of
     # psi0 and of the arrival state, and one field direction per trajectory;
-    # the source's bloch_angles are the problem's, taken on its first
-    # trajectory only, and reading the kernel's constants and the start
-    # angles computes nothing
-    problem = EvolutionProblem(np.array(a), np.array([0.6, -0.48, 0.64]))
+    # the source's bloch_angles are the problem's, taken once at its
+    # construction, and reading the kernel's constants and the start angles
+    # computes nothing
     turned = _count_calls(monkeypatch, qubit, "pauli_dot_times")
     direction = _count_calls(monkeypatch, hamiltonians, "field_direction")
     angles = _count_calls(monkeypatch, qubit, "bloch_angles")
+    problem = EvolutionProblem(np.array(a), np.array([0.6, -0.48, 0.64]))
+    assert (len(turned), len(direction), len(angles)) == (0, 0, 1)
     for rows, alpha in enumerate((PI / 4, PI / 3), start=1):
         traj = sample_trajectory(problem, SubOptimalParams(alpha))
         assert traj.constants.x_b == traj.x_b and len(traj.start) == 2
@@ -684,11 +685,12 @@ def test_analyze_builds_no_field_vector(canonical, monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_a_sweep_takes_the_source_angles_once(monkeypatch, mode):
-    # the source's angles belong to the problem: a 17-row sweep on a new
-    # problem calls bloch_angles once for them and once in the kernel call
-    # that evaluates every row
-    problem = equatorial_problem()
+    # the source's angles belong to the problem: its construction calls
+    # bloch_angles once for them, and a 17-row sweep on it once more, in
+    # the kernel call that evaluates every row
     calls = _count_calls(monkeypatch, qubit, "bloch_angles")
+    problem = equatorial_problem()
+    assert len(calls) == 1
     rows = analyze_alphas(problem, np.linspace(0.0, PI, 17),
                           AnalysisConfig(averaging_mode=mode))
     assert all(isinstance(row, EvolutionReport) for row in rows)
@@ -1795,6 +1797,60 @@ def test_analyze_alphas_matches_analyze_on_the_reference_sweep(canonical,
     # alpha = pi/2 is the equator, a parallel
     assert [row.degeneracy_label for row in rows].count("theta") == 1
     assert rows[8].degeneracy_label == "theta"
+
+
+_PARALLEL_MOST = [PI / 2, PI / 2, PI / 2, PI / 16]
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_analyze_alphas_matches_analyze_where_the_parallel_is_most_rows(
+        canonical, mode):
+    # the degenerate kind is the most common, so V's general formula is the
+    # one evaluated again, on the alpha = pi/16 row alone
+    rows = _assert_rows_match(canonical, _PARALLEL_MOST,
+                              AnalysisConfig(averaging_mode=mode))
+    assert [row.degeneracy_label for row in rows] == ["theta"] * 3 + ["none"]
+
+
+def test_stacked_states_are_each_rows_own():
+    # the kernel on a sweep's stacked constants gives each row the states
+    # that its own trajectory gives, bit for bit, at the same rotation
+    # angles, measured back from x_b past the midpoint
+    problem = equatorial_problem()
+    trajs = [sample_trajectory(problem, SubOptimalParams(alpha))
+             for alpha in [*_PARALLEL_MOST, 0.0, PI]]
+    x_b = np.array([traj.x_b for traj in trajs])[:, None]
+    x = np.linspace(0.0, 1.0, 33) * x_b
+    x = np.where(x < 0.5 * x_b, x, x - x_b)
+    origin = np.where(x < 0.0, x_b, 0.0)
+    states = trajectory.evaluate_states(trajectory.stack(trajs), x, origin)
+    for r, traj in enumerate(trajs):
+        own = traj.states_along(x[r], origin[r])
+        assert states[r].tobytes() == own.tobytes()
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_a_sweep_evaluates_v_as_often_at_any_row_count(canonical,
+                                                       monkeypatch, mode):
+    # the batched pass evaluates V_max and V at the first-level nodes of
+    # every row in one call per degeneracy kind present, after one kernel
+    # call; both grids hold the equator's parallel among general rows
+    config = AnalysisConfig(averaging_mode=mode)
+    kernel = {fn_name: _count_calls(monkeypatch, trajectory, fn_name)
+              for fn_name in ("evaluate_angles", "evaluate_states")}
+    volume = _count_calls(monkeypatch,
+                          sys.modules["blochcomplexity.complexity"],
+                          "_volume_samples")
+    counts = []
+    for alphas in (np.linspace(0.0, PI, 17), [0.0, PI / 4, PI / 2, PI]):
+        for log in (volume, *kernel.values()):
+            log.clear()
+        rows = analyze_alphas(canonical, alphas, config)
+        assert [row.degeneracy_label for row in rows].count("theta") == 1
+        assert {fn_name: len(log) for fn_name, log in kernel.items()} == {
+            "evaluate_angles": 1, "evaluate_states": 1}
+        counts.append(len(volume))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
