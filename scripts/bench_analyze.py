@@ -56,6 +56,11 @@ times between runs, and the ratio much less. OUT gets:
   workload's), and the points, calls and levels of one command run after
   the timed ones, counted as in ``work`` (``points``, ``calls``,
   ``levels``);
+- ``fig4_peak``: the peak resident memory of one `cli figdata fig4` with
+  FIG4_PEAK_POINTS points, run in a fresh interpreter, in MB
+  (``peak_rss_mb``, its `resource.getrusage` ``ru_maxrss``, which Linux
+  gives in KiB), with its number of alphas (``alphas``): a sweep holds
+  every row's points at once, so this is its memory on a large grid;
 - ``nproc``, the Python and numpy versions, and the commit of the checkout
   (``git describe --always --dirty``; null outside a git checkout).
 
@@ -95,6 +100,14 @@ SWEEP_ROUNDS = 100
 FIG4_ROUNDS = 20
 COMMANDS = {"cli_sweep": (["sweep"], SWEEP_ROUNDS),
             "fig4": (["figdata", "fig4"], FIG4_ROUNDS)}
+FIG4_PEAK_POINTS = 4097
+# run in a fresh interpreter: `cli.main` on argv, then its own peak RSS
+_PEAK_RSS = """import resource, sys
+from blochcomplexity.cli import main
+status = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(status)
+"""
 
 
 def _call(problem_args, alpha, config):
@@ -193,6 +206,20 @@ def _sweep_record(reference):
     return record
 
 
+def _fig4_peak():
+    """The ``fig4_peak`` entry: `cli figdata fig4` at FIG4_PEAK_POINTS
+    points in a fresh interpreter that imports the package timed here, its
+    output written to a file in a temporary directory."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bc.__file__).parents[1])}
+    with tempfile.TemporaryDirectory() as tmp:
+        run = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "figdata", "fig4", "--points",
+             str(FIG4_PEAK_POINTS), "--out", str(Path(tmp) / "fig4.csv")],
+            env=env, capture_output=True, text=True, check=True)
+    return {"alphas": FIG4_PEAK_POINTS,
+            "peak_rss_mb": round(int(run.stdout) / 1024.0, 1)}
+
+
 def _buildable(cases):
     """((a, b, energy), alpha) of the ``(a, b, alpha, energy)`` cases whose
     `EvolutionProblem` can be built."""
@@ -279,6 +306,7 @@ def main():
     ms, ref, _, _, errors = _medians(_integrate, oracle_draws(workloads),
                                      ORACLE_ROUNDS, workloads.Oracle.reference)
     record["sweep"] = _sweep_record(workloads.sweep_reference)
+    record["fig4_peak"] = _fig4_peak()
     record["oracle"] = {"ms_per_call": round(ms, 4),
                         "ref_per_call": round(ref, 4),
                         "draws": ORACLE_DRAWS, "errors": errors}

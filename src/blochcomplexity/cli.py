@@ -38,6 +38,8 @@ DEFAULT_SAMPLES = 4097  # the sample count `evolve` writes by default
 
 SWEEP_COLUMNS = ("alpha", "t_ab", "s", "eta_ge", "eta_se", "kappa2",
                  "v_bar", "v_max", "complexity", "l_c", "degenerate")
+# one `sweep` row: `fmt` of each number, then the degeneracy label
+_SWEEP_ROW = ",".join(["%.12g"] * (len(SWEEP_COLUMNS) - 1) + ["%s"])
 
 
 def parse_angle(text):
@@ -80,11 +82,10 @@ def cmd_sweep(args):
                   file=sys.stderr)
             failures += 1
             continue
-        lines.append(",".join([fmt(rep.alpha), fmt(rep.t_ab), fmt(rep.s),
-                               fmt(rep.eta_ge), fmt(rep.eta_se),
-                               fmt(rep.kappa2), fmt(rep.volume.v_bar),
-                               fmt(rep.volume.v_max), fmt(rep.complexity),
-                               fmt(rep.length_scale), rep.degeneracy_label]))
+        lines.append(_SWEEP_ROW % (
+            rep.alpha, rep.t_ab, rep.s, rep.eta_ge, rep.eta_se, rep.kappa2,
+            rep.volume.v_bar, rep.volume.v_max, rep.complexity,
+            rep.length_scale, rep.degeneracy_label))
     text = "\n".join(lines) + "\n"
     status = _write(args.out, text)
     return status if status else (1 if failures else 0)

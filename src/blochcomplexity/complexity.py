@@ -329,49 +329,58 @@ def _volumes(trajs, config):
 
     Each trajectory lays out its box candidates and panel edges; then one
     kernel call (`evaluate_angles`) evaluates every trajectory's candidates
-    and first-level quadrature nodes, trajectories on a leading row axis,
-    each row padded to the longest with repeats of its own last candidate
-    and panel edge (zero-width panels), which are sliced off; V_max and V
-    at the nodes are then evaluated for every trajectory at once
-    (`_volume_rows`), so the numpy calls do not grow with the rows. A
-    trajectory whose panels all converge at that level is done; only one
-    with panels to bisect evaluates again, on its own."""
+    and first-level quadrature nodes, which lie on one flat axis with no
+    padding: every row's candidates, then the nodes of every row's panels,
+    of their left halves and of their right halves. Each point reads its
+    own row's constants (`stack`) and start angles, which stay floats for
+    one row. V_max and V at the nodes are then evaluated for every
+    trajectory at once (`_volume_rows`), so the numpy calls do not grow with
+    the rows. A trajectory whose panels all converge at that level is done;
+    only one with panels to bisect evaluates again, on its own."""
     if not trajs:
         return []
     rows = len(trajs)
     piecewise = config.averaging_mode == APPENDIX_PIECEWISE
-    candidates, x_bounds, edges = [], [], []
+    candidates, x_bounds, edges, points, lows, highs = [], [], [], [], [], []
     for traj in trajs:
         candidates.append(_box_candidates(traj))
         x_bounds.append([0.0, *(_branch_angles(traj) if piecewise else []),
                          traj.x_b])
         edges.append(_panel_edges(traj, x_bounds[-1]))
-    k, n = max(map(len, candidates)), max(map(len, edges))
-    constants = stack(trajs)
-    x_b = constants.x_b
-    table = [[*c, *c[-1:] * (k - len(c)), *e, *e[-1:] * (n - len(e))]
-             for c, e in zip(candidates, edges)]
-    # one trajectory's points lie on one axis, as its constants are floats
-    padded = np.array(table[0] if rows == 1 else table)
-    ends = padded[..., k:]
+        points += candidates[-1]
+        lows += edges[-1][:-1]
+        highs += edges[-1][1:]
+    counts = [len(c) for c in candidates]
+    panels = [len(e) - 1 for e in edges]
+    k, p = len(points), len(lows)
+    table = np.array(points + lows + highs)
+    if rows == 1:
+        row = None
+        x_b = trajs[0].x_b
+    else:
+        # each point's row: the candidates, then the nodes of the panels,
+        # of their left halves and of their right halves, row after row
+        row = np.repeat(list(range(rows)) * 4,
+                        counts + [_NODES.size * n for n in panels] * 3)
+        x_b = np.repeat([traj.x_b for traj in trajs], panels)
+    constants = stack(trajs, row)
     # panels past the midpoint are measured back from x_b, where the states
     # there start (see `Trajectory.states_along`): their x is negative
-    origin = np.where(ends[..., :-1] < 0.5 * x_b, 0.0, x_b)
-    lo, hi = ends[..., :-1] - origin, ends[..., 1:] - origin
+    origin = np.where(table[k:k + p] < 0.5 * x_b, 0.0, x_b)
+    lo, hi = table[k:k + p] - origin, table[k + p:] - origin
     mid = 0.5 * (lo + hi)
-    half, nodes = _nodes(np.concatenate([lo, lo, mid], axis=-1),
-                         np.concatenate([hi, mid, hi], axis=-1))
-    x = np.concatenate([padded[..., :k], nodes.reshape(*ends.shape[:-1], -1)],
-                       axis=-1)
-    theta, phi = evaluate_angles(constants, x, np.where(x < 0.0, x_b, 0.0))
-    theta, phi = theta.reshape(rows, -1), phi.reshape(rows, -1)
-    lo, hi = lo.reshape(rows, -1), hi.reshape(rows, -1)
+    half, nodes = _nodes(np.concatenate([lo, lo, mid]),
+                         np.concatenate([hi, mid, hi]))
+    x = np.concatenate([table[:k], nodes.ravel()])
+    theta, phi = evaluate_angles(constants, x,
+                                 np.where(x < 0.0, constants.x_b, 0.0))
 
-    box_theta, box_phi = theta[:, :k].tolist(), phi[:, :k].tolist()
+    box_theta, box_phi = theta[:k].tolist(), phi[:k].tolist()
     boxes, kinds, outcomes = [], [], [None] * rows
+    end = 0
     for r, traj in enumerate(trajs):
-        m = len(candidates[r])
-        boxes.append(_box(traj, box_theta[r][:m], box_phi[r][:m]))
+        start, end = end, end + counts[r]
+        boxes.append(_box(traj, box_theta[start:end], box_phi[start:end]))
         try:
             kinds.append(_degeneracy_kind(boxes[r]))
         except NonPositiveVolume as err:
@@ -382,28 +391,31 @@ def _volumes(trajs, config):
                          box.phi_max) for box in boxes]).T
     v_max = _volume_rows(*corners, kinds).tolist()
     # one row's start angles stay floats, which broadcast at less cost than
-    # a 1 x 1 array
-    starts = trajs[0].start if rows == 1 else np.array(
-        [traj.start for traj in trajs]).T[..., None]
-    values = _volume_rows(*starts, theta[:, k:], phi[:, k:], kinds)
+    # an array; a sweep's are gathered only now, after the kernel call,
+    # whose temporaries set its peak memory
+    node_row = None if row is None else row[k:]
+    starts = trajs[0].start if row is None else np.array(
+        [traj.start for traj in trajs]).T.take(node_row, axis=1)
+    values = _volume_rows(*starts, theta[k:], phi[k:], kinds, node_row)
     whole, left, right = _gauss(half, values.reshape(nodes.shape)).reshape(
-        rows, 3, -1).transpose(1, 0, 2)
+        3, -1)
     finer = left + right
-    # a padded panel has width 0, and so an error of 0
-    converged = (np.abs(whole - finer) <= PANEL_TOL).all(axis=1).tolist()
+    accepted = (np.abs(whole - finer) <= PANEL_TOL).tolist()
     sums = finer.tolist()
 
+    end = 0
     for r, traj in enumerate(trajs):
+        start, end = end, end + panels[r]
         if kinds[r] is None:
             continue
-        p = len(edges[r]) - 1
-        if converged[r]:
-            integrals = sums[r][:p]
+        if all(accepted[start:end]):
+            integrals = sums[start:end]
         else:
             try:
                 integrals = _panel_integrals(
-                    _volume_along(traj, kinds[r]), lo[r, :p], hi[r, :p],
-                    whole[r, :p], left[r, :p], right[r, :p]).tolist()
+                    _volume_along(traj, kinds[r]), lo[start:end],
+                    hi[start:end], whole[start:end], left[start:end],
+                    right[start:end]).tolist()
             except QuadratureNotConverged as err:
                 outcomes[r] = err
                 continue
@@ -421,18 +433,21 @@ def _volumes(trajs, config):
     return outcomes
 
 
-def _volume_rows(theta_a, phi_a, theta, phi, kinds):
-    """V at each row of ``theta`` and ``phi`` from the row's start angles
-    ``theta_a`` and ``phi_a``, which broadcast against them, in the row's
-    degeneracy kind; a row whose kind is None gets any kind's. The most
-    common kind's formula runs on every row, and only the rows of the
-    other kinds are evaluated again, in their own, so that the number of
-    evaluations does not grow with the rows."""
+def _volume_rows(theta_a, phi_a, theta, phi, kinds, row=None):
+    """V at each point of ``theta`` and ``phi`` from its start angles
+    ``theta_a`` and ``phi_a``, which broadcast against them, in the
+    degeneracy kind of its row: ``kinds[row[i]]`` for point i, or
+    ``kinds[i]`` where ``row`` is None; a row whose kind is None gets any
+    kind's. The most common kind's formula runs on every point, and only
+    the points of the other kinds' rows are evaluated again, in their own,
+    so that the number of evaluations does not grow with the rows."""
     present = sorted(set(kinds) - {None}, key=kinds.count, reverse=True)
     values = _volume_samples(theta_a, phi_a, theta, phi,
                              present[0] if present else "none")
     for kind in present[1:]:
-        same = [r for r, other in enumerate(kinds) if other == kind]
+        same = np.array([other == kind for other in kinds])
+        if row is not None:
+            same = same.take(row)
         values[same] = _volume_samples(theta_a[same], phi_a[same],
                                        theta[same], phi[same], kind)
     return values

@@ -13,10 +13,10 @@ so that next to the source or the target a small amplitude keeps its
 precision.
 
 Every evaluation goes through one kernel, `evaluate_states` and
-`evaluate_angles`, which reads a trajectory's `Constants`: the
-`Trajectory` methods pass their own, and `stack` lays several
-trajectories' constants on a leading row axis, so that one kernel call
-evaluates a whole sweep of them.
+`evaluate_angles`, which reads the `Constants` that `stack` builds: the
+`Trajectory` methods pass their own, and a sweep passes several
+trajectories' together, for rotation angles on one flat axis, so that one
+kernel call evaluates the points of every row.
 """
 
 import cmath
@@ -52,9 +52,15 @@ def _cos_roots(p, q, span):
 def _arc_ends(centre, half, span):
     """Every centre +- half + 2 pi k in the closed interval ``span``."""
     lo, hi = span
-    return [base + TWO_PI * k for base in (centre - half, centre + half)
-            for k in range(math.ceil((lo - base) / TWO_PI),
-                           math.floor((hi - base) / TWO_PI) + 1)]
+    ends = []
+    # a plain loop: a nested comprehension costs about twice as much
+    for base in (centre - half, centre + half):
+        k = math.ceil((lo - base) / TWO_PI)
+        last = math.floor((hi - base) / TWO_PI)
+        while k <= last:
+            ends.append(base + TWO_PI * k)
+            k += 1
+    return ends
 
 
 class Circle(NamedTuple):
@@ -87,12 +93,12 @@ class Trajectory:
     form; the source's ``circle`` about n, on which x = 2Et; the ``start``
     angles (theta_A, phi_A) as `angles_at` gives them, with phi_A at an
     exact pole the azimuth of the direction of departure r'(0) = n x a;
-    the ``polar_turns`` and ``closest_approaches`` (`_polar_turns`); the
-    exact ``pole`` (`_pole`); the lift's ``crossing``, ``half_turns`` and
-    ``limits`` (`_lift`); and the kernel's ``constants``, which alone keep
-    the arrival pair, the target's own state in the phase of psi0's evolved
-    one at x_b and (n.sigma) of it. The stationary ``field`` h is built on
-    each read, from the problem and params.
+    the ``arrival`` state, the target's own in the phase of psi0's evolved
+    one at x_b, and ``arrival_turned``, (n.sigma) of it, each a tuple of
+    two complex numbers; the ``polar_turns`` and ``closest_approaches``
+    (`_polar_turns`); the exact ``pole`` (`_pole`); and the lift's
+    ``crossing``, ``half_turns`` and ``limits`` (`_lift`). The stationary
+    ``field`` h and the kernel's ``constants`` are built on each read.
 
     The path is parametrised by the rotation angle x = 2Et, which runs
     from 0 to ``x_b`` at every energy E; only `states_at`, `angles_at` and
@@ -106,13 +112,14 @@ class Trajectory:
     turned: tuple
     circle: Circle
     start: tuple
+    arrival: tuple
+    arrival_turned: tuple
     polar_turns: tuple
     closest_approaches: tuple
     pole: object
     crossing: float
     half_turns: tuple
     limits: tuple
-    constants: "Constants"
 
     @property
     def field(self):
@@ -120,6 +127,13 @@ class Trajectory:
         params: a new `FieldVector` on each read, which nothing in
         `analyze` needs."""
         return suboptimal_field(self.problem, self.params)
+
+    @property
+    def constants(self):
+        """What the evaluation kernel reads of this trajectory alone:
+        `stack` of it, built on each read. A sweep stacks its rows together
+        and reads none of theirs."""
+        return stack([self])
 
     @property
     def t_b(self):
@@ -264,19 +278,19 @@ def _lift(circle, x_b, phi_a, pole):
 
 class Constants(NamedTuple):
     """What the evaluation kernel (`evaluate_states`, `evaluate_angles`)
-    reads of one trajectory (`Trajectory.constants`), or of several stacked
-    on a leading row axis (`stack`).
+    reads of one trajectory or of several, as `stack` builds it.
 
     ``x_b``, ``crossing``, ``first`` and ``poles`` broadcast against the
-    rotation angles: floats for one trajectory, a column per row for
-    several. ``psi`` and ``turned`` hold, per trajectory and half of the
-    path (from the source, from the target), its psi and -i (n.sigma) psi;
-    ``centres`` holds per trajectory the branch centres phi_a + pi (k + 1/2)
-    of the half-turns k before and after its one crossing, which is
-    ``crossing`` (inf where it has none); ``limits`` its limits on both
-    sides of an exact pole, or None where no trajectory has them. ``first``
-    is the index of a trajectory's pair in those four, and ``poles`` says
-    where its limits apply."""
+    rotation angles: floats for one trajectory, and for several one
+    element per point, its trajectory's. ``psi`` and ``turned`` hold,
+    per trajectory and half of the path (from the source, from the
+    target), its psi and -i (n.sigma) psi; ``centres`` holds per
+    trajectory the branch centres phi_a + pi (k + 1/2) of the half-turns k
+    before and after its one crossing, which is ``crossing`` (inf where it
+    has none); ``limits`` its limits on both sides of an exact pole, or
+    None where no trajectory has them. ``first`` is the index of a
+    trajectory's pair in those four, and ``poles`` says where its limits
+    apply."""
 
     x_b: object
     psi: np.ndarray
@@ -288,25 +302,34 @@ class Constants(NamedTuple):
     poles: object
 
 
-def stack(trajs):
-    """The `Constants` of ``trajs``, one row each, for rotation angles of
-    shape (len(trajs), ...); a single trajectory's own."""
-    if len(trajs) == 1:
-        return trajs[0].constants
-    rows = [traj.constants for traj in trajs]
-    column = np.arange(len(rows))[:, None]
+def stack(trajs, row=None):
+    """The `Constants` of ``trajs``, one `np.array` per field from the
+    Python scalars that each `Trajectory` keeps. For one trajectory the
+    per-point fields are its floats, and ``row`` is not read; for several,
+    the rotation angles lie on one flat axis, whose point i belongs to
+    ``trajs[row[i]]``, and each per-point field is gathered by ``row``."""
+    psi = np.array([traj.source + traj.arrival
+                    for traj in trajs]).reshape(-1, 2)
+    turned = -1j * np.array([traj.turned + traj.arrival_turned
+                             for traj in trajs]).reshape(-1, 2)
+    # the centre of the half-turn k before the crossing and after it: the
+    # branch a raw azimuth there is moved to
+    centres = np.array([traj.start[1] + math.pi * (k + 0.5)
+                        for traj in trajs for k in traj.half_turns])
     limits = None
-    if any(c.limits is not None for c in rows):
-        limits = np.concatenate([[math.nan, math.nan] if c.limits is None
-                                 else c.limits for c in rows])
+    if any(traj.limits for traj in trajs):
+        limits = np.array([limit for traj in trajs
+                           for limit in traj.limits or (math.nan, math.nan)])
+    # positional, in the order of the fields: this runs on every `analyze`
+    if len(trajs) == 1:
+        (traj,) = trajs
+        return Constants(traj.x_b, psi, turned, traj.crossing, centres,
+                         limits, 0, True)
     return Constants(
-        x_b=np.array([c.x_b for c in rows])[:, None],
-        psi=np.concatenate([c.psi for c in rows]),
-        turned=np.concatenate([c.turned for c in rows]),
-        crossing=np.array([c.crossing for c in rows])[:, None],
-        centres=np.concatenate([c.centres for c in rows]),
-        limits=limits, first=2 * column,
-        poles=np.array([c.limits is not None for c in rows])[:, None])
+        np.array([traj.x_b for traj in trajs]).take(row), psi, turned,
+        np.array([traj.crossing for traj in trajs]).take(row), centres,
+        limits, 2 * row, True if limits is None else np.array(
+            [bool(traj.limits) for traj in trajs]).take(row))
 
 
 def evaluate_states(constants, x, origin=0.0):
@@ -342,9 +365,10 @@ def evaluate_angles(constants, x, origin=0.0):
 def sample_trajectory(problem, params, n=None):
     """The evolution on [0, t_b], each part of it computed once, in one
     pass: the field's direction and x_b, the circle, the start angles, psi0
-    and (n.sigma) psi0, the arrival pair, the polar turns, the pole, the
-    lift and the kernel's `Constants`; what the problem shares with every
-    member of its family (a, b, the source's angles) is the problem's own.
+    and (n.sigma) psi0, the arrival pair, the polar turns, the pole and the
+    lift, all Python scalars, from which `stack` builds the kernel's
+    `Constants`; what the problem shares with every member of its family
+    (a, b, the source's angles) is the problem's own.
     ``n`` is accepted from callers that still pass a sample count, and
     neither read nor validated: nothing here samples, and `evolve` checks
     and samples its own grid.
@@ -366,8 +390,8 @@ def sample_trajectory(problem, params, n=None):
         if theta_a >= 0.5 * math.pi:
             source = source * cmath.exp(
                 1j * (phi_a - cmath.phase(source[1])))
-    source = s0, s1 = tuple(source.tolist())
-    turned = t0, t1 = pauli_dot_times(axis, source)
+    source = tuple(source.tolist())
+    turned = pauli_dot_times(axis, source)
 
     half = 0.5 * x_b
     c, s = math.cos(half), 1j * math.sin(half)
@@ -376,22 +400,11 @@ def sample_trajectory(problem, params, n=None):
         target.tolist(), source, turned))
     # numpy's multiply, which fuses multiply-adds where the machine has
     # them: `evolve` prints the second half's amplitudes in its rounding
-    psi = p0, p1 = (target * (overlap * (1.0 / abs(overlap)))).tolist()
-    q0, q1 = pauli_dot_times(axis, psi)
+    psi = tuple((target * (overlap * (1.0 / abs(overlap)))).tolist())
 
     turns, approaches = _polar_turns(circle, x_b)
     pole = _pole(theta_a, psi, x_b, turns, approaches)
     crossing, half_turns, limits = _lift(circle, x_b, phi_a, pole)
-    # the centre of the half-turn k before the crossing and after it: the
-    # branch a raw azimuth there is moved to
-    centres = [phi_a + math.pi * (k + 0.5) for k in half_turns]
-    # positional, in the order of the fields: this runs once per
-    # trajectory, on every `analyze`
-    constants = Constants(
-        x_b, np.array([s0, s1, p0, p1]).reshape(2, 2),
-        np.array([-1j * t0, -1j * t1, -1j * q0, -1j * q1]).reshape(2, 2),
-        crossing, np.array(centres), np.array(limits) if limits else None,
-        0, True)
     return Trajectory(problem, params, x_b, source, turned, circle,
-                      (theta_a, phi_a), turns, approaches, pole, crossing,
-                      half_turns, limits, constants)
+                      (theta_a, phi_a), psi, pauli_dot_times(axis, psi),
+                      turns, approaches, pole, crossing, half_turns, limits)

@@ -11,7 +11,8 @@ import pytest
 from blochcomplexity import (AveragingDomainError, NonPositiveVolume,
                              QuadratureNotConverged, SubOptimalParams,
                              equatorial_problem, sample_trajectory)
-from blochcomplexity.cli import build_parser, main, parse_angle
+from blochcomplexity.cli import (_SWEEP_ROW, build_parser, fmt, main,
+                                  parse_angle)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -147,6 +148,19 @@ def test_sweep_csv_round_trip(tmp_path):
             cell if i == 10 else f"{float(cell):.12g}"
             for i, cell in enumerate(row)))
     assert ("\n".join(rebuilt) + "\n").encode() == original
+
+
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.0 / 3.0, -2.0 / 3.0, 1e17,
+    123456789012.5, 1e-5, 0.1, np.pi, 1.7976931348623157e308,
+    float("inf"), float("nan")])
+def test_sweep_row_template_is_fmt_of_each_number(value):
+    # the row is one % format: each number reads as `fmt` gives it, the
+    # label as it is
+    numbers = [value, -value, value / 7.0, value * 3.0, 0.5, 2.0, value,
+               1e-12, 1.0 - 1e-16, value]
+    assert _SWEEP_ROW % (*numbers, "theta") == ",".join(
+        [*map(fmt, numbers), "theta"])
 
 
 def test_sweep_averaging_flag(tmp_path):

@@ -1813,20 +1813,25 @@ def test_analyze_alphas_matches_analyze_where_the_parallel_is_most_rows(
 
 
 def test_stacked_states_are_each_rows_own():
-    # the kernel on a sweep's stacked constants gives each row the states
-    # that its own trajectory gives, bit for bit, at the same rotation
-    # angles, measured back from x_b past the midpoint
+    # the kernel on a sweep's stacked constants gives each row's points,
+    # which lie on one flat axis, the states that its own trajectory gives,
+    # bit for bit, at the same rotation angles, measured back from x_b past
+    # the midpoint; the rows hold different numbers of points
     problem = equatorial_problem()
     trajs = [sample_trajectory(problem, SubOptimalParams(alpha))
              for alpha in [*_PARALLEL_MOST, 0.0, PI]]
-    x_b = np.array([traj.x_b for traj in trajs])[:, None]
-    x = np.linspace(0.0, 1.0, 33) * x_b
-    x = np.where(x < 0.5 * x_b, x, x - x_b)
-    origin = np.where(x < 0.0, x_b, 0.0)
-    states = trajectory.evaluate_states(trajectory.stack(trajs), x, origin)
+    xs, origins = [], []
     for r, traj in enumerate(trajs):
-        own = traj.states_along(x[r], origin[r])
-        assert states[r].tobytes() == own.tobytes()
+        x = np.linspace(0.0, 1.0, 33 + r) * traj.x_b
+        xs.append(np.where(x < 0.5 * traj.x_b, x, x - traj.x_b))
+        origins.append(np.where(xs[-1] < 0.0, traj.x_b, 0.0))
+    row = np.repeat(np.arange(len(trajs)), [len(x) for x in xs])
+    states = trajectory.evaluate_states(trajectory.stack(trajs, row),
+                                        np.concatenate(xs),
+                                        np.concatenate(origins))
+    for r, traj in enumerate(trajs):
+        own = traj.states_along(xs[r], origins[r])
+        assert states[row == r].tobytes() == own.tobytes()
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
@@ -1851,6 +1856,33 @@ def test_a_sweep_evaluates_v_as_often_at_any_row_count(canonical,
             "evaluate_angles": 1, "evaluate_states": 1}
         counts.append(len(volume))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("mode, points", [("appendix_piecewise", 2052),
+                                          ("uniform", 1668)])
+def test_a_sweep_evaluates_only_its_rows_own_points(canonical, monkeypatch,
+                                                    mode, points):
+    # the rows' points lie on one flat axis with no padding: the sweep's one
+    # kernel call evaluates as many as its rows' own `analyze` calls do
+    config = AnalysisConfig(averaging_mode=mode)
+    states = _count_calls(monkeypatch, trajectory, "evaluate_states")
+    alphas = np.linspace(0.0, PI, 17)
+    analyze_alphas(canonical, alphas, config)
+    assert sum(np.size(x) for _, x, _ in states) == points
+    states.clear()
+    for alpha in alphas:
+        analyze(canonical, SubOptimalParams(alpha), config)
+    assert sum(np.size(x) for _, x, _ in states) == points
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_a_sweep_builds_one_constants(canonical, monkeypatch, mode):
+    # `stack` builds the kernel's constants of every row at once; the rows'
+    # trajectories build none
+    built = _count_calls(monkeypatch, trajectory, "Constants")
+    analyze_alphas(canonical, np.linspace(0.0, PI, 17),
+                   AnalysisConfig(averaging_mode=mode))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)

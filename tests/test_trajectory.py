@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from blochcomplexity import (EvolutionProblem, SubOptimalParams,
                              bloch_angles, equatorial_problem, propagator,
                              sample_trajectory, suboptimal_field)
+from blochcomplexity.trajectory import TWO_PI, _arc_ends
 from oracles import amplitudes, sample
 from reference_values import (ARRIVAL_TIME_PI16, THETA_MAX_PI16,
                               THETA_MIN_15PI16)
@@ -190,3 +194,36 @@ def test_states_at_matches_propagator(canonical):
             expected = propagator(traj.field, t) @ problem.source_state
             assert np.max(np.abs(traj.states_at(t) - expected)) < 1e-12
             assert np.max(np.abs(batch[k] - expected)) < 1e-12
+
+
+def _arc_ends_comprehension(centre, half, span):
+    lo, hi = span
+    return [base + TWO_PI * k for base in (centre - half, centre + half)
+            for k in range(math.ceil((lo - base) / TWO_PI),
+                           math.floor((hi - base) / TWO_PI) + 1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(centre=st.floats(-50.0, 50.0), half=st.floats(0.0, 4.0),
+       lo=st.floats(-50.0, 50.0), width=st.floats(0.0, 40.0),
+       turns=st.integers(-8, 8), ulps=st.integers(-3, 3),
+       snap=st.sampled_from([None, "lo", "hi"]))
+@example(centre=0.0, half=0.5 * math.pi, lo=0.0, width=3.0 * math.pi,
+         turns=0, ulps=0, snap=None)
+@example(centre=1.0, half=1.0, lo=0.0, width=TWO_PI, turns=1, ulps=-1,
+         snap="hi")
+@example(centre=0.3, half=2.0, lo=0.0, width=10.0, turns=-2, ulps=1,
+         snap="lo")
+def test_arc_ends_is_the_comprehension_it_replaced(centre, half, lo, width,
+                                                   turns, ulps, snap):
+    # the same floats, in the same order, as the nested comprehension,
+    # also where a bound of the span lies within a few ulp of an end, so
+    # that its 2 pi multiple rounds
+    if snap:
+        end = centre - half + TWO_PI * turns
+        for _ in range(abs(ulps)):
+            end = math.nextafter(end, math.copysign(math.inf, ulps))
+        lo = end if snap == "lo" else end - width
+    span = (lo, lo + width)
+    assert ([x.hex() for x in _arc_ends(centre, half, span)]
+            == [x.hex() for x in _arc_ends_comprehension(centre, half, span)])
