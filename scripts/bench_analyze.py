@@ -48,14 +48,14 @@ times between runs, and the ratio much less. OUT gets:
   summed over the `snapshot.pole_cases` whose problem can be built
   (``pole_cases``, with their number in ``cases``), which meet an exact
   pole or pass next to one as no general draw does;
-- ``sweep``: for the default 17-row `cli sweep` to a file (``cli_sweep``)
-  and the 257-row `cli figdata fig4` to a file (``fig4``), both in
-  process, the median time of one command over SWEEP_ROUNDS and
-  FIG4_ROUNDS runs, in ms (``ms``) and in units of `perfbench`'s sweep
-  reference (``ref``, `workloads.sweep_reference`, the `table_sweep`
-  workload's), and the points, calls and levels of one command run after
-  the timed ones, counted as in ``work`` (``points``, ``calls``,
-  ``levels``);
+- ``sweep``: for the default 17-row `cli sweep` to a file (``cli_sweep``),
+  the 257-row `cli figdata fig4` to a file (``fig4``) and the same at
+  theta_AB = 3.1 (``fig4_wide``), where rows bisect, all in process, the
+  median time of one command over SWEEP_ROUNDS and FIG4_ROUNDS runs, in
+  ms (``ms``) and in units of `perfbench`'s sweep reference (``ref``,
+  `workloads.sweep_reference`, the `table_sweep` workload's), and the
+  points, calls and levels of one command run after the timed ones,
+  counted as in ``work`` (``points``, ``calls``, ``levels``);
 - ``fig4_peak``: the peak resident memory of one `cli figdata fig4` with
   FIG4_PEAK_POINTS points, run in a fresh interpreter, in MB
   (``peak_rss_mb``, its `resource.getrusage` ``ru_maxrss``, which Linux
@@ -99,7 +99,9 @@ ORACLE_ROUNDS = 5
 SWEEP_ROUNDS = 100
 FIG4_ROUNDS = 20
 COMMANDS = {"cli_sweep": (["sweep"], SWEEP_ROUNDS),
-            "fig4": (["figdata", "fig4"], FIG4_ROUNDS)}
+            "fig4": (["figdata", "fig4"], FIG4_ROUNDS),
+            "fig4_wide": (["figdata", "fig4", "--theta-ab", "3.1"],
+                          FIG4_ROUNDS)}
 FIG4_PEAK_POINTS = 4097
 # run in a fresh interpreter: `cli.main` on argv, then its own peak RSS
 _PEAK_RSS = """import resource, sys

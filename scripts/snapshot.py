@@ -63,6 +63,10 @@ RUNS = {
     "sweep": ["sweep"],
     "sweep_uniform": ["sweep", "--averaging", "uniform"],
     "sweep_omega_theta": ["sweep", "--omega", "2.5", "--theta-ab", "0.3"],
+    # rows of these sweeps bisect, and bisect together
+    "sweep_wide": ["sweep", "--theta-ab", "3.1", "--steps", "256"],
+    "sweep_wide_uniform": ["sweep", "--theta-ab", "3.1", "--steps", "256",
+                           "--averaging", "uniform"],
     "tables_I": ["tables", "I"],
     "tables_II": ["tables", "II"],
     "tables_III": ["tables", "III"],

@@ -42,8 +42,8 @@ path passes; a panel that still fails its error test is bisected.
 `analyze_alphas` runs a sweep of mixing angles on one problem in one
 pass: each row lays out its own geometry, one call of the evaluation
 kernel (`trajectory.evaluate_angles`) evaluates every row's box candidates
-and first-level nodes, and only a row with panels to bisect evaluates
-again. `analyze` is its one-row case.
+and first-level nodes, and each bisection level is one more call over the
+panels still open in every row. `analyze` is its one-row case.
 """
 
 import bisect
@@ -185,9 +185,9 @@ def analyze_alphas(problem, alphas, config=None):
     [0, pi]) before any row runs.
 
     Each row lays out its own geometry (trajectory, box candidates, branch
-    cuts, panel edges), and one evaluation of the kernel serves the box
-    candidates and first-level quadrature nodes of every row; each row's
-    outcome is the one `analyze` gives it, bit for bit."""
+    cuts, panel edges); one kernel evaluation serves every row's box
+    candidates and first-level nodes, and one more each bisection level;
+    each row's outcome is the one `analyze` gives it, bit for bit."""
     return _analyze_rows(problem, [SubOptimalParams(alpha)
                                    for alpha in alphas], config)
 
@@ -312,8 +312,12 @@ def _degeneracy_kind(box):
 def _volume_samples(theta_a, phi_a, theta, phi, kind):
     """V(t) at the given angles, the one formula for the instantaneous
     volume. ``kind`` is decided once per trajectory, so every sample of one
-    trajectory uses the same convention. cos(theta_A) - cos(theta) is taken
-    as a product of sines, which keeps its digits next to a pole."""
+    trajectory uses the same convention; None, a trajectory whose box
+    failed, reads 0, so its quadrature opens no panel. cos(theta_A) -
+    cos(theta) is taken as a product of sines, which keeps its digits next
+    to a pole."""
+    if kind is None:
+        return np.zeros_like(theta)
     if kind == "theta":
         return 0.5 * np.abs(phi - phi_a)
     if kind == "phi":
@@ -335,8 +339,8 @@ def _volumes(trajs, config):
     own row's constants (`stack`) and start angles, which stay floats for
     one row. V_max and V at the nodes are then evaluated for every
     trajectory at once (`_volume_rows`), so the numpy calls do not grow with
-    the rows. A trajectory whose panels all converge at that level is done;
-    only one with panels to bisect evaluates again, on its own."""
+    the rows; every row's panels bisect together, one kernel call per level
+    (`_panel_integrals`)."""
     if not trajs:
         return []
     rows = len(trajs)
@@ -363,7 +367,6 @@ def _volumes(trajs, config):
         row = np.repeat(list(range(rows)) * 4,
                         counts + [_NODES.size * n for n in panels] * 3)
         x_b = np.repeat([traj.x_b for traj in trajs], panels)
-    constants = stack(trajs, row)
     # panels past the midpoint are measured back from x_b, where the states
     # there start (see `Trajectory.states_along`): their x is negative
     origin = np.where(table[k:k + p] < 0.5 * x_b, 0.0, x_b)
@@ -372,8 +375,7 @@ def _volumes(trajs, config):
     half, nodes = _nodes(np.concatenate([lo, lo, mid]),
                          np.concatenate([hi, mid, hi]))
     x = np.concatenate([table[:k], nodes.ravel()])
-    theta, phi = evaluate_angles(constants, x,
-                                 np.where(x < 0.0, constants.x_b, 0.0))
+    theta, phi = _angles(trajs, x, row)
 
     box_theta, box_phi = theta[:k].tolist(), phi[:k].tolist()
     boxes, kinds, outcomes = [], [], [None] * rows
@@ -390,38 +392,47 @@ def _volumes(trajs, config):
     corners = np.array([(box.theta_min, box.phi_min, box.theta_max,
                          box.phi_max) for box in boxes]).T
     v_max = _volume_rows(*corners, kinds).tolist()
-    # one row's start angles stay floats, which broadcast at less cost than
-    # an array; a sweep's are gathered only now, after the kernel call,
-    # whose temporaries set its peak memory
-    node_row = None if row is None else row[k:]
-    starts = trajs[0].start if row is None else np.array(
-        [traj.start for traj in trajs]).T.take(node_row, axis=1)
-    values = _volume_rows(*starts, theta[k:], phi[k:], kinds, node_row)
+    # each first-level panel's row
+    panel_row = None if row is None else row[k::_NODES.size][:p]
+
+    def volume(theta, phi, point_row):
+        # a sweep's start angles are gathered after the kernel call, whose
+        # temporaries set its peak memory; one row's stay floats
+        starts = trajs[0].start if point_row is None else np.array(
+            [traj.start for traj in trajs]).T.take(point_row, axis=1)
+        return _volume_rows(*starts, theta, phi, kinds, point_row)
+
+    def bisected(x, owner):
+        # each node reads the row of the first-level panel it was cut from
+        node_row = None if row is None else np.repeat(
+            panel_row.take(owner), _NODES.size).reshape(x.shape)
+        return volume(*_angles(trajs, x, node_row), node_row)
+
+    values = volume(theta[k:], phi[k:], None if row is None else row[k:])
     whole, left, right = _gauss(half, values.reshape(nodes.shape)).reshape(
         3, -1)
-    finer = left + right
-    accepted = (np.abs(whole - finer) <= PANEL_TOL).tolist()
-    sums = finer.tolist()
+    integrals, stuck = _panel_integrals(bisected, lo, hi, whole, left, right)
+    if stuck is not None:
+        # a row with open panels fails on its worst, the first at the max
+        lo, hi, error, owner = stuck
+        in_row = np.zeros_like(owner) if row is None else panel_row.take(owner)
+        for r in dict.fromkeys(in_row.tolist()):
+            mine = np.flatnonzero(in_row == r)
+            worst = mine[np.argmax(error[mine])]
+            outcomes[r] = QuadratureNotConverged(
+                f"panel [{lo[worst]:.17g}, {hi[worst]:.17g}] of the rotation "
+                f"angle 2Et (back from the target where negative) still has "
+                f"an error estimate of {error[worst]:.3g} after "
+                f"{MAX_BISECTIONS} bisections (tolerance {PANEL_TOL:g})")
 
     end = 0
     for r, traj in enumerate(trajs):
         start, end = end, end + panels[r]
-        if kinds[r] is None:
+        if outcomes[r] is not None:
             continue
-        if all(accepted[start:end]):
-            integrals = sums[start:end]
-        else:
-            try:
-                integrals = _panel_integrals(
-                    _volume_along(traj, kinds[r]), lo[start:end],
-                    hi[start:end], whole[start:end], left[start:end],
-                    right[start:end]).tolist()
-            except QuadratureNotConverged as err:
-                outcomes[r] = err
-                continue
         bounds = x_bounds[r]
         totals = [0.0] * (len(bounds) - 1)
-        for edge, integral in zip(edges[r], integrals):
+        for edge, integral in zip(edges[r], integrals[start:end]):
             totals[bisect.bisect_right(bounds, edge) - 1] += integral
         times = [traj.time_of(x) for x in bounds]
         averages = tuple((t0, t1, total / (x1 - x0))
@@ -433,17 +444,24 @@ def _volumes(trajs, config):
     return outcomes
 
 
+def _angles(trajs, x, row):
+    """The angles at rotation angles ``x`` of the rows ``row`` of ``trajs``
+    (None for one), measured back from x_b where negative."""
+    constants = stack(trajs, row)
+    return evaluate_angles(constants, x,
+                           np.where(x < 0.0, constants.x_b, 0.0))
+
+
 def _volume_rows(theta_a, phi_a, theta, phi, kinds, row=None):
     """V at each point of ``theta`` and ``phi`` from its start angles
     ``theta_a`` and ``phi_a``, which broadcast against them, in the
     degeneracy kind of its row: ``kinds[row[i]]`` for point i, or
-    ``kinds[i]`` where ``row`` is None; a row whose kind is None gets any
-    kind's. The most common kind's formula runs on every point, and only
-    the points of the other kinds' rows are evaluated again, in their own,
-    so that the number of evaluations does not grow with the rows."""
-    present = sorted(set(kinds) - {None}, key=kinds.count, reverse=True)
-    values = _volume_samples(theta_a, phi_a, theta, phi,
-                             present[0] if present else "none")
+    ``kinds[i]`` where ``row`` is None. The most common kind's formula runs
+    on every point, and only the points of the other kinds' rows are
+    evaluated again, in their own, so that the number of evaluations does
+    not grow with the rows."""
+    present = sorted(set(kinds), key=kinds.count, reverse=True)
+    values = _volume_samples(theta_a, phi_a, theta, phi, present[0])
     for kind in present[1:]:
         same = np.array([other == kind for other in kinds])
         if row is not None:
@@ -451,18 +469,6 @@ def _volume_rows(theta_a, phi_a, theta, phi, kinds, row=None):
         values[same] = _volume_samples(theta_a[same], phi_a[same],
                                        theta[same], phi[same], kind)
     return values
-
-
-def _volume_along(traj, kind):
-    """V along ``traj`` as a function of the rotation angle, measured back
-    from x_b where negative."""
-    theta_a, phi_a = traj.start
-
-    def volume(x):
-        return _volume_samples(theta_a, phi_a, *traj.angles_along(
-            x, np.where(x < 0.0, traj.x_b, 0.0)), kind)
-
-    return volume
 
 
 def _box_candidates(traj):
@@ -569,44 +575,44 @@ def _graded_edges(traj, span):
 
 
 def _panel_integrals(f, lo, hi, whole, left, right):
-    """Integral of f over each panel [lo, hi], by adaptive Gauss-Legendre
+    """Integral over each panel [lo, hi], by adaptive Gauss-Legendre
     quadrature, from the first level: the rules on the panels (``whole``)
     and on their ``left`` and ``right`` halves.
 
     A panel's rule is compared with the sum of the rules on its two halves;
     panels where they differ by more than PANEL_TOL are bisected, the halves'
     rules becoming their children's, and all open panels are evaluated
-    together at each level. The accepted value is the sum over the halves.
-    """
+    together at each level, in their order, by one call f(x, owner) at
+    their nodes, owner being the first-level panel each was cut from, whose
+    integral the accepted value (the sum over the halves) adds to. Returns
+    the integrals, and the lo, hi, error and owner of the panels still open
+    after MAX_BISECTIONS levels, or None."""
+    finer = left + right
+    err = np.abs(whole - finer)
+    done = err <= PANEL_TOL
+    if all(done.tolist()):  # most calls end here, before any bincount
+        return finer.tolist(), None
+    total, owner = np.where(done, finer, 0.0), np.arange(lo.size)
     mid = 0.5 * (lo + hi)
-    owner = np.arange(lo.size)
-    total = np.zeros(lo.size)
-    level = 0
-    while True:
-        finer = left + right
-        error = np.abs(whole - finer)
-        done = error <= PANEL_TOL
-        total += np.bincount(owner[done], weights=finer[done],
-                             minlength=total.size)
-        if done.all():
-            return total
+    for _ in range(MAX_BISECTIONS):
         keep = ~done
-        if level == MAX_BISECTIONS:
-            worst = np.flatnonzero(keep)[np.argmax(error[keep])]
-            raise QuadratureNotConverged(
-                f"panel [{lo[worst]:.17g}, {hi[worst]:.17g}] of the rotation "
-                f"angle 2Et (back from the target where negative) still has "
-                f"an error estimate of "
-                f"{error[worst]:.3g} after {MAX_BISECTIONS} bisections "
-                f"(tolerance {PANEL_TOL:g})")
         lo, hi = (np.concatenate([lo[keep], mid[keep]]),
                   np.concatenate([mid[keep], hi[keep]]))
         whole = np.concatenate([left[keep], right[keep]])
         owner = np.concatenate([owner[keep], owner[keep]])
         mid = 0.5 * (lo + hi)
         half, x = _nodes(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = _gauss(half, f(x)).reshape(2, -1)
-        level += 1
+        left, right = _gauss(half, f(x, np.concatenate([owner, owner]))
+                             ).reshape(2, -1)
+        finer = left + right
+        err = np.abs(whole - finer)
+        done = err <= PANEL_TOL
+        total += np.bincount(owner[done], weights=finer[done],
+                             minlength=total.size)
+        if all(done.tolist()):
+            return total.tolist(), None
+    keep = ~done
+    return total.tolist(), (lo[keep], hi[keep], err[keep], owner[keep])
 
 
 def _gauss_legendre(n):

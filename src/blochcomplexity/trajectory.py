@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonians import arrival_angle, field_direction, suboptimal_field
+from .hamiltonians import arrival_angle, field_direction
 from .qubit import bloch_angles, cross, dot, pauli_dot_times
 
 TWO_PI = 2.0 * np.pi
@@ -97,8 +97,8 @@ class Trajectory:
     one at x_b, and ``arrival_turned``, (n.sigma) of it, each a tuple of
     two complex numbers; the ``polar_turns`` and ``closest_approaches``
     (`_polar_turns`); the exact ``pole`` (`_pole`); and the lift's
-    ``crossing``, ``half_turns`` and ``limits`` (`_lift`). The stationary
-    ``field`` h and the kernel's ``constants`` are built on each read.
+    ``crossing``, ``half_turns`` and ``limits`` (`_lift`). The kernel's
+    ``constants`` are built on each read.
 
     The path is parametrised by the rotation angle x = 2Et, which runs
     from 0 to ``x_b`` at every energy E; only `states_at`, `angles_at` and
@@ -120,13 +120,6 @@ class Trajectory:
     crossing: float
     half_turns: tuple
     limits: tuple
-
-    @property
-    def field(self):
-        """The stationary field h, `suboptimal_field` of the problem and
-        params: a new `FieldVector` on each read, which nothing in
-        `analyze` needs."""
-        return suboptimal_field(self.problem, self.params)
 
     @property
     def constants(self):

@@ -23,7 +23,8 @@ import numpy as np
 
 from .complexity import analyze
 from .errors import NormDrift
-from .hamiltonians import SubOptimalParams, equatorial_problem
+from .hamiltonians import (SubOptimalParams, equatorial_problem,
+                           suboptimal_field)
 from .qubit import pauli_dot
 from .trajectory import sample_trajectory
 
@@ -139,9 +140,9 @@ def check_propagator_agreement():
     times = np.linspace(0.1, 2.0, 8)
     records = []
     for alpha in (k * np.pi / 16.0 for k in range(1, 17)):
-        traj = sample_trajectory(problem, SubOptimalParams(alpha))
-        # the field is built on each read of `Trajectory.field`
-        f, psi0 = traj.field, traj.source
+        params = SubOptimalParams(alpha)
+        traj = sample_trajectory(problem, params)
+        f, psi0 = suboptimal_field(problem, params), traj.source
         worst = 0.0
         for total_time, exact in zip(times, traj.states_at(times)):
             numeric = integrate_schrodinger(f, psi0, total_time)

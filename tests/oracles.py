@@ -73,7 +73,7 @@ def path_length_numeric(traj):
     trajectory's field and r(t) the sampled Bloch vector, avoiding
     per-sample matrix traces.
     """
-    f = traj.field
+    f = suboptimal_field(traj.problem, traj.params)
     grid = sample(traj)
     c0 = grid.states[:, 0]
     c1 = grid.states[:, 1]

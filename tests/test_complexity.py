@@ -93,7 +93,8 @@ def _extended_angles(traj, x, from_target=False):
     in exact arithmetic, up to a phase), at a rotation angle measured from
     that end. Near a pole, where |c1| or |c0| is small, the double precision
     amplitudes' rounding moves the azimuth by 1e-16/sin(theta)."""
-    n = traj.field.direction.astype(np.longdouble)
+    n = suboptimal_field(traj.problem, traj.params).direction.astype(
+        np.longdouble)
     turn = np.array([[n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], -n[2]]],
                     dtype=np.clongdouble)
     x = np.longdouble(x)
@@ -644,18 +645,13 @@ def test_sample_trajectory_builds_each_part_once(monkeypatch, a):
 
 @_POLES_AND_EQUATOR
 def test_the_trajectory_field_is_the_family_member(a):
-    # the field is derived from the problem and params on each read, bit
-    # for bit the one `suboptimal_field` builds, and its direction is the
-    # axis the trajectory turns about
+    # the axis the trajectory turns about is, bit for bit, the direction of
+    # the family member that `suboptimal_field` builds
     problem = EvolutionProblem(np.array(a), np.array([0.6, -0.48, 0.64]),
                                energy=1.7)
     params = SubOptimalParams(PI / 4)
     traj = sample_trajectory(problem, params)
-    got, want = traj.field, suboptimal_field(problem, params)
-    assert got is not want
-    assert got.h.tobytes() == want.h.tobytes()
-    assert got.direction.tobytes() == want.direction.tobytes()
-    assert got.magnitude.hex() == want.magnitude.hex()
+    want = suboptimal_field(problem, params)
     assert traj.circle.n == tuple(want.direction.tolist())
 
 
@@ -705,9 +701,9 @@ def test_analyze_splits_each_end_once(canonical, monkeypatch, mode):
     rep = analyze(canonical, SubOptimalParams(PI / 16),
                   AnalysisConfig(averaging_mode=mode))
     assert len(calls) == 2
-    traj = sample_trajectory(canonical, SubOptimalParams(PI / 16))
-    assert rep.eta_se == speed_efficiency(traj.field, canonical.a_hat)
-    assert rep.kappa2 == curvature_coefficient(traj.field, canonical.a_hat)
+    field = suboptimal_field(canonical, SubOptimalParams(PI / 16))
+    assert rep.eta_se == speed_efficiency(field, canonical.a_hat)
+    assert rep.kappa2 == curvature_coefficient(field, canonical.a_hat)
 
 
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
@@ -794,11 +790,12 @@ def test_efficiency_and_curvature_read_the_trajectory_circle():
     # na = n.a and u = a - na n, eta_SE = |u| and kappa^2 = 4 na^2 / |u|^2,
     # bit for bit
     for problem, alpha in _general_draws(200):
-        traj = sample_trajectory(problem, SubOptimalParams(alpha))
-        _, na, u, _ = traj.circle
+        params = SubOptimalParams(alpha)
+        _, na, u, _ = sample_trajectory(problem, params).circle
+        field = suboptimal_field(problem, params)
         perp = sum(x * x for x in u)
-        assert speed_efficiency(traj.field, problem.a_hat) == math.sqrt(perp)
-        assert (curvature_coefficient(traj.field, problem.a_hat)
+        assert speed_efficiency(field, problem.a_hat) == math.sqrt(perp)
+        assert (curvature_coefficient(field, problem.a_hat)
                 == 4.0 * na * na / perp)
 
 
@@ -1531,16 +1528,17 @@ def test_pole_check_evaluates_no_state(monkeypatch, delta):
 def test_near_pole_passage_converges_at_the_first_level(monkeypatch, delta):
     # the panels graded towards the polar turn resolve the azimuth's fast
     # turn there, so no panel is bisected more than once however near the
-    # pole the path passes (without them, 1e-11 took 29 levels)
+    # pole the path passes (without them, 1e-11 took 29 levels): the kernel
+    # runs for the first level and for at most two bisection levels
     problem, params = _tilted_passage(_PASSAGES["0.6"], delta), \
         SubOptimalParams(PI / 2)
     traj = sample_trajectory(problem, params)
-    log = _count_calls(monkeypatch, Trajectory, "angles_along")
+    log = _count_calls(monkeypatch, trajectory, "evaluate_angles")
     for mode in AVERAGING_MODES:
         log.clear()
         v_bar = analyze(problem, params,
                         AnalysisConfig(averaging_mode=mode)).volume.v_bar
-        assert len(log) <= 2
+        assert len(log) <= 3
         assert v_bar == pytest.approx(_oracle_accessed_volume(traj, mode),
                                       abs=1e-10)
 
@@ -1875,6 +1873,31 @@ def test_a_sweep_evaluates_only_its_rows_own_points(canonical, monkeypatch,
     assert sum(np.size(x) for _, x, _ in states) == points
 
 
+@pytest.mark.parametrize("mode, points", [("appendix_piecewise", 47172),
+                                          ("uniform", 35492)])
+def test_analyze_alphas_bisects_every_row_in_one_kernel_call_per_level(
+        monkeypatch, mode, points):
+    # at theta_AB = 3.1, 22 of 257 rows bisect a panel once; they bisect
+    # together, in one kernel call after the first level's, at the points
+    # that their own `analyze` calls evaluate, and each row's report is its
+    # own `analyze`'s, bit for bit
+    config = AnalysisConfig(averaging_mode=mode)
+    problem = equatorial_problem(3.1)
+    alphas = np.linspace(0.0, PI, 257)
+    levels = _count_calls(monkeypatch, trajectory, "evaluate_angles")
+    states = _count_calls(monkeypatch, trajectory, "evaluate_states")
+    rows = analyze_alphas(problem, alphas, config)
+    assert len(levels) == 2
+    assert sum(np.size(x) for _, x, _ in states) == points
+    levels.clear()
+    states.clear()
+    for alpha, row in zip(alphas, rows):
+        one = analyze(problem, SubOptimalParams(alpha), config)
+        assert repr(dataclasses.astuple(row)) == repr(dataclasses.astuple(one))
+    assert sum(np.size(x) for _, x, _ in states) == points
+    assert len(levels) == 257 + 22
+
+
 @pytest.mark.parametrize("mode", AVERAGING_MODES)
 def test_a_sweep_builds_one_constants(canonical, monkeypatch, mode):
     # `stack` builds the kernel's constants of every row at once; the rows'
@@ -1960,24 +1983,29 @@ def test_analyze_alphas_names_each_rows_worst_panel(canonical, monkeypatch):
     # with a 4-node rule and no bisection allowed, a row whose panels miss
     # the tolerance raises QuadratureNotConverged naming the panel that its
     # own `analyze` names; the equator (alpha = pi/2), where V is linear,
-    # still converges
+    # still converges. Allowed one or two levels, the rows bisect together
+    # and each open panel is still charged to its own row: at two, 6 rows
+    # converge past the first level and 10 do not
     home = sys.modules["blochcomplexity.complexity"]
     nodes, weights = home._gauss_legendre(4)
     monkeypatch.setattr(home, "_NODES", nodes)
     monkeypatch.setattr(home, "_WEIGHTS", weights)
-    monkeypatch.setattr(home, "MAX_BISECTIONS", 0)
     alphas = np.linspace(0.0, PI, 17)
-    rows = analyze_alphas(canonical, alphas)
-    for alpha, row in zip(alphas, rows):
-        try:
-            analyze(canonical, SubOptimalParams(alpha))
-        except QuadratureNotConverged as one:
-            assert isinstance(row, QuadratureNotConverged)
-            assert (str(row).split(" still has")[0]
-                    == str(one).split(" still has")[0])
-        else:
-            assert isinstance(row, EvolutionReport)
-    assert sum(isinstance(row, QuadratureNotConverged) for row in rows) == 16
+    for bisections, failed in ((0, 16), (1, 16), (2, 10)):
+        monkeypatch.setattr(home, "MAX_BISECTIONS", bisections)
+        rows = analyze_alphas(canonical, alphas)
+        for alpha, row in zip(alphas, rows):
+            try:
+                one = analyze(canonical, SubOptimalParams(alpha))
+            except QuadratureNotConverged as err:
+                assert isinstance(row, QuadratureNotConverged)
+                assert (str(row).split(" still has")[0]
+                        == str(err).split(" still has")[0])
+            else:
+                assert (repr(dataclasses.astuple(row))
+                        == repr(dataclasses.astuple(one)))
+        assert sum(isinstance(row, QuadratureNotConverged)
+                   for row in rows) == failed
 
 
 def test_analyze_alphas_rejects_an_alpha_before_any_row_runs(canonical,

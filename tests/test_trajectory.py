@@ -186,12 +186,11 @@ def test_states_at_matches_propagator(canonical):
     for problem in problems:
         params = SubOptimalParams(rng.uniform(0.0, np.pi))
         traj = sample_trajectory(problem, params)
-        assert np.array_equal(traj.field.h,
-                              suboptimal_field(problem, params).h)
+        field = suboptimal_field(problem, params)
         times = rng.uniform(0.0, traj.t_b, 16)
         batch = traj.states_at(times)
         for k, t in enumerate(times):
-            expected = propagator(traj.field, t) @ problem.source_state
+            expected = propagator(field, t) @ problem.source_state
             assert np.max(np.abs(traj.states_at(t) - expected)) < 1e-12
             assert np.max(np.abs(batch[k] - expected)) < 1e-12
 
