@@ -61,6 +61,11 @@ times between runs, and the ratio much less. OUT gets:
   (``peak_rss_mb``, its `resource.getrusage` ``ru_maxrss``, which Linux
   gives in KiB), with its number of alphas (``alphas``): a sweep holds
   every row's points at once, so this is its memory on a large grid;
+- ``fig4_kernel_peak_mb``: the same command run in process under
+  `tracemalloc`, the largest peak of traced memory inside a call of the
+  evaluation kernel (`trajectory.evaluate_angles`, as `complexity` calls
+  it), in MB: what the sweep holds and the kernel allocates at once,
+  with none of the imports that the resident memory holds;
 - ``nproc``, the Python and numpy versions, and the commit of the checkout
   (``git describe --always --dirty``; null outside a git checkout).
 
@@ -81,6 +86,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +228,36 @@ def _fig4_peak():
             "peak_rss_mb": round(int(run.stdout) / 1024.0, 1)}
 
 
+def _fig4_kernel_peak():
+    """The ``fig4_kernel_peak_mb`` entry: `cli figdata fig4` at
+    FIG4_PEAK_POINTS points in process, its output written to a file in a
+    temporary directory, with the traced peak read inside each kernel
+    call."""
+    home = sys.modules["blochcomplexity.complexity"]
+    kernel = home.evaluate_angles
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        try:
+            return kernel(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["figdata", "fig4", "--points", str(FIG4_PEAK_POINTS),
+                "--out", str(Path(tmp) / "fig4.csv")]
+        home.evaluate_angles = traced
+        tracemalloc.start()
+        try:
+            if bc.cli.main(argv) != 0:
+                raise RuntimeError(f"{argv} failed")
+        finally:
+            tracemalloc.stop()
+            home.evaluate_angles = kernel
+    return round(max(peaks) / 2.0 ** 20, 1)
+
+
 def _buildable(cases):
     """((a, b, energy), alpha) of the ``(a, b, alpha, energy)`` cases whose
     `EvolutionProblem` can be built."""
@@ -309,6 +345,7 @@ def main():
                                      ORACLE_ROUNDS, workloads.Oracle.reference)
     record["sweep"] = _sweep_record(workloads.sweep_reference)
     record["fig4_peak"] = _fig4_peak()
+    record["fig4_kernel_peak_mb"] = _fig4_kernel_peak()
     record["oracle"] = {"ms_per_call": round(ms, 4),
                         "ref_per_call": round(ref, 4),
                         "draws": ORACLE_DRAWS, "errors": errors}

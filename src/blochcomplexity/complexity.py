@@ -57,7 +57,8 @@ from .errors import (AveragingDomainError, BlochComplexityError,
 from .hamiltonians import SubOptimalParams
 from .metrics import _curvature_coefficient, _speed_efficiency, arc_length
 from .trajectory import (POLE_EPS, Circle, _arc_ends, _cos_roots,
-                         evaluate_angles, sample_trajectory, stack)
+                         evaluate_angles, gather, sample_trajectory,
+                         stack_arrays)
 
 # angular extent below which an axis of the bounding box counts as degenerate
 EPS_DEGENERATE = 1e-9
@@ -75,7 +76,7 @@ DEFAULT_AVERAGING_MODE = APPENDIX_PIECEWISE
 AVERAGING_MODES = (UNIFORM, APPENDIX_PIECEWISE)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AngularBox:
     """Bounding box of a trajectory in (theta, phi)."""
 
@@ -93,7 +94,7 @@ class AngularBox:
         return self.phi_max - self.phi_min
 
 
-@dataclass(frozen=True)
+@dataclass
 class VolumeReport:
     """Accessed and accessible volumes with the ``box`` they come from.
 
@@ -121,7 +122,7 @@ class AnalysisConfig:
             raise ValueError(f"unknown averaging mode {self.averaging_mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class EvolutionReport:
     """Everything `analyze` knows about one evolution."""
 
@@ -336,11 +337,12 @@ def _volumes(trajs, config):
     and first-level quadrature nodes, which lie on one flat axis with no
     padding: every row's candidates, then the nodes of every row's panels,
     of their left halves and of their right halves. Each point reads its
-    own row's constants (`stack`) and start angles, which stay floats for
-    one row. V_max and V at the nodes are then evaluated for every
-    trajectory at once (`_volume_rows`), so the numpy calls do not grow with
-    the rows; every row's panels bisect together, one kernel call per level
-    (`_panel_integrals`)."""
+    own row's constants and start angles, which stay floats for one row;
+    both are built once per call (`stack_arrays`) and gathered by row at
+    each level (`gather`). V_max and V at the nodes are then evaluated for
+    every trajectory at once (`_volume_rows`), so the numpy calls do not
+    grow with the rows; every row's panels bisect together, one kernel call
+    per level (`_panel_integrals`)."""
     if not trajs:
         return []
     rows = len(trajs)
@@ -361,12 +363,14 @@ def _volumes(trajs, config):
     if rows == 1:
         row = None
         x_b = trajs[0].x_b
+        starts = trajs[0].start
     else:
         # each point's row: the candidates, then the nodes of the panels,
         # of their left halves and of their right halves, row after row
         row = np.repeat(list(range(rows)) * 4,
                         counts + [_NODES.size * n for n in panels] * 3)
         x_b = np.repeat([traj.x_b for traj in trajs], panels)
+        starts = np.array([traj.start for traj in trajs]).T
     # panels past the midpoint are measured back from x_b, where the states
     # there start (see `Trajectory.states_along`): their x is negative
     origin = np.where(table[k:k + p] < 0.5 * x_b, 0.0, x_b)
@@ -375,7 +379,10 @@ def _volumes(trajs, config):
     half, nodes = _nodes(np.concatenate([lo, lo, mid]),
                          np.concatenate([hi, mid, hi]))
     x = np.concatenate([table[:k], nodes.ravel()])
-    theta, phi = _angles(trajs, x, row)
+    arrays = stack_arrays(trajs)
+    constants = gather(arrays, row)
+    theta, phi = evaluate_angles(constants, x,
+                                 np.where(x < 0.0, constants.x_b, 0.0))
 
     box_theta, box_phi = theta[:k].tolist(), phi[:k].tolist()
     boxes, kinds, outcomes = [], [], [None] * rows
@@ -398,15 +405,16 @@ def _volumes(trajs, config):
     def volume(theta, phi, point_row):
         # a sweep's start angles are gathered after the kernel call, whose
         # temporaries set its peak memory; one row's stay floats
-        starts = trajs[0].start if point_row is None else np.array(
-            [traj.start for traj in trajs]).T.take(point_row, axis=1)
-        return _volume_rows(*starts, theta, phi, kinds, point_row)
+        at = starts if point_row is None else starts.take(point_row, axis=1)
+        return _volume_rows(*at, theta, phi, kinds, point_row)
 
     def bisected(x, owner):
         # each node reads the row of the first-level panel it was cut from
         node_row = None if row is None else np.repeat(
             panel_row.take(owner), _NODES.size).reshape(x.shape)
-        return volume(*_angles(trajs, x, node_row), node_row)
+        constants = gather(arrays, node_row)
+        return volume(*evaluate_angles(
+            constants, x, np.where(x < 0.0, constants.x_b, 0.0)), node_row)
 
     values = volume(theta[k:], phi[k:], None if row is None else row[k:])
     whole, left, right = _gauss(half, values.reshape(nodes.shape)).reshape(
@@ -442,14 +450,6 @@ def _volumes(trajs, config):
         outcomes[r] = (boxes[r], kinds[r], v_max[r],
                        sum(avg for _, _, avg in averages), averages)
     return outcomes
-
-
-def _angles(trajs, x, row):
-    """The angles at rotation angles ``x`` of the rows ``row`` of ``trajs``
-    (None for one), measured back from x_b where negative."""
-    constants = stack(trajs, row)
-    return evaluate_angles(constants, x,
-                           np.where(x < 0.0, constants.x_b, 0.0))
 
 
 def _volume_rows(theta_a, phi_a, theta, phi, kinds, row=None):

@@ -16,7 +16,8 @@ Every evaluation goes through one kernel, `evaluate_states` and
 `evaluate_angles`, which reads the `Constants` that `stack` builds: the
 `Trajectory` methods pass their own, and a sweep passes several
 trajectories' together, for rotation angles on one flat axis, so that one
-kernel call evaluates the points of every row.
+kernel call evaluates the points of every row; a sweep builds their
+arrays once (`stack_arrays`) and gathers them by row at each level.
 """
 
 import cmath
@@ -84,7 +85,7 @@ class Circle(NamedTuple):
         return cls(tuple(n), na, u, cross(n, e))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Trajectory:
     """One evolution on [0, t_b], as `sample_trajectory` builds it for a
     ``problem`` at ``params``: the ``source`` state psi0 and the ``turned``
@@ -103,6 +104,12 @@ class Trajectory:
     The path is parametrised by the rotation angle x = 2Et, which runs
     from 0 to ``x_b`` at every energy E; only `states_at`, `angles_at` and
     the reported times convert, by t = x / (2E).
+
+    A plain record, not a frozen one: its constructor checks nothing, and
+    a frozen dataclass writes each of its 15 fields through
+    `object.__setattr__`, which a sweep would pay once per row. Nothing
+    assigns a field after `sample_trajectory`; it compares and hashes by
+    identity.
     """
 
     problem: object
@@ -296,11 +303,22 @@ class Constants(NamedTuple):
 
 
 def stack(trajs, row=None):
-    """The `Constants` of ``trajs``, one `np.array` per field from the
-    Python scalars that each `Trajectory` keeps. For one trajectory the
-    per-point fields are its floats, and ``row`` is not read; for several,
-    the rotation angles lie on one flat axis, whose point i belongs to
-    ``trajs[row[i]]``, and each per-point field is gathered by ``row``."""
+    """The `Constants` of ``trajs``: `gather` of their `stack_arrays` by
+    ``row``. For one trajectory the per-point fields are its floats, and
+    ``row`` is None; for several, the rotation angles lie on one flat
+    axis, whose point i belongs to ``trajs[row[i]]``."""
+    return gather(stack_arrays(trajs), row)
+
+
+def stack_arrays(trajs):
+    """What the kernel reads of ``trajs``, one `np.array` per field from
+    the Python scalars that each `Trajectory` keeps, before it is gathered
+    by row: the tuple (x_b, psi, turned, crossing, centres, limits,
+    poles), with the ``psi``, ``turned``, ``centres`` and ``limits`` of
+    `Constants`, and per trajectory its ``x_b``, its ``crossing`` and,
+    where any trajectory has limits, whether it has (``poles``, else
+    True); floats for one trajectory. A sweep builds this once per call
+    and `gather`s it at each quadrature level."""
     psi = np.array([traj.source + traj.arrival
                     for traj in trajs]).reshape(-1, 2)
     turned = -1j * np.array([traj.turned + traj.arrival_turned
@@ -313,16 +331,27 @@ def stack(trajs, row=None):
     if any(traj.limits for traj in trajs):
         limits = np.array([limit for traj in trajs
                            for limit in traj.limits or (math.nan, math.nan)])
-    # positional, in the order of the fields: this runs on every `analyze`
     if len(trajs) == 1:
         (traj,) = trajs
-        return Constants(traj.x_b, psi, turned, traj.crossing, centres,
-                         limits, 0, True)
-    return Constants(
-        np.array([traj.x_b for traj in trajs]).take(row), psi, turned,
-        np.array([traj.crossing for traj in trajs]).take(row), centres,
-        limits, 2 * row, True if limits is None else np.array(
-            [bool(traj.limits) for traj in trajs]).take(row))
+        return traj.x_b, psi, turned, traj.crossing, centres, limits, True
+    return (np.array([traj.x_b for traj in trajs]), psi, turned,
+            np.array([traj.crossing for traj in trajs]), centres, limits,
+            True if limits is None else np.array(
+                [bool(traj.limits) for traj in trajs]))
+
+
+def gather(arrays, row):
+    """The `Constants` of points on one flat axis whose point i belongs to
+    trajectory ``row[i]`` of the `stack_arrays` ``arrays``: each
+    per-trajectory field gathered by ``row``; for one trajectory (``row``
+    None), its floats."""
+    x_b, psi, turned, crossing, centres, limits, poles = arrays
+    # positional, in the order of the fields: this runs on every `analyze`
+    if row is None:
+        return Constants(x_b, psi, turned, crossing, centres, limits, 0, True)
+    return Constants(x_b.take(row), psi, turned, crossing.take(row), centres,
+                     limits, 2 * row,
+                     poles if limits is None else poles.take(row))
 
 
 def evaluate_states(constants, x, origin=0.0):
@@ -333,10 +362,15 @@ def evaluate_states(constants, x, origin=0.0):
     at = x + origin
     back = at > 0.5 * x_b
     ang = 0.5 * np.where(back, x + (origin - x_b), at)
-    # take, not fancy indexing: the same copy, several times faster
+    # take, not fancy indexing: the same copy, several times faster; the
+    # products and their sum are written into the two copies, each product
+    # in the order of `*`
     half = back + constants.first
-    return (np.cos(ang)[..., None] * constants.psi.take(half, axis=0)
-            + np.sin(ang)[..., None] * constants.turned.take(half, axis=0))
+    states = constants.psi.take(half, axis=0)
+    turned = constants.turned.take(half, axis=0)
+    np.multiply(np.cos(ang)[..., None], states, out=states)
+    np.multiply(np.sin(ang)[..., None], turned, out=turned)
+    return np.add(states, turned, out=states)
 
 
 def evaluate_angles(constants, x, origin=0.0):

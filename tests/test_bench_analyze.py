@@ -1,6 +1,8 @@
-"""The work counter and the memory probe of `scripts/bench_analyze.py`."""
+"""The work counter and the memory probes of `scripts/bench_analyze.py`."""
 
 import importlib.util
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,17 @@ def test_fig4_peak_is_a_fresh_interpreters_own(bench_analyze, monkeypatch):
     record = bench_analyze._fig4_peak()
     assert record["alphas"] == 3
     assert 10.0 < record["peak_rss_mb"] < 1000.0
+
+
+def test_fig4_kernel_peak_grows_with_the_grid(bench_analyze, monkeypatch):
+    # the peak is read inside the kernel calls of the command alone, and
+    # the kernel and tracing are left as they were found
+    complexity = sys.modules["blochcomplexity.complexity"]
+    kernel = complexity.evaluate_angles
+    peaks = []
+    for points in (17, 257):
+        monkeypatch.setattr(bench_analyze, "FIG4_PEAK_POINTS", points)
+        peaks.append(bench_analyze._fig4_kernel_peak())
+    assert 0.0 < peaks[0] < peaks[1] < 100.0
+    assert complexity.evaluate_angles is kernel
+    assert not tracemalloc.is_tracing()

@@ -13,8 +13,9 @@ from blochcomplexity import (AnalysisConfig, AngularBox, AveragingDomainError,
                              BlochComplexityError, EvolutionProblem,
                              EvolutionReport, NonPositiveVolume,
                              QuadratureNotConverged, SubOptimalParams,
-                             accessed_volume, analyze, analyze_alphas,
-                             bloch_angles, bounding_box, branch_times,
+                             VolumeReport, accessed_volume, analyze,
+                             analyze_alphas, bloch_angles, bounding_box,
+                             branch_times,
                              complexity_from_volumes, complexity_length_scale,
                              curvature_coefficient, equatorial_problem,
                              path_length, sample_trajectory,
@@ -2015,3 +2016,34 @@ def test_analyze_alphas_rejects_an_alpha_before_any_row_runs(canonical,
         analyze_alphas(canonical, [0.1, 0.2, 4.0])
     assert calls == []
     assert analyze_alphas(canonical, []) == []
+
+
+@pytest.mark.parametrize("record, name, value", [
+    (EvolutionProblem(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+     "energy", 2.0),
+    (SubOptimalParams(0.3), "alpha", 0.4),
+    (AnalysisConfig(), "averaging_mode", "uniform")])
+def test_a_validated_input_cannot_change_after_its_check(record, name, value):
+    # these records validate their fields on construction, so none of them
+    # may be assigned afterwards
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, value)
+
+
+def test_the_reported_records_keep_their_fields_in_order():
+    # `scripts/snapshot.py` writes `dataclasses.astuple` of a report, whose
+    # columns are these fields in this order
+    assert {record.__name__: [field.name
+                              for field in dataclasses.fields(record)]
+            for record in (EvolutionReport, VolumeReport, AngularBox,
+                           Trajectory)} == {
+        "EvolutionReport": ["alpha", "t_ab", "s", "eta_ge", "eta_se",
+                            "kappa2", "complexity", "length_scale", "volume",
+                            "degeneracy_label"],
+        "VolumeReport": ["v_bar", "v_max", "box", "averaging_mode",
+                         "segments"],
+        "AngularBox": ["theta_min", "theta_max", "phi_min", "phi_max"],
+        "Trajectory": ["problem", "params", "x_b", "source", "turned",
+                       "circle", "start", "arrival", "arrival_turned",
+                       "polar_turns", "closest_approaches", "pole",
+                       "crossing", "half_turns", "limits"]}
