@@ -26,9 +26,10 @@ import numpy as np
 
 from .complexity import AnalysisConfig, DEFAULT_AVERAGING_MODE, analyze_alphas
 from .errors import BlochComplexityError
-from .hamiltonians import SubOptimalParams, equatorial_problem, suboptimal_field
-from .metrics import curvature_coefficient, geodesic_efficiency, speed_efficiency
-from .trajectory import sample_trajectory
+from .hamiltonians import SubOptimalParams, equatorial_problem, field_direction
+from .metrics import (_curvature_coefficient, _speed_efficiency,
+                      geodesic_efficiency)
+from .trajectory import Circle, sample_trajectory
 from .verify import run_verification
 
 _FRACTION_OF_PI = re.compile(r"^\s*([+-]?\d+)\s*/\s*(\d+)\s*pi\s*$")
@@ -160,11 +161,13 @@ def cmd_figdata(args):
         lines.append("alpha,eta_ge,eta_se,kappa2")
         for alpha in alphas:
             params = SubOptimalParams(alpha)
-            f = suboptimal_field(problem, params)
+            # the source's circle about the field axis, as `analyze` reads it
+            circle = Circle.about(field_direction(problem, params)[1],
+                                  problem.a)
             lines.append(",".join([fmt(alpha),
                                    fmt(geodesic_efficiency(problem, params)),
-                                   fmt(speed_efficiency(f, problem.a_hat)),
-                                   fmt(curvature_coefficient(f, problem.a_hat))]))
+                                   fmt(_speed_efficiency(circle)),
+                                   fmt(_curvature_coefficient(circle))]))
     else:
         column = "complexity" if args.which == "fig4" else "l_c"
         lines.append(f"alpha,{column}")

@@ -43,7 +43,10 @@ path passes; a panel that still fails its error test is bisected.
 pass: each row lays out its own geometry, one call of the evaluation
 kernel (`trajectory.evaluate_angles`) evaluates every row's box candidates
 and first-level nodes, and each bisection level is one more call over the
-panels still open in every row. `analyze` is its one-row case.
+panels still open in every row. `analyze` is its one-row case. Every
+evaluation calls the kernel directly: `_volumes` with its rows' gathered
+constants, where a negative rotation angle is measured back from its
+row's x_b, and `bounding_box` with one trajectory's `constants`.
 """
 
 import bisect
@@ -246,7 +249,8 @@ def bounding_box(traj):
     spans the angles there, at both ends and, where the path meets an exact
     pole, the azimuth's one-sided limits on both sides of it.
     """
-    theta, phi = traj.angles_along(np.array(_box_candidates(traj)))
+    theta, phi = evaluate_angles(traj.constants,
+                                 np.array(_box_candidates(traj)))
     return _box(traj, theta.tolist(), phi.tolist())
 
 
@@ -360,29 +364,35 @@ def _volumes(trajs, config):
     panels = [len(e) - 1 for e in edges]
     k, p = len(points), len(lows)
     table = np.array(points + lows + highs)
+    arrays = stack_arrays(trajs)
+    x_b = arrays[0]
     if rows == 1:
         row = None
-        x_b = trajs[0].x_b
         starts = trajs[0].start
     else:
         # each point's row: the candidates, then the nodes of the panels,
         # of their left halves and of their right halves, row after row
         row = np.repeat(list(range(rows)) * 4,
                         counts + [_NODES.size * n for n in panels] * 3)
-        x_b = np.repeat([traj.x_b for traj in trajs], panels)
+        x_b = x_b.repeat(panels)
         starts = np.array([traj.start for traj in trajs]).T
     # panels past the midpoint are measured back from x_b, where the states
-    # there start (see `Trajectory.states_along`): their x is negative
+    # there start (see `trajectory.evaluate_states`): their x is negative
     origin = np.where(table[k:k + p] < 0.5 * x_b, 0.0, x_b)
     lo, hi = table[k:k + p] - origin, table[k + p:] - origin
     mid = 0.5 * (lo + hi)
     half, nodes = _nodes(np.concatenate([lo, lo, mid]),
                          np.concatenate([hi, mid, hi]))
     x = np.concatenate([table[:k], nodes.ravel()])
-    arrays = stack_arrays(trajs)
-    constants = gather(arrays, row)
-    theta, phi = evaluate_angles(constants, x,
-                                 np.where(x < 0.0, constants.x_b, 0.0))
+
+    def angles(x, point_row):
+        # one kernel call on the points of rows ``point_row``; a negative x
+        # is measured back from its row's x_b (a product, not `np.where`:
+        # the same bits for a finite x_b, one Python-level call fewer)
+        constants = gather(arrays, point_row)
+        return evaluate_angles(constants, x, (x < 0.0) * constants.x_b)
+
+    theta, phi = angles(x, row)
 
     box_theta, box_phi = theta[:k].tolist(), phi[:k].tolist()
     boxes, kinds, outcomes = [], [], [None] * rows
@@ -412,9 +422,7 @@ def _volumes(trajs, config):
         # each node reads the row of the first-level panel it was cut from
         node_row = None if row is None else np.repeat(
             panel_row.take(owner), _NODES.size).reshape(x.shape)
-        constants = gather(arrays, node_row)
-        return volume(*evaluate_angles(
-            constants, x, np.where(x < 0.0, constants.x_b, 0.0)), node_row)
+        return volume(*angles(x, node_row), node_row)
 
     values = volume(theta[k:], phi[k:], None if row is None else row[k:])
     whole, left, right = _gauss(half, values.reshape(nodes.shape)).reshape(

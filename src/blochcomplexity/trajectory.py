@@ -13,11 +13,11 @@ so that next to the source or the target a small amplitude keeps its
 precision.
 
 Every evaluation goes through one kernel, `evaluate_states` and
-`evaluate_angles`, which reads the `Constants` that `stack` builds: the
-`Trajectory` methods pass their own, and a sweep passes several
-trajectories' together, for rotation angles on one flat axis, so that one
-kernel call evaluates the points of every row; a sweep builds their
-arrays once (`stack_arrays`) and gathers them by row at each level.
+`evaluate_angles`, which reads the `Constants` that `gather` builds from
+`stack_arrays`: `Trajectory.constants` is one trajectory's, and a sweep
+passes several trajectories' together, for rotation angles on one flat
+axis, so that one kernel call evaluates the points of every row; a sweep
+builds their arrays once and gathers them by row at each level.
 """
 
 import cmath
@@ -103,7 +103,9 @@ class Trajectory:
 
     The path is parametrised by the rotation angle x = 2Et, which runs
     from 0 to ``x_b`` at every energy E; only `states_at`, `angles_at` and
-    the reported times convert, by t = x / (2E).
+    the reported times convert, by t = x / (2E). Code that works in x
+    calls the kernel (`evaluate_states`, `evaluate_angles`) with
+    ``constants``.
 
     A plain record, not a frozen one: its constructor checks nothing, and
     a frozen dataclass writes each of its 15 fields through
@@ -130,10 +132,10 @@ class Trajectory:
 
     @property
     def constants(self):
-        """What the evaluation kernel reads of this trajectory alone:
-        `stack` of it, built on each read. A sweep stacks its rows together
-        and reads none of theirs."""
-        return stack([self])
+        """What the evaluation kernel reads of this trajectory alone,
+        built on each read. A sweep stacks its rows together and reads
+        none of theirs."""
+        return gather(stack_arrays([self]), None)
 
     @property
     def t_b(self):
@@ -146,36 +148,17 @@ class Trajectory:
 
     def states_at(self, t):
         """Closed-form states at a time array of shape (...), as an array
-        of shape (..., 2): `states_along` at x = 2Et."""
-        return self.states_along(
+        of shape (..., 2): the kernel `evaluate_states` at x = 2Et."""
+        return evaluate_states(
+            self.constants,
             2.0 * self.problem.energy * np.asarray(t, dtype=float))
-
-    def states_along(self, x, origin=0.0):
-        """States cos(y) psi - i sin(y) (n.sigma) psi at rotation angles
-        origin + x, for an ``origin`` of 0 or x_b (or an array of them that
-        broadcasts with x). On the first half of the path psi is psi0 and
-        y = (origin + x)/2; on the second it is the target's own state, in
-        the phase of the evolved one, and y = (origin + x - x_b)/2, which is
-        x/2 for an origin at x_b. Each half is thus exact at its own end: a
-        small amplitude next to a pole keeps its relative precision there,
-        and so does a rotation angle measured from x_b. The kernel is
-        `evaluate_states`, with this trajectory's `constants`."""
-        return evaluate_states(self.constants, x, origin)
 
     def angles_at(self, t):
         """Polar angles and continuous azimuths at a time array of shape
-        (...): `angles_along` at x = 2Et."""
-        return self.angles_along(
+        (...): the kernel `evaluate_angles` at x = 2Et."""
+        return evaluate_angles(
+            self.constants,
             2.0 * self.problem.energy * np.asarray(t, dtype=float))
-
-    def angles_along(self, x, origin=0.0):
-        """Polar angles and continuous azimuths at rotation angles
-        origin + x (see `states_along`), in closed form: the raw azimuth of
-        each state, moved to the 2*pi branch that the crossings of the start
-        azimuth's plane before it select; at an exact pole, the lift's limit
-        on the same side of its crossings. The kernel is `evaluate_angles`,
-        with this trajectory's `constants`."""
-        return evaluate_angles(self.constants, x, origin)
 
 
 def _polar_turns(circle, x_b):
@@ -278,7 +261,7 @@ def _lift(circle, x_b, phi_a, pole):
 
 class Constants(NamedTuple):
     """What the evaluation kernel (`evaluate_states`, `evaluate_angles`)
-    reads of one trajectory or of several, as `stack` builds it.
+    reads of one trajectory or of several, as `gather` builds it.
 
     ``x_b``, ``crossing``, ``first`` and ``poles`` broadcast against the
     rotation angles: floats for one trajectory, and for several one
@@ -300,14 +283,6 @@ class Constants(NamedTuple):
     limits: object
     first: object
     poles: object
-
-
-def stack(trajs, row=None):
-    """The `Constants` of ``trajs``: `gather` of their `stack_arrays` by
-    ``row``. For one trajectory the per-point fields are its floats, and
-    ``row`` is None; for several, the rotation angles lie on one flat
-    axis, whose point i belongs to ``trajs[row[i]]``."""
-    return gather(stack_arrays(trajs), row)
 
 
 def stack_arrays(trajs):
@@ -355,8 +330,15 @@ def gather(arrays, row):
 
 
 def evaluate_states(constants, x, origin=0.0):
-    """The kernel of `Trajectory.states_along`: the states at rotation
-    angles origin + x of the trajectories in ``constants``."""
+    """The states at rotation angles origin + x of the trajectories in
+    ``constants``, for an ``origin`` of 0 or x_b (or an array of them that
+    broadcasts with x): cos(y) psi - i sin(y) (n.sigma) psi. On the first
+    half of the path psi is psi0 and y = (origin + x)/2; on the second it
+    is the target's own state, in the phase of the evolved one, and
+    y = (origin + x - x_b)/2, which is x/2 for an origin at x_b. Each half
+    is thus exact at its own end: a small amplitude next to a pole keeps
+    its relative precision there, and so does a rotation angle measured
+    from x_b. A negative x from origin 0 is the backward evolution."""
     x = np.asarray(x, dtype=float)
     x_b = constants.x_b
     at = x + origin
@@ -374,11 +356,12 @@ def evaluate_states(constants, x, origin=0.0):
 
 
 def evaluate_angles(constants, x, origin=0.0):
-    """The kernel of `Trajectory.angles_along`: polar angles and
-    continuous azimuths at rotation angles origin + x. A raw azimuth is
-    moved to the branch of its side of the crossing; at an exact pole,
-    sin(theta) < POLE_EPS, which is tested only where limits exist, it is
-    the limit on that side."""
+    """Polar angles and continuous azimuths at rotation angles
+    origin + x (see `evaluate_states`), in closed form: the raw azimuth of
+    each state, moved to the 2*pi branch of its side of the crossing of
+    the start azimuth's plane; at an exact pole, sin(theta) < POLE_EPS,
+    which is tested only where limits exist, the lift's limit on that
+    side."""
     x = np.asarray(x, dtype=float)
     theta, raw = bloch_angles(evaluate_states(constants, x, origin))
     side = (constants.crossing < origin + x) + constants.first
@@ -393,9 +376,9 @@ def sample_trajectory(problem, params, n=None):
     """The evolution on [0, t_b], each part of it computed once, in one
     pass: the field's direction and x_b, the circle, the start angles, psi0
     and (n.sigma) psi0, the arrival pair, the polar turns, the pole and the
-    lift, all Python scalars, from which `stack` builds the kernel's
-    `Constants`; what the problem shares with every member of its family
-    (a, b, the source's angles) is the problem's own.
+    lift, all Python scalars, from which `stack_arrays` and `gather`
+    build the kernel's `Constants`; what the problem shares with every
+    member of its family (a, b, the source's angles) is the problem's own.
     ``n`` is accepted from callers that still pass a sample count, and
     neither read nor validated: nothing here samples, and `evolve` checks
     and samples its own grid.

@@ -31,6 +31,16 @@ def test_a_generator_counts_as_one_call_however_long(bench_analyze):
             for n in (3, 300)] == [2, 2]
 
 
+def test_fig2_evaluates_no_state(bench_analyze, tmp_path):
+    # the figure's efficiencies and curvature are closed-form in the field
+    # direction: its counted work has no kernel point and no level
+    argv, _ = bench_analyze.COMMANDS["fig2"]
+    points, calls, levels = bench_analyze._counted(
+        bench_analyze.bc.cli.main, [*argv, "--out", str(tmp_path / "f.csv")])
+    assert (points, levels) == (0, 0)
+    assert calls > 0
+
+
 def test_fig4_peak_is_a_fresh_interpreters_own(bench_analyze, monkeypatch):
     # the child imports the package under test and reports its own peak
     # resident memory, which the package and numpy alone put above 10 MB

@@ -88,7 +88,7 @@ def _reference_times(traj, t):
 
 def _extended_angles(traj, x, from_target=False):
     """Polar angle and arg(c1 c0*) of the state at rotation angle ``x``, or
-    with ``from_target`` at x_b + x, built as `states_along` builds it and
+    with ``from_target`` at x_b + x, built as `evaluate_states` builds it and
     evaluated in extended precision: from psi0 over the first half of the
     path and from the target's own state over the second (the same state
     in exact arithmetic, up to a phase), at a rotation angle measured from
@@ -1496,7 +1496,8 @@ def test_pole_check_margin_skips_no_pole(case):
     traj = sample_trajectory(*_POLE_CHECK_CASES[case])
     near = [0.0, traj.x_b, *(x for x in traj.polar_turns
                              if 0.0 < x < traj.x_b)]
-    on = np.sin(bloch_angles(traj.states_along(np.array(near)))[0]) < POLE_EPS
+    states = trajectory.evaluate_states(traj.constants, np.array(near))
+    on = np.sin(bloch_angles(states)[0]) < POLE_EPS
     assert traj.pole == (near[np.argmax(on)] if on.any() else None)
     if traj.pole is None:
         assert traj.limits == ()
@@ -1517,7 +1518,7 @@ def test_pole_check_evaluates_no_state(monkeypatch, delta):
     # decided in closed form, an exact passage (delta = 0) included
     traj = sample_trajectory(_tilted_passage(_PASSAGES["0.6"], delta),
                              SubOptimalParams(PI / 2))
-    log = _count_calls(monkeypatch, Trajectory, "states_along")
+    log = _count_calls(monkeypatch, trajectory, "evaluate_states")
     assert (traj.pole is None) == (delta >= POLE_EPS)
     assert (traj.limits == ()) == (delta >= POLE_EPS)
     _branch_angles(traj)
@@ -1581,7 +1582,8 @@ def test_pole_passage_takes_the_side_of_the_field_axis():
     traj = sample_trajectory(problem, params)
     pole = traj.crossing
     assert pole == pytest.approx(1.092250021610253, abs=1e-12)
-    theta = bloch_angles(traj.states_along(np.array([pole])))[0]
+    theta = bloch_angles(trajectory.evaluate_states(traj.constants,
+                                                    np.array([pole])))[0]
     assert np.sin(theta[0]) < POLE_EPS
     for mode in AVERAGING_MODES:
         _assert_stages_agree(problem, params, mode)
@@ -1825,11 +1827,11 @@ def test_stacked_states_are_each_rows_own():
         xs.append(np.where(x < 0.5 * traj.x_b, x, x - traj.x_b))
         origins.append(np.where(xs[-1] < 0.0, traj.x_b, 0.0))
     row = np.repeat(np.arange(len(trajs)), [len(x) for x in xs])
-    states = trajectory.evaluate_states(trajectory.stack(trajs, row),
-                                        np.concatenate(xs),
+    constants = trajectory.gather(trajectory.stack_arrays(trajs), row)
+    states = trajectory.evaluate_states(constants, np.concatenate(xs),
                                         np.concatenate(origins))
     for r, traj in enumerate(trajs):
-        own = traj.states_along(xs[r], origins[r])
+        own = trajectory.evaluate_states(traj.constants, xs[r], origins[r])
         assert states[row == r].tobytes() == own.tobytes()
 
 

@@ -180,7 +180,9 @@ def _random_problem(rng):
 
 def test_states_at_matches_propagator(canonical):
     # the vector form cos(wt) psi0 - i sin(wt) (n.sigma) psi0 against the
-    # matrix route, on the field the problem defines
+    # matrix route, on the field the problem defines; a negative time is
+    # the backward evolution U(t)^dagger psi0, which the reference oracles
+    # read (a central difference at t = 0)
     rng = np.random.default_rng(11)
     problems = [canonical] + [_random_problem(rng) for _ in range(6)]
     for problem in problems:
@@ -189,10 +191,15 @@ def test_states_at_matches_propagator(canonical):
         field = suboptimal_field(problem, params)
         times = rng.uniform(0.0, traj.t_b, 16)
         batch = traj.states_at(times)
+        backward = traj.states_at(-times)
         for k, t in enumerate(times):
-            expected = propagator(field, t) @ problem.source_state
+            u = propagator(field, t)
+            expected = u @ problem.source_state
             assert np.max(np.abs(traj.states_at(t) - expected)) < 1e-12
             assert np.max(np.abs(batch[k] - expected)) < 1e-12
+            expected = u.conj().T @ problem.source_state
+            assert np.max(np.abs(traj.states_at(-t) - expected)) < 1e-12
+            assert np.max(np.abs(backward[k] - expected)) < 1e-12
 
 
 def _arc_ends_comprehension(centre, half, span):
