@@ -50,9 +50,10 @@ times between runs, and the ratio much less. OUT gets:
   pole or pass next to one as no general draw does;
 - ``sweep``: for the default 17-row `cli sweep` to a file (``cli_sweep``),
   the 257-row `cli figdata fig4` to a file (``fig4``), the same at
-  theta_AB = 3.1 (``fig4_wide``), where rows bisect, and the 513-row
-  `cli figdata fig2` to a file (``fig2``, which evaluates no state), all
-  in process, the median time of one command over SWEEP_ROUNDS and
+  theta_AB = 3.1 (``fig4_wide``), where rows bisect, the 513-row
+  `cli figdata fig2` to a file (``fig2``, which evaluates no state) and
+  the 4097-row `cli evolve --alpha 0.3` to a file (``evolve``), all in
+  process, the median time of one command over SWEEP_ROUNDS and
   FIG4_ROUNDS runs, in ms (``ms``) and in units of `perfbench`'s sweep
   reference (``ref``,
   `workloads.sweep_reference`, the `table_sweep` workload's), and the
@@ -110,7 +111,8 @@ COMMANDS = {"cli_sweep": (["sweep"], SWEEP_ROUNDS),
             "fig4": (["figdata", "fig4"], FIG4_ROUNDS),
             "fig4_wide": (["figdata", "fig4", "--theta-ab", "3.1"],
                           FIG4_ROUNDS),
-            "fig2": (["figdata", "fig2", "--points", "513"], FIG4_ROUNDS)}
+            "fig2": (["figdata", "fig2", "--points", "513"], FIG4_ROUNDS),
+            "evolve": (["evolve", "--alpha", "0.3"], FIG4_ROUNDS)}
 FIG4_PEAK_POINTS = 4097
 # run in a fresh interpreter: `cli.main` on argv, then its own peak RSS
 _PEAK_RSS = """import resource, sys

@@ -39,8 +39,13 @@ DEFAULT_SAMPLES = 4097  # the sample count `evolve` writes by default
 
 SWEEP_COLUMNS = ("alpha", "t_ab", "s", "eta_ge", "eta_se", "kappa2",
                  "v_bar", "v_max", "complexity", "l_c", "degenerate")
-# one `sweep` row: `fmt` of each number, then the degeneracy label
+# Each CSV row is one `%` template, applied once per row: every number is
+# a ``%.12g`` cell (12 significant digits), and `sweep`'s last cell is the
+# degeneracy label.
 _SWEEP_ROW = ",".join(["%.12g"] * (len(SWEEP_COLUMNS) - 1) + ["%s"])
+_EVOLVE_ROW = ",".join(["%.12g"] * 7)
+_FIG2_ROW = ",".join(["%.12g"] * 4)
+_FIG4_ROW = ",".join(["%.12g"] * 2)
 
 
 def parse_angle(text):
@@ -57,10 +62,6 @@ def parse_angle(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"cannot parse angle {text!r}: use radians or 'k/n pi'") from None
-
-
-def fmt(value):
-    return f"{value:.12g}"
 
 
 def cmd_sweep(args):
@@ -103,11 +104,10 @@ def cmd_evolve(args):
     t = np.linspace(0.0, traj.t_b, args.samples)
     theta, phi = traj.angles_at(t)
     c0, c1 = traj.states_at(t).T
+    columns = np.stack([t, theta, phi, c0.real, c0.imag, c1.real, c1.imag])
     lines = ["t,theta,phi,re_c0,im_c0,re_c1,im_c1"]
-    for row in zip(t, theta, phi, c0.real, c0.imag, c1.real, c1.imag):
-        lines.append(",".join(fmt(x) for x in row))
-    text = "\n".join(lines) + "\n"
-    return _write(args.out, text)
+    lines.extend(_EVOLVE_ROW % row for row in zip(*columns.tolist()))
+    return _write(args.out, "\n".join(lines) + "\n")
 
 
 _TABLE_ALPHAS = [Fraction(k, 16) for k in range(0, 9)]
@@ -164,18 +164,16 @@ def cmd_figdata(args):
             # the source's circle about the field axis, as `analyze` reads it
             circle = Circle.about(field_direction(problem, params)[1],
                                   problem.a)
-            lines.append(",".join([fmt(alpha),
-                                   fmt(geodesic_efficiency(problem, params)),
-                                   fmt(_speed_efficiency(circle)),
-                                   fmt(_curvature_coefficient(circle))]))
+            lines.append(_FIG2_ROW % (
+                alpha, geodesic_efficiency(problem, params),
+                _speed_efficiency(circle), _curvature_coefficient(circle)))
     else:
         column = "complexity" if args.which == "fig4" else "l_c"
         lines.append(f"alpha,{column}")
         for alpha, rep in zip(alphas, _reports(problem, alphas)):
             value = rep.complexity if args.which == "fig4" else rep.length_scale
-            lines.append(f"{fmt(alpha)},{fmt(value)}")
-    text = "\n".join(lines) + "\n"
-    return _write(args.out, text)
+            lines.append(_FIG4_ROW % (alpha, value))
+    return _write(args.out, "\n".join(lines) + "\n")
 
 
 def _reports(problem, alphas):

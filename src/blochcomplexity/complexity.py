@@ -27,6 +27,15 @@ per-segment averages, which `analyze` keeps in ``VolumeReport.segments``. The
 piecewise mode is the one that reproduces the reference volume table and is
 the default; the README records the per-alpha deltas of the uniform mode.
 
+The piecewise cuts depend on the source's global phase, which the Bloch
+vector does not fix: `qubit.state_from_bloch` makes c0 real and >= 0, and
+`sample_trajectory` re-phases a source on the south pole, where c0
+vanishes. A phase e^(i chi) on psi0 moves the zeros of Re c0 and Re c1:
+on the canonical problem at alpha = pi/16, piecewise C takes six values
+from 0.210210 to 0.677982 over chi in {0, pi/8, ..., pi}. The reference
+table is reproduced in the library's phase (chi = 0). Uniform mode reads
+only the angles, which carry no phase.
+
 Nothing is sampled. The box comes from the closed-form extrema of the
 rotation, and each average is an adaptive Gauss-Legendre quadrature of V in
 the rotation angle x = 2Et (Piessens et al., QUADPACK, 1983) over panels cut

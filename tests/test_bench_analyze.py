@@ -41,6 +41,18 @@ def test_fig2_evaluates_no_state(bench_analyze, tmp_path):
     assert calls > 0
 
 
+def test_evolve_makes_no_python_call_per_row(bench_analyze, tmp_path):
+    # each of the trajectory's 4097 rows is one % format of plain floats,
+    # which the profiler does not see as a call
+    argv, _ = bench_analyze.COMMANDS["evolve"]
+    out = tmp_path / "evolve.csv"
+    _, calls, _ = bench_analyze._counted(bench_analyze.bc.cli.main,
+                                         [*argv, "--out", str(out)])
+    rows = len(out.read_text().splitlines()) - 1
+    assert rows == 4097
+    assert calls < rows
+
+
 def test_fig4_peak_is_a_fresh_interpreters_own(bench_analyze, monkeypatch):
     # the child imports the package under test and reports its own peak
     # resident memory, which the package and numpy alone put above 10 MB

@@ -11,8 +11,8 @@ import pytest
 from blochcomplexity import (AveragingDomainError, NonPositiveVolume,
                              QuadratureNotConverged, SubOptimalParams,
                              equatorial_problem, sample_trajectory)
-from blochcomplexity.cli import (_SWEEP_ROW, build_parser, fmt, main,
-                                  parse_angle)
+from blochcomplexity.cli import (_EVOLVE_ROW, _FIG2_ROW, _FIG4_ROW,
+                                  _SWEEP_ROW, build_parser, main, parse_angle)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -155,12 +155,18 @@ def test_sweep_csv_round_trip(tmp_path):
     123456789012.5, 1e-5, 0.1, np.pi, 1.7976931348623157e308,
     float("inf"), float("nan")])
 def test_sweep_row_template_is_fmt_of_each_number(value):
-    # the row is one % format: each number reads as `fmt` gives it, the
-    # label as it is
-    numbers = [value, -value, value / 7.0, value * 3.0, 0.5, 2.0, value,
-               1e-12, 1.0 - 1e-16, value]
-    assert _SWEEP_ROW % (*numbers, "theta") == ",".join(
-        [*map(fmt, numbers), "theta"])
+    # every row the CLI writes is one % format: each number cell reads as
+    # the format spec ".12g" writes that number, given as a Python float or
+    # as numpy's, and `sweep`'s label cell as it is
+    for template in (_SWEEP_ROW, _EVOLVE_ROW, _FIG2_ROW, _FIG4_ROW):
+        labels = ["theta"] if template.endswith("%s") else []
+        cells = template.count(",") + 1 - len(labels)
+        for kind in (float, np.float64):
+            numbers = [kind(x) for x in (
+                value, -value, value / 7.0, value * 3.0, 0.5, 2.0, value,
+                1e-12, 1.0 - 1e-16, value)[:cells]]
+            assert (template % (*numbers, *labels)).split(",") == [
+                *(format(x, ".12g") for x in numbers), *labels]
 
 
 def test_sweep_averaging_flag(tmp_path):

@@ -1,3 +1,5 @@
+import cmath
+import copy
 import dataclasses
 import math
 import sys
@@ -1344,6 +1346,67 @@ def test_source_inside_the_pole_threshold_starts_the_path_of_a():
     assert np.sin(traj.start[0]) < POLE_EPS
     assert bounding_box(traj).theta_min == pytest.approx(4.3754084235e-13,
                                                          rel=1e-7, abs=0.0)
+
+
+# -- piecewise mode follows the source's global phase ----------------------
+
+def _phased(problem, chi):
+    """``problem`` with its read-only ``source_state`` multiplied by the
+    global phase e^(i chi): the same source, in another phase than the one
+    `state_from_bloch` fixes (c0 real and >= 0)."""
+    phased = copy.copy(problem)
+    state = problem.source_state * cmath.exp(1j * chi)
+    state.setflags(write=False)
+    object.__setattr__(phased, "source_state", state)
+    return phased
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.one_of(_unit_vectors, _near_or_at_poles),
+       b=st.one_of(_unit_vectors, _near_or_at_poles), alpha=st.floats(0.0, PI),
+       chi=st.floats(-PI, PI))
+# a path 1e-6 long from the north pole: C moves by 6.9e-11 relative
+@example(a=np.array([0.0, 0.0, 1.0]),
+         b=np.array([0.0, 1e-6, 1.0]) / np.hypot(1e-6, 1.0), alpha=1.0,
+         chi=1.0)
+# a theta extent of 6.2e-5, next to the parallel at alpha = pi/2: 3.9e-12
+@example(a=np.array([1.0, 4.0, 0.0]) / np.sqrt(17.0),
+         b=np.array([0.0, 1.0, 0.0]), alpha=1.5625, chi=1.0)
+def test_uniform_complexity_is_invariant_under_the_source_phase(a, b, alpha,
+                                                                chi):
+    # the angles of a state carry no global phase, so neither does uniform
+    # mode's average of V over them, to rounding: the multiply's rounding
+    # moves an angle by about eps, and so C, a ratio of box areas, by about
+    # eps over the box's smaller extent. That is 1e-12 relative on a box
+    # at least 0.01 wide both ways, and more on a thinner one
+    uniform = AnalysisConfig(averaging_mode="uniform")
+    try:
+        problem = EvolutionProblem(a, b)
+        rep = analyze(problem, SubOptimalParams(alpha), uniform)
+    except BlochComplexityError:
+        assume(False)
+    got = analyze(_phased(problem, chi), SubOptimalParams(alpha),
+                  uniform).complexity
+    box = rep.volume.box
+    width = min(box.theta_extent, box.phi_extent, 0.01)
+    assert abs(got - rep.complexity) * width <= 1e-14 * abs(rep.complexity)
+
+
+def test_piecewise_complexity_follows_the_source_phase(canonical):
+    # the cuts are the sign changes of Re c0 and Re c1, which a global phase
+    # moves: the table's value holds in the phase that `state_from_bloch`
+    # fixes, and a quarter turn of it leaves one segment, the uniform value
+    params = SubOptimalParams(PI / 16)
+    table = analyze(canonical, params)
+    assert table.complexity == pytest.approx(0.315278, abs=1e-6)
+    assert table.complexity == pytest.approx(VOLUME_TABLE[1][2], abs=1e-4)
+    assert len(table.volume.segments) == 2
+    turned = analyze(_phased(canonical, PI / 2), params)
+    assert turned.complexity == pytest.approx(0.677982, abs=1e-6)
+    assert len(turned.volume.segments) == 1
+    uniform = analyze(canonical, params,
+                      AnalysisConfig(averaging_mode="uniform"))
+    assert turned.complexity == pytest.approx(uniform.complexity, rel=1e-12)
 
 
 # -- the contract at every energy --------------------------------------------
